@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet race bench perf perf-shards sweep cover lint inventory check smoke fuzz stress clean
+.PHONY: all build test tier1 vet race bench perf perf-shards perfbench sweep cover lint check smoke fuzz stress clean
 
 all: tier1
 
@@ -19,8 +19,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet plus the repo's own analyzer suite (cmd/dirccvet:
-# simdet, maprange, probeguard, shardsafe, laneguard, plus the
-# allocguard escape gate over //dirccvet:hotpath functions).
+# simdet, maprange, probeguard, laneguard, plus the allocguard escape
+# gate over //dirccvet:hotpath functions).
 # staticcheck and govulncheck also run when installed — CI installs
 # them; offline dev boxes may not have them, so their absence is not an
 # error here.
@@ -28,15 +28,6 @@ lint: vet
 	$(GO) run ./cmd/dirccvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping"; fi
-
-# inventory emits laneguard's per-engine cross-lane touch-point
-# work-list as JSON. Since the chain/tree restructure all engines
-# certify shard-safe, so the expected output is empty touch-point
-# lists; any entry here is a regression (TestLaneGuardInventory pins
-# this). A report, not a gate.
-inventory:
-	$(GO) run ./cmd/dirccvet -mode inventory -json ./... > lane-inventory.json
-	@echo "inventory: wrote lane-inventory.json"
 
 # check runs the exhaustive model checker over every protocol engine
 # (internal/check: all interleavings of the tiny-config grid, plus the
@@ -101,6 +92,13 @@ perf:
 perf-shards:
 	$(GO) test -bench 'ShardedExperiment' -benchmem -run '^$$' .
 
+# perfbench runs the self-tests of the benchmark in perfbench/, a
+# separate module that `go test ./...` at the root never reaches: the
+# engine decorator must be transparent on all eight families, and the
+# sharded runs must match the sequential digests.
+perfbench:
+	cd perfbench && $(GO) test ./...
+
 # sweep times the default experiment grid end to end.
 sweep:
 	$(GO) run ./cmd/sweep > /dev/null
@@ -115,4 +113,4 @@ cover:
 
 # clean removes generated artifacts.
 clean:
-	rm -f coverage.out bench.out dirccvet.sarif lane-inventory.json
+	rm -f coverage.out bench.out dirccvet.sarif

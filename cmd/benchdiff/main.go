@@ -2,9 +2,8 @@
 // benchmark deltas, for the warn-only perf job in CI and for writing
 // the BENCH_PR<N>.json snapshots.
 //
-// Each input is a BENCH_*.json snapshot (canonical or the PR-1 legacy
-// before/after schema) or raw `go test -bench` output; "-" reads raw
-// output from stdin. With one input benchdiff just parses and prints
+// Each input is a BENCH_*.json snapshot or raw `go test -bench`
+// output; "-" reads raw output from stdin. With one input benchdiff just parses and prints
 // it (useful with -emit to snapshot a fresh run).
 //
 // Usage:

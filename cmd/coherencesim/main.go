@@ -49,7 +49,7 @@ func main() {
 	procs := flag.Int("procs", 16, "number of processors")
 	full := flag.Bool("full", false, "use the paper-scale workload parameters")
 	check := flag.Bool("check", false, "enable the coherence monitor")
-	shards := flag.Int("shards", 1, "worker shards for the deterministic parallel kernel (>1 needs a shard-safe protocol; results are byte-identical at every shard count)")
+	shards := flag.Int("shards", 1, "worker shards for the deterministic parallel kernel (any protocol; -check falls back to sequential; results are byte-identical at every shard count)")
 	record := flag.String("record", "", "record the reference trace to this file")
 	replay := flag.String("replay", "", "replay a recorded trace instead of running -app")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON here (.jsonl suffix selects the raw event log)")

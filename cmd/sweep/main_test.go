@@ -47,7 +47,7 @@ func TestEventObsNote(t *testing.T) {
 // TestTraceAttribNeverFallBack is the other half of the stderr
 // contract: the per-run fallback warning is keyed off
 // ShardPlan.Fallback(), so trace/attrib sweeps stay warning-free
-// because their shard plans resolve to "ok" on shard-safe engines.
+// because their shard plans resolve to "ok".
 func TestTraceAttribNeverFallBack(t *testing.T) {
 	for _, oc := range []*dircc.ObsConfig{
 		{Trace: true},

@@ -53,12 +53,12 @@ type Experiment struct {
 	// (sim.Sharded) with this many worker lanes. Results are
 	// byte-identical to the sequential engine at every shard count.
 	// 0 or 1 selects the sequential kernel. Values above 1 apply only
-	// when the run is eligible — the protocol engine is shard-safe and
-	// the run uses no checker and no memory-resident locks — and fall
-	// back to the sequential kernel otherwise, so sweeps can set Shards
-	// unconditionally. Observability composes fully: trace and
-	// attribution stream through per-lane buffers merged in the global
-	// (at, seq) order, byte-identical to the sequential run. The
+	// when the run is eligible — it uses no checker and no
+	// memory-resident locks; every registered protocol runs sharded —
+	// and fall back to the sequential kernel otherwise, so sweeps can
+	// set Shards unconditionally. Observability composes fully: trace
+	// and attribution stream through per-lane buffers merged in the
+	// global (at, seq) order, byte-identical to the sequential run. The
 	// structured fallback reason is returned in Result.ShardPlan and
 	// queryable up front via ExplainShards.
 	Shards int
@@ -146,9 +146,6 @@ const (
 	// ShardMemLocks: memory-resident ticket locks arbitrate through
 	// global state the lanes would contend on.
 	ShardMemLocks
-	// ShardEngineUnsafe: the protocol engine does not declare itself
-	// shard-safe (chain/tree families splice peer-node metadata).
-	ShardEngineUnsafe
 )
 
 // String returns the short machine-readable reason token (logged by
@@ -163,8 +160,6 @@ func (r ShardReason) String() string {
 		return "checked-run"
 	case ShardMemLocks:
 		return "mem-locks"
-	case ShardEngineUnsafe:
-		return "engine-not-shard-safe"
 	}
 	return fmt.Sprintf("ShardReason(%d)", int(r))
 }
@@ -180,8 +175,6 @@ func (r ShardReason) Describe() string {
 		return "coherence checker inspects all caches cross-lane"
 	case ShardMemLocks:
 		return "memory-resident ticket locks serialize on global state"
-	case ShardEngineUnsafe:
-		return "protocol engine is not shard-safe (cross-node chain/tree surgery)"
 	}
 	return r.String()
 }
@@ -205,11 +198,12 @@ func (p ShardPlan) Fallback() bool { return p.Requested > 1 && p.Shards <= 1 }
 
 // shardPlan resolves the shard count a run actually uses, mirroring
 // the sharded machine's restrictions. Fallback order is most-specific
-// first: explicit sequential request, checker, locks, then engine
-// safety. Observability never forces a fallback: the event stream is
+// first: explicit sequential request, checker, then locks. The
+// protocol never forces a fallback: every registered engine keeps to
+// the lane contract. Nor does observability: the event stream is
 // merged deterministically from per-lane buffers, and watchdog /
 // sampler / gauge ride the coordinator tick.
-func (exp Experiment) shardPlan(eng Engine) ShardPlan {
+func (exp Experiment) shardPlan() ShardPlan {
 	plan := ShardPlan{Requested: exp.Shards, Shards: 1}
 	switch {
 	case exp.Shards <= 1:
@@ -219,12 +213,8 @@ func (exp Experiment) shardPlan(eng Engine) ShardPlan {
 	case exp.MemLocks:
 		plan.Reason = ShardMemLocks
 	default:
-		if ss, ok := eng.(coherent.ShardSafe); !ok || !ss.ShardSafeEngine() {
-			plan.Reason = ShardEngineUnsafe
-		} else {
-			plan.Reason = ShardOK
-			plan.Shards = exp.Shards
-		}
+		plan.Reason = ShardOK
+		plan.Shards = exp.Shards
 	}
 	plan.ReasonToken = plan.Reason.String()
 	return plan
@@ -234,11 +224,10 @@ func (exp Experiment) shardPlan(eng Engine) ShardPlan {
 // it: which kernel it would use and, for fallbacks, the structured
 // reason. The CLIs surface this as -explain-shards.
 func ExplainShards(exp Experiment) (ShardPlan, error) {
-	eng, err := NewEngine(exp.Protocol)
-	if err != nil {
+	if _, err := NewEngine(exp.Protocol); err != nil {
 		return ShardPlan{}, err
 	}
-	return exp.shardPlan(eng), nil
+	return exp.shardPlan(), nil
 }
 
 // Result is the outcome of one experiment.
@@ -282,7 +271,7 @@ func RunExperiment(exp Experiment) (*Result, error) {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 4_000_000_000
 	}
-	plan := exp.shardPlan(eng)
+	plan := exp.shardPlan()
 	m, err := newMachineFor(cfg, eng, exp.Topology, plan.Shards)
 	if err != nil {
 		return nil, err

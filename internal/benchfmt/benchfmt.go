@@ -35,7 +35,7 @@ type Result struct {
 }
 
 // Snapshot is a set of benchmark results from one run, the schema of
-// the BENCH_PR<N>.json files from PR 4 on.
+// the BENCH_PR<N>.json files.
 type Snapshot struct {
 	// PR tags which PR produced the snapshot (0 when untagged).
 	PR int `json:"pr,omitempty"`
@@ -144,31 +144,9 @@ func parseBenchLine(line string) (Result, error) {
 	return res, nil
 }
 
-// legacySnapshot matches the hand-authored BENCH_PR1.json schema:
-// per-benchmark before/after measurements. Loading one keeps the
-// "after" side — the numbers that PR shipped with.
-type legacySnapshot struct {
-	PR      int    `json:"pr"`
-	Title   string `json:"title"`
-	Machine struct {
-		Go string `json:"go"`
-	} `json:"machine"`
-	Microbenchmarks map[string]struct {
-		Package string       `json:"package"`
-		After   legacySample `json:"after"`
-	} `json:"microbenchmarks"`
-}
-
-type legacySample struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// Load reads a benchmark input from path: a canonical snapshot JSON, a
-// legacy BENCH_PR1-style JSON, or raw `go test -bench` text. "-" reads
-// stdin (text only). The format is sniffed from the content, not the
-// file name.
+// Load reads a benchmark input from path: a canonical snapshot JSON or
+// raw `go test -bench` text. "-" reads stdin (text only). The format is
+// sniffed from the content, not the file name.
 func Load(path string) (*Snapshot, error) {
 	var data []byte
 	var err error
@@ -188,24 +166,11 @@ func Load(path string) (*Snapshot, error) {
 		return ParseBench(bytes.NewReader(data))
 	}
 	var s Snapshot
-	if err := json.Unmarshal(data, &s); err == nil && len(s.Benchmarks) > 0 {
-		s.sortResults()
-		return &s, nil
+	if err := json.Unmarshal(data, &s); err != nil || len(s.Benchmarks) == 0 {
+		return nil, fmt.Errorf("benchfmt: %s: not a benchmark snapshot (no \"benchmarks\" key)", path)
 	}
-	var leg legacySnapshot
-	if err := json.Unmarshal(data, &leg); err != nil || len(leg.Microbenchmarks) == 0 {
-		return nil, fmt.Errorf("benchfmt: %s: not a benchmark snapshot (no \"benchmarks\" or \"microbenchmarks\" key)", path)
-	}
-	out := &Snapshot{PR: leg.PR, Title: leg.Title, Go: leg.Machine.Go}
-	for name, mb := range leg.Microbenchmarks {
-		out.Benchmarks = append(out.Benchmarks, Result{
-			Name: name, Package: mb.Package,
-			NsPerOp: mb.After.NsPerOp, BytesPerOp: mb.After.BytesPerOp,
-			AllocsPerOp: mb.After.AllocsPerOp,
-		})
-	}
-	out.sortResults()
-	return out, nil
+	s.sortResults()
+	return &s, nil
 }
 
 // Delta is one benchmark's old→new comparison.

@@ -45,37 +45,8 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-const legacyJSON = `{
-  "pr": 1,
-  "title": "hot path",
-  "machine": {"go": "go1.24.0 linux/amd64"},
-  "microbenchmarks": {
-    "BenchmarkEngineScheduleRun": {
-      "package": "dircc/internal/sim",
-      "before": {"ns_per_op": 191.3, "bytes_per_op": 47, "allocs_per_op": 1},
-      "after": {"ns_per_op": 78.4, "bytes_per_op": 0, "allocs_per_op": 0}
-    }
-  }
-}`
-
 func TestLoadFormats(t *testing.T) {
 	dir := t.TempDir()
-
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacy, []byte(legacyJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.PR != 1 || s.Go != "go1.24.0 linux/amd64" {
-		t.Errorf("legacy header: %+v", s)
-	}
-	r := s.Find("BenchmarkEngineScheduleRun")
-	if r == nil || r.NsPerOp != 78.4 {
-		t.Errorf("legacy load must keep the after side, got %+v", r)
-	}
 
 	raw := filepath.Join(dir, "bench.txt")
 	if err := os.WriteFile(raw, []byte(rawBench), 0o644); err != nil {

@@ -117,11 +117,7 @@ func (r *replayer) applyChecked(c choice) (verr error) {
 		r.pool = append(r.pool[:c.deliver], r.pool[c.deliver+1:]...)
 		p.deliver()
 	}
-	// The model checker owns transport and requires the sequential
-	// kernel (checked machines reject -shards), so driving Eng
-	// directly is sound here.
-	//dirccvet:allow shardsafe checker is sequential-only by construction
-	if err := r.m.Eng.Run(); err != nil {
+	if err := r.m.RunKernel(); err != nil {
 		if errors.Is(err, sim.ErrEventBudget) {
 			return fmt.Errorf("livelock: %d kernel events without quiescing", r.cfg.DrainBudget)
 		}

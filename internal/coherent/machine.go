@@ -116,11 +116,6 @@ type Node struct {
 
 // Machine is the simulated multiprocessor.
 type Machine struct {
-	// Eng is the sequential event kernel; nil when the machine runs on
-	// the sharded engine (shard non-nil). Use the scheduling façade
-	// (Now, ScheduleAt, ScheduleGlobal, GlobalOpAt) instead of touching
-	// either kernel directly — the façade routes to whichever is live.
-	Eng   *sim.Engine
 	Net   *network.Network
 	Topo  topology.Topology
 	Cfg   Config
@@ -141,6 +136,12 @@ type Machine struct {
 	// simulated event stream, so — unlike Probe — it composes with the
 	// parallel kernel.
 	kprof *kprof.Profile
+
+	// watchdog is the attached probe's stall watchdog, or nil. sendNow
+	// feeds it the invalidation counts behind its hottest-blocks table:
+	// both kernels run sendNow single-threaded in merge order, whether
+	// or not a trace is attached.
+	watchdog *obs.Watchdog
 
 	// shardProbe holds the tick-driven subset of an attached probe
 	// (watchdog, sampler, gauge) on sharded machines. Driven from the
@@ -166,12 +167,15 @@ type Machine struct {
 	// barrier. Nil unless a watchdog is attached to a sharded machine.
 	laneProg []laneClock
 
-	// shard is the time-windowed parallel kernel, non-nil when the
-	// machine was built with NewShardedMachineOn. Exactly one of Eng
-	// and shard is non-nil.
+	// eng is the sequential event kernel and shard the time-windowed
+	// parallel one, non-nil when the machine was built with
+	// NewShardedMachineOn. Exactly one of them is non-nil; code outside
+	// this package drives whichever is live through the scheduling
+	// façade (Now, ScheduleAt, ScheduleGlobal, GlobalOpAt, RunKernel).
+	eng   *sim.Engine
 	shard *sim.Sharded
 
-	// sched is the kernel behind Eng or shard, as the node-addressed
+	// sched is the kernel behind eng or shard, as the node-addressed
 	// scheduling surface the network delivers through.
 	sched sim.NodeScheduler
 
@@ -286,11 +290,13 @@ func NewShardedMachine(cfg Config, proto Engine, shards int) (*Machine, error) {
 // cache contents — are byte-identical to the sequential machine at
 // every shard count. shards <= 1 builds a plain sequential machine.
 //
-// Restrictions: the protocol engine must declare itself shard-safe
-// (ShardSafe interface), and checked runs (Cfg.Check) are not
-// supported — the monitor inspects all caches at completion events,
-// which is inherently cross-lane. Callers wanting the differential
-// oracle run the same experiment sequentially instead.
+// Restriction: checked runs (Cfg.Check) are not supported — the
+// monitor inspects all caches at completion events, which is
+// inherently cross-lane. Callers wanting the differential oracle run
+// the same experiment sequentially instead. Every engine in this
+// module keeps to the lane contract (see ScheduleAt and DeferAt);
+// cmd/dirccvet's laneguard analyzer enforces it on every package that
+// declares an engine.
 func NewShardedMachineOn(cfg Config, proto Engine, topo topology.Topology, shards int) (*Machine, error) {
 	if shards > 1 && cfg.Check {
 		return nil, fmt.Errorf("coherent: checked runs require the sequential engine")
@@ -298,20 +304,14 @@ func NewShardedMachineOn(cfg Config, proto Engine, topo topology.Topology, shard
 	return newMachine(cfg, proto, topo, shards)
 }
 
-// ShardSafe marks protocol engines whose handlers respect lane
-// affinity: every handler touches only the dispatched node's caches
-// and lines, its home's directory/gate state, and cross-node state
-// reachable through the machine's synchronized surfaces (Txn slots,
-// the Store, counters via CtrAt). Mutations of state owned by a
-// foreign node — the chain splices and teardown walks of the list and
-// tree families — must route through DeferAt (or an explicit
-// ownership-handoff message), which replays them on the owning lane
-// in the deterministic global order. All eight engine families in
-// this repository implement the contract; laneguard certifies it.
+// ShardSafe was the opt-in marker for engines allowed on the sharded
+// kernel.
+//
+// Deprecated: nothing consults it. Every engine in this module keeps
+// to the lane contract, and laneguard enforces that contract on every
+// package that declares an engine. The interface stays declared only
+// because wrapper engines (perfbench's timing decorator) forward it.
 type ShardSafe interface {
-	// ShardSafeEngine returns true when the engine may run under
-	// sim.Sharded. It exists (rather than a bare marker) so wrapper
-	// engines can delegate the decision.
 	ShardSafeEngine() bool
 }
 
@@ -325,11 +325,6 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 	if topo.Nodes() < cfg.Procs {
 		return nil, fmt.Errorf("coherent: topology %s has %d nodes, need %d",
 			topo.Name(), topo.Nodes(), cfg.Procs)
-	}
-	if shards > 1 {
-		if ss, ok := proto.(ShardSafe); !ok || !ss.ShardSafeEngine() {
-			return nil, fmt.Errorf("coherent: protocol %s is not shard-safe", proto.Name())
-		}
 	}
 	ctr := stats.NewCounters()
 	m := &Machine{
@@ -357,7 +352,7 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 	} else {
 		eng := sim.NewEngine()
 		eng.MaxEvents = cfg.MaxEvents
-		m.Eng = eng
+		m.eng = eng
 		sched = eng
 	}
 	m.sched = sched
@@ -420,7 +415,7 @@ func (m *Machine) Now() sim.Time {
 	if m.shard != nil {
 		return m.shard.Now()
 	}
-	return m.Eng.Now()
+	return m.eng.Now()
 }
 
 // ScheduleAt schedules fn after delay cycles on node n's lane. fn may
@@ -435,7 +430,7 @@ func (m *Machine) ScheduleAt(n NodeID, delay sim.Time, fn func()) {
 		inner := fn
 		fn = func() { m.laneAudit[n] = true; inner() }
 	}
-	m.Eng.Schedule(delay, fn)
+	m.eng.Schedule(delay, fn)
 }
 
 // ScheduleGlobal schedules fn after delay cycles as a global event: it
@@ -451,7 +446,7 @@ func (m *Machine) ScheduleGlobal(delay sim.Time, fn func()) {
 		inner := fn
 		fn = func() { m.auditGlobal(); inner() }
 	}
-	m.Eng.Schedule(delay, fn)
+	m.eng.Schedule(delay, fn)
 }
 
 // GlobalOpAt runs fn — an operation on cross-lane shared state, issued
@@ -568,6 +563,12 @@ func (m *Machine) ReplayEmit(lane, idx int) {
 // home-owned state, and the requester's lane mutating them would race
 // with the home lane admitting the next queued writer.)
 func (m *Machine) sendNow(msg *Msg) {
+	if m.watchdog != nil {
+		switch msg.Type {
+		case MsgInv, MsgUpdate, MsgReplaceInv:
+			m.watchdog.NoteInv(uint64(msg.Block))
+		}
+	}
 	arrive := m.Net.Send(msg.Type.String(), msg.Src, msg.Dst, msg.Bytes(m.Cfg), func() {
 		m.markHomeCommit(msg)
 		m.dispatch(msg)
@@ -618,22 +619,22 @@ func (m *Machine) AttachProbe(p *obs.Probe) {
 	}
 	m.Probe = p
 	if p == nil {
-		if m.Eng != nil {
-			m.Eng.SetProbe(nil)
-		}
+		m.watchdog = nil
+		m.eng.SetProbe(nil)
 		m.Net.SetProbe(nil)
 		return
 	}
+	m.watchdog = p.Watchdog
 	if g := p.Gauge; g != nil {
 		// The gauge reads Executed/Pending on the simulation goroutine
 		// (inside the per-event tick) and publishes them atomically, so
 		// a concurrent telemetry scrape never touches engine internals.
-		m.Eng.SetProbe(func(t sim.Time) {
+		m.eng.SetProbe(func(t sim.Time) {
 			p.Tick(uint64(t))
-			g.Note(uint64(t), m.Eng.Executed(), m.Eng.Pending())
+			g.Note(uint64(t), m.eng.Executed(), m.eng.Pending())
 		})
 	} else {
-		m.Eng.SetProbe(func(t sim.Time) { p.Tick(uint64(t)) })
+		m.eng.SetProbe(func(t sim.Time) { p.Tick(uint64(t)) })
 	}
 	if p.Sampler != nil {
 		m.Net.SetProbe(func(start, arrive, unloaded sim.Time) {
@@ -659,6 +660,7 @@ func (m *Machine) attachShardProbe(p *obs.Probe) {
 		m.laneObs = nil
 		m.shard.SetEmitReplayer(nil)
 		m.shardProbe = nil
+		m.watchdog = nil
 		m.laneProg = nil
 		m.shard.SetTick(nil)
 		m.Net.SetProbe(nil)
@@ -676,6 +678,7 @@ func (m *Machine) attachShardProbe(p *obs.Probe) {
 	}
 	m.shardProbe = p
 	wd := p.Watchdog
+	m.watchdog = wd
 	if wd != nil {
 		if wd.Dump == nil {
 			wd.Dump = m.DumpState
@@ -773,7 +776,7 @@ func (m *Machine) Executed() uint64 {
 	if m.shard != nil {
 		return m.shard.Executed()
 	}
-	return m.Eng.Executed()
+	return m.eng.Executed()
 }
 
 // Tracing reports whether an event trace is attached. Engines guard
@@ -1392,9 +1395,9 @@ func (m *Machine) Quiesce() error {
 
 // RunKernel drains the live event kernel without Quiesce's end-of-run
 // monitor checks. Drivers that interleave simulation with their own
-// quiescence sampling between phases — the fuzz harness — use it in
-// place of reaching for Eng.Run directly, so the drain works on both
-// the sequential and the sharded kernel.
+// quiescence sampling between phases — the fuzz harness, the model
+// checker's replay — use it; the drain works on both the sequential
+// and the sharded kernel.
 func (m *Machine) RunKernel() error {
 	err := m.runKernel()
 	m.mergeLaneCounters()
@@ -1443,7 +1446,7 @@ func (m *Machine) runKernel() error {
 		m.Store.Freeze(int(m.BlockOf(m.allocTop)) + 1)
 		return m.shard.Run()
 	}
-	return m.Eng.Run()
+	return m.eng.Run()
 }
 
 // mergeLaneCounters folds the per-lane counter sinks into Ctr, in lane

@@ -199,11 +199,6 @@ func (e *Engine) Prepare(m *coherent.Machine) {
 	}
 }
 
-// ShardSafeEngine implements coherent.ShardSafe: every handler stays
-// on its own lane — directory work at the home, per-cache work at the
-// dispatched node, and nothing else (laneguard certifies this).
-func (e *Engine) ShardSafeEngine() bool { return true }
-
 // Name implements coherent.Engine ("Dir4Tree2", ...).
 func (e *Engine) Name() string {
 	if e.opts.Update {

@@ -13,8 +13,8 @@ import (
 )
 
 // shardSafeEngines is the differential set for the parallel kernel:
-// every engine family declares lane-affine handlers (ShardSafe) since
-// the chain/tree restructure — chain splices, tombstone hops and
+// every engine family has lane-affine handlers since the chain/tree
+// restructure — chain splices, tombstone hops and
 // subtree invalidations now travel through the deferred-op façade, so
 // the list and tree schemes are part of the oracle too.
 func shardSafeEngines() []NamedEngine {

@@ -32,21 +32,22 @@ package lint
 //	R5  m.ReleaseHome(b) / m.SerializeWrite(msg) / m.Dir(b) /
 //	    m.SetDir(b, v) — the block must be home-resident in this
 //	    handler context;
-//	R6  direct m.Ctr mutation (the per-lane counter is m.CtrAt).
+//	R6  m.Ctr mutation anywhere in the package: a direct write, an
+//	    &m.Ctr alias, or a pointer-receiver method call through Ctr
+//	    (handlers count through the per-lane sink m.CtrAt).
 //
 // Entry contexts follow the Engine interface contract: StartMiss runs at
 // txn.Node; HomeRequest/HomeMsg run at the home (msg.Dst == home of
 // msg.Block); CacheMsg runs at msg.Dst; OnEvict runs at n. Helper
 // functions are summarized: a residency requirement on a parameter-
 // rooted path is propagated to call sites instead of reported, through a
-// fixpoint so helper→helper chains resolve.
+// fixpoint so helper→helper chains resolve. R6 is a plain syntactic
+// walk over every file of the package: the counters are shared by every
+// lane, so no context makes a write to them safe.
 //
-// Two modes share the machinery. Gating: the LaneGuard analyzer reports
-// findings only in packages that declare a ShardSafeEngine marker — the
-// engines that actually run on the sharded kernel must certify clean.
-// Inventory: Inventory() returns every finding for every engine package
-// as a structured cross-lane touch-point list (the work-list for
-// parallelizing the chain/tree families, ROADMAP item 1).
+// A package is gated when it declares an engine: a type with all five
+// handler methods. Every engine can run on the sharded kernel, so every
+// engine package must certify clean.
 
 import (
 	"fmt"
@@ -57,92 +58,28 @@ import (
 	"strings"
 )
 
-// LaneGuard is the gating analyzer: packages that declare a
-// ShardSafeEngine marker must have zero cross-lane touch points.
+// LaneGuard is the gating analyzer: packages that declare an engine
+// must have zero cross-lane touch points.
 var LaneGuard = &Analyzer{
 	Name: "laneguard",
-	Doc:  "engine handlers in shard-safe packages must not touch another lane's state outside the scheduling façade",
+	Doc:  "engine handlers must not touch another lane's state outside the scheduling façade",
 	Run:  runLaneGuard,
 }
+
+const coherentPath = "dircc/internal/coherent"
 
 func runLaneGuard(p *Pass) {
 	if p.Pkg.Path() == coherentPath {
 		return // the machine façade itself owns cross-lane plumbing
 	}
-	if !declaresShardSafeEngine(p.Pkg) {
-		return // inventory-only package; see Inventory()
-	}
 	la := newLaneAnalysis(p.Fset, p.Files, p.Pkg, p.Info)
+	if len(la.engines) == 0 {
+		return // no engine, nothing runs on a lane
+	}
 	for _, f := range la.run() {
 		p.Reportf(f.pos, "%s", f.msg)
 	}
-}
-
-// TouchPoint is one cross-lane access in an engine's handler-reachable
-// code: the concrete work item that must move behind the façade (or be
-// re-homed) before that engine can run sharded.
-type TouchPoint struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Func   string `json:"func"`
-	Reason string `json:"reason"`
-}
-
-// EngineInventory is the per-engine cross-lane touch-point list.
-// ShardSafe engines are included with empty lists: the certification is
-// part of the inventory.
-type EngineInventory struct {
-	Package     string       `json:"package"`
-	Engine      string       `json:"engine"`
-	ShardSafe   bool         `json:"shard_safe"`
-	TouchPoints []TouchPoint `json:"touch_points"`
-}
-
-// Inventory runs laneguard over every package that declares a coherence
-// engine (a type with all five handler methods) and returns the
-// per-engine touch-point lists. Allow comments do not apply here: the
-// inventory is a work-list, not a gate.
-func Inventory(pkgs []*Package) []EngineInventory {
-	var out []EngineInventory
-	for _, pkg := range pkgs {
-		if pkg.Types.Path() == coherentPath {
-			continue
-		}
-		la := newLaneAnalysis(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if len(la.engines) == 0 {
-			continue
-		}
-		safe := declaresShardSafeEngine(pkg.Types)
-		findings := la.run()
-		for _, eng := range la.engineNames() {
-			inv := EngineInventory{
-				Package:     pkg.Types.Path(),
-				Engine:      eng,
-				ShardSafe:   safe,
-				TouchPoints: []TouchPoint{},
-			}
-			for _, f := range findings {
-				if f.engine != eng {
-					continue
-				}
-				pos := pkg.Fset.Position(f.pos)
-				inv.TouchPoints = append(inv.TouchPoints, TouchPoint{
-					File:   pos.Filename,
-					Line:   pos.Line,
-					Func:   f.fn,
-					Reason: f.msg,
-				})
-			}
-			out = append(out, inv)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Package != out[j].Package {
-			return out[i].Package < out[j].Package
-		}
-		return out[i].Engine < out[j].Engine
-	})
-	return out
+	checkCtr(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +109,6 @@ var safeMachineMethods = map[string]bool{
 type laneFinding struct {
 	engine string
 	pos    token.Pos
-	fn     string
 	msg    string
 }
 
@@ -461,14 +397,14 @@ func (la *laneAnalysis) typeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-func (la *laneAnalysis) report(engine string, fn string, pos token.Pos, format string, args ...any) {
+func (la *laneAnalysis) report(engine string, pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%s|%d|%s", engine, pos, msg)
 	if la.seen[key] {
 		return
 	}
 	la.seen[key] = true
-	la.findings = append(la.findings, laneFinding{engine: engine, pos: pos, fn: fn, msg: msg})
+	la.findings = append(la.findings, laneFinding{engine: engine, pos: pos, msg: msg})
 }
 
 func paramNames(decl *ast.FuncDecl) []string {
@@ -594,7 +530,7 @@ func (fa *funcAnalysis) funcName() string {
 }
 
 func (fa *funcAnalysis) reportf(pos token.Pos, format string, args ...any) {
-	fa.la.report(fa.engine, fa.funcName(), pos, format, args...)
+	fa.la.report(fa.engine, pos, format, args...)
 }
 
 // failResidency handles a failed residency check on value v at pos.
@@ -1225,7 +1161,7 @@ func (fa *funcAnalysis) cloneFor(R, HB map[string]bool, rebased, universal bool)
 	}
 }
 
-// checkWrite fires the write-position checks (R3, R6) for lhs.
+// checkWrite fires the write-position check (R3) for lhs.
 func (fa *funcAnalysis) checkWrite(lhs ast.Expr, rhs []ast.Expr, e env) {
 	// Unwrap index/paren around the selector: meta.children[i] = v.
 	target := lhs
@@ -1245,13 +1181,6 @@ func (fa *funcAnalysis) checkWrite(lhs ast.Expr, rhs []ast.Expr, e env) {
 	}
 	sel, ok := target.(*ast.SelectorExpr)
 	if !ok {
-		return
-	}
-	// R6: direct m.Ctr mutation.
-	if fa.ctrChain(sel) {
-		if fa.engine != "" || !fa.summary {
-			fa.reportf(lhs.Pos(), "direct write to m.Ctr from engine code; use m.CtrAt(lane) so sharded runs keep per-lane counters")
-		}
 		return
 	}
 	// R3: chain-link store into a FOREIGN line's metadata. The value
@@ -1283,34 +1212,6 @@ func lineRootIsParam(path string, sum *funcSummary, decl *ast.FuncDecl) bool {
 		return false
 	}
 	return contains(paramNames(decl), pathRoot(path))
-}
-
-// ctrChain reports whether sel's selector chain passes through the Ctr
-// field of the coherent Machine.
-func (fa *funcAnalysis) ctrChain(sel *ast.SelectorExpr) bool {
-	for {
-		if sel.Sel.Name == "Ctr" && isMachine(fa.la.typeOf(sel.X)) {
-			return true
-		}
-		switch x := sel.X.(type) {
-		case *ast.SelectorExpr:
-			sel = x
-		case *ast.IndexExpr:
-			if s, ok := x.X.(*ast.SelectorExpr); ok {
-				sel = s
-				continue
-			}
-			return false
-		case *ast.ParenExpr:
-			if s, ok := x.X.(*ast.SelectorExpr); ok {
-				sel = s
-				continue
-			}
-			return false
-		default:
-			return false
-		}
-	}
 }
 
 func (fa *funcAnalysis) isMetaType(t types.Type) bool {
@@ -1709,6 +1610,89 @@ func (fa *funcAnalysis) substReqPath(path string, params []string, args []ast.Ex
 }
 
 // ---------------------------------------------------------------------------
+// R6: machine counters
+
+// checkCtr reports every mutation of Machine.Ctr in the package: direct
+// writes (m.Ctr.X++, m.Ctr.M[k] = v), &m.Ctr aliases that escape the
+// write check, and pointer-receiver method calls reached through Ctr.
+// Reading Ctr (reports, post-run assertions) stays fine.
+func checkCtr(p *Pass) {
+	write := func(lhs ast.Expr) {
+		if sel := ctrSelector(p, lhs); sel != nil {
+			p.Reportf(sel.Sel.Pos(),
+				"writes Machine.Ctr from engine code; handlers on a sharded machine must count through m.CtrAt(n)")
+		}
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND && ctrSelector(p, n.X) != nil {
+					p.Reportf(n.Pos(),
+						"takes the address of Machine.Ctr from engine code; the alias defeats the CtrAt lane-local counter rule")
+				}
+			case *ast.CallExpr:
+				checkCtrMethodCall(p, n)
+			}
+			return true
+		})
+	}
+}
+
+// ctrSelector returns the m.Ctr selector on expr's selector chain, or
+// nil when the chain does not pass through a Machine's Ctr field.
+func ctrSelector(p *Pass, expr ast.Expr) *ast.SelectorExpr {
+	for {
+		switch e := expr.(type) {
+		case *ast.SelectorExpr:
+			if e.Sel.Name == "Ctr" && isMachine(p.Info.TypeOf(e.X)) {
+				return e
+			}
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.ParenExpr:
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		default:
+			return nil
+		}
+	}
+}
+
+// checkCtrMethodCall reports method calls reached through Machine.Ctr
+// whose receiver is a pointer (Counters.Add, Counters.CountMsg,
+// Histogram.Observe, ...): they mutate the machine-global counters
+// just like a direct field write.
+func checkCtrMethodCall(p *Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || ctrSelector(p, sel.X) == nil {
+		return
+	}
+	selection, ok := p.Info.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal {
+		return
+	}
+	sig, ok := selection.Obj().Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return
+	}
+	if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr {
+		return
+	}
+	p.Reportf(call.Pos(),
+		"calls %s through Machine.Ctr from engine code; pointer-receiver methods mutate the machine-global counters — use m.CtrAt(n)",
+		selection.Obj().Name())
+}
+
+// ---------------------------------------------------------------------------
 // type helpers
 
 func isNodeIDType(t types.Type) bool {
@@ -1736,4 +1720,20 @@ func isNodeIDish(t types.Type) bool {
 func isBoolType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Bool
+}
+
+// isMachine reports whether t is coherent.Machine or a pointer to it.
+func isMachine(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Machine" && obj.Pkg() != nil && obj.Pkg().Path() == coherentPath
 }

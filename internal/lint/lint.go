@@ -14,15 +14,17 @@
 //     report/trace writer.
 //   - probeguard: the observability layer is a nil *obs.Probe when
 //     disabled, so probe method calls must be guarded by a nil check.
-//   - shardsafe: the parallel kernel partitions nodes across lanes, so
-//     engine code must schedule through the Machine façade (never
-//     Machine.Eng) and count through per-lane sinks (never writes to
-//     Machine.Ctr in shard-safe engine packages).
-//   - laneguard: a dataflow analysis over the same lane contract —
-//     handler code in shard-safe engine packages must not reach into
-//     another node's per-node state with a directory-, chain- or
-//     message-derived index outside the scheduling façade (cfg.go,
-//     dataflow.go, laneguard.go).
+//   - laneguard: the parallel kernel partitions nodes across lanes, so
+//     in every package that declares a protocol engine, handler code
+//     must not reach into another node's per-node state with a
+//     directory-, chain- or message-derived index outside the
+//     scheduling façade (a dataflow analysis: cfg.go, dataflow.go,
+//     laneguard.go), and no code may mutate Machine.Ctr — handlers
+//     count through the per-lane sink m.CtrAt.
+//
+// The sequential kernel behind the façade is an unexported Machine
+// field, so the compiler already keeps code outside internal/coherent
+// from scheduling around it.
 //
 // A finding can be suppressed by a `//dirccvet:allow <analyzer> reason`
 // comment on the same line or the line above. The reason is mandatory,
@@ -83,7 +85,7 @@ const allowCheckName = "allowcheck"
 
 // All returns the full analyzer suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{SimDet, MapRange, ProbeGuard, ShardSafeRule, LaneGuard}
+	return []*Analyzer{SimDet, MapRange, ProbeGuard, LaneGuard}
 }
 
 // RunAnalyzers applies the analyzers to every package, drops findings

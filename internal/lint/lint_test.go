@@ -120,7 +120,6 @@ func runTestdata(t *testing.T, a *Analyzer) {
 func TestSimDet(t *testing.T)     { runTestdata(t, SimDet) }
 func TestMapRange(t *testing.T)   { runTestdata(t, MapRange) }
 func TestProbeGuard(t *testing.T) { runTestdata(t, ProbeGuard) }
-func TestShardSafe(t *testing.T)  { runTestdata(t, ShardSafeRule) }
 
 // TestSelf runs the full suite over the repository itself: the tree
 // must stay dirccvet-clean (the CI lint job enforces the same).

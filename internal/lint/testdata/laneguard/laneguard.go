@@ -1,12 +1,13 @@
-// Fixture for the laneguard dataflow analyzer: handler code in a
-// shard-safe engine package must not reach into another node's
-// per-node state with a directory-, chain- or message-derived index
-// outside the scheduling façade.
+// Fixture for the laneguard analyzer: handler code in an engine
+// package must not reach into another node's per-node state with a
+// directory-, chain- or message-derived index outside the scheduling
+// façade, and no code in the package may mutate Machine.Ctr.
 package laneguard
 
 import (
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
+	"dircc/internal/stats"
 )
 
 // meta is this engine's per-line chain metadata; laneguard learns the
@@ -23,14 +24,12 @@ type entry struct {
 	sharers map[coherent.NodeID]bool
 }
 
-// engine declares itself shard-safe, which subjects this package to
-// the lane-provenance rules.
+// engine has all five handler methods, which makes it an engine and
+// subjects this package to the lane rules.
 type engine struct {
 	global map[coherent.BlockID]int
 	lanes  []int
 }
-
-func (e *engine) ShardSafeEngine() bool { return true }
 
 func (e *engine) entry(m *coherent.Machine, b coherent.BlockID) *entry {
 	en, _ := m.Dir(b).(*entry)
@@ -120,4 +119,49 @@ func (e *engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 	if mt.owner != coherent.NoNode && mt.owner != n {
 		m.Nodes[mt.owner].Cache.Lookup(ln.Block) // want `not resident`
 	}
+}
+
+// The R6 counter rule covers every function in the package, handler-
+// reachable or not: the machine counters are shared by all lanes.
+
+func badCtrWrite(m *coherent.Machine, n coherent.NodeID) {
+	m.Ctr.Invalidations++      // want `handlers on a sharded machine must count through m.CtrAt`
+	m.Ctr.Writebacks += 2      // want `handlers on a sharded machine must count through m.CtrAt`
+	m.Ctr.MsgByType["Inv"] = 1 // want `handlers on a sharded machine must count through m.CtrAt`
+	_ = n
+}
+
+func goodCtrAt(m *coherent.Machine, n coherent.NodeID) {
+	m.CtrAt(n).Invalidations++
+}
+
+func goodCtrRead(m *coherent.Machine) uint64 {
+	// Reading the merged counters (reports, assertions) is fine.
+	return m.Ctr.Invalidations + m.Ctr.Writebacks
+}
+
+func badCtrAlias(m *coherent.Machine) **stats.Counters {
+	return &m.Ctr // want `takes the address of Machine.Ctr`
+}
+
+func badCtrAliasNested(m *coherent.Machine) {
+	h := &m.Ctr.ReadMissCycles // want `takes the address of Machine.Ctr`
+	h.Observe(1)
+}
+
+func badCtrMethod(m *coherent.Machine, other *stats.Counters) {
+	m.Ctr.Add(other)                 // want `calls Add through Machine.Ctr`
+	m.Ctr.CountMsg("Inv", 8, 2)      // want `calls CountMsg through Machine.Ctr`
+	m.Ctr.ReadMissCycles.Observe(40) // want `calls Observe through Machine.Ctr`
+}
+
+func goodCtrMethodValueRecv(m *coherent.Machine) {
+	// A value-receiver method copies and cannot mutate the counters.
+	_, _ = m.Ctr.ReadMissCycles.MarshalJSON()
+}
+
+func goodCtrAtMethod(m *coherent.Machine, n coherent.NodeID, other *stats.Counters) {
+	// Mutating through the lane-local sink is the sanctioned route.
+	m.CtrAt(n).Add(other)
+	m.CtrAt(n).ReadMissCycles.Observe(40)
 }

@@ -89,24 +89,21 @@ func (p *Probe) Tick(now uint64) {
 }
 
 // Finalize applies the order-dependent parts of an emission — message
-// ID assignment, wave tagging, the watchdog hot-block count, the wave
-// counter bump — and fans the event out to the trace and sinks. In
-// sequential runs every emission finalizes inline; in sharded runs the
-// route hook buffers Phase-P emissions per lane and the coordinator
-// calls Finalize for each at its position in the global (at, seq)
-// merge, so the finalized stream is byte-identical to the sequential
-// run. idSlot, when non-nil, receives the assigned message ID (sends
-// only); it points into the in-flight Msg so the delivery side can
-// echo the ID without any closure allocation.
+// ID assignment, wave tagging, the wave counter bump — and fans the
+// event out to the trace and sinks. In sequential runs every emission
+// finalizes inline; in sharded runs the route hook buffers Phase-P
+// emissions per lane and the coordinator calls Finalize for each at
+// its position in the global (at, seq) merge, so the finalized stream
+// is byte-identical to the sequential run. idSlot, when non-nil,
+// receives the assigned message ID (sends only); it points into the
+// in-flight Msg so the delivery side can echo the ID without any
+// closure allocation.
 func (p *Probe) Finalize(e Event, idSlot *int64) {
+	if !p.active() {
+		return
+	}
 	switch e.Kind {
 	case KindSend:
-		if p.Watchdog != nil && (e.Type == "Inv" || e.Type == "Update" || e.Type == "ReplaceInv") {
-			p.Watchdog.NoteInv(e.Block)
-		}
-		if !p.active() {
-			return
-		}
 		p.nextID++
 		e.ID = p.nextID
 		if idSlot != nil {
@@ -118,9 +115,6 @@ func (p *Probe) Finalize(e Event, idSlot *int64) {
 			e.Wave = p.waves[e.Block]
 		}
 	case KindHomeStart:
-		if !p.active() {
-			return
-		}
 		// A gated write starting is the serialization point that opens a
 		// new invalidation wave on the block.
 		if e.Type == "WriteReq" {
@@ -128,10 +122,6 @@ func (p *Probe) Finalize(e Event, idSlot *int64) {
 				p.waves = make(map[uint64]int)
 			}
 			p.waves[e.Block]++
-		}
-	default:
-		if !p.active() {
-			return
 		}
 	}
 	p.emit(e)
@@ -144,8 +134,7 @@ func (p *Probe) Finalize(e Event, idSlot *int64) {
 // position, which is why the slot replaces a return value. dir marks
 // directory-bound messages (acks and requests addressed to the home's
 // directory logic rather than a cache). Invalidation-type messages are
-// tagged with the block's current write wave and counted toward the
-// watchdog's hot-block table.
+// tagged with the block's current write wave.
 func (p *Probe) MsgSend(now uint64, typ string, src, dst int, block uint64, requester int, dir bool, idSlot *int64) {
 	e := Event{
 		At: now, Kind: KindSend, Type: typ, Src: src, Dst: dst,

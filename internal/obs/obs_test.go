@@ -241,9 +241,9 @@ func TestWatchdogStall(t *testing.T) {
 	p := &Probe{Watchdog: w}
 
 	p.Progress(10)
-	p.MsgSend(11, "Inv", 0, 1, 77, 2, false, nil)
-	p.MsgSend(12, "Inv", 0, 2, 77, 2, false, nil)
-	p.MsgSend(13, "Inv", 0, 2, 33, 2, false, nil)
+	w.NoteInv(77)
+	w.NoteInv(77)
+	w.NoteInv(33)
 	p.Tick(500) // within budget
 	if w.Stalled() {
 		t.Fatal("fired early")

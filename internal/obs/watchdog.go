@@ -75,7 +75,8 @@ func (w *Watchdog) Progress(now uint64) {
 }
 
 // NoteInv counts an invalidation-type message on block, feeding the
-// hottest-blocks table.
+// hottest-blocks table. The machine calls it for every Inv, Update and
+// ReplaceInv it injects into the network, on either kernel.
 func (w *Watchdog) NoteInv(block uint64) {
 	if w.invCount == nil {
 		w.invCount = make(map[uint64]uint64)

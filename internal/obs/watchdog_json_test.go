@@ -20,8 +20,8 @@ func TestWatchdogJSONStall(t *testing.T) {
 	p := &Probe{Watchdog: w}
 
 	p.Progress(10)
-	p.MsgSend(11, "Inv", 0, 1, 77, 2, false, nil)
-	p.MsgSend(12, "Inv", 0, 2, 77, 2, false, nil)
+	w.NoteInv(77)
+	w.NoteInv(77)
 	p.Tick(1500)
 	if !w.Stalled() {
 		t.Fatal("did not fire after stall budget")

@@ -103,11 +103,6 @@ func (e *Engine) Pointers() int { return e.ptrs }
 // touched by its home's lane under the sharded kernel.
 func (e *Engine) Prepare(m *coherent.Machine) { e.m = m }
 
-// ShardSafeEngine implements coherent.ShardSafe: every handler touches
-// only the dispatched node's cache state, its home's directory record,
-// and the machine's synchronized cross-lane surfaces.
-func (e *Engine) ShardSafeEngine() bool { return true }
-
 func (e *Engine) entry(b coherent.BlockID) *entry {
 	en, _ := e.m.Dir(b).(*entry)
 	if en == nil {

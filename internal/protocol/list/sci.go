@@ -109,11 +109,6 @@ func (e *SCI) Prepare(m *coherent.Machine) {
 	}
 }
 
-// ShardSafeEngine marks the engine safe for sharded execution: all
-// cross-lane chain surgery routes through DeferAt hops (see the type
-// comment).
-func (e *SCI) ShardSafeEngine() bool { return true }
-
 func (e *SCI) entry(b coherent.BlockID) *sciEntry {
 	en, _ := e.m.Dir(b).(*sciEntry)
 	if en == nil {

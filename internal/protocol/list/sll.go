@@ -113,12 +113,6 @@ func (e *SLL) Prepare(m *coherent.Machine) {
 	}
 }
 
-// ShardSafeEngine implements coherent.ShardSafe: handler work stays on
-// the entry-context lane, and the one cross-lane mutation — the
-// replacement suffix teardown — hops down the chain as deferred ops
-// replayed on each successor's own lane (laneguard certifies this).
-func (e *SLL) ShardSafeEngine() bool { return true }
-
 // Name implements coherent.Engine.
 func (e *SLL) Name() string { return "sll" }
 

@@ -138,11 +138,6 @@ func (e *Engine) Prepare(m *coherent.Machine) {
 	}
 }
 
-// ShardSafeEngine implements coherent.ShardSafe: every handler stays
-// on its own lane — directory work at the home, per-cache work at the
-// dispatched node (laneguard certifies this).
-func (e *Engine) ShardSafeEngine() bool { return true }
-
 // Name implements coherent.Engine.
 func (e *Engine) Name() string { return "stp" }
 

@@ -38,7 +38,7 @@
 // Determinism additionally rests on node affinity: during Phase P an
 // event executing on lane L may schedule only onto nodes owned by L;
 // everything else must go through the mailbox (sends), the global-op
-// log, or a global event. The shardsafe analyzer in cmd/dirccvet
+// log, or a global event. The laneguard analyzer in cmd/dirccvet
 // enforces the static shape of this rule; the race detector and the
 // byte-identity regression tests enforce it dynamically. See DESIGN.md
 // ("Parallel simulation") for the full invariant catalogue.

@@ -71,7 +71,7 @@ func TestShardedKProfZeroPerturbation(t *testing.T) {
 		got := sweepCSV(t, exps)
 		diffCSV(t, want, got, fmt.Sprintf("kprof shards=%d", s))
 		for _, exp := range exps {
-			plan := exp.shardPlan(mustEngine(exp.Protocol))
+			plan := exp.shardPlan()
 			if plan.Shards > 1 {
 				if exp.KProf.Shards() != plan.Shards {
 					t.Errorf("shards=%d %s: profile recorded %d lanes, plan says %d",
@@ -151,7 +151,10 @@ func TestKProfSumToWall(t *testing.T) {
 // TestShardedWatchdogLaneJSON pins the sharded watchdog surface: a
 // profiled parallel run with an aggressively small stall budget must
 // emit machine-readable reports annotated with per-lane state (lane
-// index, pending depth, last-progress cycle) and the wave instant.
+// index, pending depth, last-progress cycle) and the wave instant. The
+// hottest-blocks table must not depend on whether a trace is attached:
+// at S=2 the watchdog-only reports equal the traced run's byte for
+// byte, and they list hot blocks.
 func TestShardedWatchdogLaneJSON(t *testing.T) {
 	const shards = 4
 	var buf bytes.Buffer
@@ -186,6 +189,36 @@ func TestShardedWatchdogLaneJSON(t *testing.T) {
 	}
 	if !strings.Contains(rep.MachineDump, "lane") {
 		t.Error("machine dump lacks the per-lane section")
+	}
+
+	reports := func(trace bool) string {
+		t.Helper()
+		var buf bytes.Buffer
+		_, err := RunExperiment(Experiment{
+			App: "mp3d", Protocol: "fm", Procs: 8, Shards: 2,
+			Obs: &ObsConfig{Trace: trace, StallCycles: 60, WatchdogOut: &buf, WatchdogJSON: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	alone, traced := reports(false), reports(true)
+	if alone != traced {
+		t.Errorf("S=2 watchdog reports differ with and without a trace:\nalone:  %.300s\ntraced: %.300s", alone, traced)
+	}
+	hot := 0
+	for _, line := range strings.Split(strings.TrimSpace(alone), "\n") {
+		var rep obs.Report
+		if err := json.Unmarshal([]byte(line), &rep); err != nil {
+			t.Fatalf("watchdog JSON line does not parse: %v\n%s", err, line)
+		}
+		if len(rep.HotBlocks) > 0 {
+			hot++
+		}
+	}
+	if hot == 0 {
+		t.Error("no S=2 watchdog-only report lists hot blocks")
 	}
 }
 
@@ -258,13 +291,10 @@ func TestShardedSamplerGaugeFoldIdentity(t *testing.T) {
 // over a grid that hits every fallback class, ExplainShards must
 // return a plan whose reason token and description are non-empty, with
 // Fallback() true exactly when the effective count dropped to 1.
-// Trace and attribution runs are eligible ("ok") since the lane-buffer
-// emission merge landed, and every registered engine family — the
-// chain and tree engines included, since the deferred-splice
-// restructure — reports "ok"; only checked runs and memory-resident
-// locks still force the sequential kernel. (The engine-not-shard-safe
-// reason remains for engines that do not declare coherent.ShardSafe;
-// no registered engine exercises it anymore.)
+// Trace and attribution runs are eligible ("ok"), and so is every
+// registered engine family, the chain and tree engines included: the
+// protocol is never a fallback reason. Only checked runs and
+// memory-resident locks force the sequential kernel.
 func TestExplainShardsMixedGrid(t *testing.T) {
 	cases := []struct {
 		name string
