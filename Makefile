@@ -67,9 +67,10 @@ stress:
 
 # race runs the whole suite — including the parallel-vs-sequential
 # determinism regression TestRunExperimentsDeterministic — under the
-# race detector.
+# race detector. The root package alone takes about 20 minutes under
+# -race on a 2-CPU box, past go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # bench runs the hot-path micro-benchmarks. Save the output before and
 # after a change and compare with cmd/benchdiff (or benchstat).

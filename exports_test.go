@@ -49,7 +49,7 @@ func TestParallelExports(t *testing.T) {
 			}
 		}()
 	}
-	RunExperimentsProgress(context.Background(), exps, 4, onDone)
+	RunExperimentsLive(context.Background(), exps, 4, nil, onDone)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -11,7 +11,7 @@
 // simulation emits them (no JSONL re-parse), on the simulation
 // goroutine, and never schedules events, so attaching it cannot change
 // a cycle count. When no collector is attached the hot path pays
-// nothing — the probe's nil checks already gate every call.
+// nothing — the machine builds no event without a trace or sink.
 package attrib
 
 import (

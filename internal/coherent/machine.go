@@ -123,10 +123,14 @@ type Machine struct {
 	Ctr   *stats.Counters
 	Store *Store
 	Mon   *Monitor // nil unless Cfg.Check
-	// Probe is the observability layer; nil (the default) disables all
-	// probing at the cost of one nil check per instrumented site.
-	// Attach it with AttachProbe, before running the workload.
-	Probe *obs.Probe
+	// probe is the observability layer; nil (the default) disables all
+	// probing at the cost of one flag check per emission site. Only
+	// AttachProbe sets it, together with the state derived from it
+	// (events, watchdog, laneProg and the kernel tick).
+	probe *obs.Probe
+	// events is set when probe has a trace or sink to feed; emission
+	// sites build their events only then.
+	events bool
 
 	proto Engine
 
@@ -143,28 +147,19 @@ type Machine struct {
 	// or not a trace is attached.
 	watchdog *obs.Watchdog
 
-	// shardProbe holds the tick-driven subset of an attached probe
-	// (watchdog, sampler, gauge) on sharded machines. Driven from the
-	// kernel's coordinator tick, never from lane goroutines. When the
-	// probe also carries event-stream components (Trace, Sinks), Probe
-	// is additionally set with a route hook so emissions land in the
-	// per-lane buffers below.
-	shardProbe *obs.Probe
-
-	// laneObs are the per-lane emission buffers for event-stream
-	// observability under the sharded kernel: events emitted during a
-	// parallel phase are appended to the firing lane's buffer and
-	// finalized — ID/wave tagging plus trace/sink fan-out on the
-	// coordinator — by ReplayEmit, in the global deterministic (at, seq)
-	// order. Nil unless a trace or sink is attached to a sharded
-	// machine.
-	laneObs []obs.LaneBuffer
+	// laneObs are the per-lane emission buffers of the sharded kernel:
+	// events emitted during a parallel phase are appended to the firing
+	// lane's buffer and finalized — ID/wave tagging plus trace/sink
+	// fan-out on the coordinator — by ReplayEmit, in the global
+	// deterministic (at, seq) order. Nil on sequential machines.
+	laneObs []laneEvents
 
 	// laneProg tracks, per lane, the last simulated cycle at which one
-	// of the lane's nodes retired an operation — the sharded watchdog's
-	// progress signal. Each slot is written only by its owning lane
-	// (cache-line padded) and read by the coordinator after the wave
-	// barrier. Nil unless a watchdog is attached to a sharded machine.
+	// of the lane's nodes retired an operation — the watchdog's progress
+	// signal, folded in by the kernel tick (foldProgress). A sequential
+	// machine has one lane. Each slot is written only by its owning lane
+	// (cache-line padded) and read by the tick after the wave barrier.
+	// Nil unless a watchdog is attached.
 	laneProg []laneClock
 
 	// eng is the sequential event kernel and shard the time-windowed
@@ -175,8 +170,9 @@ type Machine struct {
 	eng   *sim.Engine
 	shard *sim.Sharded
 
-	// sched is the kernel behind eng or shard, as the node-addressed
-	// scheduling surface the network delivers through.
+	// sched is the live kernel, eng or shard, behind the surface both
+	// share: the network delivers through it, and AttachProbe ticks and
+	// reads it.
 	sched sim.NodeScheduler
 
 	// laneCtrs are per-lane counter sinks under the sharded engine
@@ -237,6 +233,24 @@ const txnSlots = 4
 type gate struct {
 	busy  bool
 	queue []*Msg
+}
+
+// laneEvents holds the events one lane emitted during the current
+// parallel phase, in that lane's own (at, seq) order, each with the
+// slot that receives its message ID at finalize time (sends only). The
+// owning lane appends during Phase P and the coordinator drains during
+// replay, so no entry is touched from two goroutines at once. The pad
+// keeps adjacent lanes' slice headers on separate cache lines, and the
+// backing array is kept across phases, so appends stop allocating once
+// it has grown.
+type laneEvents struct {
+	ents []laneEvent
+	_    [40]byte // slice header is 24 bytes; pad to a 64-byte line
+}
+
+type laneEvent struct {
+	e      obs.Event
+	idSlot *int64
 }
 
 // laneClock is one lane's progress timestamp, padded so adjacent lanes
@@ -342,7 +356,9 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		sh := sim.NewSharded(cfg.Procs, shards)
 		sh.MaxEvents = cfg.MaxEvents
 		sh.SetReplayer(m)
+		sh.SetEmitReplayer(m)
 		m.shard = sh
+		m.laneObs = make([]laneEvents, sh.Shards())
 		m.laneCtrs = make([]*stats.Counters, sh.Shards())
 		for i := range m.laneCtrs {
 			m.laneCtrs[i] = stats.NewCounters()
@@ -520,22 +536,25 @@ func (m *Machine) ReplaySend(lane, idx int) {
 	m.sendNow(msg)
 }
 
-// routeEvent is the probe's emission router on a sharded machine.
-// During Phase P the pre-built event is parked in the firing lane's
+// emit stamps e with the current instant and hands it to the probe.
+// During a sharded Phase P the event is parked in the firing lane's
 // buffer and logged with the kernel, which calls ReplayEmit at the
-// event's merge position; outside Phase P (replayed sends and global
-// ops, setup, quiesce) the emission is already at its merge position
-// and finalizes inline. node is the node the firing event executes at
-// (the delivery destination for MsgDeliver, the source otherwise), so
-// the buffer append stays lane-local.
-func (m *Machine) routeEvent(node int, e obs.Event, idSlot *int64) {
-	if m.shard.InPhase() {
-		m.laneObs[m.shard.LaneOf(node)].Append(e, idSlot)
-		m.shard.LogEmitAt(node)
+// event's merge position; every other emission — replayed sends and
+// global ops, setup, quiesce, and every sequential one — is already at
+// its merge position and finalizes inline. node is the node the firing
+// event executes at (the destination for a delivery, the source
+// otherwise), so the buffer append stays lane-local. Callers check
+// m.events first, so no event is built without a consumer.
+func (m *Machine) emit(node NodeID, e obs.Event, idSlot *int64) {
+	e.At = uint64(m.Now())
+	if m.shard != nil && m.shard.InPhase() {
+		buf := &m.laneObs[m.shard.LaneOf(int(node))]
+		buf.ents = append(buf.ents, laneEvent{e, idSlot})
+		m.shard.LogEmitAt(int(node))
 		return
 	}
-	if m.Probe != nil {
-		m.Probe.Finalize(e, idSlot)
+	if m.probe != nil {
+		m.probe.Finalize(e, idSlot)
 	}
 }
 
@@ -544,11 +563,17 @@ func (m *Machine) routeEvent(node int, e obs.Event, idSlot *int64) {
 // position the sharded kernel derives from the parallel phase. The
 // probe assigns the order-dependent tags (message ID, wave number)
 // here, so the finalized stream is byte-identical to the sequential
-// engine's.
+// engine's. Draining a buffer resets it for the next phase; cleared
+// entries drop their idSlot so finished messages can be collected.
 func (m *Machine) ReplayEmit(lane, idx int) {
-	e, idSlot := m.laneObs[lane].Take(idx)
-	if m.Probe != nil {
-		m.Probe.Finalize(e, idSlot)
+	buf := &m.laneObs[lane]
+	ent := buf.ents[idx]
+	buf.ents[idx] = laneEvent{}
+	if idx == len(buf.ents)-1 {
+		buf.ents = buf.ents[:0]
+	}
+	if m.probe != nil {
+		m.probe.Finalize(ent.e, ent.idSlot)
 	}
 }
 
@@ -599,137 +624,72 @@ func (m *Machine) markHomeCommit(msg *Msg) {
 // Observability
 // ---------------------------------------------------------------------
 
-// AttachProbe installs the observability layer: the machine's hooks
-// start feeding p, the kernel ticks it per event, and the network
+// AttachProbe installs the observability layer: the machine's
+// emission sites start feeding p, the kernel ticks it, and the network
 // reports transport timing. A watchdog without a dump function gets
 // the machine's state dump. Call before running the workload.
 //
-// On a sharded machine every component attaches. Watchdog, sampler,
-// and gauge are driven from the coordinator's per-sub-round tick
-// instead of per-event hooks, with per-lane progress slots folded
-// after the wave barrier. The event-stream components (Trace, Sinks)
-// run through per-lane emission buffers with a deterministic merge:
-// Phase-P emissions are parked lane-locally and finalized by the
-// kernel's replay at their exact (at, seq) position, so the event
-// stream is byte-identical to the sequential run at any shard count.
+// Both kernels share the wiring. The tick runs single-threaded —
+// before every event on the sequential kernel, after every sub-round
+// on the sharded one — and folds the per-lane progress clocks into the
+// watchdog before the sampler, the stall check and the gauge read the
+// clock. Event-stream consumers (Trace, Sinks) see every event in the
+// global (at, seq) order (see emit), so the stream is byte-identical to
+// the sequential run at any shard count.
 func (m *Machine) AttachProbe(p *obs.Probe) {
-	if m.shard != nil {
-		m.attachShardProbe(p)
-		return
-	}
-	m.Probe = p
+	m.probe = p
+	m.events = false
+	m.watchdog = nil
+	m.laneProg = nil
+	var tick func(sim.Time)
 	if p == nil {
-		m.watchdog = nil
-		m.eng.SetProbe(nil)
 		m.Net.SetProbe(nil)
-		return
-	}
-	m.watchdog = p.Watchdog
-	if g := p.Gauge; g != nil {
-		// The gauge reads Executed/Pending on the simulation goroutine
-		// (inside the per-event tick) and publishes them atomically, so
-		// a concurrent telemetry scrape never touches engine internals.
-		m.eng.SetProbe(func(t sim.Time) {
-			p.Tick(uint64(t))
-			g.Note(uint64(t), m.eng.Executed(), m.eng.Pending())
-		})
 	} else {
-		m.eng.SetProbe(func(t sim.Time) { p.Tick(uint64(t)) })
+		m.events = p.WantsEvents()
+		if wd := p.Watchdog; wd != nil {
+			m.watchdog = wd
+			m.laneProg = make([]laneClock, m.Shards())
+			if wd.Dump == nil {
+				wd.Dump = m.DumpState
+			}
+			if m.shard != nil && wd.KernelState == nil {
+				wd.KernelState = m.kernelLaneState
+			}
+		}
+		if s := p.Sampler; s != nil {
+			// Node-side increments of a sharded run live in the lane sinks
+			// until quiesce folds them; reading them live keeps interval
+			// deltas equal to the sequential run's.
+			s.Extra = func() []*stats.Counters { return m.laneCtrs }
+			// Both kernels inject messages single-threaded (the sharded
+			// one replays them on the coordinator), so the transport
+			// probe needs no synchronization.
+			m.Net.SetProbe(func(start, arrive, unloaded sim.Time) {
+				p.NetSend(uint64(start), uint64(arrive), uint64(unloaded))
+			})
+		}
+		tick = func(t sim.Time) {
+			m.foldProgress()
+			p.Tick(uint64(t))
+			if p.Gauge != nil {
+				// The gauge reads kernel counters on the simulation goroutine
+				// and publishes them atomically, so a concurrent telemetry
+				// scrape never touches kernel internals.
+				p.Gauge.Note(uint64(t), m.sched.Executed(), m.sched.Pending())
+			}
+		}
 	}
-	if p.Sampler != nil {
-		m.Net.SetProbe(func(start, arrive, unloaded sim.Time) {
-			p.NetSend(uint64(start), uint64(arrive), uint64(unloaded))
-		})
-	}
-	if p.Watchdog != nil && p.Watchdog.Dump == nil {
-		p.Watchdog.Dump = m.DumpState
-	}
+	m.sched.SetTick(tick)
 }
 
-// attachShardProbe wires an observability probe into a sharded
-// machine: the tick-driven components (watchdog, sampler, gauge) hang
-// off the coordinator's sub-round tick, and the event-stream
-// components (trace, sinks) get per-lane emission buffers routed
-// through the kernel's deterministic merge.
-func (m *Machine) attachShardProbe(p *obs.Probe) {
-	if p == nil {
-		if m.Probe != nil {
-			m.Probe.SetRoute(nil)
-		}
-		m.Probe = nil
-		m.laneObs = nil
-		m.shard.SetEmitReplayer(nil)
-		m.shardProbe = nil
-		m.watchdog = nil
-		m.laneProg = nil
-		m.shard.SetTick(nil)
-		m.Net.SetProbe(nil)
-		return
+// foldProgress advances the watchdog to the latest cycle at which any
+// lane retired an operation (laneProg is nil unless a watchdog is
+// attached). It runs single-threaded: in the kernel tick, and in
+// Quiesce before a drain report.
+func (m *Machine) foldProgress() {
+	for i := range m.laneProg {
+		m.watchdog.Progress(m.laneProg[i].t)
 	}
-	if p.Trace != nil || len(p.Sinks) > 0 {
-		// Event-stream components attach through the lane-buffer route:
-		// the machine's per-event hooks fire on lane goroutines during
-		// Phase P and buffer the emission; the kernel replays each at its
-		// merge position (ReplayEmit), where the probe finalizes it.
-		m.Probe = p
-		m.laneObs = make([]obs.LaneBuffer, m.shard.Shards())
-		p.SetRoute(m.routeEvent)
-		m.shard.SetEmitReplayer(m)
-	}
-	m.shardProbe = p
-	wd := p.Watchdog
-	m.watchdog = wd
-	if wd != nil {
-		if wd.Dump == nil {
-			wd.Dump = m.DumpState
-		}
-		if wd.KernelState == nil {
-			wd.KernelState = m.kernelLaneState
-		}
-		m.laneProg = make([]laneClock, m.shard.Shards())
-	}
-	sampler := p.Sampler
-	if sampler != nil {
-		// The sampler's base counters only see coordinator-side
-		// increments (network transport); the node-side increments live
-		// in the lane sinks until quiesce folds them. Extra reads the
-		// live sinks so interval deltas match the sequential run.
-		sampler.Extra = func() []*stats.Counters { return m.laneCtrs }
-		// Network sends happen on the coordinator (replay) or idle
-		// contexts only, so the transport probe is single-threaded here
-		// exactly as on the sequential engine.
-		m.Net.SetProbe(func(start, arrive, unloaded sim.Time) {
-			p.NetSend(uint64(start), uint64(arrive), uint64(unloaded))
-		})
-	}
-	g := p.Gauge
-	sh := m.shard
-	var lastMax uint64
-	sh.SetTick(func(t sim.Time) {
-		now := uint64(t)
-		if wd != nil {
-			// Fold the per-lane progress slots; only advance the watchdog
-			// when the max moved, so a fired stall report is not reset —
-			// and re-fired — by ticks without real progress.
-			max := lastMax
-			for i := range m.laneProg {
-				if v := m.laneProg[i].t; v > max {
-					max = v
-				}
-			}
-			if max > lastMax {
-				lastMax = max
-				wd.Progress(max)
-			}
-			wd.Check(now)
-		}
-		if sampler != nil {
-			sampler.Advance(now)
-		}
-		if g != nil {
-			g.Note(now, sh.Executed(), sh.Pending())
-		}
-	})
 }
 
 // kernelLaneState snapshots the sharded kernel for watchdog reports:
@@ -748,12 +708,17 @@ func (m *Machine) kernelLaneState() ([]obs.LaneState, uint64) {
 }
 
 // noteProgress records that node n retired an operation, in the lane
-// progress slot the sharded watchdog folds at each sub-round. Written
-// by n's own lane only; no-op unless a sharded watchdog is attached.
+// progress slot foldProgress reads. Written by n's own lane only; no-op
+// unless a watchdog is attached.
 func (m *Machine) noteProgress(n NodeID) {
-	if m.laneProg != nil {
-		m.laneProg[m.shard.LaneOf(int(n))].t = uint64(m.Now())
+	if m.laneProg == nil {
+		return
 	}
+	lane := 0
+	if m.shard != nil {
+		lane = m.shard.LaneOf(int(n))
+	}
+	m.laneProg[lane].t = uint64(m.Now())
 }
 
 // AttachKProf attaches a kernel profile to the machine's parallel
@@ -772,30 +737,28 @@ func (m *Machine) KProf() *kprof.Profile { return m.kprof }
 
 // Executed returns the number of simulated events fired so far, on
 // whichever kernel is live.
-func (m *Machine) Executed() uint64 {
-	if m.shard != nil {
-		return m.shard.Executed()
-	}
-	return m.eng.Executed()
-}
+func (m *Machine) Executed() uint64 { return m.sched.Executed() }
 
 // Tracing reports whether an event trace is attached. Engines guard
 // label construction with it so disabled-mode stays allocation-free.
-func (m *Machine) Tracing() bool { return m.Probe != nil && m.Probe.Trace != nil }
+func (m *Machine) Tracing() bool { return m.probe != nil && m.probe.Trace != nil }
 
 // TraceDir records a directory transition for block b; label is a
 // protocol-specific description. Callers must guard with Tracing()
 // when the label requires formatting.
 func (m *Machine) TraceDir(b BlockID, label string) {
-	if m.Probe != nil {
-		m.Probe.DirState(uint64(m.Now()), int(m.Home(b)), uint64(b), label)
+	if m.events {
+		home := m.Home(b)
+		m.emit(home, obs.Event{Kind: obs.KindDirState, Src: int(home), Dst: int(home),
+			Block: uint64(b), Label: label}, nil)
 	}
 }
 
 // TraceState records a cache-line state transition at node n.
 func (m *Machine) TraceState(n NodeID, b BlockID, from, to cache.State) {
-	if m.Probe != nil {
-		m.Probe.CacheState(uint64(m.Now()), int(n), uint64(b), from.String(), to.String())
+	if m.events {
+		m.emit(n, obs.Event{Kind: obs.KindCacheState, Src: int(n), Dst: int(n),
+			Block: uint64(b), Label: from.String() + "->" + to.String()}, nil)
 	}
 }
 
@@ -804,8 +767,8 @@ func (m *Machine) TraceState(n NodeID, b BlockID, from, to cache.State) {
 // the cache directly so the probe layer sees every invalidation.
 func (m *Machine) Invalidate(n NodeID, b BlockID) (cache.State, bool) {
 	st, ok := m.Nodes[n].Cache.Invalidate(b)
-	if ok && m.Probe != nil {
-		m.Probe.CacheState(uint64(m.Now()), int(n), uint64(b), st.String(), cache.Invalid.String())
+	if ok {
+		m.TraceState(n, b, st, cache.Invalid)
 	}
 	return st, ok
 }
@@ -818,13 +781,10 @@ func (m *Machine) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "machine state at cycle %d (%s, %d procs): %d messages in flight\n",
 		m.Now(), m.proto.Name(), m.Cfg.Procs, m.Net.InFlight())
 	if m.shard != nil {
-		for i := 0; i < m.shard.Shards(); i++ {
-			var lp uint64
-			if m.laneProg != nil {
-				lp = m.laneProg[i].t
-			}
+		lanes, _ := m.kernelLaneState()
+		for _, l := range lanes {
 			fmt.Fprintf(w, "  lane %d: %d pending events, last progress at cycle %d\n",
-				i, m.shard.LanePending(i), lp)
+				l.Lane, l.Pending, l.LastProgress)
 		}
 	}
 	blocks := make(map[BlockID]bool)
@@ -1028,9 +988,6 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 		if m.Mon != nil {
 			m.Mon.OnReadHit(n, b, v)
 		}
-		if m.Probe != nil {
-			m.Probe.Progress(uint64(m.Now()))
-		}
 		m.noteProgress(n)
 		m.ScheduleAt(n, m.Cfg.CacheLatency, func() { done(v) })
 		return
@@ -1043,49 +1000,23 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 		// The exclusive owner is the serialization point for its own
 		// writes; the authoritative image follows it.
 		m.Store.OwnerWrite(b, value)
-		if m.Probe != nil {
-			m.Probe.Progress(uint64(m.Now()))
-		}
 		m.noteProgress(n)
 		m.ScheduleAt(n, m.Cfg.CacheLatency, func() { done(old) })
 		return
 	}
 
-	// Miss. Select the destination frame, evicting if necessary.
 	if write {
 		ctr.WriteMisses++
 	} else {
 		ctr.ReadMisses++
 	}
-	victim := node.Cache.Victim(b)
-	if victim == nil {
-		panic(fmt.Sprintf("coherent: node %d has no evictable frame for block %d", n, b))
-	}
-	if victim.Block != b || node.Cache.Lookup(b) != victim {
-		// Fresh or foreign frame; evict live contents first.
-		if node.Cache.Lookup(victim.Block) == victim && victim.State != cache.Invalid {
-			ctr.Replacements++
-			m.proto.OnEvict(m, n, victim)
-		}
-		node.Cache.Evict(victim)
-	}
-	victim.Pinned = true
-
-	txn := &Txn{
-		Node:   n,
-		Block:  b,
-		Write:  write,
-		Value:  value,
-		Line:   victim,
-		Issued: m.Now(),
-		done:   done,
-	}
-	m.putTxn(txn)
-	if m.Probe != nil {
-		m.Probe.TxnStart(uint64(m.Now()), int(n), uint64(b), write)
-	}
-	// The miss is detected after one cache access.
-	m.ScheduleAt(n, m.Cfg.CacheLatency, func() { m.proto.StartMiss(m, txn) })
+	m.issueMiss(&Txn{
+		Node:  n,
+		Block: b,
+		Write: write,
+		Value: value,
+		done:  done,
+	}, ctr)
 }
 
 // AccessRMW performs an atomic read-modify-write from node n: f maps
@@ -1108,15 +1039,32 @@ func (m *Machine) AccessRMW(n NodeID, addr uint64, f func(old uint64) uint64, do
 	if m.Txn(n, b) != nil {
 		panic(fmt.Sprintf("coherent: node %d issued a second outstanding reference on block %d", n, b))
 	}
-	node := m.Nodes[n]
 	ctr := m.CtrAt(n)
 	ctr.Writes++
 	ctr.WriteMisses++
+	m.issueMiss(&Txn{
+		Node:  n,
+		Block: b,
+		Write: true,
+		RMW:   f,
+		done:  done,
+	}, ctr)
+}
+
+// issueMiss is the miss path Access and AccessRMW share: it selects the
+// destination frame for txn's block, evicting its live contents first,
+// pins it, installs txn, and hands txn to the engine's StartMiss once
+// the miss is detected, one cache access later. ctr is the node's
+// counter sink.
+func (m *Machine) issueMiss(txn *Txn, ctr *stats.Counters) {
+	n, b := txn.Node, txn.Block
+	node := m.Nodes[n]
 	victim := node.Cache.Victim(b)
 	if victim == nil {
 		panic(fmt.Sprintf("coherent: node %d has no evictable frame for block %d", n, b))
 	}
 	if victim.Block != b || node.Cache.Lookup(b) != victim {
+		// Fresh or foreign frame; evict live contents first.
 		if node.Cache.Lookup(victim.Block) == victim && victim.State != cache.Invalid {
 			ctr.Replacements++
 			m.proto.OnEvict(m, n, victim)
@@ -1124,18 +1072,12 @@ func (m *Machine) AccessRMW(n NodeID, addr uint64, f func(old uint64) uint64, do
 		node.Cache.Evict(victim)
 	}
 	victim.Pinned = true
-	txn := &Txn{
-		Node:   n,
-		Block:  b,
-		Write:  true,
-		Line:   victim,
-		Issued: m.Now(),
-		RMW:    f,
-		done:   done,
-	}
+	txn.Line = victim
+	txn.Issued = m.Now()
 	m.putTxn(txn)
-	if m.Probe != nil {
-		m.Probe.TxnStart(uint64(m.Now()), int(n), uint64(b), true)
+	if m.events {
+		m.emit(n, obs.Event{Kind: obs.KindTxnStart, Src: int(n), Dst: int(n),
+			Block: uint64(b), Write: txn.Write}, nil)
 	}
 	m.ScheduleAt(n, m.Cfg.CacheLatency, func() { m.proto.StartMiss(m, txn) })
 }
@@ -1169,8 +1111,10 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 		}
 	}
 
-	if m.Probe != nil {
-		m.Probe.TxnEnd(uint64(m.Now()), int(txn.Node), uint64(txn.Block), txn.Write)
+	if m.events {
+		n := int(txn.Node)
+		m.emit(txn.Node, obs.Event{Kind: obs.KindTxnEnd, Src: n, Dst: n,
+			Block: uint64(txn.Block), Write: txn.Write}, nil)
 	}
 	m.noteProgress(txn.Node)
 
@@ -1195,12 +1139,14 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 
 // Send transmits msg over the network and dispatches it on arrival.
 func (m *Machine) Send(msg *Msg) {
-	if m.Probe != nil {
-		// The probe writes the message ID through the slot: immediately on
-		// a sequential machine, at the emission's merge position on a
-		// sharded one. Either way the ID lands before the delivery fires.
-		m.Probe.MsgSend(uint64(m.Now()), msg.Type.String(),
-			int(msg.Src), int(msg.Dst), uint64(msg.Block), int(msg.Requester), msg.ToDir, &msg.probeID)
+	if m.events {
+		// The probe writes the message ID through the slot when the
+		// emission finalizes: at once, or at its merge position during a
+		// sharded Phase P. Either way the ID lands before the delivery
+		// fires.
+		m.emit(msg.Src, obs.Event{Kind: obs.KindSend, Type: msg.Type.String(),
+			Src: int(msg.Src), Dst: int(msg.Dst), Block: uint64(msg.Block),
+			Req: int(msg.Requester), Dir: msg.ToDir}, &msg.probeID)
 	}
 	if m.sendHook != nil {
 		deliver := func() { m.dispatch(msg) }
@@ -1259,9 +1205,12 @@ func (m *Machine) ReplaceBlock(n NodeID, b BlockID) bool {
 
 func (m *Machine) dispatch(msg *Msg) {
 	m.auditLane(msg.Dst)
-	if m.Probe != nil {
-		m.Probe.MsgDeliver(uint64(m.Now()), msg.probeID, msg.Type.String(),
-			int(msg.Src), int(msg.Dst), uint64(msg.Block), msg.ToDir)
+	if m.events {
+		// A delivery fires at least one sub-round after its send was
+		// finalized, so reading the ID out of the message is race-free.
+		m.emit(msg.Dst, obs.Event{Kind: obs.KindDeliver, Type: msg.Type.String(),
+			Src: int(msg.Src), Dst: int(msg.Dst), Block: uint64(msg.Block),
+			ID: msg.probeID, Dir: msg.ToDir}, nil)
 	}
 	if !msg.ToDir {
 		m.proto.CacheMsg(m, msg)
@@ -1278,8 +1227,9 @@ func (m *Machine) dispatch(msg *Msg) {
 	}
 	if g.busy {
 		m.CtrAt(msg.Dst).DirectoryBusy++
-		if m.Probe != nil {
-			m.Probe.GateWait(uint64(m.Now()), int(msg.Dst), uint64(msg.Block), msg.Type.String())
+		if m.events {
+			m.emit(msg.Dst, obs.Event{Kind: obs.KindGateWait, Type: msg.Type.String(),
+				Src: int(msg.Dst), Dst: int(msg.Dst), Block: uint64(msg.Block)}, nil)
 		}
 		g.queue = append(g.queue, msg)
 		return
@@ -1290,11 +1240,14 @@ func (m *Machine) dispatch(msg *Msg) {
 
 // startHome marks the serialization point of a gated request — the
 // home gate is held — and hands it to the engine. A gated write
-// starting here opens a new invalidation wave in the trace.
+// starting here opens a new invalidation wave in the trace (the probe
+// bumps the wave counter when it finalizes the event, so the bump
+// lands in merge order on sharded runs).
 func (m *Machine) startHome(msg *Msg) {
-	if m.Probe != nil {
-		m.Probe.HomeStart(uint64(m.Now()), int(msg.Dst), uint64(msg.Block),
-			msg.Type.String(), int(msg.Requester))
+	if m.events {
+		m.emit(msg.Dst, obs.Event{Kind: obs.KindHomeStart, Type: msg.Type.String(),
+			Src: int(msg.Dst), Dst: int(msg.Dst), Block: uint64(msg.Block),
+			Req: int(msg.Requester)}, nil)
 	}
 	m.proto.HomeRequest(m, msg)
 }
@@ -1371,12 +1324,12 @@ func (m *Machine) SerializeWrite(msg *Msg) {
 // machine state before the error is returned.
 func (m *Machine) Quiesce() error {
 	err := m.quiesce()
-	p := m.Probe
-	if p == nil {
-		p = m.shardProbe
-	}
-	if p != nil {
+	if p := m.probe; p != nil {
 		if err != nil && p.Watchdog != nil {
+			// The sequential tick runs before each event, so it never saw
+			// what the last fired event retired; fold that in so the
+			// report's last progress is current.
+			m.foldProgress()
 			p.Watchdog.FireDrain(uint64(m.Now()), err.Error())
 		}
 		if p.Sampler != nil {

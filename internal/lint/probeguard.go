@@ -8,7 +8,7 @@ import (
 )
 
 // ProbeGuard enforces the nil-probe discipline: the observability
-// layer is disabled by leaving Machine.Probe nil, so every call to a
+// layer is disabled by leaving the machine's probe nil, so every call to a
 // method on a *obs.Probe value must be dominated by a nil check of the
 // same receiver expression — either an enclosing `if p != nil { ... }`
 // or an earlier `if p == nil { return }` in the same block. The obs

@@ -33,7 +33,7 @@ func goodEnclosing(m *machine) {
 
 func goodConjunction(m *machine, verbose bool) {
 	if verbose && m.probe != nil {
-		m.probe.Progress(m.now)
+		m.probe.NetSend(m.now, m.now+5, 3)
 	}
 }
 
@@ -41,8 +41,8 @@ func goodEarlyReturn(m *machine) {
 	if m.probe == nil {
 		return
 	}
-	m.probe.TxnStart(m.now, 0, 0, false)
-	m.probe.TxnEnd(m.now, 0, 0, false)
+	m.probe.Finalize(obs.Event{At: m.now, Kind: obs.KindTxnStart}, nil)
+	m.probe.Finalize(obs.Event{At: m.now, Kind: obs.KindTxnEnd}, nil)
 }
 
 func goodElseBranch(m *machine) {
@@ -76,7 +76,7 @@ func goodNested(m *machine) {
 // need the guard whether or not the id slot is used.
 func badSinkSend(m *machine) {
 	var id int64
-	m.probe.MsgSend(m.now, "Inv", 0, 1, 9, 2, true, &id) // want `without a m.probe != nil guard`
+	m.probe.Finalize(obs.Event{At: m.now, Kind: obs.KindSend, Type: "Inv", Dst: 1, Block: 9, Req: 2, Dir: true}, &id) // want `without a m.probe != nil guard`
 	_ = id
 }
 
@@ -84,7 +84,7 @@ func badSinkDeliver(m *machine, id int64) {
 	if m.probe == nil {
 		_ = m.now
 	}
-	m.probe.MsgDeliver(m.now, id, "Inv", 0, 1, 9, true) // want `without a m.probe != nil guard`
+	m.probe.Finalize(obs.Event{At: m.now, Kind: obs.KindDeliver, Type: "Inv", Dst: 1, Block: 9, ID: id, Dir: true}, nil) // want `without a m.probe != nil guard`
 }
 
 func goodSinkSendDeliver(m *machine) {
@@ -92,7 +92,7 @@ func goodSinkSendDeliver(m *machine) {
 		return
 	}
 	var id int64
-	m.probe.MsgSend(m.now, "Inv", 0, 1, 9, 2, true, &id)
-	m.probe.MsgDeliver(m.now+1, id, "Inv", 0, 1, 9, true)
-	m.probe.HomeStart(m.now+2, 1, 9, "WriteReq", 2)
+	m.probe.Finalize(obs.Event{At: m.now, Kind: obs.KindSend, Type: "Inv", Dst: 1, Block: 9, Req: 2, Dir: true}, &id)
+	m.probe.Finalize(obs.Event{At: m.now + 1, Kind: obs.KindDeliver, Type: "Inv", Dst: 1, Block: 9, ID: id, Dir: true}, nil)
+	m.probe.Finalize(obs.Event{At: m.now + 2, Kind: obs.KindHomeStart, Type: "WriteReq", Src: 1, Dst: 1, Block: 9, Req: 2}, nil)
 }

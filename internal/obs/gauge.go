@@ -6,8 +6,8 @@ import "sync/atomic"
 // concurrent readers (the telemetry HTTP handler scrapes them from
 // another goroutine). The simulation goroutine publishes with Note;
 // readers use the atomic accessors. A Gauge never influences the
-// simulation — it is written from the engine's per-event probe tick
-// and holds nothing the protocol can observe.
+// simulation — it is written from the kernel's tick hook and holds
+// nothing the protocol can observe.
 //
 // Writes are decimated: Note stores only every noteEvery calls, so the
 // per-event cost is one local counter increment on the skipped calls.

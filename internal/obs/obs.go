@@ -6,15 +6,19 @@
 //
 // The layer is designed around one invariant: when disabled it costs
 // nothing on the hot path. The machine holds a single *Probe pointer
-// that is nil by default; every instrumentation site is a plain nil
-// check with no interface dispatch and no argument evaluation (label
-// strings are only built behind Tracing()-style guards). A second
-// invariant is that probes never perturb the simulation: no component
-// schedules events, so enabling a trace cannot change a single cycle
-// count. The sampler and watchdog piggyback on events that already
-// fire (see Probe.Tick), which keeps the event queue — and therefore
-// the simulated timeline — bit-for-bit identical with probes on or
-// off.
+// that is nil by default, and builds a structured event only when a
+// trace or sink wants one (WantsEvents): every emission site is a
+// plain flag check with no interface dispatch and no argument
+// evaluation. A second invariant is that probes never perturb the
+// simulation: no component schedules events, so enabling a trace
+// cannot change a single cycle count. The sampler and watchdog
+// piggyback on the kernel's tick hook (see Probe.Tick), which keeps
+// the event queue — and therefore the simulated timeline — bit-for-bit
+// identical with probes on or off.
+//
+// Nothing here depends on which simulation kernel runs: both feed a
+// probe through the same calls — Finalize, with events in the global
+// (at, seq) order, Tick, and NetSend.
 package obs
 
 // Sink consumes the structured event stream in capture order without
@@ -40,45 +44,23 @@ type Probe struct {
 	Watchdog *Watchdog
 	// Sinks receive every structured event the Trace would record.
 	Sinks []Sink
-	// Gauge, when set, is fed live execution counters from the engine
+	// Gauge, when set, is fed live execution counters from the kernel
 	// tick (cycle, events executed, queue depth) for telemetry scrapes.
 	Gauge *Gauge
 
 	nextID int64
 	waves  map[uint64]int
-
-	// route, when set, diverts every structured emission to the sharded
-	// machine's lane-local buffers instead of finalizing inline: during
-	// Phase P the Probe's methods run concurrently on lane goroutines,
-	// so nothing order-dependent (message IDs, wave tags, watchdog
-	// state, the trace itself) may be touched there. The buffered
-	// events are finalized one by one on the coordinator, at their
-	// exact position in the global (at, seq) merge — see Finalize.
-	// Direct watchdog touches (TxnEnd/Progress) are suppressed under a
-	// route; the shard coordinator drives progress and stall checks.
-	route func(node int, e Event, idSlot *int64)
 }
 
-// SetRoute installs (or, with nil, removes) the sharded emission
-// router. Must not be called while a simulation is running.
-func (p *Probe) SetRoute(fn func(node int, e Event, idSlot *int64)) { p.route = fn }
+// WantsEvents reports whether any consumer wants structured events.
+// The machine builds events only when it does.
+func (p *Probe) WantsEvents() bool { return p.Trace != nil || len(p.Sinks) > 0 }
 
-// active reports whether any consumer wants structured events.
-func (p *Probe) active() bool { return p.Trace != nil || len(p.Sinks) > 0 }
-
-// emit hands an event to the trace and every sink.
-func (p *Probe) emit(e Event) {
-	if p.Trace != nil {
-		p.Trace.add(e)
-	}
-	for _, s := range p.Sinks {
-		s.Event(e)
-	}
-}
-
-// Tick is called by the simulation kernel once per fired event, with
-// the (possibly advanced) simulated clock. It drives the lazy sampler
-// and the stall check without scheduling anything itself.
+// Tick is called from the simulation kernel's tick hook with the
+// (possibly advanced) simulated clock: before every event on the
+// sequential kernel, after every sub-round on the sharded one. It
+// drives the lazy sampler and the stall check without scheduling
+// anything itself.
 func (p *Probe) Tick(now uint64) {
 	if p.Sampler != nil {
 		p.Sampler.Advance(now)
@@ -90,18 +72,14 @@ func (p *Probe) Tick(now uint64) {
 
 // Finalize applies the order-dependent parts of an emission — message
 // ID assignment, wave tagging, the wave counter bump — and fans the
-// event out to the trace and sinks. In sequential runs every emission
-// finalizes inline; in sharded runs the route hook buffers Phase-P
-// emissions per lane and the coordinator calls Finalize for each at
-// its position in the global (at, seq) merge, so the finalized stream
-// is byte-identical to the sequential run. idSlot, when non-nil,
-// receives the assigned message ID (sends only); it points into the
-// in-flight Msg so the delivery side can echo the ID without any
-// closure allocation.
+// event out to the trace and sinks. Callers hand over events in the
+// global (at, seq) order: the sharded machine buffers Phase-P
+// emissions per lane and finalizes each at its merge position, so the
+// stream is byte-identical to the sequential run. idSlot, when
+// non-nil, receives the assigned message ID (sends only); it points
+// into the in-flight Msg so the delivery side can echo the ID without
+// any closure allocation.
 func (p *Probe) Finalize(e Event, idSlot *int64) {
-	if !p.active() {
-		return
-	}
 	switch e.Kind {
 	case KindSend:
 		p.nextID++
@@ -124,39 +102,12 @@ func (p *Probe) Finalize(e Event, idSlot *int64) {
 			p.waves[e.Block]++
 		}
 	}
-	p.emit(e)
-}
-
-// MsgSend records a coherence message entering the network. idSlot,
-// when non-nil, receives the identifier the matching MsgDeliver must
-// echo (it is left untouched when no trace or sink is attached); in
-// sharded runs the ID is only assigned at the emission's merge
-// position, which is why the slot replaces a return value. dir marks
-// directory-bound messages (acks and requests addressed to the home's
-// directory logic rather than a cache). Invalidation-type messages are
-// tagged with the block's current write wave.
-func (p *Probe) MsgSend(now uint64, typ string, src, dst int, block uint64, requester int, dir bool, idSlot *int64) {
-	e := Event{
-		At: now, Kind: KindSend, Type: typ, Src: src, Dst: dst,
-		Block: block, Req: requester, Dir: dir,
+	if p.Trace != nil {
+		p.Trace.add(e)
 	}
-	if p.route != nil {
-		p.route(src, e, idSlot)
-		return
+	for _, s := range p.Sinks {
+		s.Event(e)
 	}
-	p.Finalize(e, idSlot)
-}
-
-// MsgDeliver records the arrival of the message identified by id. In
-// sharded runs deliveries fire at least one sub-round after their send
-// was finalized, so reading the ID out of the message is race-free.
-func (p *Probe) MsgDeliver(now uint64, id int64, typ string, src, dst int, block uint64, dir bool) {
-	e := Event{At: now, Kind: KindDeliver, Type: typ, Src: src, Dst: dst, Block: block, ID: id, Dir: dir}
-	if p.route != nil {
-		p.route(dst, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
 }
 
 // NetSend records network-level transport timing for one message:
@@ -165,93 +116,6 @@ func (p *Probe) MsgDeliver(now uint64, id int64, typ string, src, dst int, block
 // difference feeds the sampler's contention column.
 func (p *Probe) NetSend(start, arrive, unloaded uint64) {
 	if p.Sampler != nil {
-		p.Sampler.noteNet(arrive - start - min64(unloaded, arrive-start))
+		p.Sampler.noteNet(arrive - start - min(unloaded, arrive-start))
 	}
-}
-
-// TxnStart records a processor miss transaction beginning at a node.
-func (p *Probe) TxnStart(now uint64, node int, block uint64, write bool) {
-	e := Event{At: now, Kind: KindTxnStart, Src: node, Dst: node, Block: block, Write: write}
-	if p.route != nil {
-		p.route(node, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-}
-
-// TxnEnd records a miss transaction completing. It counts as forward
-// progress for the watchdog (in sharded runs the coordinator feeds the
-// watchdog from the per-lane progress fold instead).
-func (p *Probe) TxnEnd(now uint64, node int, block uint64, write bool) {
-	e := Event{At: now, Kind: KindTxnEnd, Src: node, Dst: node, Block: block, Write: write}
-	if p.route != nil {
-		p.route(node, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-	if p.Watchdog != nil {
-		p.Watchdog.Progress(now)
-	}
-}
-
-// Progress marks processor forward progress that is not a miss
-// completion (cache hits retiring).
-func (p *Probe) Progress(now uint64) {
-	if p.route != nil {
-		return // the shard coordinator folds lane progress instead
-	}
-	if p.Watchdog != nil {
-		p.Watchdog.Progress(now)
-	}
-}
-
-// CacheState records a cache-line state transition at a node.
-func (p *Probe) CacheState(now uint64, node int, block uint64, from, to string) {
-	e := Event{At: now, Kind: KindCacheState, Src: node, Dst: node, Block: block, Label: from + "->" + to}
-	if p.route != nil {
-		p.route(node, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-}
-
-// DirState records a directory transition at a block's home node. The
-// label is protocol-specific ("uncached->shared", "merge l2", ...);
-// callers must only build it when tracing is enabled.
-func (p *Probe) DirState(now uint64, home int, block uint64, label string) {
-	e := Event{At: now, Kind: KindDirState, Src: home, Dst: home, Block: block, Label: label}
-	if p.route != nil {
-		p.route(home, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-}
-
-// GateWait records a gated request queuing behind a busy home gate.
-func (p *Probe) GateWait(now uint64, home int, block uint64, typ string) {
-	e := Event{At: now, Kind: KindGateWait, Type: typ, Src: home, Dst: home, Block: block}
-	if p.route != nil {
-		p.route(home, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-}
-
-// HomeStart records the home beginning to process a gated request.
-// The wave-counter bump for gated writes happens in Finalize, so it
-// lands in merge order on sharded runs.
-func (p *Probe) HomeStart(now uint64, home int, block uint64, typ string, requester int) {
-	e := Event{At: now, Kind: KindHomeStart, Type: typ, Src: home, Dst: home, Block: block, Req: requester}
-	if p.route != nil {
-		p.route(home, e, nil)
-		return
-	}
-	p.Finalize(e, nil)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

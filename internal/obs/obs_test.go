@@ -15,19 +15,19 @@ import (
 // probe, returning the message id.
 func sendDeliver(p *Probe, t0, t1 uint64, typ string, src, dst int, block uint64, req int) int64 {
 	var id int64
-	p.MsgSend(t0, typ, src, dst, block, req, false, &id)
-	p.MsgDeliver(t1, id, typ, src, dst, block, false)
+	p.Finalize(Event{At: t0, Kind: KindSend, Type: typ, Src: src, Dst: dst, Block: block, Req: req}, &id)
+	p.Finalize(Event{At: t1, Kind: KindDeliver, Type: typ, Src: src, Dst: dst, Block: block, ID: id}, nil)
 	return id
 }
 
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
-	p.TxnStart(5, 1, 42, true)
-	p.HomeStart(8, 2, 42, "WriteReq", 1)
+	p.Finalize(Event{At: 5, Kind: KindTxnStart, Src: 1, Dst: 1, Block: 42, Write: true}, nil)
+	p.Finalize(Event{At: 8, Kind: KindHomeStart, Type: "WriteReq", Src: 2, Dst: 2, Block: 42, Req: 1}, nil)
 	sendDeliver(p, 10, 20, "Inv", 2, 3, 42, 1)
-	p.CacheState(21, 3, 42, "V", "IV")
-	p.TxnEnd(30, 1, 42, true)
+	p.Finalize(Event{At: 21, Kind: KindCacheState, Src: 3, Dst: 3, Block: 42, Label: "V->IV"}, nil)
+	p.Finalize(Event{At: 30, Kind: KindTxnEnd, Src: 1, Dst: 1, Block: 42, Write: true}, nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -52,17 +52,17 @@ func TestWaveTagging(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
 	// No wave open yet: an Inv before any gated write carries wave 0.
-	p.MsgSend(1, "Inv", 0, 1, 7, 0, false, nil)
-	p.HomeStart(5, 0, 7, "WriteReq", 2)
-	p.MsgSend(6, "Inv", 0, 1, 7, 2, false, nil)
-	p.MsgSend(6, "Inv", 0, 3, 7, 2, false, nil)
-	p.HomeStart(50, 0, 7, "WriteReq", 3)
-	p.MsgSend(51, "Inv", 0, 1, 7, 3, false, nil)
+	p.Finalize(Event{At: 1, Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 7, Req: 0}, nil)
+	p.Finalize(Event{At: 5, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 7, Req: 2}, nil)
+	p.Finalize(Event{At: 6, Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 7, Req: 2}, nil)
+	p.Finalize(Event{At: 6, Kind: KindSend, Type: "Inv", Src: 0, Dst: 3, Block: 7, Req: 2}, nil)
+	p.Finalize(Event{At: 50, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 7, Req: 3}, nil)
+	p.Finalize(Event{At: 51, Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 7, Req: 3}, nil)
 	// Replace_INV is not part of a gated wave.
-	p.MsgSend(60, "ReplaceInv", 1, 2, 7, 1, false, nil)
+	p.Finalize(Event{At: 60, Kind: KindSend, Type: "ReplaceInv", Src: 1, Dst: 2, Block: 7, Req: 1}, nil)
 	// A read starting does not open a wave.
-	p.HomeStart(70, 0, 9, "ReadReq", 4)
-	p.MsgSend(71, "Inv", 0, 1, 9, 4, false, nil)
+	p.Finalize(Event{At: 70, Kind: KindHomeStart, Type: "ReadReq", Src: 0, Dst: 0, Block: 9, Req: 4}, nil)
+	p.Finalize(Event{At: 71, Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 9, Req: 4}, nil)
 
 	waves := make(map[int]int) // wave -> count, block 7 only
 	for _, e := range tr.Events() {
@@ -86,7 +86,7 @@ func TestWaveTagging(t *testing.T) {
 func TestInvWavesDepth(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
-	p.HomeStart(0, 0, 5, "WriteReq", 9)
+	p.Finalize(Event{At: 0, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 5, Req: 9}, nil)
 	// Home 0 fans out to two roots; root 1 forwards to 3 and 4 after
 	// receiving its Inv; node 3 forwards to 6. Expected depth 3.
 	sendDeliver(p, 1, 10, "Inv", 0, 1, 5, 9)
@@ -111,7 +111,7 @@ func TestInvWavesDepth(t *testing.T) {
 func TestInvWavesFlatFanout(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
-	p.HomeStart(0, 0, 5, "WriteReq", 9)
+	p.Finalize(Event{At: 0, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 5, Req: 9}, nil)
 	// Full-map style: home sends all Invs before any is delivered.
 	for i := 1; i <= 4; i++ {
 		sendDeliver(p, 1, uint64(10+i), "Inv", 0, i, 5, 9)
@@ -138,13 +138,13 @@ func TestFanoutBound(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
-	p.TxnStart(0, 1, 5, false)
-	p.HomeStart(2, 0, 5, "ReadReq", 1)
+	p.Finalize(Event{At: 0, Kind: KindTxnStart, Src: 1, Dst: 1, Block: 5}, nil)
+	p.Finalize(Event{At: 2, Kind: KindHomeStart, Type: "ReadReq", Src: 0, Dst: 0, Block: 5, Req: 1}, nil)
 	sendDeliver(p, 3, 9, "DataReply", 0, 1, 5, 1)
-	p.CacheState(9, 1, 5, "IV", "V")
-	p.DirState(2, 0, 5, "uncached->shared")
-	p.GateWait(4, 0, 5, "WriteReq")
-	p.TxnEnd(10, 1, 5, false)
+	p.Finalize(Event{At: 9, Kind: KindCacheState, Src: 1, Dst: 1, Block: 5, Label: "IV->V"}, nil)
+	p.Finalize(Event{At: 2, Kind: KindDirState, Src: 0, Dst: 0, Block: 5, Label: "uncached->shared"}, nil)
+	p.Finalize(Event{At: 4, Kind: KindGateWait, Type: "WriteReq", Src: 0, Dst: 0, Block: 5}, nil)
+	p.Finalize(Event{At: 10, Kind: KindTxnEnd, Src: 1, Dst: 1, Block: 5}, nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -240,7 +240,7 @@ func TestWatchdogStall(t *testing.T) {
 	w.Dump = func(out io.Writer) { dumped++; fmt.Fprintln(out, "machine state here") }
 	p := &Probe{Watchdog: w}
 
-	p.Progress(10)
+	w.Progress(10)
 	w.NoteInv(77)
 	w.NoteInv(77)
 	w.NoteInv(33)
@@ -265,7 +265,7 @@ func TestWatchdogStall(t *testing.T) {
 	}
 
 	// Progress resets the episode; a fresh stall fires again.
-	p.Progress(2100)
+	w.Progress(2100)
 	if w.Stalled() {
 		t.Fatal("Stalled should clear on progress")
 	}
@@ -295,12 +295,12 @@ func TestHotBlocks(t *testing.T) {
 	tr := NewTrace()
 	p := &Probe{Trace: tr}
 	for i := 0; i < 5; i++ {
-		p.MsgSend(uint64(i), "Inv", 0, 1, 9, 2, false, nil)
+		p.Finalize(Event{At: uint64(i), Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 9, Req: 2}, nil)
 	}
 	for i := 0; i < 3; i++ {
-		p.MsgSend(uint64(i), "ReplaceInv", 0, 1, 4, 2, false, nil)
+		p.Finalize(Event{At: uint64(i), Kind: KindSend, Type: "ReplaceInv", Src: 0, Dst: 1, Block: 4, Req: 2}, nil)
 	}
-	p.MsgSend(9, "DataReply", 0, 1, 100, 2, false, nil) // not an invalidation
+	p.Finalize(Event{At: 9, Kind: KindSend, Type: "DataReply", Src: 0, Dst: 1, Block: 100, Req: 2}, nil) // not an invalidation
 	hot := HotBlocks(tr.Events(), 10)
 	if len(hot) != 2 || hot[0].Block != 9 || hot[0].Count != 5 || hot[1].Block != 4 || hot[1].Count != 3 {
 		t.Fatalf("hot blocks = %+v", hot)

@@ -15,20 +15,20 @@ import (
 //
 // The sampler is lazy: it holds no scheduled events (a self-renewing
 // timer would keep the event queue alive forever and change Quiesce
-// semantics). Instead Probe.Tick advances it from the kernel's event
-// loop, emitting one row per elapsed interval — including empty
+// semantics). Instead Probe.Tick advances it from the kernel's tick
+// hook, emitting one row per elapsed interval — including empty
 // intervals, so the series has regular spacing for plotting.
 type Sampler struct {
 	// Interval is the sampling period in simulated cycles.
 	Interval uint64
 
 	// Extra, when non-nil, returns additional counter sinks summed into
-	// every capture. Sharded machines route node-side increments to
+	// every capture. Sharded machines keep node-side increments in
 	// per-lane sinks that are folded into the main counters only at
 	// quiesce; Extra lets the sampler see main + live lane sinks so
-	// interval deltas fold identically to a sequential run. The
-	// returned slice is read on the coordinator (tick context), never
-	// during a parallel phase.
+	// interval deltas fold identically to a sequential run (which has
+	// no lane sinks, so Extra returns none). The returned slice is read
+	// in tick context, never during a parallel phase.
 	Extra func() []*stats.Counters
 
 	ctr  *stats.Counters

@@ -56,7 +56,7 @@ type Event struct {
 	// ID links a send to its deliver (unique per message, from 1).
 	ID int64 `json:"id,omitempty"`
 	// Wave numbers the invalidation wave on Block this Inv/Update
-	// belongs to (serialized by the home gate; see Probe.HomeStart).
+	// belongs to (serialized by the home gate; see Probe.Finalize).
 	Wave  int  `json:"wave,omitempty"`
 	Write bool `json:"write,omitempty"`
 	// Dir marks directory-bound messages: acks and requests addressed

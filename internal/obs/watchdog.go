@@ -19,9 +19,10 @@ import (
 //     lost ack, a gate never released). The machine reports this from
 //     Quiesce via FireDrain.
 //
-// Like the sampler, the watchdog schedules nothing: Probe.Tick checks
-// it on events that already fire, so an enabled watchdog cannot change
-// simulated results.
+// Like the sampler, the watchdog schedules nothing: the machine's tick
+// hook, on either kernel, folds each lane's last-progress cycle into it
+// (Progress) and then checks it (Probe.Tick), so an enabled watchdog
+// cannot change simulated results.
 type Watchdog struct {
 	// Stall is the progress-free cycle budget before firing (0
 	// disables the stall check; drain reporting still works).
@@ -68,8 +69,14 @@ func NewWatchdog(stall uint64, out io.Writer) *Watchdog {
 	return &Watchdog{Stall: stall, Out: out, invCount: make(map[uint64]uint64)}
 }
 
-// Progress records that a processor retired an operation at now.
+// Progress records that a processor retired an operation at now. A
+// cycle no later than the last one recorded changes nothing, so lane
+// clocks can be folded in any order, on every tick, without re-arming
+// a stall report that already fired.
 func (w *Watchdog) Progress(now uint64) {
+	if now <= w.lastProgress {
+		return
+	}
 	w.lastProgress = now
 	w.fired = false
 }

@@ -19,7 +19,7 @@ func TestWatchdogJSONStall(t *testing.T) {
 	w.Dump = func(out io.Writer) { fmt.Fprintln(out, "machine state here") }
 	p := &Probe{Watchdog: w}
 
-	p.Progress(10)
+	w.Progress(10)
 	w.NoteInv(77)
 	w.NoteInv(77)
 	p.Tick(1500)

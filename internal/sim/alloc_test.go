@@ -17,7 +17,7 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
-			e.SetProbe(tc.probe)
+			e.SetTick(tc.probe)
 			var fired int
 			fn := func() { fired++ }
 			// Warm the heap's backing array.

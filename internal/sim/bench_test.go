@@ -67,9 +67,9 @@ func BenchmarkShardedScheduleRun(b *testing.B) {
 }
 
 // benchEmitSink is a minimal EmitReplayer: per-lane payload buffers
-// drained by the coordinator in merge order, mirroring what the
-// coherent machine does with obs.LaneBuffer but without any event
-// construction, so the benchmark isolates the kernel's emit seam.
+// drained by the coordinator in merge order, mirroring the coherent
+// machine's lane event buffers but without any event construction, so
+// the benchmark isolates the kernel's emit seam.
 type benchEmitSink struct {
 	bufs [][]uint64
 	sum  uint64

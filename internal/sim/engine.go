@@ -110,12 +110,12 @@ type Engine struct {
 	// that many events have fired.
 	MaxEvents uint64
 
-	// probe, when non-nil, observes the clock after every fired event.
+	// tick, when non-nil, observes the clock before every fired event.
 	// It must not schedule events or mutate engine state; the
 	// observability layer uses it to drive lazy samplers and stall
 	// checks without perturbing the timeline. The hot path pays one
 	// nil check when disabled (see BenchmarkEngineScheduleRun).
-	probe func(Time)
+	tick func(Time)
 }
 
 // ErrEventBudget is returned by Run when Engine.MaxEvents is exceeded.
@@ -155,8 +155,9 @@ func (e *Engine) At(t Time, fn func()) {
 // Stop makes Run return after the currently firing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetProbe installs (or, with nil, removes) the per-event observer.
-func (e *Engine) SetProbe(fn func(Time)) { e.probe = fn }
+// SetTick installs (or, with nil, removes) the per-event observer,
+// the sequential counterpart of Sharded.SetTick.
+func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 
 // Run fires events in timestamp order until the queue drains, Stop is
 // called, or the event budget is exhausted.
@@ -174,8 +175,8 @@ func (e *Engine) Run() error {
 		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
 			return ErrEventBudget
 		}
-		if e.probe != nil {
-			e.probe(e.now)
+		if e.tick != nil {
+			e.tick(e.now)
 		}
 		ev.fn()
 	}
@@ -202,8 +203,8 @@ func (e *Engine) RunUntil(deadline Time) (fired uint64, err error) {
 		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
 			return fired, ErrEventBudget
 		}
-		if e.probe != nil {
-			e.probe(e.now)
+		if e.tick != nil {
+			e.tick(e.now)
 		}
 		ev.fn()
 	}

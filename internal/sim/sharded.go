@@ -70,13 +70,17 @@ type EmitReplayer interface {
 	ReplayEmit(lane, idx int)
 }
 
-// NodeScheduler is the scheduling surface the network layer needs:
-// the current instant plus the ability to deliver a closure to a
-// specific node at an absolute time. Both Engine (node-oblivious) and
-// Sharded (routes to the owning lane) implement it.
+// NodeScheduler is the kernel surface shared by Engine (node-oblivious)
+// and Sharded (routes to the owning lane): the current instant, the
+// ability to deliver a closure to a specific node at an absolute time
+// (all the network layer needs), the observer tick, and the event
+// counts the coherence machine reports.
 type NodeScheduler interface {
 	Now() Time
 	AtNode(node int, t Time, fn func())
+	SetTick(fn func(Time))
+	Executed() uint64
+	Pending() int
 }
 
 // AtNode delivers fn at instant t; the sequential engine has a single

@@ -34,24 +34,17 @@ type ResultOrErr struct {
 // ran carry ctx's error. Experiments already in flight run to
 // completion (the kernel has no preemption points).
 func RunExperiments(ctx context.Context, exps []Experiment, parallelism int) []ResultOrErr {
-	return RunExperimentsProgress(ctx, exps, parallelism, nil)
+	return RunExperimentsLive(ctx, exps, parallelism, nil, nil)
 }
 
-// RunExperimentsProgress is RunExperiments with a completion callback:
-// onDone (when non-nil) is invoked once per experiment as it finishes,
-// with the grid index and the outcome. Callbacks are serialized (no
-// locking needed inside) but run from worker goroutines in completion
-// order, which is nondeterministic — use them for progress display,
-// not for anything the results depend on.
-func RunExperimentsProgress(ctx context.Context, exps []Experiment, parallelism int, onDone func(i int, r ResultOrErr)) []ResultOrErr {
-	return RunExperimentsLive(ctx, exps, parallelism, nil, onDone)
-}
-
-// RunExperimentsLive is RunExperimentsProgress with an additional
-// dispatch callback: onStart (when non-nil) runs as each experiment is
-// picked up by a worker, before it simulates. Like onDone, callbacks
-// are serialized under one mutex and run in nondeterministic dispatch
-// order — use them for telemetry, not for anything results depend on.
+// RunExperimentsLive is RunExperiments with dispatch and completion
+// callbacks: onStart (when non-nil) runs as each experiment is picked
+// up by a worker, before it simulates, and onDone (when non-nil) once
+// per experiment as it finishes, with the grid index and the outcome.
+// Callbacks are serialized under one mutex (no locking needed inside)
+// but run from worker goroutines in nondeterministic dispatch and
+// completion order — use them for progress display and telemetry, not
+// for anything the results depend on.
 func RunExperimentsLive(ctx context.Context, exps []Experiment, parallelism int, onStart func(i int), onDone func(i int, r ResultOrErr)) []ResultOrErr {
 	if ctx == nil {
 		ctx = context.Background()
