@@ -41,10 +41,11 @@ check: smoke
 	$(GO) test . -v -run 'TestShardedLargeP'
 
 # smoke is the differential fuzzer's CI tier: 200 seed-derived
-# workloads through all six engine families with the full-map oracle,
-# the mutant sensitivity test proving the harness catches a seeded
-# replacement bug, the sharded-kernel determinism oracle (the same
-# 200 seeds, every engine family sequential vs 4 shards, bit-exact
+# workloads through the six differential schemes (full-map oracle,
+# Dir2B, LimitLESS4, SCI, STP, Dir4Tree2), the mutant sensitivity test
+# proving the harness catches a seeded replacement bug, the
+# sharded-kernel determinism oracle (the same 200 seeds, all eight
+# scheme families sequential vs 4 shards, bit-exact
 # cycles/memory/read digests), and the chain-surgery adversarial sweep
 # (200 seeds of concurrent mid-chain eviction/re-attach/invalidation
 # races over the list and tree schemes). Budgeted at under a minute.

@@ -6,8 +6,9 @@
 //	coherencesim -app floyd -protocol Dir4Tree2 -procs 32 [-full] [-check]
 //	coherencesim -app mp3d -trace run.json -timeseries ts.csv -watchdog 200000
 //
-// Protocols: fm, L<i>/Dir<i>NB, B<i>/Dir<i>B, T<i>/Dir<i>Tree2,
-// Dir<i>Tree<k>, sll, sci, stp. Workloads: mp3d, lu, floyd, fft.
+// Protocols: fm, L<i>/Dir<i>NB, B<i>/Dir<i>B, LL<i>/LimitLESS<i>,
+// T<i>/Dir<i>Tree2, Dir<i>Tree<k>, sll, sci, stp. Workloads: mp3d, lu,
+// floyd, fft.
 //
 // -trace writes a Chrome trace-event file loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing; a path ending in .jsonl

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	stress -seed 42                  # one seed, all six engine families
+//	stress -seed 42                  # one seed, all six differential schemes
 //	stress -seed 1 -n 500            # seeds 1..500
 //	stress -duration 30s             # soak from -seed until the clock runs out
 //	stress -gen replacement-storm -p 16 -seed 7

@@ -7,18 +7,21 @@ import (
 
 func TestNewEngineSpellings(t *testing.T) {
 	cases := map[string]string{
-		"fm":        "fm",
-		"fullmap":   "fm",
-		"FM":        "fm",
-		"L4":        "Dir4NB",
-		"l1":        "Dir1NB",
-		"Dir8NB":    "Dir8NB",
-		"B2":        "Dir2B",
-		"Dir4B":     "Dir4B",
-		"T4":        "Dir4Tree2",
-		"t2":        "Dir2Tree2",
-		"Dir4Tree2": "Dir4Tree2",
-		"dir8tree4": "Dir8Tree4",
+		"fm":         "fm",
+		"fullmap":    "fm",
+		"FM":         "fm",
+		"L4":         "Dir4NB",
+		"l1":         "Dir1NB",
+		"Dir8NB":     "Dir8NB",
+		"B2":         "Dir2B",
+		"Dir4B":      "Dir4B",
+		"T4":         "Dir4Tree2",
+		"t2":         "Dir2Tree2",
+		"Dir4Tree2":  "Dir4Tree2",
+		"dir8tree4":  "Dir8Tree4",
+		"LL4":        "LimitLESS4",
+		"limitless2": "LimitLESS2",
+		"ll1":        "LimitLESS1",
 	}
 	for in, want := range cases {
 		eng, err := NewEngine(in)

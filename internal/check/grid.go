@@ -5,7 +5,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -143,7 +142,7 @@ func Grid() []GridEntry {
 		{Config: Config{Name: "fm-p3-conflict", NewEngine: func() coherent.Engine { return fullmap.New() }, Procs: 3, Blocks: 2, Program: progConflict()}, Wide: true},
 		{Config: Config{Name: "dir1b-p3", NewEngine: func() coherent.Engine { return limited.NewB(1) }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "dir2nb-p3", NewEngine: func() coherent.Engine { return limited.NewNB(2) }, Procs: 3, Blocks: 1, Program: progShare()}},
-		{Config: Config{Name: "ll2-p3", NewEngine: func() coherent.Engine { return limitless.New(2) }, Procs: 3, Blocks: 1, Program: progShare()}},
+		{Config: Config{Name: "ll2-p3", NewEngine: func() coherent.Engine { return limited.NewLimitLESS(2) }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "sll-p3", NewEngine: func() coherent.Engine { return list.NewSLL() }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "sci-p3", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "stp-p3", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 3, Blocks: 1, Program: progShare()}},
@@ -162,7 +161,7 @@ func Grid() []GridEntry {
 		{Config: Config{Name: "fm-p4-wide", NewEngine: func() coherent.Engine { return fullmap.New() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "dir2nb-p4-wide", NewEngine: func() coherent.Engine { return limited.NewNB(2) }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "dir2b-p4-wide", NewEngine: func() coherent.Engine { return limited.NewB(2) }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
-		{Config: Config{Name: "ll2-p4-wide", NewEngine: func() coherent.Engine { return limitless.New(2) }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
+		{Config: Config{Name: "ll2-p4-wide", NewEngine: func() coherent.Engine { return limited.NewLimitLESS(2) }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "sll-p4-wide", NewEngine: func() coherent.Engine { return list.NewSLL() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "sci-p4-wide", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "stp-p4-wide", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},

@@ -122,6 +122,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// PointerBits is ⌈log2 Procs⌉, but never 0: even a 1-node machine
+// spends a bit per directory pointer in the size formulas.
+func TestPointerBits(t *testing.T) {
+	for procs, want := range map[int]int64{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 32: 5, 33: 6, 64: 6} {
+		if got := DefaultConfig(procs).PointerBits(); got != want {
+			t.Errorf("PointerBits at P=%d = %d, want %d", procs, got, want)
+		}
+	}
+}
+
 func TestNewMachineRejectsBadInput(t *testing.T) {
 	if _, err := NewMachine(DefaultConfig(0), newFake()); err == nil {
 		t.Error("bad config accepted")

@@ -129,3 +129,14 @@ func (c Config) CacheLines() int { return c.CacheBytes / c.BlockBytes }
 
 // CacheAssoc returns the ways per set.
 func (c Config) CacheAssoc() int { return c.CacheLines() / c.CacheSets }
+
+// PointerBits returns the width of a directory pointer naming one of
+// Procs nodes, ⌈log2 Procs⌉ bits and at least 1: the log n of the
+// directory-size formulas behind each engine's DirectoryBits.
+func (c Config) PointerBits() int64 {
+	l := int64(1)
+	for 1<<l < c.Procs {
+		l++
+	}
+	return l
+}

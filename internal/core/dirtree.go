@@ -818,19 +818,8 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 // pointers).
 func (e *Engine) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	logn := int64(ceilLog2(cfg.Procs))
+	logn := cfg.PointerBits()
 	dirBits := int64(blocksPerNode) * n * 2 * int64(e.ptrs) * logn
 	cacheBits := int64(cfg.CacheLines()) * n * int64(e.arity) * logn
 	return dirBits + cacheBits
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
 }

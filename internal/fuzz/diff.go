@@ -7,7 +7,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -21,14 +20,14 @@ type NamedEngine struct {
 	New  func() coherent.Engine
 }
 
-// AllEngines returns the six-family differential set — one
-// representative per protocol family of the repository, full-map
-// first as the oracle.
+// AllEngines returns the six-scheme differential set, full-map first
+// as the oracle: then Dir2B and LimitLESS4 (two overflow policies of
+// the one limited engine), SCI, STP and Dir4Tree2.
 func AllEngines() []NamedEngine {
 	return []NamedEngine{
 		{"fm", func() coherent.Engine { return fullmap.New() }},
 		{"Dir2B", func() coherent.Engine { return limited.NewB(2) }},
-		{"LimitLESS4", func() coherent.Engine { return limitless.New(4) }},
+		{"LimitLESS4", func() coherent.Engine { return limited.NewLimitLESS(4) }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},
 		{"stp", func() coherent.Engine { return stp.New() }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},

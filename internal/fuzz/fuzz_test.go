@@ -8,7 +8,7 @@ import "testing"
 // fresh seeds. Everything downstream of the seed is deterministic, so
 // a crasher reproduces from its corpus file alone.
 
-// FuzzDifferential drives the six-family engine set from a bare seed:
+// FuzzDifferential drives the six-scheme engine set from a bare seed:
 // the workload, generator and machine size all derive from it.
 func FuzzDifferential(f *testing.F) {
 	for _, seed := range corpusSeeds {

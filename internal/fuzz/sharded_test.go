@@ -7,7 +7,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -22,7 +21,7 @@ func shardSafeEngines() []NamedEngine {
 		{"fm", func() coherent.Engine { return fullmap.New() }},
 		{"Dir2B", func() coherent.Engine { return limited.NewB(2) }},
 		{"Dir4NB", func() coherent.Engine { return limited.NewNB(4) }},
-		{"LimitLESS4", func() coherent.Engine { return limitless.New(4) }},
+		{"LimitLESS4", func() coherent.Engine { return limited.NewLimitLESS(4) }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},
 		{"stp", func() coherent.Engine { return stp.New() }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSmokeDifferential is the time-boxed CI tier: 200 seed-derived
-// workloads through all six engine families (machine sizes up to
+// workloads through all six differential schemes (machine sizes up to
 // P=32), every one of which must agree with the full-map oracle. The
 // whole sweep must stay inside a minute — it runs on every `make
 // check`.

@@ -29,12 +29,11 @@ func TestLaneGuardCertifiesEngines(t *testing.T) {
 		t.Skip("builds the module for export data")
 	}
 	want := map[string][]string{
-		"dircc/internal/protocol/fullmap":   {"Engine"},
-		"dircc/internal/protocol/limited":   {"Engine"},
-		"dircc/internal/protocol/limitless": {"Engine"},
-		"dircc/internal/protocol/list":      {"SCI", "SLL"},
-		"dircc/internal/protocol/stp":       {"Engine"},
-		"dircc/internal/core":               {"Engine"},
+		"dircc/internal/protocol/fullmap": {"Engine"},
+		"dircc/internal/protocol/limited": {"Engine"},
+		"dircc/internal/protocol/list":    {"SCI", "SLL"},
+		"dircc/internal/protocol/stp":     {"Engine"},
+		"dircc/internal/core":             {"Engine"},
 	}
 	var paths []string
 	for p := range want {

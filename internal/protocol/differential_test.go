@@ -16,7 +16,6 @@ import (
 	"dircc/internal/proc"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -27,7 +26,7 @@ func allEngines() map[string]func() coherent.Engine {
 		"Dir1NB":     func() coherent.Engine { return limited.NewNB(1) },
 		"Dir4NB":     func() coherent.Engine { return limited.NewNB(4) },
 		"Dir2B":      func() coherent.Engine { return limited.NewB(2) },
-		"LimitLESS4": func() coherent.Engine { return limitless.New(4) },
+		"LimitLESS4": func() coherent.Engine { return limited.NewLimitLESS(4) },
 		"Dir1Tree2":  func() coherent.Engine { return core.New(1, 2) },
 		"Dir4Tree2":  func() coherent.Engine { return core.New(4, 2) },
 		"sll":        func() coherent.Engine { return list.NewSLL() },

@@ -1,5 +1,8 @@
-// Package limited implements the limited directory protocols Dir_iNB
-// and Dir_iB: each block's home holds at most i node pointers.
+// Package limited implements the limited directory protocols Dir_iNB,
+// Dir_iB and LimitLESS_i as one engine: each block's home holds at most
+// i node pointers, and the three schemes differ only in what a read
+// does once those pointers are full — the family the paper's Tables 1
+// and 2 compare.
 //
 // Dir_iNB (non-broadcast) handles pointer overflow by evicting one of
 // the recorded copies: the home invalidates a round-robin victim
@@ -11,13 +14,25 @@
 // Dir_iB (broadcast) instead sets an overflow bit; a subsequent write
 // miss must broadcast invalidations to every node in the machine and
 // collect n-1 acknowledgments.
+//
+// LimitLESS_i, the software-extended directory of Chaiken, Kubiatowicz
+// and Agarwal (ASPLOS-IV 1991), interrupts the processor at the home,
+// which spills the excess pointer to a software-managed table in
+// normal memory. Every sharer stays recorded, as in the full map, but
+// each trap to software costs TrapCycles at the home, charged when a
+// pointer spills and again when a write miss must consult the software
+// table to invalidate the spilled sharers. That software-handler delay
+// is the scheme's disadvantage the paper cites ("2P+2 plus (P-4)
+// software handler delay" for LimitLESS_4).
 package limited
 
 import (
 	"fmt"
+	"slices"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
+	"dircc/internal/sim"
 )
 
 type dirState uint8
@@ -42,10 +57,11 @@ func (s dirState) String() string {
 
 type entry struct {
 	state     dirState
-	ptrs      []coherent.NodeID // at most i recorded sharers
+	ptrs      []coherent.NodeID // at most i recorded sharers, in insertion order
 	owner     coherent.NodeID
-	broadcast bool // Dir_iB overflow bit
-	rr        int  // Dir_iNB round-robin eviction cursor
+	broadcast bool              // Dir_iB overflow bit
+	rr        int               // Dir_iNB round-robin eviction cursor
+	spill     []coherent.NodeID // LimitLESS software-extended pointers, sorted
 	pend      *pending
 }
 
@@ -65,11 +81,21 @@ type pending struct {
 	acksLeft int
 }
 
-// Engine implements Dir_iNB or Dir_iB for one machine.
+// overflow is what a read does once a block's i pointers are full.
+type overflow uint8
+
+const (
+	overflowEvict     overflow = iota // Dir_iNB
+	overflowBroadcast                 // Dir_iB
+	overflowSpill                     // LimitLESS_i
+)
+
+// Engine implements Dir_iNB, Dir_iB or LimitLESS_i for one machine.
 type Engine struct {
-	ptrs      int
-	broadcast bool
-	m         *coherent.Machine
+	ptrs     int
+	overflow overflow
+	trap     sim.Time // LimitLESS software-handler cost per trap
+	m        *coherent.Machine
 }
 
 // NewNB returns a Dir_iNB engine with the given pointer count.
@@ -83,20 +109,48 @@ func NewNB(i int) *Engine {
 // NewB returns a Dir_iB engine with the given pointer count.
 func NewB(i int) *Engine {
 	e := NewNB(i)
-	e.broadcast = true
+	e.overflow = overflowBroadcast
 	return e
 }
 
-// Name implements coherent.Engine ("Dir4NB", "Dir2B", ...).
+// DefaultTrapCycles is the software-handler cost charged per directory
+// trap (pointer spill, or reading the spilled set on a write miss).
+// LimitLESS on Alewife reported full-map-normalized overheads consistent
+// with a few tens of cycles per trap on a 33 MHz Sparcle; 50 cycles is
+// a representative value at this simulator's scale.
+const DefaultTrapCycles sim.Time = 50
+
+// NewLimitLESS returns a LimitLESS_i engine with the default trap cost.
+func NewLimitLESS(i int) *Engine { return NewLimitLESSWithTrap(i, DefaultTrapCycles) }
+
+// NewLimitLESSWithTrap returns a LimitLESS_i engine with an explicit
+// software trap cost in cycles.
+func NewLimitLESSWithTrap(i int, trap sim.Time) *Engine {
+	e := NewNB(i)
+	if trap < 1 {
+		panic(fmt.Sprintf("limited: trap cost must be >= 1 cycle, got %d", trap))
+	}
+	e.overflow, e.trap = overflowSpill, trap
+	return e
+}
+
+// Name implements coherent.Engine ("Dir4NB", "Dir2B", "LimitLESS4", ...).
 func (e *Engine) Name() string {
-	if e.broadcast {
+	switch e.overflow {
+	case overflowBroadcast:
 		return fmt.Sprintf("Dir%dB", e.ptrs)
+	case overflowSpill:
+		return fmt.Sprintf("LimitLESS%d", e.ptrs)
 	}
 	return fmt.Sprintf("Dir%dNB", e.ptrs)
 }
 
 // Pointers returns i.
 func (e *Engine) Pointers() int { return e.ptrs }
+
+// TrapCycles returns the LimitLESS software-handler cost (0 for Dir_iNB
+// and Dir_iB).
+func (e *Engine) TrapCycles() sim.Time { return e.trap }
 
 // Prepare implements coherent.Preparer: directory records live in the
 // machine's per-home-node dir storage, so each record is only ever
@@ -113,20 +167,14 @@ func (e *Engine) entry(b coherent.BlockID) *entry {
 }
 
 func (en *entry) recorded(n coherent.NodeID) bool {
-	for _, p := range en.ptrs {
-		if p == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(en.ptrs, n) || slices.Contains(en.spill, n)
 }
 
 func (en *entry) drop(n coherent.NodeID) {
-	for i, p := range en.ptrs {
-		if p == n {
-			en.ptrs = append(en.ptrs[:i], en.ptrs[i+1:]...)
-			return
-		}
+	if i := slices.Index(en.ptrs, n); i >= 0 {
+		en.ptrs = slices.Delete(en.ptrs, i, i+1)
+	} else if i := slices.Index(en.spill, n); i >= 0 {
+		en.spill = slices.Delete(en.spill, i, i+1)
 	}
 }
 
@@ -174,40 +222,54 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 // admitRead records the requester, handling pointer overflow per the
-// scheme variant, then serves the data.
+// engine's policy, then serves the data.
 func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
-	home := m.Home(b)
+	home := m.Home(msg.Block)
+	trap := sim.Time(0)
 	switch {
 	case en.recorded(msg.Requester):
 		// Re-read after a silent replacement; pointer already present.
 	case len(en.ptrs) < e.ptrs:
 		en.ptrs = append(en.ptrs, msg.Requester)
-	case e.broadcast:
+	case e.overflow == overflowBroadcast:
 		// Dir_iB: set the overflow bit; the copy is unrecorded.
 		en.broadcast = true
-		m.CtrAt(home).PointerEvicts++ // counts overflow events for both variants
+		m.CtrAt(home).PointerEvicts++ // counts overflow events for every policy
+	case e.overflow == overflowSpill:
+		// LimitLESS: the home's processor traps to software and spills
+		// the new pointer.
+		i, _ := slices.BinarySearch(en.spill, msg.Requester)
+		en.spill = slices.Insert(en.spill, i, msg.Requester)
+		m.CtrAt(home).PointerEvicts++
+		trap = e.trap
 	default:
 		// Dir_iNB: invalidate a round-robin victim pointer first.
 		victim := en.ptrs[en.rr%len(en.ptrs)]
 		en.rr++
 		m.CtrAt(home).PointerEvicts++
-		m.CtrAt(home).Invalidations++
 		en.pend = &pending{req: msg, stage: stageEvict, acksLeft: 1, wbFrom: coherent.NoNode}
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgInv, Src: home, Dst: victim, Block: b,
-			Requester: msg.Requester, Aux: coherent.NoNode,
-		})
+		sendInvs(m, msg, victim)
 		return
 	}
-	e.serveRead(m, en, msg)
+	e.serveRead(m, en, msg, trap)
 }
 
-func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
+// serveRead replies with the data. LimitLESS replies from its directory
+// handler at the home, trap cycles later: a hop taken on every read,
+// zero cycles long when nothing spilled.
+func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg, trap sim.Time) {
 	if en.state == uncached {
 		en.state = shared
 	}
+	if e.overflow == overflowSpill {
+		m.ScheduleAt(m.Home(msg.Block), trap, func() { sendData(m, msg) })
+		return
+	}
+	sendData(m, msg)
+}
+
+func sendData(m *coherent.Machine, msg *coherent.Msg) {
+	b := msg.Block
 	m.ReadMem(b, func() {
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
@@ -217,40 +279,56 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	})
 }
 
-// startInvalidation launches the write-miss invalidation round.
+// startInvalidation launches the write-miss invalidation round. Dir_iNB
+// and Dir_iB send it at once, in pointer order, or to every other node
+// once the Dir_iB overflow bit is set. LimitLESS sends it node-sorted
+// from its directory handler, which first reads the software table if
+// pointers spilled: one trap plus a quarter trap per spilled sharer,
+// the "(P-4) software handler delay" of the paper's Table 1.
 func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
-	home := m.Home(b)
-	pend := &pending{req: msg, stage: stageInv, wbFrom: coherent.NoNode}
-	en.pend = pend
+	home := m.Home(msg.Block)
+	var targets []coherent.NodeID
 	if en.broadcast {
 		m.CtrAt(home).Broadcasts++
-		for n := 0; n < m.Cfg.Procs; n++ {
-			if coherent.NodeID(n) == msg.Requester {
-				continue
-			}
-			pend.acksLeft++
-			m.CtrAt(home).Invalidations++
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgInv, Src: home, Dst: coherent.NodeID(n), Block: b,
-				Requester: msg.Requester, Aux: coherent.NoNode,
-			})
+		targets = make([]coherent.NodeID, m.Cfg.Procs)
+		for n := range targets {
+			targets[n] = coherent.NodeID(n)
 		}
 	} else {
-		for _, n := range en.ptrs {
-			if n == msg.Requester {
-				continue
-			}
-			pend.acksLeft++
-			m.CtrAt(home).Invalidations++
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
-				Requester: msg.Requester, Aux: coherent.NoNode,
-			})
-		}
+		targets = slices.Concat(en.ptrs, en.spill)
 	}
-	if pend.acksLeft == 0 {
+	targets = slices.DeleteFunc(targets, func(n coherent.NodeID) bool { return n == msg.Requester })
+	if len(targets) == 0 {
 		e.grantWrite(m, en, msg)
+		return
+	}
+	en.pend = &pending{req: msg, stage: stageInv, wbFrom: coherent.NoNode, acksLeft: len(targets)}
+	if e.overflow != overflowSpill {
+		sendInvs(m, msg, targets...)
+		return
+	}
+	slices.Sort(targets)
+	delay := sim.Time(0)
+	spilled := len(en.spill)
+	if slices.Contains(en.spill, msg.Requester) {
+		spilled--
+	}
+	if spilled > 0 {
+		m.CtrAt(home).Broadcasts++ // counts software-assisted invalidation rounds
+		delay = e.trap + sim.Time(spilled)*e.trap/4
+	}
+	m.ScheduleAt(home, delay, func() { sendInvs(m, msg, targets...) })
+}
+
+// sendInvs sends the home's invalidations on behalf of msg's requester.
+func sendInvs(m *coherent.Machine, msg *coherent.Msg, targets ...coherent.NodeID) {
+	home := m.Home(msg.Block)
+	for _, n := range targets {
+		m.CtrAt(home).Invalidations++
+		m.Send(&coherent.Msg{
+			Type: coherent.MsgInv, Src: home, Dst: n, Block: msg.Block,
+			Requester: msg.Requester, Aux: coherent.NoNode,
+		})
 	}
 }
 
@@ -261,6 +339,7 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	en.owner = msg.Requester
 	en.ptrs = []coherent.NodeID{msg.Requester}
 	en.broadcast = false
+	en.spill = nil
 	m.ReadMem(b, func() {
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
@@ -290,7 +369,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			en.drop(msg.Src)
 			en.ptrs = append(en.ptrs, p.req.Requester)
 			en.pend = nil
-			e.serveRead(m, en, p.req)
+			e.serveRead(m, en, p.req, 0)
 		case stageInv:
 			e.grantWrite(m, en, p.req)
 		default:
@@ -303,7 +382,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			en.state = shared
-			if len(en.ptrs) == 0 && !en.broadcast {
+			if len(en.ptrs) == 0 && len(en.spill) == 0 && !en.broadcast {
 				en.state = uncached
 			}
 		}
@@ -390,7 +469,12 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 	if en == nil {
 		return "uncached (no entry)"
 	}
-	s := fmt.Sprintf("%s owner=%d ptrs=%v broadcast=%v", en.state, en.owner, en.ptrs, en.broadcast)
+	var s string
+	if e.overflow == overflowSpill {
+		s = fmt.Sprintf("%s owner=%d hw=%v sw=%v", en.state, en.owner, en.ptrs, en.spill)
+	} else {
+		s = fmt.Sprintf("%s owner=%d ptrs=%v broadcast=%v", en.state, en.owner, en.ptrs, en.broadcast)
+	}
 	if p := en.pend; p != nil {
 		s += fmt.Sprintf(" pending{%s from %d, stage=%d, wbFrom=%d, acksLeft=%d}",
 			p.req.Type, p.req.Requester, p.stage, p.wbFrom, p.acksLeft)
@@ -399,19 +483,9 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 }
 
 // DirectoryBits implements coherent.Engine using the paper's
-// B·i·n·log n formula plus one state bit per block.
+// B·i·n·log n: i pointers per block at each of the n homes. No state
+// bits are counted, nor the LimitLESS software table, which lives in
+// ordinary memory.
 func (e *Engine) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
-	n := int64(cfg.Procs)
-	return int64(blocksPerNode) * n * int64(e.ptrs) * int64(ceilLog2(cfg.Procs)) // pointers
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
+	return int64(blocksPerNode) * int64(cfg.Procs) * int64(e.ptrs) * cfg.PointerBits()
 }

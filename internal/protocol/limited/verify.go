@@ -3,6 +3,7 @@ package limited
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dircc/internal/coherent"
 )
@@ -17,11 +18,11 @@ func (e *Engine) CanonState(w io.Writer) {
 		if !ok {
 			continue
 		}
-		if en.state == uncached && len(en.ptrs) == 0 && en.owner == coherent.NoNode &&
+		if en.state == uncached && len(en.ptrs) == 0 && len(en.spill) == 0 && en.owner == coherent.NoNode &&
 			!en.broadcast && en.rr == 0 && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d ptrs%v bc%v rr%d", b, en.state, en.owner, en.ptrs, en.broadcast, en.rr)
+		fmt.Fprintf(w, "dir b%d %s owner%d ptrs%v sw%v bc%v rr%d", b, en.state, en.owner, en.ptrs, en.spill, en.broadcast, en.rr)
 		if p := en.pend; p != nil {
 			fmt.Fprintf(w, " pend{%s stage%d wb%d acks%d}", p.req.Canon(), p.stage, p.wbFrom, p.acksLeft)
 		}
@@ -31,7 +32,8 @@ func (e *Engine) CanonState(w io.Writer) {
 
 // CoverageRoots implements coherent.CoverageEnumerator. With the
 // Dir_iB overflow bit set, copies are unrecorded by design and any
-// node may legally hold one.
+// node may legally hold one; otherwise the pointers, the LimitLESS
+// spilled set and the owner together record every copy.
 func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []coherent.NodeID {
 	en, _ := m.Dir(b).(*entry)
 	if en == nil {
@@ -44,7 +46,7 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 		}
 		return all
 	}
-	roots := append([]coherent.NodeID(nil), en.ptrs...)
+	roots := slices.Concat(en.ptrs, en.spill)
 	if en.owner != coherent.NoNode {
 		roots = append(roots, en.owner)
 	}

@@ -744,6 +744,6 @@ func (e *SCI) DescribeBlock(b coherent.BlockID) string {
 // block plus forward and backward pointers per cache line.
 func (e *SCI) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	logn := int64(ceilLog2(cfg.Procs))
+	logn := cfg.PointerBits()
 	return (int64(blocksPerNode) + 2*int64(cfg.CacheLines())) * n * logn
 }

@@ -499,17 +499,6 @@ func (e *SLL) DescribeBlock(b coherent.BlockID) string {
 // one pointer per memory block at the home plus one per cache line.
 func (e *SLL) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	logn := int64(ceilLog2(cfg.Procs))
+	logn := cfg.PointerBits()
 	return (int64(blocksPerNode) + int64(cfg.CacheLines())) * n * logn
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
 }

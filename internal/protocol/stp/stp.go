@@ -602,17 +602,6 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 // latest) per block plus two child pointers and counts per cache line.
 func (e *Engine) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	logn := int64(ceilLog2(cfg.Procs))
+	logn := cfg.PointerBits()
 	return int64(blocksPerNode)*n*2*logn + int64(cfg.CacheLines())*n*2*2*logn
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
 }

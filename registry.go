@@ -10,7 +10,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -40,12 +39,12 @@ func NewEngine(name string) (Engine, error) {
 	}
 	if rest, ok := strings.CutPrefix(n, "limitless"); ok {
 		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limitless.New(i), nil
+			return limited.NewLimitLESS(i), nil
 		}
 	}
 	if rest, ok := strings.CutPrefix(n, "ll"); ok {
 		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limitless.New(i), nil
+			return limited.NewLimitLESS(i), nil
 		}
 	}
 	if rest, ok := strings.CutPrefix(n, "l"); ok {
@@ -92,7 +91,7 @@ func NewEngine(name string) (Engine, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("dircc: unknown protocol %q (try fm, L4, B4, T4, Dir4Tree2, sll, sci, stp)", name)
+	return nil, fmt.Errorf("dircc: unknown protocol %q (try fm, L4, B4, LL4, T4, Dir4Tree2, sll, sci, stp)", name)
 }
 
 // extraEngines maps the linked-list and balanced-tree baselines.
