@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet race bench perf perf-shards perfbench sweep cover lint check smoke fuzz stress clean
+.PHONY: all build test tier1 vet race bench perf perf-shards perfbench sweep cover lines lint check smoke fuzz stress clean
 
 all: tier1
 
@@ -42,7 +42,9 @@ check: smoke
 
 # smoke is the differential fuzzer's CI tier: 200 seed-derived
 # workloads through the six differential schemes (full-map oracle,
-# Dir2B, LimitLESS4, SCI, STP, Dir4Tree2), the mutant sensitivity test
+# Dir2B, LimitLESS4, SCI, STP, Dir4Tree2; five engines, Dir2B and
+# LimitLESS4 sharing the limited engine, STP and Dir4Tree2 sharing
+# internal/core's wave and teardown), the mutant sensitivity test
 # proving the harness catches a seeded replacement bug, the
 # sharded-kernel determinism oracle (the same 200 seeds, all eight
 # scheme families sequential vs 4 shards, bit-exact
@@ -112,6 +114,14 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 25
 	@echo "full per-function report: go tool cover -func=coverage.out"
 	@echo "HTML report:              go tool cover -html=coverage.out"
+
+# lines prints the size a simplicity change reports: tracked non-test Go
+# lines outside testdata/ and perfbench/, then the same lines without
+# blank and comment-only ones. Stage new files first (git ls-files).
+GOSRC = git ls-files '*.go' | grep -v '_test\.go$$' | grep -v /testdata/ | grep -v '^perfbench/' | xargs cat
+lines:
+	@printf 'non-test Go lines: %s\n' "$$($(GOSRC) | wc -l)"
+	@printf 'without blank and comment-only lines: %s\n' "$$($(GOSRC) | grep -cvE '^[[:space:]]*(//.*)?$$')"
 
 # clean removes generated artifacts.
 clean:

@@ -6,7 +6,6 @@ import (
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
 	"dircc/internal/protocol/list"
-	"dircc/internal/protocol/stp"
 )
 
 // The standard programs. Write values are unique across each program
@@ -145,7 +144,7 @@ func Grid() []GridEntry {
 		{Config: Config{Name: "ll2-p3", NewEngine: func() coherent.Engine { return limited.NewLimitLESS(2) }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "sll-p3", NewEngine: func() coherent.Engine { return list.NewSLL() }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "sci-p3", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 3, Blocks: 1, Program: progShare()}},
-		{Config: Config{Name: "stp-p3", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 3, Blocks: 1, Program: progShare()}},
+		{Config: Config{Name: "stp-p3", NewEngine: func() coherent.Engine { return core.NewSTP() }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "tree1x2-p3", NewEngine: func() coherent.Engine { return core.New(1, 2) }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "tree2x2-p3", NewEngine: func() coherent.Engine { return core.New(2, 2) }, Procs: 3, Blocks: 1, Program: progShare()}},
 		{Config: Config{Name: "tree1x3-p3", NewEngine: func() coherent.Engine { return core.New(1, 3) }, Procs: 3, Blocks: 1, Program: progShare()}},
@@ -164,7 +163,7 @@ func Grid() []GridEntry {
 		{Config: Config{Name: "ll2-p4-wide", NewEngine: func() coherent.Engine { return limited.NewLimitLESS(2) }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "sll-p4-wide", NewEngine: func() coherent.Engine { return list.NewSLL() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		{Config: Config{Name: "sci-p4-wide", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
-		{Config: Config{Name: "stp-p4-wide", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
+		{Config: Config{Name: "stp-p4-wide", NewEngine: func() coherent.Engine { return core.NewSTP() }, Procs: 4, Blocks: 1, Program: progWide(4)}, Wide: true},
 		// Replacement-race regressions distilled from fuzzer-found
 		// divergences (see the program comments above for the bug each
 		// one originally caught).
@@ -172,8 +171,8 @@ func Grid() []GridEntry {
 		{Config: Config{Name: "sci-p4-conflict-storm", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 2, Program: progConflictStorm(), MaxStates: 2_000_000}, Wide: true},
 		{Config: Config{Name: "sci-p4-dirty-evict", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 2, Program: progDirtyEvict(), MaxStates: 2_000_000}, Wide: true},
 		{Config: Config{Name: "sci-p4-purge-replace", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 2, Program: progPurgeReplace(), MaxStates: 2_000_000}, Wide: true},
-		{Config: Config{Name: "stp-p4-dirty-evict", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 4, Blocks: 2, Program: progDirtyEvict(), MaxStates: 2_000_000}, Wide: true},
-		{Config: Config{Name: "stp-p4-write-reread", NewEngine: func() coherent.Engine { return stp.New() }, Procs: 4, Blocks: 2, Program: progWriteReread(), MaxStates: 8_000_000}, Wide: true},
+		{Config: Config{Name: "stp-p4-dirty-evict", NewEngine: func() coherent.Engine { return core.NewSTP() }, Procs: 4, Blocks: 2, Program: progDirtyEvict(), MaxStates: 2_000_000}, Wide: true},
+		{Config: Config{Name: "stp-p4-write-reread", NewEngine: func() coherent.Engine { return core.NewSTP() }, Procs: 4, Blocks: 2, Program: progWriteReread(), MaxStates: 8_000_000}, Wide: true},
 		{Config: Config{Name: "sci-p4-write-reread", NewEngine: func() coherent.Engine { return list.NewSCI() }, Procs: 4, Blocks: 2, Program: progWriteReread(), MaxStates: 8_000_000}, Wide: true},
 	}
 }

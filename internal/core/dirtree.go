@@ -1,12 +1,18 @@
-// Package core implements the paper's contribution: the Dir_iTree_k
-// hybrid cache coherence protocol.
+// Package core implements the paper's tree-based coherence engines: its
+// contribution, the Dir_iTree_k hybrid protocol (Engine), and the
+// Scalable Tree Protocol baseline it is compared against (STP, see
+// stp.go). Both keep one directory per block at its home and forward
+// child pointers in the cache lines, and both embed forest, the one
+// copy of the cache-side tree machinery: invalidation waves, subtree
+// teardown on replacement, the victim buffer, and their model-checker
+// hooks.
 //
-// The home directory of every block holds up to i pointers, each
-// recording the root of a k-ary tree of caches holding the block; each
-// cache line holds up to k forward child pointers. Read misses cost two
-// messages like a limited directory — the home serves the data and, on
-// pointer overflow, hands the requester one or two existing roots to
-// adopt as children (the paper's Figure 6):
+// In Dir_iTree_k the home directory of every block holds up to i
+// pointers, each recording the root of a k-ary tree of caches holding
+// the block; each cache line holds up to k forward child pointers. Read
+// misses cost two messages like a limited directory — the home serves
+// the data and, on pointer overflow, hands the requester one or two
+// existing roots to adopt as children (the paper's Figure 6):
 //
 //	case 1: the requester is already recorded — serve, no change;
 //	case 2: a pointer slot is free — record the requester at level 1;
@@ -17,16 +23,18 @@
 //	        only child and that slot is re-pointed at level l+1.
 //
 // Write misses tear the trees down in parallel: the home sends one Inv
-// per root, invalidations fan down the trees, acknowledgments aggregate
-// bottom-up, and each odd-indexed root acknowledges to its even-indexed
-// sibling instead of the home, so the home receives at most ceil(m/2)
-// acknowledgments for m roots (the paper's Figure 7 optimization).
+// per root, invalidations fan down the trees (forest.onInv),
+// acknowledgments aggregate bottom-up, and each odd-indexed root
+// acknowledges to its even-indexed sibling instead of the home, so the
+// home receives at most ceil(m/2) acknowledgments for m roots (the
+// paper's Figure 7 optimization).
 //
-// Replacement of a valid line silently tears down the subtree below it
-// with unacknowledged Replace_INV messages and never informs the home;
-// the resulting dangling pointers are tolerated by having every cache
-// acknowledge every Inv it receives, forwarding to children only on the
-// Valid/Exclusive -> Invalid transition.
+// In both engines replacement of a valid line silently tears down the
+// subtree below it with unacknowledged Replace_INV messages and never
+// informs the home (forest.OnEvict); the resulting dangling pointers
+// are tolerated by having every cache acknowledge every Inv it
+// receives, forwarding to children only on the Valid/Exclusive ->
+// Invalid transition.
 package core
 
 import (
@@ -44,6 +52,18 @@ const (
 	shared
 	dirty
 )
+
+func (s dirState) String() string {
+	switch s {
+	case uncached:
+		return "uncached"
+	case shared:
+		return "shared"
+	case dirty:
+		return "dirty"
+	}
+	return fmt.Sprintf("dirState(%d)", uint8(s))
+}
 
 // slot is one directory pointer: a tree root and that tree's height.
 type slot struct {
@@ -79,70 +99,13 @@ type treeMeta struct {
 	children []coherent.NodeID
 }
 
-// aggKey identifies one node's position in one invalidation wave.
-type aggKey struct {
-	n coherent.NodeID
-	b coherent.BlockID
-}
-
-// agg tracks bottom-up acknowledgment aggregation at a cache. Sibling
-// acks may arrive before the node's own Inv (the paths differ), so
-// left can go negative while !armed.
-type agg struct {
-	armed bool
-	left  int
-	to    coherent.NodeID
-	toDir bool
-	// req is the writer whose wave this aggregation belongs to, carried
-	// onto the aggregated ack for latency attribution (not on the wire:
-	// Msg.Bytes ignores Requester).
-	req coherent.NodeID
-	// extra holds additional acknowledgment obligations folded into this
-	// aggregation: when the home's SibAck-bearing root Inv lands on an
-	// aggregation another in-edge of the same wave already armed, its
-	// destination waits here until the whole aggregation drains (see
-	// onInv).
-	extra []ackDest
-}
-
-// ackDest is one folded acknowledgment obligation: where the aggregated
-// ack must go and on whose behalf.
-type ackDest struct {
-	to    coherent.NodeID
-	toDir bool
-	req   coherent.NodeID
-}
-
-// Engine implements Dir_iTree_k for one machine. All mutable state is
-// lane-partitioned for the sharded kernel: directory entries live in
-// the machine's per-home dir storage (bound at Prepare), and the
-// per-cache aggregation/victim-buffer records are slices indexed by
-// the owning node, so every handler touches only its own slot.
+// Engine implements Dir_iTree_k for one machine. Its cache-side state
+// is the embedded forest's.
 type Engine struct {
+	forest
 	ptrs  int // i
 	arity int // k
 	opts  Options
-	// m is the bound machine (coherent.Preparer); directory entries
-	// are reached through m.Dir/m.SetDir so they are home-resident.
-	m *coherent.Machine
-	// aggs[n] tracks node n's bottom-up ack aggregations, keyed by
-	// block. Only node n's lane reads or writes aggs[n].
-	aggs []map[coherent.BlockID]*agg
-	// tombs[n] retains the child pointers of node n's lines that died
-	// without acknowledged coverage (replacement, Replace_INV) — a
-	// small victim buffer. An ack-bearing Inv reaching such a dead node
-	// routes down the tombstone so a write wave racing an in-flight
-	// teardown still covers (and waits for) every copy below; per-pair
-	// FIFO delivery guarantees the teardown precedes the wave on each
-	// edge. This closes a sequential-consistency hole the paper's
-	// silent replacement scheme leaves open (see DESIGN.md §4.2).
-	tombs []map[coherent.BlockID][]coherent.NodeID
-	// torn is verification-only ghost state: blocks that have ever had
-	// a replacement teardown at node n, where dangling child pointers
-	// make strict acyclicity inapplicable (see CheckShape, which reads
-	// the union over nodes at quiesce). It never influences protocol
-	// behavior.
-	torn []map[coherent.BlockID]bool
 }
 
 // Options tune protocol variants for ablation studies and extensions.
@@ -181,22 +144,6 @@ func New(i, k int) *Engine {
 		panic(fmt.Sprintf("core: tree arity must be >= 1, got %d", k))
 	}
 	return &Engine{ptrs: i, arity: k}
-}
-
-// Prepare implements coherent.Preparer: directory entries live in the
-// machine's per-home dir storage and the per-cache records in slices
-// indexed by node, which is what makes the engine's state lane-local
-// under the sharded kernel.
-func (e *Engine) Prepare(m *coherent.Machine) {
-	e.m = m
-	e.aggs = make([]map[coherent.BlockID]*agg, m.Cfg.Procs)
-	e.tombs = make([]map[coherent.BlockID][]coherent.NodeID, m.Cfg.Procs)
-	e.torn = make([]map[coherent.BlockID]bool, m.Cfg.Procs)
-	for i := 0; i < m.Cfg.Procs; i++ {
-		e.aggs[i] = make(map[coherent.BlockID]*agg)
-		e.tombs[i] = make(map[coherent.BlockID][]coherent.NodeID)
-		e.torn[i] = make(map[coherent.BlockID]bool)
-	}
 }
 
 // Name implements coherent.Engine ("Dir4Tree2", ...).
@@ -297,11 +244,7 @@ func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		m.TraceDir(b, fmt.Sprintf("reader %d adopts %v, %d roots", req, handoff, len(en.slots)))
 	}
 	m.ReadMem(b, func() {
-		if txn := m.Txn(req, b); txn != nil && !txn.Write {
-			// The reply (possibly carrying adopted children) is now in
-			// flight; invalidations that race it must be deferred.
-			txn.Served = true
-		}
+		markServed(m, req, b)
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
 			Requester: req, HasData: true, Data: m.Store.Value(b),
@@ -566,15 +509,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 	case coherent.MsgInvAck:
 		e.onCacheAck(m, n, msg)
 	case coherent.MsgReplaceInv:
-		e.torn[n][msg.Block] = true
-		ln := node.Cache.Lookup(msg.Block)
-		if ln == nil || ln.State == cache.Invalid {
-			return // dangling edge; subtree already gone
-		}
-		children := childrenOf(ln)
-		m.Invalidate(n, msg.Block)
-		e.mergeTombs(n, msg.Block, children)
-		e.sendReplaceInv(m, n, msg.Block, children)
+		e.onReplaceInv(m, node, msg)
 	case coherent.MsgWbReq:
 		ln := node.Cache.Lookup(msg.Block)
 		if ln == nil || ln.State != cache.Exclusive {
@@ -597,191 +532,12 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 	}
 }
 
-// onInv handles one invalidation at a cache: invalidate the local copy
-// if present, fan out to children, and aggregate acknowledgments toward
-// msg.AckTo.
-func (e *Engine) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.Msg) {
-	n := node.ID
-	if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served {
-		// Our data reply — which may carry children we must forward
-		// this invalidation to — is in flight. Defer until it installs;
-		// the wave cannot deadlock because the reply does not depend on
-		// the home gate the writer holds.
-		txn.Deferred = append(txn.Deferred, msg)
-		return
-	}
-	b := msg.Block
-	a := e.aggs[n][b]
-	if a != nil && a.armed {
-		if msg.SibAck {
-			// The home's root Inv landed on an aggregation another
-			// in-edge of the same wave already armed. Its odd sibling's
-			// ack is routed here and cannot be told apart from a child
-			// ack, so an independent ack would both fire the home's ack
-			// before the sibling reported and leave the sibling's ack
-			// banked as a stray that poisons the next wave. Fold the
-			// obligation in: expect one more ack, and acknowledge this
-			// destination too when the aggregation drains.
-			a.extra = append(a.extra, ackDest{to: msg.AckTo, toDir: msg.AckDir, req: msg.Requester})
-			a.left++
-			return
-		}
-		// A second Inv in the same wave (dangling edge): acknowledge it
-		// independently without disturbing the aggregation.
-		e.sendAck(m, n, msg)
-		return
-	}
-	if a == nil {
-		a = &agg{}
-		e.aggs[n][b] = a
-	}
-	a.armed = true
-	a.to = msg.AckTo
-	a.toDir = msg.AckDir
-	a.req = msg.Requester
-	if msg.SibAck {
-		a.left++
-	}
-	update := msg.Type == coherent.MsgUpdate
-	var fanout []coherent.NodeID
-	if ln := node.Cache.Lookup(msg.Block); ln != nil && ln.State != cache.Invalid {
-		fanout = append(fanout, childrenOf(ln)...)
-		if update {
-			ln.Val = msg.Data
-		} else {
-			m.Invalidate(n, msg.Block)
-		}
-	}
-	if t, ok := e.tombs[n][b]; ok {
-		// A teardown from this node's previous tenure may still be in
-		// flight below: route the wave down the victim-buffer pointers
-		// too, so it covers (and waits for) every copy the Replace_INV
-		// has not yet reached.
-		for _, c := range t {
-			dup := false
-			for _, f := range fanout {
-				if f == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				fanout = append(fanout, c)
-			}
-		}
-		if !update {
-			// Update waves must keep routing through the victim buffer
-			// on every write: torn-down positions stay reachable from
-			// the persistent sharing trees.
-			delete(e.tombs[n], b)
-		}
-	}
-	for _, c := range fanout {
-		a.left++
-		m.CtrAt(n).Invalidations++
-		m.Send(&coherent.Msg{
-			Type: msg.Type, Src: n, Dst: c, Block: msg.Block,
-			Requester: msg.Requester, HasData: update, Data: msg.Data,
-			AckTo: n, Aux: coherent.NoNode,
-		})
-	}
-	e.maybeFinishAgg(m, aggKey{n: n, b: b}, a)
-}
-
-// onCacheAck handles a child's or sibling's acknowledgment arriving at
-// an aggregating cache. It may precede the node's own Inv (sibling acks
-// travel a different path), in which case it is banked.
-func (e *Engine) onCacheAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
-	m.CtrAt(n).InvAcks++
-	a := e.aggs[n][msg.Block]
-	if a == nil {
-		a = &agg{}
-		e.aggs[n][msg.Block] = a
-	}
-	a.left--
-	e.maybeFinishAgg(m, aggKey{n: n, b: msg.Block}, a)
-}
-
-func (e *Engine) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
-	if !a.armed || a.left != 0 {
-		return
-	}
-	delete(e.aggs[key.n], key.b)
-	m.Send(&coherent.Msg{
-		Type: coherent.MsgInvAck, Src: key.n, Dst: a.to, Block: key.b,
-		Requester: a.req, ToDir: a.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-	})
-	for _, d := range a.extra {
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgInvAck, Src: key.n, Dst: d.to, Block: key.b,
-			Requester: d.req, ToDir: d.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
-	}
-}
-
-// sendAck acknowledges msg immediately (dangling-edge case).
-func (e *Engine) sendAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
-	m.Send(&coherent.Msg{
-		Type: coherent.MsgInvAck, Src: n, Dst: msg.AckTo, Block: msg.Block,
-		Requester: msg.Requester, ToDir: msg.AckDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-	})
-}
-
-// mergeTombs unions children into node n's victim buffer for block b;
-// pointers from different cache tenures may both have teardowns in
-// flight.
-func (e *Engine) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []coherent.NodeID) {
-	if len(children) == 0 {
-		return
-	}
-	cur := e.tombs[n][b]
-	for _, c := range children {
-		dup := false
-		for _, t := range cur {
-			if t == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cur = append(cur, c)
-		}
-	}
-	e.tombs[n][b] = cur
-}
-
-func childrenOf(ln *cache.Line) []coherent.NodeID {
-	if meta, ok := ln.Meta.(*treeMeta); ok && meta != nil {
-		return meta.children
-	}
-	return nil
-}
-
-func (e *Engine) sendReplaceInv(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, children []coherent.NodeID) {
-	for _, c := range children {
-		m.CtrAt(n).ReplaceInvs++
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgReplaceInv, Src: n, Dst: c, Block: b,
-			Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
-	}
-}
-
-// OnEvict implements coherent.Engine: a valid line's subtree is torn
-// down with Replace_INV (no acks, no home notification); an exclusive
-// line writes back. The child pointers stay in the victim buffer until
-// the next install or invalidation sweep (see Engine.tombs).
-func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
-	switch ln.State {
-	case cache.Valid:
-		e.torn[n][ln.Block] = true
-		e.mergeTombs(n, ln.Block, childrenOf(ln))
-		e.sendReplaceInv(m, n, ln.Block, childrenOf(ln))
-	case cache.Exclusive:
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
-			HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
+// markServed flags requester n's read transaction once the home has
+// sent its data: the reply (possibly carrying children to adopt) is in
+// flight, so invalidations that race it must be deferred (forest.onInv).
+func markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
+	if txn := m.Txn(n, b); txn != nil && !txn.Write {
+		txn.Served = true
 	}
 }
 
@@ -796,16 +552,7 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 	if en == nil {
 		return "uncached (no entry)"
 	}
-	var st string
-	switch en.state {
-	case uncached:
-		st = "uncached"
-	case shared:
-		st = "shared"
-	case dirty:
-		st = "dirty"
-	}
-	s := fmt.Sprintf("%s owner=%d roots=%v", st, en.owner, en.slots)
+	s := fmt.Sprintf("%s owner=%d roots=%v", en.state, en.owner, en.slots)
 	if p := en.pend; p != nil {
 		s += fmt.Sprintf(" pending{%s from %d, stage=%d, wbFrom=%d, acksLeft=%d}",
 			p.req.Type, p.req.Requester, p.stage, p.wbFrom, p.acksLeft)

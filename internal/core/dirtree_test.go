@@ -486,44 +486,60 @@ func TestReplacementTeardown(t *testing.T) {
 	}
 }
 
-// TestDanglingPointerSafety: after a silent teardown, a write miss must
-// still complete (stale roots ack immediately) and coherence holds.
+// TestDanglingPointerSafety: after a silent teardown of a tree's root,
+// a write miss must still complete (stale roots ack immediately, the
+// victim buffer routes the wave below them) and coherence holds, on
+// both tree engines.
 func TestDanglingPointerSafety(t *testing.T) {
-	cfg := coherent.DefaultConfig(8)
-	cfg.Check = true
-	cfg.CacheBytes = 4 * cfg.BlockBytes
-	m, err := coherent.NewMachine(cfg, New(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := m.Alloc(8)
-	spill := m.Alloc(16 * 8)
-	var got uint64
-	if _, err := proc.Run(m, func(env proc.Env) {
-		for turn := 0; turn < 3; turn++ {
-			if turn == env.ID() {
-				env.Read(addr)
+	for _, c := range []struct {
+		name string
+		eng  coherent.Engine
+		root int // the tree's root after nodes 0, 1, 2 read in turn
+	}{
+		{"Dir2Tree2", New(2, 2), 2}, // node 2 adopts 0 and 1 (Figure 6 case 3)
+		{"STP", NewSTP(), 0},        // the first reader becomes the root
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := coherent.DefaultConfig(8)
+			cfg.Check = true
+			cfg.CacheBytes = 4 * cfg.BlockBytes
+			m, err := coherent.NewMachine(cfg, c.eng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			env.Barrier()
-		}
-		if env.ID() == 2 {
-			for i := 0; i < 16; i++ {
-				env.Read(spill + uint64(i*8))
+			addr := m.Alloc(8)
+			spill := m.Alloc(16 * 8)
+			var got uint64
+			if _, err := proc.Run(m, func(env proc.Env) {
+				for turn := 0; turn < 3; turn++ {
+					if turn == env.ID() {
+						env.Read(addr)
+					}
+					env.Barrier()
+				}
+				if env.ID() == c.root {
+					for i := 0; i < 16; i++ {
+						env.Read(spill + uint64(i*8))
+					}
+				}
+				env.Barrier()
+				if env.ID() == 5 {
+					env.Write(addr, 4242)
+				}
+				env.Barrier()
+				if env.ID() == 1 {
+					got = env.Read(addr)
+				}
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		env.Barrier()
-		if env.ID() == 5 {
-			env.Write(addr, 4242)
-		}
-		env.Barrier()
-		if env.ID() == 1 {
-			got = env.Read(addr)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 4242 {
-		t.Fatalf("read %d after write through dangling pointers, want 4242", got)
+			if m.Ctr.ReplaceInvs < 2 {
+				t.Fatalf("ReplaceInvs = %d, want >= 2 (children of the evicted root)", m.Ctr.ReplaceInvs)
+			}
+			if got != 4242 {
+				t.Fatalf("read %d after write through dangling pointers, want 4242", got)
+			}
+		})
 	}
 }
 

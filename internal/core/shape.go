@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dircc/internal/cache"
 	"dircc/internal/coherent"
 )
 
@@ -119,20 +118,5 @@ func (e *Engine) CheckShape(m *coherent.Machine, b coherent.BlockID) error {
 		}
 		roots = append(roots, s.node)
 	}
-	// torn is per-node ghost state written on the tearing node's lane;
-	// this quiesced check reads the union.
-	torn := false
-	for _, tm := range e.torn {
-		if tm[b] {
-			torn = true
-			break
-		}
-	}
-	return CheckForestShape(roots, e.ptrs, e.arity, !torn, func(n coherent.NodeID) []coherent.NodeID {
-		ln := m.Nodes[n].Cache.Lookup(b)
-		if ln == nil || ln.State == cache.Invalid {
-			return nil
-		}
-		return childrenOf(ln)
-	})
+	return e.checkShape(m, b, roots, e.ptrs, e.arity)
 }

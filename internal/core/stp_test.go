@@ -1,4 +1,4 @@
-package stp
+package core
 
 import (
 	"testing"
@@ -9,12 +9,12 @@ import (
 	"dircc/internal/protocol/ptest"
 )
 
-func TestConformance(t *testing.T) {
-	ptest.Conformance(t, func() coherent.Engine { return New() })
+func TestSTPConformance(t *testing.T) {
+	ptest.Conformance(t, func() coherent.Engine { return NewSTP() })
 }
 
-func TestName(t *testing.T) {
-	if New().Name() != "stp" {
+func TestSTPName(t *testing.T) {
+	if NewSTP().Name() != "stp" {
 		t.Fatal("name wrong")
 	}
 }
@@ -49,7 +49,7 @@ func sharedMachine(t *testing.T, eng coherent.Engine, procs, sharers int, writer
 // insertion descent is logarithmic, so no read costs more than
 // 2 + 2 + depth messages.
 func TestBalancedTreeShape(t *testing.T) {
-	eng := New()
+	eng := NewSTP()
 	m := sharedMachine(t, eng, 16, 15, -1)
 	b := m.BlockOf(0)
 	en := eng.entry(b)
@@ -67,7 +67,7 @@ func TestBalancedTreeShape(t *testing.T) {
 		if ln == nil {
 			t.Fatalf("tree node %d has no line", n)
 		}
-		for _, c := range liveChildren(ln) {
+		for _, c := range childrenOf(ln) {
 			walk(c, d+1)
 		}
 	}
@@ -84,7 +84,7 @@ func TestBalancedTreeShape(t *testing.T) {
 // Write miss invalidation must reach every sharer and aggregate acks so
 // the home sees exactly one.
 func TestInvalidationWave(t *testing.T) {
-	m := sharedMachine(t, New(), 16, 10, 15)
+	m := sharedMachine(t, NewSTP(), 16, 10, 15)
 	if m.Ctr.Invalidations != 10 {
 		t.Fatalf("invalidations = %d, want 10", m.Ctr.Invalidations)
 	}
@@ -102,7 +102,7 @@ func TestInvalidationWave(t *testing.T) {
 // Insertion after the root was silently replaced must bounce and
 // re-root rather than hang.
 func TestBounceReRoots(t *testing.T) {
-	eng := New()
+	eng := NewSTP()
 	cfg := coherent.DefaultConfig(8)
 	cfg.Check = true
 	cfg.CacheBytes = 4 * cfg.BlockBytes
@@ -139,21 +139,21 @@ func TestBounceReRoots(t *testing.T) {
 // Read miss cost: 2 for the first reader, and 2+depth+2 for later
 // readers (request, descent, data, done) — the paper's "4 to 8".
 func TestReadMissCost(t *testing.T) {
-	m := sharedMachine(t, New(), 8, 2, -1)
+	m := sharedMachine(t, NewSTP(), 8, 2, -1)
 	// Reader 0: 2 messages. Reader 1: req + fwd + data + done = 4.
 	if m.Ctr.Messages != 6 {
 		t.Fatalf("messages = %d, want 6 (types %v)", m.Ctr.Messages, m.Ctr.MsgByType)
 	}
 }
 
-func TestDirectoryBits(t *testing.T) {
+func TestSTPDirectoryBits(t *testing.T) {
 	cfg := coherent.DefaultConfig(32)
 	want := int64(100)*32*2*5 + int64(cfg.CacheLines())*32*2*2*5
-	if got := New().DirectoryBits(cfg, 100); got != want {
+	if got := NewSTP().DirectoryBits(cfg, 100); got != want {
 		t.Fatalf("DirectoryBits = %d, want %d", got, want)
 	}
 }
 
 func BenchmarkSTPMix(b *testing.B) {
-	ptest.BenchmarkMix(b, func() coherent.Engine { return New() })
+	ptest.BenchmarkMix(b, func() coherent.Engine { return NewSTP() })
 }

@@ -3,33 +3,16 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"dircc/internal/cache"
 	"dircc/internal/coherent"
 )
 
 // Verification hooks for the model checker (internal/check).
 
-func (s dirState) String() string {
-	switch s {
-	case uncached:
-		return "uncached"
-	case shared:
-		return "shared"
-	case dirty:
-		return "dirty"
-	}
-	return fmt.Sprintf("dirState(%d)", uint8(s))
-}
-
 func (meta *treeMeta) String() string { return fmt.Sprintf("ch%v", meta.children) }
 
 // CanonState implements coherent.ProtocolState: directory entries with
-// their root slots, in-progress ack aggregations, and victim-buffer
-// tombstones. The torn ghost flag is deliberately excluded: it only
-// relaxes a check, and any state reachable with a cycle has torn set
-// on every path that reaches it.
+// their root slots, then the forest's aggregations and tombstones.
 func (e *Engine) CanonState(w io.Writer) {
 	for _, b := range e.m.DirBlocks() {
 		en, _ := e.m.Dir(b).(*entry)
@@ -45,17 +28,7 @@ func (e *Engine) CanonState(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, k := range sortedAggKeys(e.aggs) {
-		a := e.aggs[k.n][k.b]
-		fmt.Fprintf(w, "agg n%d b%d armed%v left%d to%d dir%v", k.n, k.b, a.armed, a.left, a.to, a.toDir)
-		for _, d := range a.extra {
-			fmt.Fprintf(w, " +to%d dir%v", d.to, d.toDir)
-		}
-		fmt.Fprintln(w)
-	}
-	for _, k := range sortedTombKeys(e.tombs) {
-		fmt.Fprintf(w, "tomb n%d b%d -> %v\n", k.n, k.b, e.tombs[k.n][k.b])
-	}
+	e.canonWaves(w)
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator: the directory
@@ -82,47 +55,4 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 		}
 	}
 	return roots
-}
-
-// CoverageEdges implements coherent.CoverageEnumerator: a live copy's
-// child pointers plus the victim-buffer tombstones left below node n
-// by replaced copies.
-func (e *Engine) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.NodeID) []coherent.NodeID {
-	var out []coherent.NodeID
-	if ln := m.Nodes[n].Cache.Lookup(b); ln != nil && ln.State != cache.Invalid {
-		out = append(out, childrenOf(ln)...)
-	}
-	out = append(out, e.tombs[n][b]...)
-	return out
-}
-
-func sortedAggKeys(perNode []map[coherent.BlockID]*agg) []aggKey {
-	var out []aggKey
-	for n, mm := range perNode {
-		for b := range mm {
-			out = append(out, aggKey{n: coherent.NodeID(n), b: b})
-		}
-	}
-	sortKeys(out)
-	return out
-}
-
-func sortedTombKeys(perNode []map[coherent.BlockID][]coherent.NodeID) []aggKey {
-	var out []aggKey
-	for n, mm := range perNode {
-		for b := range mm {
-			out = append(out, aggKey{n: coherent.NodeID(n), b: b})
-		}
-	}
-	sortKeys(out)
-	return out
-}
-
-func sortKeys(keys []aggKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].b != keys[j].b {
-			return keys[i].b < keys[j].b
-		}
-		return keys[i].n < keys[j].n
-	})
 }

@@ -8,7 +8,6 @@ import (
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
 	"dircc/internal/protocol/list"
-	"dircc/internal/protocol/stp"
 )
 
 // NamedEngine is one differential participant. The slice order is
@@ -22,14 +21,16 @@ type NamedEngine struct {
 
 // AllEngines returns the six-scheme differential set, full-map first
 // as the oracle: then Dir2B and LimitLESS4 (two overflow policies of
-// the one limited engine), SCI, STP and Dir4Tree2.
+// the one limited engine), SCI, and STP and Dir4Tree2 (the two tree
+// engines of internal/core, which share one invalidation wave and
+// teardown).
 func AllEngines() []NamedEngine {
 	return []NamedEngine{
 		{"fm", func() coherent.Engine { return fullmap.New() }},
 		{"Dir2B", func() coherent.Engine { return limited.NewB(2) }},
 		{"LimitLESS4", func() coherent.Engine { return limited.NewLimitLESS(4) }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},
-		{"stp", func() coherent.Engine { return stp.New() }},
+		{"stp", func() coherent.Engine { return core.NewSTP() }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},
 	}
 }
@@ -43,7 +44,7 @@ func ChainEngines() []NamedEngine {
 		{"fm", func() coherent.Engine { return fullmap.New() }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},
 		{"sll", func() coherent.Engine { return list.NewSLL() }},
-		{"stp", func() coherent.Engine { return stp.New() }},
+		{"stp", func() coherent.Engine { return core.NewSTP() }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},
 	}
 }

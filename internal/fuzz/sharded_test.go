@@ -8,7 +8,6 @@ import (
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
 	"dircc/internal/protocol/list"
-	"dircc/internal/protocol/stp"
 )
 
 // shardSafeEngines is the differential set for the parallel kernel:
@@ -23,7 +22,7 @@ func shardSafeEngines() []NamedEngine {
 		{"Dir4NB", func() coherent.Engine { return limited.NewNB(4) }},
 		{"LimitLESS4", func() coherent.Engine { return limited.NewLimitLESS(4) }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},
-		{"stp", func() coherent.Engine { return stp.New() }},
+		{"stp", func() coherent.Engine { return core.NewSTP() }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},
 		{"sll", func() coherent.Engine { return list.NewSLL() }},
 	}

@@ -28,7 +28,8 @@ package lint
 //	    through the home-resident accessors, not the line);
 //	R4  engine-global map fields on the engine receiver (shared across
 //	    lanes by construction), and per-lane engine slice fields
-//	    (e.tombs[i]) indexed by a non-resident node;
+//	    (e.tombs[i]) indexed by a non-resident node; a struct embedded
+//	    in an engine is that engine's state, so its fields count too;
 //	R5  m.ReleaseHome(b) / m.SerializeWrite(msg) / m.Dir(b) /
 //	    m.SetDir(b, v) — the block must be home-resident in this
 //	    handler context;
@@ -46,8 +47,9 @@ package lint
 // lane, so no context makes a write to them safe.
 //
 // A package is gated when it declares an engine: a type with all five
-// handler methods. Every engine can run on the sharded kernel, so every
-// engine package must certify clean.
+// handler methods, its own or promoted from an embedded struct. Every
+// engine can run on the sharded kernel, so every engine package must
+// certify clean.
 
 import (
 	"fmt"
@@ -138,6 +140,9 @@ type laneAnalysis struct {
 
 	// engines maps engine type name -> handler method decls.
 	engines map[string]map[string]*ast.FuncDecl
+	// state names the types whose fields are engine state (R4): the
+	// engines and the structs embedded in them.
+	state map[string]bool
 	// summaries for every non-handler package function/method.
 	summaries map[*types.Func]*funcSummary
 	declOf    map[*types.Func]*ast.FuncDecl
@@ -156,6 +161,7 @@ func newLaneAnalysis(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 		pkg:       pkg,
 		info:      info,
 		engines:   map[string]map[string]*ast.FuncDecl{},
+		state:     map[string]bool{},
 		summaries: map[*types.Func]*funcSummary{},
 		declOf:    map[*types.Func]*ast.FuncDecl{},
 		objOf:     map[*ast.FuncDecl]*types.Func{},
@@ -187,7 +193,18 @@ func newLaneAnalysis(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 		}
 		la.collectMetaTypes(f)
 	}
-	for tn, methods := range byType {
+	for tn, own := range byType {
+		// Methods promoted from embedded structs count unless shadowed.
+		methods := map[string]*ast.FuncDecl{}
+		embedded := la.embeddedIn(tn)
+		for _, et := range embedded {
+			for name, fd := range byType[et] {
+				methods[name] = fd
+			}
+		}
+		for name, fd := range own {
+			methods[name] = fd
+		}
 		all := true
 		for h := range handlerNames {
 			if methods[h] == nil {
@@ -197,9 +214,38 @@ func newLaneAnalysis(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 		}
 		if all {
 			la.engines[tn] = methods
+			la.state[tn] = true
+			for _, et := range embedded {
+				la.state[et] = true
+			}
 		}
 	}
 	return la
+}
+
+// embeddedIn returns the names of the package's named types embedded in
+// the struct type tn.
+func (la *laneAnalysis) embeddedIn(tn string) []string {
+	obj, _ := la.pkg.Scope().Lookup(tn).(*types.TypeName)
+	if obj == nil {
+		return nil
+	}
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		t := f.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok && f.Embedded() && n.Obj().Pkg() == la.pkg {
+			out = append(out, n.Obj().Name())
+		}
+	}
+	return out
 }
 
 func recvTypeName(e ast.Expr) string {
@@ -1252,7 +1298,7 @@ func (fa *funcAnalysis) checkNodesIndex(ix *ast.IndexExpr, e env) {
 	}
 }
 
-// checkEngineMapField fires R4 on engine-receiver map fields.
+// checkEngineMapField fires R4 on engine-state map fields.
 func (fa *funcAnalysis) checkEngineMapField(sel *ast.SelectorExpr, e env) {
 	bt := fa.la.typeOf(sel.X)
 	if bt == nil {
@@ -1269,7 +1315,7 @@ func (fa *funcAnalysis) checkEngineMapField(sel *ast.SelectorExpr, e env) {
 	if !ok || n.Obj().Pkg() != fa.la.pkg {
 		return
 	}
-	if _, isEngine := fa.la.engines[n.Obj().Name()]; !isEngine {
+	if !fa.la.state[n.Obj().Name()] {
 		return
 	}
 	ft := fa.la.typeOf(sel)
@@ -1316,7 +1362,7 @@ func (fa *funcAnalysis) checkEngineSliceIndex(ix *ast.IndexExpr, e env) {
 	if !ok || n.Obj().Pkg() != fa.la.pkg {
 		return
 	}
-	if _, isEngine := fa.la.engines[n.Obj().Name()]; !isEngine {
+	if !fa.la.state[n.Obj().Name()] {
 		return
 	}
 	ft := fa.la.typeOf(sel)

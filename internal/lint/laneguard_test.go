@@ -32,8 +32,7 @@ func TestLaneGuardCertifiesEngines(t *testing.T) {
 		"dircc/internal/protocol/fullmap": {"Engine"},
 		"dircc/internal/protocol/limited": {"Engine"},
 		"dircc/internal/protocol/list":    {"SCI", "SLL"},
-		"dircc/internal/protocol/stp":     {"Engine"},
-		"dircc/internal/core":             {"Engine"},
+		"dircc/internal/core":             {"Engine", "STP"},
 	}
 	var paths []string
 	for p := range want {

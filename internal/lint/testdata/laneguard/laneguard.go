@@ -27,9 +27,20 @@ type entry struct {
 // engine has all five handler methods, which makes it an engine and
 // subjects this package to the lane rules.
 type engine struct {
+	laneState
 	global map[coherent.BlockID]int
 	lanes  []int
 }
+
+// laneState is embedded in the engine, so its fields are engine state:
+// the per-lane rule follows them into its methods.
+type laneState struct {
+	perLane []int
+}
+
+// bump indexes the per-lane slice by its parameter, a residency
+// requirement every caller must meet.
+func (s *laneState) bump(n coherent.NodeID) { s.perLane[n]++ }
 
 func (e *engine) entry(m *coherent.Machine, b coherent.BlockID) *entry {
 	en, _ := m.Dir(b).(*entry)
@@ -89,11 +100,14 @@ func (e *engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 	})
 }
 
-// CacheMsg touches its own node's line (fine: message-carried indices
-// stored into the handler's own line are plain data), reaches into a
-// foreign node's line and stores a chain link there (a leak another
-// lane will read concurrently), and carries one reviewed suppression.
+// CacheMsg indexes embedded per-lane state through a helper, touches
+// its own node's line (fine: message-carried indices stored into the
+// handler's own line are plain data), reaches into a foreign node's
+// line and stores a chain link there (a leak another lane will read
+// concurrently), and carries one reviewed suppression.
 func (e *engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
+	e.bump(msg.Src) // want `per-lane engine state`
+	e.bump(msg.Dst) // the resident node: no finding
 	ln := m.Nodes[msg.Dst].Cache.Lookup(msg.Block)
 	if ln == nil {
 		return

@@ -17,7 +17,6 @@ import (
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
 	"dircc/internal/protocol/list"
-	"dircc/internal/protocol/stp"
 )
 
 func allEngines() map[string]func() coherent.Engine {
@@ -31,7 +30,7 @@ func allEngines() map[string]func() coherent.Engine {
 		"Dir4Tree2":  func() coherent.Engine { return core.New(4, 2) },
 		"sll":        func() coherent.Engine { return list.NewSLL() },
 		"sci":        func() coherent.Engine { return list.NewSCI() },
-		"stp":        func() coherent.Engine { return stp.New() },
+		"stp":        func() coherent.Engine { return core.NewSTP() },
 	}
 }
 

@@ -157,7 +157,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.state = shared
 			en.head = msg.Requester
 			m.ReadMem(b, func() {
-				e.markServed(m, msg.Requester, b)
+				markServed(m, msg.Requester, b)
 				m.Send(&coherent.Msg{
 					Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
 					Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
@@ -174,7 +174,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.owner = coherent.NoNode
 		}
 		en.attach[msg.Requester] = oldHead
-		e.markServed(m, msg.Requester, b)
+		markServed(m, msg.Requester, b)
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgHeadReply, Src: home, Dst: msg.Requester, Block: b,
 			Requester: msg.Requester, Aux: oldHead, AckTo: coherent.NoNode,
@@ -193,12 +193,6 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		})
 	default:
 		panic("list/sci: unexpected gated request " + msg.Type.String())
-	}
-}
-
-func (e *SCI) markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
-	if txn := m.Txn(n, b); txn != nil && !txn.Write {
-		txn.Served = true
 	}
 }
 

@@ -154,7 +154,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.head = msg.Requester
 			seq := en.seq
 			m.ReadMem(b, func() {
-				e.markServed(m, msg.Requester, b)
+				markServed(m, msg.Requester, b)
 				m.Send(&coherent.Msg{
 					Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
 					Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
@@ -172,7 +172,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.state = shared
 			en.owner = coherent.NoNode
 		}
-		e.markServed(m, msg.Requester, b)
+		markServed(m, msg.Requester, b)
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgFwd, Src: home, Dst: oldHead, Block: b,
 			Requester: msg.Requester, Data: m.Store.Value(b),
@@ -197,8 +197,8 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 // markServed flags the requester's transaction so racing invalidations
-// defer until the in-flight data arrives.
-func (e *SLL) markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
+// defer until the in-flight data arrives. SLL and SCI share it.
+func markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
 	if txn := m.Txn(n, b); txn != nil && !txn.Write {
 		txn.Served = true
 	}

@@ -14,9 +14,9 @@ import (
 )
 
 // obsGoldenCase is one workload TestObsGolden pins under each of its
-// schemes. deepTree marks a case whose T4 run must build invalidation
-// trees deeper than one level, with the Figure 7 root-ack split, and so
-// differ from its fm run.
+// schemes. deepTree marks a case whose T4 and stp runs must build
+// invalidation trees deeper than one level, T4's with the Figure 7
+// root-ack split, and so differ from its fm run.
 type obsGoldenCase struct {
 	app      string
 	procs    int
@@ -83,13 +83,13 @@ func obsGoldenArtifacts(t *testing.T, c obsGoldenCase, scheme string) (names []s
 }
 
 // obsGoldenCases: fft P=8 under full-map, Dir_4Tree_4 and SCI, and
-// mp3d P=8 under full-map and Dir_4Tree_4. On fft P=8 the tree never
-// grows past its flat case (its attribution equals full-map's), so the
-// mp3d pair pins the two-level invalidation waves and the Figure 7
-// even-to-odd root-ack split.
+// mp3d P=8 under full-map, Dir_4Tree_4 and STP. On fft P=8 the tree
+// never grows past its flat case (its attribution equals full-map's),
+// so the mp3d runs pin the multi-level invalidation waves of both tree
+// engines and the Figure 7 even-to-odd root-ack split.
 var obsGoldenCases = []obsGoldenCase{
 	{"fft", 8, []string{"fm", "T4", "sci"}, false},
-	{"mp3d", 8, []string{"fm", "T4"}, true},
+	{"mp3d", 8, []string{"fm", "T4", "stp"}, true},
 }
 
 // TestObsGolden pins the sequential kernel's observability output —
@@ -103,7 +103,7 @@ var obsGoldenCases = []obsGoldenCase{
 // megabytes, hence digests.
 func TestObsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ten instrumented runs; skipped in -short")
+		t.Skip("twelve instrumented runs; skipped in -short")
 	}
 	raw, err := os.ReadFile("testdata/obs_golden.sha256")
 	if err != nil {
@@ -149,6 +149,12 @@ func TestObsGolden(t *testing.T) {
 				}
 				if attribSum["T4"] == attribSum["fm"] {
 					t.Errorf("%s: T4 attribution equals full-map's", c.name())
+				}
+			}
+			if c.deepTree && scheme == "stp" {
+				// STP's single root fans out down a balanced binary tree.
+				if d := rep.Wave.MaxDepth(); d < 2 {
+					t.Errorf("%s stp: max wave depth %d, want >= 2", c.name(), d)
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
 	"dircc/internal/protocol/list"
-	"dircc/internal/protocol/stp"
 )
 
 // NewEngine builds a protocol engine from a scheme name. Accepted
@@ -98,7 +97,7 @@ func NewEngine(name string) (Engine, error) {
 var extraEngines = map[string]func() coherent.Engine{
 	"sll": func() coherent.Engine { return list.NewSLL() },
 	"sci": func() coherent.Engine { return list.NewSCI() },
-	"stp": func() coherent.Engine { return stp.New() },
+	"stp": func() coherent.Engine { return core.NewSTP() },
 }
 
 // PaperSchemes returns the scheme names of the paper's Figures 8-11 in
