@@ -30,14 +30,15 @@ lint: vet
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping"; fi
 
 # check runs the exhaustive model checker over every protocol engine
-# (internal/check: all interleavings of the tiny-config grid, plus the
-# mutation self-tests that prove the checker catches a seeded
-# protocol bug and the lane-partition audit catches a wrong-lane
-# mutation), the time-boxed differential fuzz smoke tier, and the
+# (internal/check: all interleavings of the tiny-config grid, the
+# random walks that pin the canonical state text and compare a reset
+# machine against a fresh one, plus the mutation self-tests that prove
+# the checker catches a seeded protocol bug and the lane-partition
+# audit catches a wrong-lane mutation), the time-boxed differential fuzz smoke tier, and the
 # sharded-kernel large-machine smoke (P=256 on 8 shards,
 # byte-identical to sequential).
 check: smoke
-	$(GO) test ./internal/check -v -run 'TestExhaustive|TestMutationCaught|TestLaneMutantCaught'
+	$(GO) test ./internal/check -v -run 'TestExhaustive|TestCanonWalks|TestMutationCaught|TestLaneMutantCaught'
 	$(GO) test . -v -run 'TestShardedLargeP'
 
 # smoke is the differential fuzzer's CI tier: 200 seed-derived

@@ -1,6 +1,7 @@
 // Command benchdiff compares two benchmark runs and reports per-
-// benchmark deltas, for the warn-only perf job in CI and for writing
-// the BENCH_PR<N>.json snapshots.
+// benchmark deltas, for CI's merge-blocking perf job (`make perf`,
+// which gates at -threshold 0.25) and for writing the BENCH_PR<N>.json
+// snapshots.
 //
 // Each input is a BENCH_*.json snapshot or raw `go test -bench`
 // output; "-" reads raw output from stdin. With one input benchdiff just parses and prints

@@ -102,6 +102,19 @@ func MustNew(sets, assoc int) *Cache {
 	return c
 }
 
+// Reset empties the cache to the state New leaves it in: no frames in
+// any set. The per-set index maps keep their storage; frames are
+// allocated afresh by Victim, so no Line handed out before the reset is
+// reused after it.
+func (c *Cache) Reset() {
+	for s := range c.index {
+		clear(c.index[s])
+	}
+	clear(c.head)
+	clear(c.tail)
+	clear(c.used)
+}
+
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 

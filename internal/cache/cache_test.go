@@ -270,3 +270,17 @@ func TestQuickTrueLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestReset(t *testing.T) {
+	c := MustNew(2, 2)
+	fill(t, c, 1, 2, 3)
+	old := c.Lookup(1)
+	c.Reset()
+	if c.Len() != 0 || c.Lookup(1) != nil {
+		t.Fatalf("after Reset: Len %d, Lookup(1) %v", c.Len(), c.Lookup(1))
+	}
+	c.ForEachMRU(func(ln *Line) { t.Errorf("frame for block %d survived Reset", ln.Block) })
+	if v := c.Victim(1); v == old || v.State != Invalid {
+		t.Fatalf("Victim after Reset reused a frame from before: %+v", v)
+	}
+}

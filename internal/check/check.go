@@ -14,16 +14,19 @@
 // is a prefix-equivalent reordering of some drained interleaving (see
 // DESIGN.md, "Verification").
 //
-// States are deduplicated by a canonical rendering that excludes
-// simulated time (coherent.Machine.CanonState). Exploration is
-// breadth-first over replayed paths, so the first violation found comes
-// with a minimal message-interleaving witness.
+// States are deduplicated by the SHA-256 of a canonical text that
+// excludes simulated time (coherent.Machine.CanonState plus the program
+// counters and in-flight channels). Exploration is breadth-first over
+// replayed paths, so the first violation found comes with a minimal
+// message-interleaving witness. A run owns one machine: before every
+// transition it is reset with a fresh engine (coherent.Machine.Reset)
+// and the path is replayed from the initial state, so no live machine
+// state is ever copied or carried from one path to another.
 package check
 
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"strings"
 
 	"dircc/internal/coherent"
@@ -179,11 +182,27 @@ func (v *Violation) String() string {
 	return sb.String()
 }
 
+// queued is one frontier entry: the choice path that reaches a state
+// from the initial one, and what the replay that discovered the state
+// found there — its enabled choices and, when it has none, its
+// terminal verdict — so that expanding the entry needs no replay of
+// its own.
+type queued struct {
+	path     []choice
+	choices  []choice
+	terminal error
+}
+
 // Run explores every reachable state of cfg and returns the first
 // invariant violation found (on the shortest path that exhibits one),
 // or nil with the exploration stats if the full space is clean. The
 // error return reports infrastructure problems — bad config, state cap
 // exceeded — not protocol violations.
+//
+// One machine serves the whole run. Every transition resets it with a
+// fresh engine, replays the parent state's path and applies one
+// choice; the replay that reaches a new state also lists its choices,
+// so each transition costs exactly one replay.
 func Run(cfg Config) (Stats, *Violation, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return Stats{}, nil, err
@@ -201,32 +220,23 @@ func Run(cfg Config) (Stats, *Violation, error) {
 	visited := map[[sha256.Size]byte]bool{r.hash(): true}
 	st.States = 1
 
-	type node struct {
-		path []choice
-	}
-	queue := []node{{}}
+	queue := []queued{r.entry(nil)}
 	for len(queue) > 0 {
 		cur := queue[0]
+		queue[0] = queued{}
 		queue = queue[1:]
 		if d := len(cur.path); d > st.MaxDepth {
 			st.MaxDepth = d
 		}
-
-		r, err := replayTo(&cfg, cur.path)
-		if err != nil {
-			return st, nil, err
-		}
-		choices := r.choices()
-		if len(choices) == 0 {
+		if len(cur.choices) == 0 {
 			st.Terminals++
-			if verr := r.checkTerminal(); verr != nil {
-				return st, makeWitness(&cfg, cur.path, verr), nil
+			if cur.terminal != nil {
+				return st, makeWitness(&cfg, cur.path, cur.terminal), nil
 			}
 			continue
 		}
-		for _, c := range choices {
-			r, err := replayTo(&cfg, cur.path)
-			if err != nil {
+		for _, c := range cur.choices {
+			if err := r.replay(cur.path); err != nil {
 				return st, nil, err
 			}
 			st.Transitions++
@@ -234,7 +244,9 @@ func Run(cfg Config) (Stats, *Violation, error) {
 			if verr == nil {
 				verr = r.checkInvariants()
 			}
-			path := append(append([]choice(nil), cur.path...), c)
+			// The three-index slice makes append copy: paths share no
+			// backing array.
+			path := append(cur.path[:len(cur.path):len(cur.path)], c)
 			if verr != nil {
 				return st, makeWitness(&cfg, path, verr), nil
 			}
@@ -247,30 +259,15 @@ func Run(cfg Config) (Stats, *Violation, error) {
 			}
 			visited[h] = true
 			st.States++
-			queue = append(queue, node{path: path})
+			queue = append(queue, r.entry(path))
 		}
 	}
 	return st, nil, nil
 }
 
-// replayTo rebuilds a fresh machine and replays path on it. Paths are
-// only enqueued after their states passed all checks, so a replay never
-// faults.
-func replayTo(cfg *Config, path []choice) (*replayer, error) {
-	r, err := newReplayer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range path {
-		if verr := r.applyChecked(c); verr != nil {
-			return nil, fmt.Errorf("check: %s: replay diverged: %v", cfg.Name, verr)
-		}
-	}
-	return r, nil
-}
-
-// makeWitness replays path one final time with the observability trace
-// attached, recording a human-readable description of every step.
+// makeWitness replays path one final time, on a machine of its own
+// with the observability trace attached, recording a human-readable
+// description of every step.
 func makeWitness(cfg *Config, path []choice, verr error) *Violation {
 	v := &Violation{Config: cfg.Name, Err: verr.Error()}
 	r, err := newReplayer(cfg)
@@ -288,35 +285,4 @@ func makeWitness(cfg *Config, path []choice, verr error) *Violation {
 	}
 	v.Trace = tr
 	return v
-}
-
-// hash digests the canonical state for the visited set.
-func (r *replayer) hash() [sha256.Size]byte {
-	return sha256.Sum256([]byte(r.canon()))
-}
-
-// canon renders everything that can influence future behavior: the
-// program counters, the machine (caches, transactions, gates, store,
-// engine state), and the undelivered messages grouped into their FIFO
-// channels — order within a channel is behavior (delivery respects
-// it), order across channels is not (any interleaving is explored), so
-// channels are sorted and their contents are not.
-func (r *replayer) canon() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pc%v\n", r.cursors)
-	r.m.CanonState(&sb)
-	pool := make([]string, len(r.pool))
-	seq := make(map[[2]coherent.NodeID]int, len(r.pool))
-	for i, p := range r.pool {
-		ch := [2]coherent.NodeID{p.msg.Src, p.msg.Dst}
-		pool[i] = fmt.Sprintf("ch%d>%d#%03d %s", ch[0], ch[1], seq[ch], p.msg.Canon())
-		seq[ch]++
-	}
-	sort.Strings(pool)
-	for _, s := range pool {
-		sb.WriteString("in-flight ")
-		sb.WriteString(s)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

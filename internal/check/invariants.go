@@ -18,11 +18,11 @@ func (r *replayer) poolMsgs() []*coherent.Msg {
 	if len(r.pool) == 0 {
 		return nil
 	}
-	msgs := make([]*coherent.Msg, len(r.pool))
-	for i, p := range r.pool {
-		msgs[i] = p.msg
+	r.inflight = r.inflight[:0]
+	for _, p := range r.pool {
+		r.inflight = append(r.inflight, p.msg)
 	}
-	return msgs
+	return r.inflight
 }
 
 // checkTerminal asserts quiescent-state convergence on a state with no

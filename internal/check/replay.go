@@ -1,8 +1,12 @@
 package check
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"dircc/internal/cache"
@@ -17,14 +21,26 @@ type pendingMsg struct {
 	deliver func()
 }
 
-// replayer wraps one machine instance being driven along one path.
-// The checker rebuilds it from scratch for every explored transition;
-// all machine code is deterministic, so equal paths yield equal states.
+// replayer drives one machine along explored paths. Run keeps a single
+// replayer and, before every transition, resets its machine with a
+// fresh engine and replays the path from the initial state; all
+// machine code is deterministic, so equal paths yield equal states.
 type replayer struct {
 	cfg     *Config
 	m       *coherent.Machine
 	pool    []pendingMsg
 	cursors []int
+
+	// buf holds the canonical rendering, reused from state to state.
+	buf bytes.Buffer
+	// chans counts messages per (src, dst) channel, indexed by
+	// channel; flight and spans hold the in-flight lines while canon
+	// sorts them; inflight is poolMsgs' slice. All are scratch kept
+	// across states.
+	chans    []int
+	flight   []byte
+	spans    [][2]int
+	inflight []*coherent.Msg
 }
 
 func newReplayer(cfg *Config) (*replayer, error) {
@@ -37,7 +53,12 @@ func newReplayer(cfg *Config) (*replayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: %s: %w", cfg.Name, err)
 	}
-	r := &replayer{cfg: cfg, m: m, cursors: make([]int, len(cfg.Program))}
+	r := &replayer{
+		cfg:     cfg,
+		m:       m,
+		cursors: make([]int, len(cfg.Program)),
+		chans:   make([]int, cfg.Procs*cfg.Procs),
+	}
 	m.SetSendHook(func(msg *coherent.Msg, deliver func()) {
 		r.pool = append(r.pool, pendingMsg{msg: msg, deliver: deliver})
 	})
@@ -45,6 +66,38 @@ func newReplayer(cfg *Config) (*replayer, error) {
 		m.EnableLaneAudit()
 	}
 	return r, nil
+}
+
+// replay returns the machine to the initial state, bound to a fresh
+// engine, and replays path on it. Paths are only enqueued after their
+// states passed all checks, so a replay never faults.
+func (r *replayer) replay(path []choice) error {
+	r.m.Reset(r.cfg.NewEngine())
+	clear(r.pool)
+	r.pool = r.pool[:0]
+	clear(r.cursors)
+	for _, c := range path {
+		if verr := r.applyChecked(c); verr != nil {
+			return fmt.Errorf("check: %s: replay diverged: %v", r.cfg.Name, verr)
+		}
+	}
+	return nil
+}
+
+// entry is the frontier entry for the state the machine stands at,
+// reached by path: its enabled choices and, when there are none, its
+// terminal verdict.
+func (r *replayer) entry(path []choice) queued {
+	q := queued{path: path, choices: r.choices()}
+	if len(q.choices) == 0 {
+		q.terminal = r.checkTerminal()
+	}
+	return q
+}
+
+// channel indexes msg's (src, dst) channel in chans.
+func (r *replayer) channel(msg *coherent.Msg) int {
+	return int(msg.Src)*r.cfg.Procs + int(msg.Dst)
 }
 
 func (r *replayer) addr(b coherent.BlockID) uint64 {
@@ -66,13 +119,13 @@ func (r *replayer) choices() []choice {
 			out = append(out, choice{issue: n, deliver: -1})
 		}
 	}
-	seen := make(map[[2]coherent.NodeID]bool, len(r.pool))
+	clear(r.chans)
 	for i, p := range r.pool {
-		ch := [2]coherent.NodeID{p.msg.Src, p.msg.Dst}
-		if seen[ch] {
+		ch := r.channel(p.msg)
+		if r.chans[ch] > 0 {
 			continue
 		}
-		seen[ch] = true
+		r.chans[ch]++
 		out = append(out, choice{issue: -1, deliver: i})
 	}
 	return out
@@ -154,4 +207,71 @@ func (r *replayer) laneSnapshot() []string {
 		out[n] = sb.String()
 	}
 	return out
+}
+
+// hash digests the canonical state for the visited set.
+func (r *replayer) hash() [sha256.Size]byte {
+	return sha256.Sum256(r.canon())
+}
+
+// canon renders everything that can influence future behavior and
+// returns the text, valid until the next call: the program counters,
+// the machine (caches, transactions, gates, store, engine state), and
+// the undelivered messages grouped into their FIFO channels — order
+// within a channel is behavior (delivery respects it), order across
+// channels is not (any interleaving is explored), so channel lines are
+// sorted and their contents are not. The same text serves the visited
+// set and the tests that compare states.
+func (r *replayer) canon() []byte {
+	r.buf.Reset()
+	b := append(r.buf.AvailableBuffer(), "pc["...)
+	for i, pc := range r.cursors {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(pc), 10)
+	}
+	r.buf.Write(append(b, "]\n"...))
+	r.m.CanonState(&r.buf)
+	r.buf.Write(r.appendInFlight(r.buf.AvailableBuffer()))
+	return r.buf.Bytes()
+}
+
+// appendInFlight appends one "in-flight ch<src>><dst>#<nnn> <msg>"
+// line per undelivered message, nnn numbering the message within its
+// channel, with the lines sorted.
+func (r *replayer) appendInFlight(b []byte) []byte {
+	clear(r.chans)
+	f := r.flight[:0]
+	r.spans = r.spans[:0]
+	for _, p := range r.pool {
+		start := len(f)
+		f = append(f, "ch"...)
+		f = strconv.AppendInt(f, int64(p.msg.Src), 10)
+		f = append(f, '>')
+		f = strconv.AppendInt(f, int64(p.msg.Dst), 10)
+		f = append(f, '#')
+		seq := &r.chans[r.channel(p.msg)]
+		if *seq < 100 {
+			f = append(f, '0')
+		}
+		if *seq < 10 {
+			f = append(f, '0')
+		}
+		f = strconv.AppendInt(f, int64(*seq), 10)
+		*seq++
+		f = append(f, ' ')
+		f = p.msg.AppendCanon(f)
+		r.spans = append(r.spans, [2]int{start, len(f)})
+	}
+	r.flight = f
+	slices.SortFunc(r.spans, func(x, y [2]int) int {
+		return bytes.Compare(f[x[0]:x[1]], f[y[0]:y[1]])
+	})
+	for _, sp := range r.spans {
+		b = append(b, "in-flight "...)
+		b = append(b, f[sp[0]:sp[1]]...)
+		b = append(b, '\n')
+	}
+	return b
 }

@@ -1,9 +1,11 @@
 package coherent
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"dircc/internal/cache"
 )
@@ -50,66 +52,168 @@ type ShapeChecker interface {
 
 // Canon renders msg deterministically, covering every field that can
 // influence delivery behavior (probe bookkeeping excluded).
-func (msg *Msg) Canon() string {
-	return fmt.Sprintf("%s %d>%d b%d r%d a%d p%v hd%v d%d w%v at%d ad%v sb%v sw%v td%v g%v rh%v sq%d",
-		msg.Type, msg.Src, msg.Dst, msg.Block, msg.Requester, msg.Aux, msg.Ptrs,
-		msg.HasData, msg.Data, msg.Write, msg.AckTo, msg.AckDir, msg.SibAck,
-		msg.SelfWave, msg.ToDir, msg.Gated, msg.RelHome, msg.Seq)
+func (msg *Msg) Canon() string { return string(msg.AppendCanon(nil)) }
+
+// AppendCanon appends Canon's text to b. The model checker renders
+// every in-flight, deferred and gate-queued message of every explored
+// state through it, so it formats with strconv rather than fmt.
+//
+//dirccvet:hotpath
+func (msg *Msg) AppendCanon(b []byte) []byte {
+	b = msg.Type.appendName(b)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(msg.Src), 10)
+	b = append(b, '>')
+	b = strconv.AppendInt(b, int64(msg.Dst), 10)
+	b = append(b, " b"...)
+	b = strconv.AppendUint(b, uint64(msg.Block), 10)
+	b = append(b, " r"...)
+	b = strconv.AppendInt(b, int64(msg.Requester), 10)
+	b = append(b, " a"...)
+	b = strconv.AppendInt(b, int64(msg.Aux), 10)
+	b = append(b, " p["...)
+	for i, p := range msg.Ptrs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	b = append(b, "] hd"...)
+	b = strconv.AppendBool(b, msg.HasData)
+	b = append(b, " d"...)
+	b = strconv.AppendUint(b, msg.Data, 10)
+	b = append(b, " w"...)
+	b = strconv.AppendBool(b, msg.Write)
+	b = append(b, " at"...)
+	b = strconv.AppendInt(b, int64(msg.AckTo), 10)
+	b = append(b, " ad"...)
+	b = strconv.AppendBool(b, msg.AckDir)
+	b = append(b, " sb"...)
+	b = strconv.AppendBool(b, msg.SibAck)
+	b = append(b, " sw"...)
+	b = strconv.AppendBool(b, msg.SelfWave)
+	b = append(b, " td"...)
+	b = strconv.AppendBool(b, msg.ToDir)
+	b = append(b, " g"...)
+	b = strconv.AppendBool(b, msg.Gated)
+	b = append(b, " rh"...)
+	b = strconv.AppendBool(b, msg.RelHome)
+	b = append(b, " sq"...)
+	return strconv.AppendUint(b, msg.Seq, 10)
 }
 
-// CanonState writes a canonical rendering of the machine: cache
+// CanonState writes a canonical rendering of the machine to buf: cache
 // contents in LRU order (frame position determines future victims),
 // outstanding transactions, home-gate queues, the authoritative store,
 // and — when the engine implements ProtocolState — all engine-private
 // directory state. Two machines with equal renderings are behaviorally
-// indistinguishable to the model checker.
-func (m *Machine) CanonState(w io.Writer) {
+// indistinguishable to the model checker, which renders one per
+// explored transition: the machine's own part is appended to buf
+// without fmt, and the engine writes its part through buf.
+func (m *Machine) CanonState(buf *bytes.Buffer) {
+	buf.Write(m.appendCanon(buf.AvailableBuffer()))
+	if ps, ok := m.proto.(ProtocolState); ok {
+		ps.CanonState(buf)
+	}
+}
+
+// appendCanon appends the machine-owned part of CanonState's text to b.
+func (m *Machine) appendCanon(b []byte) []byte {
 	for _, node := range m.Nodes {
-		fmt.Fprintf(w, "n%d:", node.ID)
+		b = append(b, 'n')
+		b = strconv.AppendInt(b, int64(node.ID), 10)
+		b = append(b, ':')
 		node.Cache.ForEachMRU(func(ln *cache.Line) {
 			if node.Cache.Lookup(ln.Block) != ln || ln.State == cache.Invalid {
 				// A free frame: its LRU position still matters, its old
 				// tag does not.
-				fmt.Fprint(w, "[-]")
+				b = append(b, "[-]"...)
 				return
 			}
-			fmt.Fprintf(w, "[b%d %s v%d pin%v m%v]", ln.Block, ln.State, ln.Val, ln.Pinned, ln.Meta)
+			b = append(b, "[b"...)
+			b = strconv.AppendUint(b, uint64(ln.Block), 10)
+			b = append(b, ' ')
+			b = append(b, ln.State.String()...)
+			b = append(b, " v"...)
+			b = strconv.AppendUint(b, ln.Val, 10)
+			b = append(b, " pin"...)
+			b = strconv.AppendBool(b, ln.Pinned)
+			b = append(b, " m"...)
+			b = appendValue(b, ln.Meta)
+			b = append(b, ']')
 		})
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
+	var slots [txnSlots]*Txn
 	for n := range m.txns {
-		for _, txn := range m.nodeTxns(NodeID(n)) {
-			fmt.Fprintf(w, "txn n%d b%d w%v v%d served%v rmw%v def[", n, txn.Block, txn.Write, txn.Value, txn.Served, txn.RMW != nil)
+		for _, txn := range m.appendNodeTxns(slots[:0], NodeID(n)) {
+			b = append(b, "txn n"...)
+			b = strconv.AppendInt(b, int64(n), 10)
+			b = append(b, " b"...)
+			b = strconv.AppendUint(b, uint64(txn.Block), 10)
+			b = append(b, " w"...)
+			b = strconv.AppendBool(b, txn.Write)
+			b = append(b, " v"...)
+			b = strconv.AppendUint(b, txn.Value, 10)
+			b = append(b, " served"...)
+			b = strconv.AppendBool(b, txn.Served)
+			b = append(b, " rmw"...)
+			b = strconv.AppendBool(b, txn.RMW != nil)
+			b = append(b, " def["...)
 			for _, d := range txn.Deferred {
-				fmt.Fprintf(w, "{%s}", d.Canon())
+				b = append(b, '{')
+				b = d.AppendCanon(b)
+				b = append(b, '}')
 			}
-			fmt.Fprintf(w, "] scratch=%v\n", txn.Scratch)
+			b = append(b, "] scratch="...)
+			b = appendValue(b, txn.Scratch)
+			b = append(b, '\n')
 		}
 	}
 	for home := range m.gates {
-		gateBlocks := sortedBlocks(m.gates[home])
-		for _, b := range gateBlocks {
-			g := m.gates[home][b]
-			fmt.Fprintf(w, "gate b%d busy%v q[", b, g.busy)
+		for _, blk := range sortedBlocks(m.gates[home]) {
+			g := m.gates[home][blk]
+			b = append(b, "gate b"...)
+			b = strconv.AppendUint(b, uint64(blk), 10)
+			b = append(b, " busy"...)
+			b = strconv.AppendBool(b, g.busy)
+			b = append(b, " q["...)
 			for _, q := range g.queue {
-				fmt.Fprintf(w, "{%s}", q.Canon())
+				b = append(b, '{')
+				b = q.AppendCanon(b)
+				b = append(b, '}')
 			}
-			fmt.Fprintln(w, "]")
+			b = append(b, "]\n"...)
 		}
 	}
-	for b := range m.Store.touched {
-		if !m.Store.touched[b] {
+	s := m.Store
+	for blk := range s.touched {
+		if !s.touched[blk] {
 			continue
 		}
-		fmt.Fprintf(w, "mem b%d=%d", b, m.Store.cur[b])
-		if m.Store.busy[b] {
-			fmt.Fprintf(w, " (pre-write %d)", m.Store.prev[b])
+		b = append(b, "mem b"...)
+		b = strconv.AppendInt(b, int64(blk), 10)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, s.cur[blk], 10)
+		if s.busy[blk] {
+			b = append(b, " (pre-write "...)
+			b = strconv.AppendUint(b, s.prev[blk], 10)
+			b = append(b, ')')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
-	if ps, ok := m.proto.(ProtocolState); ok {
-		ps.CanonState(w)
+	return b
+}
+
+// appendValue appends v as fmt's %v verb renders it. Line metadata and
+// transaction scratch are engine-owned types, which only fmt knows how
+// to print; the nil the full-map and limited engines leave costs no
+// formatting.
+func appendValue(b []byte, v any) []byte {
+	if v == nil {
+		return append(b, "<nil>"...)
 	}
+	return fmt.Append(b, v)
 }
 
 func sortedBlocks[V any](m map[BlockID]V) []BlockID {
@@ -117,6 +221,6 @@ func sortedBlocks[V any](m map[BlockID]V) []BlockID {
 	for b := range m {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -1,6 +1,8 @@
 package coherent
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -527,4 +529,64 @@ func TestMonitorCatchesStaleReadHit(t *testing.T) {
 		t.Fatal("monitor missed the stale read hit")
 	}
 	_ = b
+}
+
+// resetWorkload has every node of m walk four blocks through a
+// two-line cache, mixing reads and writes, so the run exercises
+// replacements, gate queueing and network contention. It returns
+// without draining the kernel.
+func resetWorkload(m *Machine, rounds int) {
+	base := m.Alloc(4 * 8)
+	for n := range m.Cfg.Procs {
+		var step func(i int)
+		step = func(i int) {
+			if i == rounds {
+				return
+			}
+			k := (n + i) % 4
+			m.Access(NodeID(n), base+uint64(k*8), k == n%4, uint64(100*n+i), func(uint64) { step(i + 1) })
+		}
+		step(0)
+	}
+}
+
+// TestResetMatchesFresh resets a machine stopped in mid-run — events
+// queued, transactions outstanding, gates held, links busy — and
+// requires the next run to match a fresh machine's exactly: cycles,
+// counters, kernel and network totals, and the canonical state.
+func TestResetMatchesFresh(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Check = true
+	cfg.CacheBytes = 2 * cfg.BlockBytes
+	run := func(m *Machine) string {
+		t.Helper()
+		resetWorkload(m, 6)
+		if err := m.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		m.CanonState(&buf)
+		return fmt.Sprintf("now %d executed %d sent %d ctr %+v\n%s", m.Now(), m.Executed(), m.Net.Sent(), *m.Ctr, buf.String())
+	}
+	fresh, err := NewMachine(cfg, newFake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(fresh)
+
+	used, err := NewMachine(cfg, newFake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetWorkload(used, 3)
+	if _, err := used.eng.RunUntil(60); err != nil {
+		t.Fatal(err)
+	}
+	if used.eng.Pending() == 0 || used.Net.InFlight() == 0 {
+		t.Fatal("the interrupted run left nothing behind to reset")
+	}
+	used.Reset(newFake())
+	if got := run(used); got != want {
+		t.Fatalf("after Reset:\n%s\nfresh machine:\n%s", got, want)
+	}
 }

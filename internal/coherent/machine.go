@@ -12,8 +12,10 @@
 package coherent
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -346,7 +348,6 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		Cfg:   cfg,
 		Ctr:   ctr,
 		Store: NewStore(),
-		proto: proto,
 		txns:  make([][]atomic.Pointer[Txn], cfg.Procs),
 		gates: make([]map[BlockID]*gate, cfg.Procs),
 		dir:   make([]map[BlockID]any, cfg.Procs),
@@ -377,22 +378,75 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		return nil, err
 	}
 	m.Net = net
-	for i := 0; i < cfg.Procs; i++ {
-		m.Nodes = append(m.Nodes, &Node{
-			ID:    NodeID(i),
-			Cache: cache.MustNew(cfg.CacheSets, cfg.CacheAssoc()),
-		})
-		m.txns[i] = make([]atomic.Pointer[Txn], txnSlots)
-		m.gates[i] = make(map[BlockID]*gate)
-		m.dir[i] = make(map[BlockID]any)
+	m.setUp(proto)
+	return m, nil
+}
+
+// setUp gives every node an empty cache, free transaction slots, no
+// held gates and no directory entries, starts the monitor with no
+// findings, and binds proto, preparing it on this machine. newMachine
+// runs it on a machine with no nodes yet, allocating their storage;
+// Reset runs it on a used machine, clearing that storage in place.
+// Per-run state set up here starts the same way in both.
+func (m *Machine) setUp(proto Engine) {
+	for i := range m.Cfg.Procs {
+		if i == len(m.Nodes) {
+			m.Nodes = append(m.Nodes, &Node{
+				ID:    NodeID(i),
+				Cache: cache.MustNew(m.Cfg.CacheSets, m.Cfg.CacheAssoc()),
+			})
+			m.txns[i] = make([]atomic.Pointer[Txn], txnSlots)
+			m.gates[i] = make(map[BlockID]*gate)
+			m.dir[i] = make(map[BlockID]any)
+			continue
+		}
+		m.Nodes[i].Cache.Reset()
+		for j := range m.txns[i] {
+			m.txns[i][j].Store(nil)
+		}
+		clear(m.gates[i])
+		clear(m.dir[i])
 	}
-	if cfg.Check {
-		m.Mon = NewMonitor(m)
+	if m.Cfg.Check {
+		if m.Mon == nil {
+			m.Mon = NewMonitor(m)
+		}
+		m.Mon.errs = nil
 	}
+	m.proto = proto
 	if p, ok := proto.(Preparer); ok {
 		p.Prepare(m)
 	}
-	return m, nil
+}
+
+// Reset returns a sequential machine to the state NewMachine leaves it
+// in, bound to proto, which must be a new engine: no engine state
+// survives from one run to the next. The storage the last run grew is
+// kept — the kernel queue, the network's free-time arrays, the cache
+// index maps, transaction slots, gate and directory maps, store
+// arrays, counters and monitor — so a driver that runs many short
+// simulations of one configuration (the model checker replays one path
+// per explored transition) stops paying for a machine each time. The
+// send hook and the lane audit stay installed; a probe or kernel
+// profile is detached.
+func (m *Machine) Reset(proto Engine) {
+	if m.shard != nil {
+		panic("coherent: Reset requires the sequential kernel")
+	}
+	if proto == nil {
+		panic("coherent: Reset with nil protocol engine")
+	}
+	m.AttachProbe(nil)
+	m.kprof = nil
+	m.eng.Reset()
+	m.Net.Reset()
+	msgs := m.Ctr.MsgByType
+	clear(msgs)
+	*m.Ctr = stats.Counters{MsgByType: msgs}
+	m.Store.reset()
+	m.allocTop = 0
+	m.LaneAuditReset()
+	m.setUp(proto)
 }
 
 // Preparer is implemented by protocol engines that bind to their
@@ -789,7 +843,7 @@ func (m *Machine) DumpState(w io.Writer) {
 	}
 	blocks := make(map[BlockID]bool)
 	for n := range m.txns {
-		for _, txn := range m.nodeTxns(NodeID(n)) {
+		for _, txn := range m.appendNodeTxns(nil, NodeID(n)) {
 			kind := "read"
 			if txn.Write {
 				kind = "write"
@@ -928,18 +982,19 @@ func (m *Machine) delTxn(txn *Txn) {
 	panic(fmt.Sprintf("coherent: delTxn for node %d found no matching slot", txn.Node))
 }
 
-// nodeTxns returns node n's outstanding transactions ordered by block
-// (deterministic iteration for dumps and canonical state).
-func (m *Machine) nodeTxns(n NodeID) []*Txn {
-	var out []*Txn
+// appendNodeTxns appends node n's outstanding transactions to dst,
+// ordered by block (deterministic iteration for dumps and canonical
+// state).
+func (m *Machine) appendNodeTxns(dst []*Txn, n NodeID) []*Txn {
+	start := len(dst)
 	slots := m.txns[n]
 	for i := range slots {
 		if t := slots[i].Load(); t != nil {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
-	return out
+	slices.SortFunc(dst[start:], func(a, b *Txn) int { return cmp.Compare(a.Block, b.Block) })
+	return dst
 }
 
 // Outstanding returns the number of transactions node n has in flight.

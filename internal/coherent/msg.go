@@ -1,7 +1,7 @@
 package coherent
 
 import (
-	"fmt"
+	"strconv"
 
 	"dircc/internal/cache"
 	"dircc/internal/topology"
@@ -80,7 +80,18 @@ func (t MsgType) String() string {
 	if int(t) < len(msgTypeNames) {
 		return msgTypeNames[t]
 	}
-	return fmt.Sprintf("MsgType(%d)", uint8(t))
+	return string(t.appendName(nil))
+}
+
+// appendName appends t's String text to b. It formats without fmt, so
+// Msg.AppendCanon, which allocguard keeps allocation-free, can call it.
+func (t MsgType) appendName(b []byte) []byte {
+	if int(t) < len(msgTypeNames) {
+		return append(b, msgTypeNames[t]...)
+	}
+	b = append(b, "MsgType("...)
+	b = strconv.AppendUint(b, uint64(t), 10)
+	return append(b, ')')
 }
 
 // Msg is a coherence message. Fields beyond Type/Src/Dst/Block are

@@ -36,6 +36,16 @@ type Store struct {
 // NewStore returns an empty memory image (all blocks read as zero).
 func NewStore() *Store { return &Store{} }
 
+// reset returns the image to the all-zero state NewStore leaves it in,
+// keeping the backing arrays.
+func (s *Store) reset() {
+	clear(s.cur)
+	clear(s.prev)
+	clear(s.busy)
+	clear(s.touched)
+	s.frozen = false
+}
+
 // ensure grows the image to cover block b. Growth reallocates the
 // backing arrays, which is only safe while one goroutine runs the
 // simulation; a frozen (sharded) store panics instead.

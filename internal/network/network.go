@@ -165,6 +165,18 @@ func (n *Network) routeFor(src, dst topology.NodeID) []topology.LinkID {
 	return n.routeScratch
 }
 
+// Reset returns the network to the idle state New leaves it in: every
+// link and interface port free at time zero and no message sent or
+// delivered. The route table, the scheduler, the counters and the
+// probe stay as they are.
+func (n *Network) Reset() {
+	clear(n.linkFree)
+	clear(n.injectFree)
+	clear(n.ejectFree)
+	clear(n.deliveredBy)
+	n.sent = 0
+}
+
 // SetProbe installs (or, with nil, removes) the transport-timing
 // observer.
 func (n *Network) SetProbe(fn func(start, arrive, unloaded sim.Time)) { n.probe = fn }

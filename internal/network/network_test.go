@@ -324,3 +324,27 @@ func TestQuickPerPairFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestReset(t *testing.T) {
+	eng, n, _ := newNet(t, 3)
+	n.Send("Inv", 0, 1, 8, func() {})
+	n.Send("Inv", 0, 7, 8, func() {})
+	if _, err := eng.RunUntil(9); err != nil {
+		t.Fatal(err)
+	}
+	eng.Reset()
+	n.Reset()
+	if n.Sent() != 0 || n.InFlight() != 0 {
+		t.Fatalf("after Reset: sent %d, in flight %d", n.Sent(), n.InFlight())
+	}
+	// The ports and links are free again: the first send arrives as on
+	// an idle network.
+	var arrived sim.Time
+	n.Send("Inv", 0, 1, 8, func() { arrived = eng.Now() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if arrived != 9 || n.InFlight() != 0 {
+		t.Fatalf("arrival %d, want 9; in flight %d", arrived, n.InFlight())
+	}
+}

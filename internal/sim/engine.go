@@ -152,6 +152,14 @@ func (e *Engine) At(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
+// Reset returns the engine to time zero with an empty queue and no
+// events fired, as NewEngine leaves it, keeping MaxEvents, the tick and
+// the queue's capacity. Pending events are dropped unfired.
+func (e *Engine) Reset() {
+	clear(e.queue)
+	*e = Engine{queue: e.queue[:0], MaxEvents: e.MaxEvents, tick: e.tick}
+}
+
 // Stop makes Run return after the currently firing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -246,5 +247,32 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReset(t *testing.T) {
+	e := NewEngine()
+	e.MaxEvents = 100
+	for _, d := range []Time{1, 5, 10} {
+		e.Schedule(d, func() {})
+	}
+	if _, err := e.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.MaxEvents != 100 {
+		t.Fatalf("after Reset: now %d, pending %d, executed %d, budget %d",
+			e.Now(), e.Pending(), e.Executed(), e.MaxEvents)
+	}
+	// Sequence numbers restart too: same-instant events keep FIFO order.
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Schedule(2, func() { order = append(order, i) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 2 || e.Executed() != 3 || !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("after Reset ran to %d, %d events, order %v", e.Now(), e.Executed(), order)
 	}
 }
