@@ -18,13 +18,16 @@ tier1: build test
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repo's own analyzer suite (cmd/dirccvet:
-# simdet, maprange, probeguard, laneguard, plus the allocguard escape
-# gate over //dirccvet:hotpath functions).
+# lint runs go vet, a gofmt gate (fails if any tracked Go file is not
+# gofmt-clean, and names the files), and the repo's own analyzer suite
+# (cmd/dirccvet: simdet, maprange, probeguard, laneguard, plus the
+# allocguard escape gate over //dirccvet:hotpath functions).
 # staticcheck and govulncheck also run when installed — CI installs
 # them; offline dev boxes may not have them, so their absence is not an
 # error here.
 lint: vet
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))" || exit 1; \
+	if [ -n "$$unformatted" ]; then echo "lint: not gofmt-clean (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/dirccvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping"; fi

@@ -12,9 +12,7 @@
 //
 // When stderr is a terminal (or -progress is given), a live
 // completed/total line with per-experiment wall times is printed to
-// stderr; stdout carries only the CSV either way. With -http the same
-// progress is served live over HTTP: an HTML dashboard at /, Prometheus
-// metrics at /metrics, and JSON at /progress.
+// stderr; stdout carries only the CSV either way.
 //
 // Usage:
 //
@@ -24,16 +22,17 @@
 //	sweep -procs 64,256 -shards 8 -j 1           # big machines: parallelize inside the run
 //	sweep -trace-dir traces -timeseries-dir ts   # per-experiment exports
 //	sweep -attrib attrib.csv -attrib-json attrib.json
-//	sweep -http :8080                            # live telemetry
 //	sweep -shards 4 -kprof kprof.csv -kprof-json kprof.json  # kernel profile
 //	sweep -shards 8 -explain-shards              # which runs parallelize, and why not
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -62,7 +61,6 @@ func main() {
 	watchdogJSON := flag.Bool("watchdog-json", false, "emit watchdog reports as machine-readable JSON lines")
 	attribOut := flag.String("attrib", "", "write per-experiment latency-attribution CSV to this file")
 	attribJSONOut := flag.String("attrib-json", "", "write per-experiment latency-attribution JSON to this file")
-	httpAddr := flag.String("http", "", "serve live sweep telemetry on this address (e.g. :8080)")
 	kprofOut := flag.String("kprof", "", "profile the parallel kernel and write per-experiment speedup-attribution CSV to this file")
 	kprofJSONOut := flag.String("kprof-json", "", "profile the parallel kernel and write per-experiment speedup-attribution JSON to this file")
 	explainShards := flag.Bool("explain-shards", false, "print each grid point's shard plan (effective shards and fallback reason) and exit without running")
@@ -116,7 +114,7 @@ func main() {
 	}
 
 	wantAttrib := *attribOut != "" || *attribJSONOut != ""
-	needObs := *traceDir != "" || *tsDir != "" || *watchdog > 0 || wantAttrib || *httpAddr != ""
+	needObs := *traceDir != "" || *tsDir != "" || *watchdog > 0 || wantAttrib
 	for _, dir := range []string{*traceDir, *tsDir} {
 		if dir == "" {
 			continue
@@ -146,58 +144,43 @@ func main() {
 
 	// Kernel profiling: each experiment owns a profile (experiments run
 	// concurrently). Inert on runs that fall back to the sequential
-	// kernel. Profiling is also implied by -http so the dashboard can
-	// show live lane activity without a separate opt-in.
-	wantKProf := *kprofOut != "" || *kprofJSONOut != "" || *httpAddr != ""
+	// kernel.
+	wantKProf := *kprofOut != "" || *kprofJSONOut != ""
 	if wantKProf && *shards > 1 {
 		for i := range exps {
 			exps[i].KProf = &kprof.Profile{}
 		}
 	}
 
+	// stdout is buffered; the flush after the last row reports any
+	// write error (a full disk, say), so a lost table never exits 0.
+	stdout := bufio.NewWriter(os.Stdout)
 	if *explainShards {
 		fallbacks := 0
-		fmt.Println("app,scheme,procs,topology,requested,effective,reason,detail")
+		fmt.Fprintln(stdout, "app,scheme,procs,topology,requested,effective,reason,detail")
 		for _, exp := range exps {
 			plan, err := dircc.ExplainShards(exp)
 			if err != nil {
+				stdout.Flush()
 				fmt.Fprintln(os.Stderr, "sweep:", err)
 				os.Exit(1)
 			}
 			if plan.Fallback() {
 				fallbacks++
 			}
-			fmt.Printf("%s,%s,%d,%s,%d,%d,%s,%q\n",
+			fmt.Fprintf(stdout, "%s,%s,%d,%s,%d,%d,%s,%q\n",
 				exp.App, exp.Protocol, exp.Procs, orDefault(exp.Topology, "hypercube"),
 				plan.Requested, plan.Shards, plan.ReasonToken, plan.Reason.Describe())
+		}
+		if err := stdout.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d grid points would fall back to the sequential kernel\n",
 			fallbacks, len(exps))
 		return
 	}
 
-	// Live telemetry server. Each experiment gets its own ObsConfig so
-	// the monitor can hand it a private gauge.
-	var monitor *dircc.SweepMonitor
-	if *httpAddr != "" {
-		workers := *jobs
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > len(exps) {
-			workers = len(exps)
-		}
-		monitor = dircc.NewSweepMonitor(exps, workers)
-		monitor.Serve(*httpAddr, func(err error) {
-			fmt.Fprintln(os.Stderr, "sweep: telemetry server:", err)
-		})
-		fmt.Fprintf(os.Stderr, "sweep: live telemetry on http://localhost%s/ (metrics at /metrics)\n", *httpAddr)
-		if *shards > 1 {
-			for i := range exps {
-				monitor.AttachKProf(i, exps[i].KProf)
-			}
-		}
-	}
 	if needObs {
 		for i := range exps {
 			oc := &dircc.ObsConfig{
@@ -208,9 +191,6 @@ func main() {
 			}
 			if *tsDir != "" {
 				oc.SampleEvery = *sampleEvery
-			}
-			if monitor != nil {
-				oc.Gauge = monitor.Gauge(i)
 			}
 			exps[i].Obs = oc
 		}
@@ -234,21 +214,10 @@ func main() {
 				orDefault(exp.Topology, "hypercube"), status, r.Elapsed.Seconds())
 		}
 	}
-	var onStart func(i int)
-	if monitor != nil {
-		onStart = monitor.Start
-		userDone := onDone
-		onDone = func(i int, r dircc.ResultOrErr) {
-			monitor.Done(i, r)
-			if userDone != nil {
-				userDone(i, r)
-			}
-		}
-	}
 
-	results := dircc.RunExperimentsLive(context.Background(), exps, *jobs, onStart, onDone)
+	results := dircc.RunExperimentsLive(context.Background(), exps, *jobs, onDone)
 
-	fmt.Println(dircc.SweepCSVHeader())
+	fmt.Fprintln(stdout, dircc.SweepCSVHeader())
 	failed := false
 	fallbacks := 0
 	shardedRuns := 0    // experiments that actually ran on the parallel kernel
@@ -289,7 +258,7 @@ func main() {
 		if hasFM && baseline != 0 {
 			norm = float64(r.Cycles) / float64(baseline)
 		}
-		fmt.Println(r.SweepCSVRow(norm))
+		fmt.Fprintln(stdout, r.SweepCSVRow(norm))
 		if err := dircc.WriteExports(exp, r, *traceDir, *tsDir); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			failed = true
@@ -298,6 +267,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			failed = true
 		}
+	}
+	if err := stdout.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		failed = true
 	}
 	if *shards > 1 && fallbacks > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d experiments fell back to the sequential kernel (run -explain-shards for the full table)\n",
@@ -364,31 +337,20 @@ func writeKProf(exps []dircc.Experiment, results []dircc.ResultOrErr, csvPath, j
 		})
 	}
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
+		err := writeFile(csvPath, func(w io.Writer) error {
+			fmt.Fprintf(w, "app,scheme,procs,topology,%s\n", strings.Join(kprof.CSVHeader(), ","))
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%s,%d,%s,%s\n", r.App, r.Scheme, r.Procs, r.Topology,
+					strings.Join(r.Report.CSVRow(), ","))
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "app,scheme,procs,topology,%s\n", strings.Join(kprof.CSVHeader(), ","))
-		for _, r := range rows {
-			fmt.Fprintf(f, "%s,%s,%d,%s,%s\n", r.App, r.Scheme, r.Procs, r.Topology,
-				strings.Join(r.Report.CSVRow(), ","))
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := kprof.WriteRows(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(jsonPath, func(w io.Writer) error { return kprof.WriteRows(w, rows) })
 	}
 	return nil
 }
@@ -417,34 +379,45 @@ func writeAttrib(exps []dircc.Experiment, results []dircc.ResultOrErr, csvPath, 
 		})
 	}
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
+		err := writeFile(csvPath, func(w io.Writer) error {
+			fmt.Fprintf(w, "app,scheme,procs,topology,%s\n", attrib.CSVHeader())
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%s,%d,%s,%s\n", r.App, r.Scheme, r.Procs, r.Topology, r.Report.CSVRow())
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "app,scheme,procs,topology,%s\n", attrib.CSVHeader())
-		for _, r := range rows {
-			fmt.Fprintf(f, "%s,%s,%d,%s,%s\n", r.App, r.Scheme, r.Procs, r.Topology, r.Report.CSVRow())
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(jsonPath, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rows)
+		})
 	}
 	return nil
+}
+
+// writeFile creates path and fills it through a buffered writer. The
+// buffer keeps the first write error, so fill may ignore the errors of
+// its Fprintf calls: writeFile returns the first error of fill, the
+// flush or the close.
+func writeFile(path string, fill func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = fill(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // stderrIsTerminal reports whether stderr is attached to a character

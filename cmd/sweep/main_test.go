@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -62,5 +63,20 @@ func TestTraceAttribNeverFallBack(t *testing.T) {
 		if plan.Fallback() || plan.ReasonToken != "ok" {
 			t.Errorf("obs %+v: plan %+v would trigger the per-run fallback warning", oc, plan)
 		}
+	}
+}
+
+// TestWritersReportWriteErrors pins that the -attrib and -kprof CSV
+// writers return a failed write instead of dropping it. /dev/full
+// opens like any file and fails every write with ENOSPC.
+func TestWritersReportWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	if err := writeAttrib(nil, nil, "/dev/full", ""); err == nil {
+		t.Error("writeAttrib to /dev/full returned no error")
+	}
+	if err := writeKProf(nil, nil, "/dev/full", ""); err == nil {
+		t.Error("writeKProf to /dev/full returned no error")
 	}
 }

@@ -98,10 +98,6 @@ type ObsConfig struct {
 	// as an in-process sink on the event stream; the folded report is
 	// returned in Result.Attrib.
 	Attrib bool
-	// Gauge, when non-nil, receives live execution counters (cycle,
-	// events, queue depth) from the running engine for concurrent
-	// telemetry scrapes. The caller owns the gauge.
-	Gauge *obs.Gauge
 }
 
 // probe builds the obs.Probe described by the config, reading counter
@@ -128,7 +124,6 @@ func (oc *ObsConfig) probe(ctr *Counters) (*obs.Probe, *attrib.Collector) {
 		col = attrib.NewCollector()
 		p.Sinks = append(p.Sinks, col)
 	}
-	p.Gauge = oc.Gauge
 	return p, col
 }
 
@@ -201,8 +196,8 @@ func (p ShardPlan) Fallback() bool { return p.Requested > 1 && p.Shards <= 1 }
 // first: explicit sequential request, checker, then locks. The
 // protocol never forces a fallback: every registered engine keeps to
 // the lane contract. Nor does observability: the event stream is
-// merged deterministically from per-lane buffers, and watchdog /
-// sampler / gauge ride the coordinator tick.
+// merged deterministically from per-lane buffers, and the watchdog
+// and sampler ride the coordinator tick.
 func (exp Experiment) shardPlan() ShardPlan {
 	plan := ShardPlan{Requested: exp.Shards, Shards: 1}
 	switch {

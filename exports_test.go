@@ -49,7 +49,7 @@ func TestParallelExports(t *testing.T) {
 			}
 		}()
 	}
-	RunExperimentsLive(context.Background(), exps, 4, nil, onDone)
+	RunExperimentsLive(context.Background(), exps, 4, onDone)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

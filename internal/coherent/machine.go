@@ -686,10 +686,10 @@ func (m *Machine) markHomeCommit(msg *Msg) {
 // Both kernels share the wiring. The tick runs single-threaded —
 // before every event on the sequential kernel, after every sub-round
 // on the sharded one — and folds the per-lane progress clocks into the
-// watchdog before the sampler, the stall check and the gauge read the
-// clock. Event-stream consumers (Trace, Sinks) see every event in the
-// global (at, seq) order (see emit), so the stream is byte-identical to
-// the sequential run at any shard count.
+// watchdog before the sampler and the stall check read the clock.
+// Event-stream consumers (Trace, Sinks) see every event in the global
+// (at, seq) order (see emit), so the stream is byte-identical to the
+// sequential run at any shard count.
 func (m *Machine) AttachProbe(p *obs.Probe) {
 	m.probe = p
 	m.events = false
@@ -725,12 +725,6 @@ func (m *Machine) AttachProbe(p *obs.Probe) {
 		tick = func(t sim.Time) {
 			m.foldProgress()
 			p.Tick(uint64(t))
-			if p.Gauge != nil {
-				// The gauge reads kernel counters on the simulation goroutine
-				// and publishes them atomically, so a concurrent telemetry
-				// scrape never touches kernel internals.
-				p.Gauge.Note(uint64(t), m.sched.Executed(), m.sched.Pending())
-			}
 		}
 	}
 	m.sched.SetTick(tick)
@@ -1393,9 +1387,6 @@ func (m *Machine) Quiesce() error {
 			// capture — main counters plus live sinks — sees the same
 			// totals a sequential run would.
 			p.Sampler.Flush(uint64(m.Now()))
-		}
-		if p.Gauge != nil {
-			p.Gauge.Finish(uint64(m.Now()), m.Executed())
 		}
 	}
 	return err

@@ -4,8 +4,8 @@ import "math/bits"
 
 // Hist is a fixed 64-bucket power-of-two histogram: bucket i counts
 // observations v with bit-length i (bucket 0 holds v==0). Fixed-size
-// so it embeds in Profile and LiveSnapshot without allocation and
-// copies by assignment.
+// so it embeds in Profile without allocation and copies by
+// assignment.
 type Hist struct {
 	Buckets [64]uint64 `json:"-"`
 	Count   uint64     `json:"count"`
@@ -60,9 +60,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return h.MaxV
 }
 
-// NonZero reports whether any observation was recorded.
-func (h *Hist) NonZero() bool { return h.Count > 0 }
-
 // Merge folds o into h.
 func (h *Hist) Merge(o *Hist) {
 	for i := range h.Buckets {
@@ -73,21 +70,4 @@ func (h *Hist) Merge(o *Hist) {
 	if o.MaxV > h.MaxV {
 		h.MaxV = o.MaxV
 	}
-}
-
-// BucketEdges returns, for display, the non-empty buckets as
-// (upper-edge, count) pairs in ascending order.
-func (h *Hist) BucketEdges() (edges []uint64, counts []uint64) {
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		var edge uint64
-		if i > 0 {
-			edge = uint64(1)<<uint(i) - 1
-		}
-		edges = append(edges, edge)
-		counts = append(counts, c)
-	}
-	return edges, counts
 }

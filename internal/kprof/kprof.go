@@ -38,14 +38,10 @@
 // its own cache-line-padded scratch slot (LaneStart/LaneEnd); the
 // coordinator owns every other field and folds the scratch after the
 // wave barrier, whose channel operations provide the happens-before
-// edges. Live telemetry readers (the -http scrape goroutine) see a
-// decimated, mutex-guarded snapshot (Live), never the accumulators.
+// edges.
 package kprof
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // TimelineCap bounds the per-wave timeline retained for the Chrome
 // trace export. Long runs execute millions of waves; the timeline
@@ -53,11 +49,6 @@ import (
 // Report.TimelineDropped — a documented cap, never a silent one (the
 // report and the trace metadata both carry the dropped count).
 const TimelineCap = 2048
-
-// liveEvery is the decimation factor for the Live snapshot: the
-// coordinator publishes once every liveEvery waves, so the usual
-// per-wave cost is a counter check.
-const liveEvery = 64
 
 // laneScratch is the per-lane slot a worker stamps during the parallel
 // phase, plus the coordinator's post-barrier fired count. Padded to a
@@ -96,8 +87,7 @@ type LaneAcc struct {
 // Profile collects a kernel profile across one or more Run calls of a
 // sim.Sharded engine. Attach it before running (sim.Sharded.SetProf /
 // coherent.Machine.AttachKProf); read it after with Report, Timeline,
-// or WriteChromeTrace, and concurrently — from a telemetry scrape
-// goroutine — with Live. A Profile must not be shared between
+// or WriteChromeTrace. A Profile must not be shared between
 // concurrently running engines.
 type Profile struct {
 	shards  int
@@ -145,8 +135,6 @@ type Profile struct {
 	tlLaneBusy      []int64
 	tlLaneEvents    []uint64
 	timelineDropped uint64
-
-	live liveState
 }
 
 // now returns monotonic ns since the current Run started.
@@ -170,7 +158,6 @@ func (p *Profile) Start(shards int) {
 		p.shards = shards
 		p.tlLaneBusy = make([]int64, 0, TimelineCap*shards)
 		p.tlLaneEvents = make([]uint64, 0, TimelineCap*shards)
-		p.live.reset(shards)
 	}
 	if p.tlAt == nil {
 		p.tlAt = make([]uint64, 0, TimelineCap)
@@ -327,98 +314,16 @@ func (p *Profile) NoteBind(lane int) {
 func (p *Profile) NoteRelHome() { p.relHomeCount++ }
 
 // WaveEnd closes one sub-round: the coordinator calls it after rebind,
-// outside any parallel phase. It drives the decimated live snapshot.
+// outside any parallel phase, with the kernel's executed-event count.
 func (p *Profile) WaveEnd(executed uint64) {
 	p.executed = executed
-	if p.waves%liveEvery == 0 {
-		p.publish(false)
-	}
 }
 
-// Finish stamps the Run's wall time and publishes the final live
-// snapshot. The kernel calls it when Run returns, error paths
-// included.
+// Finish stamps the Run's wall time. The kernel calls it when Run
+// returns, error paths included.
 func (p *Profile) Finish(executed uint64) {
 	p.executed = executed
 	p.wallNs += p.now()
-	p.publish(true)
-}
-
-// ---------------------------------------------------------------------
-// Live snapshot (concurrent telemetry reads)
-// ---------------------------------------------------------------------
-
-// LiveLane is one lane's totals in a live snapshot.
-type LiveLane struct {
-	Events uint64 `json:"events"`
-	BusyNs int64  `json:"busy_ns"`
-	IdleNs int64  `json:"idle_ns"`
-}
-
-// LiveSnapshot is a concurrent-read view of a running (or finished)
-// profile, decimated to every few waves.
-type LiveSnapshot struct {
-	Shards        int        `json:"shards"`
-	Rounds        uint64     `json:"rounds"`
-	Waves         uint64     `json:"waves"`
-	Executed      uint64     `json:"executed"`
-	PhaseNs       int64      `json:"phase_ns"`
-	ReplayNs      int64      `json:"replay_ns"`
-	RebindNs      int64      `json:"rebind_ns"`
-	Lanes         []LiveLane `json:"lanes"`
-	WaveWidth     Hist       `json:"wave_width"`
-	Done          bool       `json:"done"`
-	MeanWaveNs    float64    `json:"mean_wave_ns"`
-	MeanWaveWidth float64    `json:"mean_wave_width"`
-}
-
-// liveState is the mutex-guarded publication buffer. publish copies
-// into preallocated storage, so the steady-state cost is a short
-// critical section and no allocation.
-type liveState struct {
-	mu   sync.Mutex
-	snap LiveSnapshot
-	ok   bool
-}
-
-func (l *liveState) reset(shards int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.snap = LiveSnapshot{Shards: shards, Lanes: make([]LiveLane, shards)}
-	l.ok = true
-}
-
-func (p *Profile) publish(done bool) {
-	l := &p.live
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.ok {
-		return
-	}
-	s := &l.snap
-	s.Rounds, s.Waves, s.Executed = p.rounds, p.waves, p.executed
-	s.PhaseNs, s.ReplayNs, s.RebindNs = p.phaseNs, p.replayNs, p.rebindNs
-	s.WaveWidth = p.waveWidth
-	s.Done = done
-	for i := range p.lanes {
-		s.Lanes[i] = LiveLane{Events: p.lanes[i].Events, BusyNs: p.lanes[i].BusyNs, IdleNs: p.lanes[i].IdleNs}
-	}
-	if p.waves > 0 {
-		s.MeanWaveNs = float64(p.phaseNs+p.replayNs+p.rebindNs) / float64(p.waves)
-	}
-	s.MeanWaveWidth = p.waveWidth.Mean()
-}
-
-// Live returns a copy of the latest published snapshot. Safe to call
-// from any goroutine while the profiled run executes; returns a zero
-// snapshot before the first Run.
-func (p *Profile) Live() LiveSnapshot {
-	l := &p.live
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.snap
-	s.Lanes = append([]LiveLane(nil), l.snap.Lanes...)
-	return s
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ import (
 
 func TestHist(t *testing.T) {
 	var h Hist
-	if h.NonZero() || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty hist not zero")
 	}
 	for _, v := range []uint64{0, 1, 2, 3, 1000, 1 << 20} {
@@ -36,10 +36,6 @@ func TestHist(t *testing.T) {
 	m.Merge(&h)
 	if m.Count != 12 || m.Sum != 2*h.Sum || m.MaxV != h.MaxV {
 		t.Fatalf("merge: %+v", m)
-	}
-	edges, counts := h.BucketEdges()
-	if len(edges) != len(counts) || len(edges) == 0 {
-		t.Fatalf("edges %v counts %v", edges, counts)
 	}
 }
 
@@ -129,12 +125,6 @@ func TestProfileFoldAndReport(t *testing.T) {
 	}
 	if tl[0].ReplayNs <= 0 {
 		t.Fatalf("replay not attributed to timeline: %+v", tl[0])
-	}
-
-	// Live snapshot published by Finish.
-	live := p.Live()
-	if !live.Done || live.Waves != 3 || live.Executed != 14 || len(live.Lanes) != 2 {
-		t.Fatalf("live: %+v", live)
 	}
 
 	// CSV row matches header width.
@@ -255,22 +245,5 @@ func TestRowsRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadRows(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("expected error for missing file")
-	}
-}
-
-func TestLiveDecimation(t *testing.T) {
-	p := &Profile{}
-	p.Start(1)
-	// Before any publish interval, Live returns the reset snapshot.
-	if s := p.Live(); s.Done || s.Waves != 0 {
-		t.Fatalf("pre: %+v", s)
-	}
-	for i := 0; i < liveEvery; i++ {
-		p.RoundStart(uint64(i))
-		driveWave(p, uint64(i), []uint64{1})
-	}
-	// wave count hit liveEvery → published.
-	if s := p.Live(); s.Waves != liveEvery {
-		t.Fatalf("post: %+v", s)
 	}
 }

@@ -2,7 +2,7 @@
 // protocol event trace, a time-series sampler over the statistics
 // counters, a stall watchdog for protocol-deadlock diagnosis, and a
 // sink fan-out for in-process consumers of the event stream (latency
-// attribution, live telemetry).
+// attribution).
 //
 // The layer is designed around one invariant: when disabled it costs
 // nothing on the hot path. The machine holds a single *Probe pointer
@@ -26,7 +26,7 @@ package obs
 // the simulation goroutine and must never block or schedule simulated
 // events. The Trace is the buffering special case (kept as a concrete
 // field so existing exporters keep working); everything else — latency
-// attribution, live counters — attaches here.
+// attribution — attaches here.
 type Sink interface {
 	Event(e Event)
 }
@@ -44,9 +44,6 @@ type Probe struct {
 	Watchdog *Watchdog
 	// Sinks receive every structured event the Trace would record.
 	Sinks []Sink
-	// Gauge, when set, is fed live execution counters from the kernel
-	// tick (cycle, events executed, queue depth) for telemetry scrapes.
-	Gauge *Gauge
 
 	nextID int64
 	waves  map[uint64]int

@@ -74,13 +74,12 @@ type EmitReplayer interface {
 // and Sharded (routes to the owning lane): the current instant, the
 // ability to deliver a closure to a specific node at an absolute time
 // (all the network layer needs), the observer tick, and the event
-// counts the coherence machine reports.
+// count the coherence machine reports.
 type NodeScheduler interface {
 	Now() Time
 	AtNode(node int, t Time, fn func())
 	SetTick(fn func(Time))
 	Executed() uint64
-	Pending() int
 }
 
 // AtNode delivers fn at instant t; the sequential engine has a single
@@ -199,8 +198,8 @@ type Sharded struct {
 
 	// tick, when non-nil, runs on the coordinator at the end of every
 	// sub-round (outside Phase P, after rebind). The observability
-	// bridge uses it to drive watchdog/sampler/gauge checks from a
-	// single goroutine without touching the event stream.
+	// bridge uses it to drive watchdog/sampler checks from a single
+	// goroutine without touching the event stream.
 	tick func(Time)
 
 	// MaxEvents, when non-zero, aborts Run with ErrEventBudget once the

@@ -34,18 +34,17 @@ type ResultOrErr struct {
 // ran carry ctx's error. Experiments already in flight run to
 // completion (the kernel has no preemption points).
 func RunExperiments(ctx context.Context, exps []Experiment, parallelism int) []ResultOrErr {
-	return RunExperimentsLive(ctx, exps, parallelism, nil, nil)
+	return RunExperimentsLive(ctx, exps, parallelism, nil)
 }
 
-// RunExperimentsLive is RunExperiments with dispatch and completion
-// callbacks: onStart (when non-nil) runs as each experiment is picked
-// up by a worker, before it simulates, and onDone (when non-nil) once
-// per experiment as it finishes, with the grid index and the outcome.
-// Callbacks are serialized under one mutex (no locking needed inside)
-// but run from worker goroutines in nondeterministic dispatch and
-// completion order — use them for progress display and telemetry, not
-// for anything the results depend on.
-func RunExperimentsLive(ctx context.Context, exps []Experiment, parallelism int, onStart func(i int), onDone func(i int, r ResultOrErr)) []ResultOrErr {
+// RunExperimentsLive is RunExperiments with a completion callback:
+// onDone (when non-nil) runs once per experiment as it finishes, with
+// the grid index and the outcome it returns, failed and cancelled
+// entries included. Calls are serialized under one mutex (no locking
+// needed inside) but run from worker goroutines in nondeterministic
+// completion order — use it for progress display, not for anything
+// the results depend on.
+func RunExperimentsLive(ctx context.Context, exps []Experiment, parallelism int, onDone func(i int, r ResultOrErr)) []ResultOrErr {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -67,11 +66,6 @@ func RunExperimentsLive(ctx context.Context, exps []Experiment, parallelism int,
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if onStart != nil {
-					mu.Lock()
-					onStart(i)
-					mu.Unlock()
-				}
 				if err := ctx.Err(); err != nil {
 					out[i].Err = err
 				} else {

@@ -48,13 +48,46 @@ func TestRunExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// recordDone returns an onDone callback for RunExperimentsLive and a
+// check that the callback ran exactly once per experiment, with the
+// outcome the runner returned for it. The callback logs into plain,
+// unsynchronized state: only the runner's serialization orders its
+// calls (see TestRunExperimentsCancelledContext).
+func recordDone(t *testing.T) (onDone func(int, ResultOrErr), check func([]ResultOrErr)) {
+	calls := 0
+	seen := map[int][]ResultOrErr{}
+	onDone = func(i int, r ResultOrErr) {
+		calls++
+		seen[i] = append(seen[i], r)
+	}
+	check = func(out []ResultOrErr) {
+		t.Helper()
+		if calls != len(out) {
+			t.Errorf("onDone ran %d times for %d experiments", calls, len(out))
+		}
+		for i, want := range out {
+			got := seen[i]
+			if len(got) != 1 {
+				t.Errorf("experiment %d: onDone ran %d times, want 1", i, len(got))
+				continue
+			}
+			if got[0].Result != want.Result || !reflect.DeepEqual(got[0], want) {
+				t.Errorf("experiment %d: onDone saw %+v, runner returned %+v", i, got[0], want)
+			}
+		}
+	}
+	return onDone, check
+}
+
 func TestRunExperimentsReportsPerExperimentErrors(t *testing.T) {
 	exps := []Experiment{
 		{App: "lu", Protocol: "fm", Procs: 8},
 		{App: "no-such-app", Protocol: "fm", Procs: 8},
 		{App: "lu", Protocol: "no-such-scheme", Procs: 8},
 	}
-	out := RunExperiments(context.Background(), exps, 2)
+	onDone, check := recordDone(t)
+	out := RunExperimentsLive(context.Background(), exps, 2, onDone)
+	check(out)
 	if out[0].Err != nil || out[0].Result == nil {
 		t.Errorf("healthy experiment failed: %v", out[0].Err)
 	}
@@ -66,13 +99,26 @@ func TestRunExperimentsReportsPerExperimentErrors(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsCancelledContext also guards the runner's
+// callback serialization under -race. Cancelled entries skip the
+// simulation, so at parallelism 2 the workers reach onDone back to
+// back with nothing but the runner's lock between them. A run that
+// simulates can synchronize inside RunExperiment, which hides a
+// missing lock from -race.
 func TestRunExperimentsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	exps := []Experiment{{App: "lu", Protocol: "fm", Procs: 8}}
-	out := RunExperiments(ctx, exps, 1)
-	if !errors.Is(out[0].Err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", out[0].Err)
+	exps := make([]Experiment, 64)
+	for i := range exps {
+		exps[i] = Experiment{App: "lu", Protocol: "fm", Procs: 8}
+	}
+	onDone, check := recordDone(t)
+	out := RunExperimentsLive(ctx, exps, 2, onDone)
+	check(out)
+	for i := range out {
+		if !errors.Is(out[i].Err, context.Canceled) {
+			t.Errorf("experiment %d: err = %v, want context.Canceled", i, out[i].Err)
+		}
 	}
 }
 
