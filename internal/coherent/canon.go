@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 
 	"dircc/internal/cache"
@@ -170,11 +169,14 @@ func (m *Machine) appendCanon(b []byte) []byte {
 			b = append(b, '\n')
 		}
 	}
-	for home := range m.gates {
-		for _, blk := range sortedBlocks(m.gates[home]) {
-			g := m.gates[home][blk]
+	for home, slots := range m.homes {
+		for i := range slots {
+			g := &slots[i]
+			if !g.busy {
+				continue
+			}
 			b = append(b, "gate b"...)
-			b = strconv.AppendUint(b, uint64(blk), 10)
+			b = strconv.AppendUint(b, uint64(m.slotBlock(NodeID(home), i)), 10)
 			b = append(b, " busy"...)
 			b = strconv.AppendBool(b, g.busy)
 			b = append(b, " q["...)
@@ -214,13 +216,4 @@ func appendValue(b []byte, v any) []byte {
 		return append(b, "<nil>"...)
 	}
 	return fmt.Append(b, v)
-}
-
-func sortedBlocks[V any](m map[BlockID]V) []BlockID {
-	out := make([]BlockID, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -18,8 +18,8 @@ func fmtCanon(msg *Msg) string {
 }
 
 // TestMsgCanonCoversEveryField changes Msg's fields one at a time, by
-// reflection, and requires every change but one to probe bookkeeping
-// to change Canon. A field left out of the hand-written renderer would
+// reflection, and requires every change but those to bookkeeping (the
+// probe ID and the sending machine) to change Canon. A field left out of the hand-written renderer would
 // merge model-checker states that differ in it; merged states pass
 // every invariant, and the explored-space pins notice only for fields
 // the grid happens to vary. Each variant must also render exactly as
@@ -37,12 +37,16 @@ func TestMsgCanonCoversEveryField(t *testing.T) {
 		m := base
 		m.Ptrs = slices.Clone(base.Ptrs)
 		if !f.IsExported() {
-			if f.Name != "probeID" {
+			switch f.Name {
+			case "probeID":
+				m.probeID = 7
+			case "mach":
+				m.mach = &Machine{}
+			default:
 				t.Fatalf("unexported field %s: render it in AppendCanon or exclude it here", f.Name)
 			}
-			m.probeID = 7
 			if m.Canon() != base.Canon() {
-				t.Errorf("probeID changes Canon: %q", m.Canon())
+				t.Errorf("%s changes Canon: %q", f.Name, m.Canon())
 			}
 			continue
 		}

@@ -590,3 +590,118 @@ func TestResetMatchesFresh(t *testing.T) {
 		t.Fatalf("after Reset:\n%s\nfresh machine:\n%s", got, want)
 	}
 }
+
+// TestHitZeroAllocs checks that a cache hit allocates nothing: on a
+// warmed sequential machine, a read hit and a write hit through Access,
+// each with its completion event drained by RunKernel, cost no
+// allocation.
+func TestHitZeroAllocs(t *testing.T) {
+	m, _ := newTestMachine(t, 4, false)
+	addr := m.Alloc(8)
+	done := func(uint64) {}
+	// A write miss leaves node 1 holding the block exclusively.
+	m.Access(1, addr, true, 5, done)
+	if err := m.RunKernel(); err != nil {
+		t.Fatal(err)
+	}
+	for _, write := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m.Access(1, addr, write, 7, done)
+			if err := m.RunKernel(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("write=%v: a hit allocates %.1f times, want 0", write, allocs)
+		}
+	}
+	if m.Ctr.ReadHits == 0 || m.Ctr.WriteHits == 0 {
+		t.Fatalf("no hits measured: %+v", m.Ctr)
+	}
+}
+
+// TestSendZeroAllocs checks that the machine's message transport
+// allocates nothing of its own: a message built once, sent with Send and
+// delivered to an engine handler that allocates nothing, costs no
+// allocation.
+func TestSendZeroAllocs(t *testing.T) {
+	m, _ := newTestMachine(t, 4, false)
+	msg := &Msg{Type: MsgInv, Src: 0, Dst: 3, Block: 2, Aux: NoNode, AckTo: NoNode}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Send(msg)
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("sending and delivering a message allocates %.1f times, want 0", allocs)
+	}
+	if m.Net.Sent() != 101 || m.Net.InFlight() != 0 {
+		t.Fatalf("sent %d, %d in flight; want 101 and 0", m.Net.Sent(), m.Net.InFlight())
+	}
+}
+
+// holdEngine holds every gate it is handed: its HomeRequest never
+// releases.
+type holdEngine struct{ *fakeEngine }
+
+func (holdEngine) HomeRequest(*Machine, *Msg) {}
+
+// TestQuiesceNamesLowestHeldGate holds the gates of blocks h and h+P,
+// both homed at node h, and requires Quiesce's error to name block h on
+// every run.
+func TestQuiesceNamesLowestHeldGate(t *testing.T) {
+	const procs, h = 4, 1
+	want := fmt.Sprintf("coherent: block %d gate still busy at quiesce", h)
+	for run := 0; run < 20; run++ {
+		m, err := NewMachine(DefaultConfig(procs), holdEngine{newFake()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []BlockID{h + procs, h} {
+			m.Send(&Msg{Type: MsgReadReq, Src: 0, Dst: h, Block: b, Requester: 0,
+				Aux: NoNode, ToDir: true, Gated: true})
+		}
+		if err := m.Quiesce(); err == nil || err.Error() != want {
+			t.Fatalf("run %d: Quiesce = %v, want %q", run, err, want)
+		}
+	}
+}
+
+// TestHomeSlots stores directory entries for blocks at every home,
+// block- and page-interleaved, including blocks past the allocated
+// address space, and reads them back through Dir and DirBlocks.
+func TestHomeSlots(t *testing.T) {
+	for _, page := range []int{0, 4} {
+		cfg := DefaultConfig(4)
+		cfg.HomePageBlocks = page
+		m, err := NewMachine(cfg, newFake())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Alloc(10 * uint64(cfg.BlockBytes))
+		blocks := []BlockID{45, 0, 3, 9, 17, 4, 100}
+		for _, b := range blocks {
+			m.SetDir(b, int(b)+1)
+		}
+		m.SetDir(9, nil)
+		m.SetDir(1000, nil) // past every home's slots: a no-op
+		want := []BlockID{0, 3, 4, 17, 45, 100}
+		if got := m.DirBlocks(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("page %d: DirBlocks = %v, want %v", page, got, want)
+		}
+		for _, b := range want {
+			if got := m.Dir(b); got != int(b)+1 {
+				t.Fatalf("page %d: Dir(%d) = %v, want %d", page, b, got, b+1)
+			}
+			home, i := m.slotOf(b)
+			if got := m.slotBlock(home, i); home != m.Home(b) || got != b {
+				t.Fatalf("page %d: block %d (home %d) maps to slot %d of home %d, which holds block %d",
+					page, b, m.Home(b), i, home, got)
+			}
+		}
+		if m.Dir(9) != nil || m.Dir(1000) != nil {
+			t.Fatalf("page %d: cleared or never-set entries read back non-nil", page)
+		}
+	}
+}

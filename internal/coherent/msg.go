@@ -152,6 +152,10 @@ type Msg struct {
 	// probeID links this message's send and deliver events in the
 	// observability trace; zero when probes are off.
 	probeID int64
+	// mach is the machine that sent the message. The message is its own
+	// delivery event (msgDelivery) and fires its companions through it.
+	// Bookkeeping, like probeID: Canon leaves it out.
+	mach *Machine
 }
 
 // NoNode is the sentinel for "no node" in Aux and pointer slots.

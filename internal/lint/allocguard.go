@@ -2,7 +2,8 @@ package lint
 
 // allocguard turns the hot-path zero-allocation invariant into a static
 // gate. Functions on the simulator's per-event hot path (the kernel
-// event loop, the sharded intra-wave drain, network Send) are annotated
+// event loop, the sharded intra-wave drain, network Send, the coherence
+// machine's message, transaction and hit events) are annotated
 // with a `//dirccvet:hotpath` directive in their doc comment; allocguard
 // runs the compiler's escape analysis (`go build -gcflags=-m=2`) over
 // the packages containing annotated functions and reports every
@@ -11,10 +12,10 @@ package lint
 // catch a regression when the right benchmark runs), this names the
 // offending line at compile time.
 //
-// A known, deliberate allocation (e.g. the per-message delivery closure
-// in Network.Send) is suppressed the usual way:
+// A known, deliberate allocation (e.g. the transaction record
+// Machine.Access allocates per miss) is suppressed the usual way:
 //
-//	//dirccvet:allow allocguard one closure per in-flight message
+//	//dirccvet:allow allocguard one Txn per miss
 //
 // The returned diagnostics flow through RunAnalyzers' suppression and
 // stale-allow accounting like any other analyzer's.

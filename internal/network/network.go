@@ -83,9 +83,10 @@ type Network struct {
 	// accounting. sent is only touched from send-processing contexts
 	// (the sequential event loop, or the sharded engine's replay —
 	// both single-threaded). deliveredBy is per destination node so
-	// that delivery events, which run on the destination's lane under
-	// the sharded engine, never share a counter across lanes; the sum
-	// is read only from quiesced contexts.
+	// that delivery handlers, which run on the destination's lane under
+	// the sharded engine and report through Delivered, never share a
+	// counter across lanes; the sum is read only from quiesced
+	// contexts.
 	sent        uint64
 	deliveredBy []uint64
 	counters    *stats.Counters
@@ -181,9 +182,10 @@ func (n *Network) Reset() {
 // observer.
 func (n *Network) SetProbe(fn func(start, arrive, unloaded sim.Time)) { n.probe = fn }
 
-// InFlight reports the number of messages sent but not yet delivered.
-// Call only from quiesced (single-threaded) contexts: it sums the
-// per-node delivery counters.
+// InFlight reports the number of messages sent but not yet delivered:
+// those whose delivery handlers have not yet called Delivered. Call
+// only from quiesced (single-threaded) contexts: it sums the per-node
+// delivery counters.
 func (n *Network) InFlight() uint64 {
 	var delivered uint64
 	for _, d := range n.deliveredBy {
@@ -191,6 +193,11 @@ func (n *Network) InFlight() uint64 {
 	}
 	return n.sent - delivered
 }
+
+// Delivered records that a message Send carried to dst has arrived.
+// Every delivery handler calls it when it fires; it runs on dst's lane
+// and touches only dst's counter.
+func (n *Network) Delivered(dst topology.NodeID) { n.deliveredBy[dst]++ }
 
 // Sent returns the total number of messages accepted for transport.
 func (n *Network) Sent() uint64 { return n.sent }
@@ -219,14 +226,19 @@ func (n *Network) serviceBytes(bytes int) sim.Time {
 	return sim.Time(phits)
 }
 
-// Send transports a message of the given size from src to dst and runs
-// deliver at the arrival instant, which it returns (callers scheduling
-// companion work at delivery time — the home-gate release — need it).
-// typ labels the message for per-type statistics. Send never blocks;
-// all waiting happens in simulated time.
+// Send transports a message of the given size from src to dst and
+// schedules deliver to fire on dst at the arrival instant, which it
+// returns (callers scheduling companion work at delivery time — the
+// home-gate release — need it). typ labels the message for per-type
+// statistics. Send never blocks; all waiting happens in simulated time.
+//
+// The kernel queues deliver itself, so a handler the caller already
+// owns (the coherence machine's message) costs Send no allocation.
+// When it fires, deliver must call Delivered(dst): until then the
+// message counts as in flight.
 //
 //dirccvet:hotpath
-func (n *Network) Send(typ string, src, dst topology.NodeID, bytes int, deliver func()) sim.Time {
+func (n *Network) Send(typ string, src, dst topology.NodeID, bytes int, deliver sim.Handler) sim.Time {
 	if deliver == nil {
 		panic("network: Send with nil deliver")
 	}
@@ -249,11 +261,7 @@ func (n *Network) Send(typ string, src, dst topology.NodeID, bytes int, deliver 
 		if n.probe != nil {
 			n.probe(now, arrive, n.cfg.LocalDelay+svc)
 		}
-		//dirccvet:allow allocguard one delivery closure per in-flight message is the Send contract
-		n.sched.AtNode(int(dst), arrive, func() {
-			n.deliveredBy[dst]++
-			deliver()
-		})
+		n.sched.AtNode(int(dst), arrive, deliver)
 		return arrive
 	}
 
@@ -277,11 +285,7 @@ func (n *Network) Send(typ string, src, dst topology.NodeID, bytes int, deliver 
 	if n.probe != nil {
 		n.probe(now, arrive, sim.Time(len(route))*n.cfg.HopDelay+svc)
 	}
-	//dirccvet:allow allocguard one delivery closure per in-flight message is the Send contract
-	n.sched.AtNode(int(dst), arrive, func() {
-		n.deliveredBy[dst]++
-		deliver()
-	})
+	n.sched.AtNode(int(dst), arrive, deliver)
 	return arrive
 }
 

@@ -20,6 +20,48 @@ func newNet(t *testing.T, dim int) (*sim.Engine, *Network, *stats.Counters) {
 	return eng, n, ctr
 }
 
+// arrival is the delivery handler a test message needs: it reports the
+// arrival at dst to n, then runs fn.
+func arrival(n *Network, dst topology.NodeID, fn func()) sim.Handler {
+	return sim.Func(func() { n.Delivered(dst); fn() })
+}
+
+// counter is a delivery handler that allocates nothing when it fires:
+// it reports its message's arrival at dst and counts it.
+type counter struct {
+	n     *Network
+	dst   topology.NodeID
+	fired int
+}
+
+func (c *counter) Fire() {
+	c.n.Delivered(c.dst)
+	c.fired++
+}
+
+// TestSendZeroAllocs checks that Send queues the caller's handler as it
+// is: sending and delivering messages whose handler already exists
+// allocates nothing.
+func TestSendZeroAllocs(t *testing.T) {
+	eng, n, _ := newNet(t, 5)
+	h := &counter{n: n, dst: 9}
+	send := func() {
+		for i := 0; i < 32; i++ {
+			n.Send("Data", topology.NodeID(i), h.dst, 8, h)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // grow the event queue and count the first "Data" message
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("sending and delivering 32 messages allocates %.1f times, want 0", allocs)
+	}
+	if h.fired != 32*102 || n.InFlight() != 0 {
+		t.Fatalf("delivered %d messages, %d in flight; want %d and 0", h.fired, n.InFlight(), 32*102)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	topo := topology.MustHypercube(2)
@@ -42,7 +84,7 @@ func TestUnloadedLatencySingleMessage(t *testing.T) {
 	eng, n, _ := newNet(t, 3)
 	// 0 -> 7 is 3 hops. 8-byte message: 3*1 + 8 = 11 cycles.
 	var arrived sim.Time
-	n.Send("Data", 0, 7, 8, func() { arrived = eng.Now() })
+	n.Send("Data", 0, 7, 8, arrival(n, 7, func() { arrived = eng.Now() }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +100,7 @@ func TestUnloadedLatencySingleMessage(t *testing.T) {
 func TestLocalDelivery(t *testing.T) {
 	eng, n, _ := newNet(t, 3)
 	var arrived sim.Time
-	n.Send("Data", 2, 2, 8, func() { arrived = eng.Now() })
+	n.Send("Data", 2, 2, 8, arrival(n, 2, func() { arrived = eng.Now() }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +116,8 @@ func TestInjectionSerialization(t *testing.T) {
 	// The second's head cannot leave until the first's 8 bytes drained
 	// through the shared injection port.
 	var t1, t2 sim.Time
-	n.Send("Inv", 0, 1, 8, func() { t1 = eng.Now() })
-	n.Send("Inv", 0, 2, 8, func() { t2 = eng.Now() })
+	n.Send("Inv", 0, 1, 8, arrival(n, 1, func() { t1 = eng.Now() }))
+	n.Send("Inv", 0, 2, 8, arrival(n, 2, func() { t2 = eng.Now() }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +134,8 @@ func TestEjectionSerialization(t *testing.T) {
 	// Two different nodes send to node 7 simultaneously; the second
 	// message to arrive waits for the ejection port.
 	var times []sim.Time
-	n.Send("Ack", 6, 7, 8, func() { times = append(times, eng.Now()) }) // 1 hop
-	n.Send("Ack", 5, 7, 8, func() { times = append(times, eng.Now()) }) // 1 hop, different link
+	n.Send("Ack", 6, 7, 8, arrival(n, 7, func() { times = append(times, eng.Now()) })) // 1 hop
+	n.Send("Ack", 5, 7, 8, arrival(n, 7, func() { times = append(times, eng.Now()) })) // 1 hop, different link
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +153,8 @@ func TestLinkContention(t *testing.T) {
 	eng, n, _ := newNet(t, 1) // two nodes, one link each way
 	var times []sim.Time
 	// Two messages from 0 to 1 share the injection port AND the link.
-	n.Send("A", 0, 1, 4, func() { times = append(times, eng.Now()) })
-	n.Send("B", 0, 1, 4, func() { times = append(times, eng.Now()) })
+	n.Send("A", 0, 1, 4, arrival(n, 1, func() { times = append(times, eng.Now()) }))
+	n.Send("B", 0, 1, 4, arrival(n, 1, func() { times = append(times, eng.Now()) }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +172,7 @@ func TestMessageConservation(t *testing.T) {
 	for i := 0; i < total; i++ {
 		src := topology.NodeID(i % 16)
 		dst := topology.NodeID((i * 7) % 16)
-		n.Send("X", src, dst, 1+i%16, func() { delivered++ })
+		n.Send("X", src, dst, 1+i%16, arrival(n, dst, func() { delivered++ }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -163,7 +205,7 @@ func TestSendPanicsOnBadArgs(t *testing.T) {
 				t.Error("zero size did not panic")
 			}
 		}()
-		n.Send("X", 0, 1, 0, func() {})
+		n.Send("X", 0, 1, 0, arrival(n, 1, func() {}))
 	}()
 }
 
@@ -191,12 +233,12 @@ func TestQuickLatencyLowerBound(t *testing.T) {
 			size := 1 + int(s>>8)%32
 			sentAt := eng.Now()
 			lower := n.UnloadedLatency(src, dst, size)
-			n.Send("X", src, dst, size, func() {
+			n.Send("X", src, dst, size, arrival(n, dst, func() {
 				delivered++
 				if eng.Now()-sentAt < lower {
 					ok = false
 				}
-			})
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			return false
@@ -221,7 +263,7 @@ func TestQuickBandwidthLimit(t *testing.T) {
 		}
 		var last sim.Time
 		for i := 0; i < nm; i++ {
-			n.Send("X", 0, 5, sz, func() { last = eng.Now() })
+			n.Send("X", 0, 5, sz, arrival(n, 5, func() { last = eng.Now() }))
 		}
 		if err := eng.Run(); err != nil {
 			return false
@@ -261,8 +303,8 @@ func TestBusSerializesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	var times []sim.Time
-	n.Send("A", 0, 1, 8, func() { times = append(times, eng.Now()) })
-	n.Send("B", 2, 3, 8, func() { times = append(times, eng.Now()) })
+	n.Send("A", 0, 1, 8, arrival(n, 1, func() { times = append(times, eng.Now()) }))
+	n.Send("B", 2, 3, 8, arrival(n, 3, func() { times = append(times, eng.Now()) }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,15 +345,15 @@ func TestQuickPerPairFIFO(t *testing.T) {
 				seq := sent[pr]
 				sent[pr]++
 				size := 1 + int(v>>8)%24
-				n.Send("X", src, dst, size, func() {
+				n.Send("X", src, dst, size, arrival(n, dst, func() {
 					if got[pr] != seq {
 						ok = false
 					}
 					got[pr]++
-				})
+				}))
 			}
 			if step < len(seeds) {
-				eng.Schedule(sim.Time(1+int(seeds[step%len(seeds)])%7), sendSome)
+				eng.Schedule(sim.Time(1+int(seeds[step%len(seeds)])%7), sim.Func(sendSome))
 			}
 		}
 		sendSome()
@@ -327,8 +369,8 @@ func TestQuickPerPairFIFO(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	eng, n, _ := newNet(t, 3)
-	n.Send("Inv", 0, 1, 8, func() {})
-	n.Send("Inv", 0, 7, 8, func() {})
+	n.Send("Inv", 0, 1, 8, arrival(n, 1, func() {}))
+	n.Send("Inv", 0, 7, 8, arrival(n, 7, func() {}))
 	if _, err := eng.RunUntil(9); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +382,7 @@ func TestReset(t *testing.T) {
 	// The ports and links are free again: the first send arrives as on
 	// an idle network.
 	var arrived sim.Time
-	n.Send("Inv", 0, 1, 8, func() { arrived = eng.Now() })
+	n.Send("Inv", 0, 1, 8, arrival(n, 1, func() { arrived = eng.Now() }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

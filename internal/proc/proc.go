@@ -109,6 +109,13 @@ type proc struct {
 	resume chan uint64
 	g      *Group
 	done   bool
+
+	// The resume callbacks, built once in Run rather than per request:
+	// onValue resumes the processor with a reference's result, onWrite
+	// resumes it with 0 whatever the store returned, and onEvent resumes
+	// it with 0 as a scheduled event.
+	onValue, onWrite func(uint64)
+	onEvent          func()
 }
 
 type lockState struct {
@@ -132,6 +139,9 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 	}
 	for i := 0; i < n; i++ {
 		p := &proc{id: i, req: make(chan request), resume: make(chan uint64), g: g}
+		p.onValue = func(v uint64) { g.advance(p, v) }
+		p.onWrite = func(uint64) { g.advance(p, 0) }
+		p.onEvent = func() { g.advance(p, 0) }
 		g.procs = append(g.procs, p)
 		go func(p *proc) {
 			<-p.resume // wait for the simulator to start us
@@ -141,8 +151,7 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 	}
 	g.running = n
 	for _, p := range g.procs {
-		p := p
-		m.ScheduleAt(coherent.NodeID(p.id), 0, func() { g.advance(p, 0) })
+		m.ScheduleAt(coherent.NodeID(p.id), 0, p.onEvent)
 	}
 	if err := m.Quiesce(); err != nil {
 		g.abandon()
@@ -245,10 +254,9 @@ func (g *Group) dispatch(p *proc, r request) {
 			wb.q = append(wb.q, pendingWrite{r.addr, r.value})
 			if len(wb.q) > m.Cfg.WriteBuffer {
 				// Buffer full: the processor stalls until a slot frees.
-				g.parkUntil(p, func() bool { return len(wb.q) <= m.Cfg.WriteBuffer },
-					func() { g.advance(p, 0) })
+				g.parkUntil(p, func() bool { return len(wb.q) <= m.Cfg.WriteBuffer }, p.onEvent)
 			} else {
-				m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.CacheLatency, func() { g.advance(p, 0) })
+				m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.CacheLatency, p.onEvent)
 			}
 			g.issueWrites(p)
 			return
@@ -273,7 +281,7 @@ func (g *Group) dispatch(p *proc, r request) {
 				return true
 			}
 			g.parkUntil(p, clear, func() {
-				m.Access(coherent.NodeID(p.id), r.addr, false, 0, func(val uint64) { g.advance(p, val) })
+				m.Access(coherent.NodeID(p.id), r.addr, false, 0, p.onValue)
 			})
 			return
 		case reqFetchAdd, reqBarrier, reqLock, reqUnlock, reqDone:
@@ -292,16 +300,15 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 	m := g.m
 	switch r.kind {
 	case reqRead:
-		m.Access(coherent.NodeID(p.id), r.addr, false, 0, func(val uint64) { g.advance(p, val) })
+		m.Access(coherent.NodeID(p.id), r.addr, false, 0, p.onValue)
 	case reqWrite:
-		m.Access(coherent.NodeID(p.id), r.addr, true, r.value, func(uint64) { g.advance(p, 0) })
+		m.Access(coherent.NodeID(p.id), r.addr, true, r.value, p.onWrite)
 	case reqFetchAdd:
 		delta := r.value
-		m.AccessRMW(coherent.NodeID(p.id), r.addr, func(old uint64) uint64 { return old + delta },
-			func(old uint64) { g.advance(p, old) })
+		m.AccessRMW(coherent.NodeID(p.id), r.addr, func(old uint64) uint64 { return old + delta }, p.onValue)
 	case reqCompute:
 		m.CtrAt(coherent.NodeID(p.id)).ComputeCycles += r.cycles
-		m.ScheduleAt(coherent.NodeID(p.id), sim.Time(r.cycles), func() { g.advance(p, 0) })
+		m.ScheduleAt(coherent.NodeID(p.id), sim.Time(r.cycles), p.onEvent)
 	case reqBarrier:
 		// Barrier bookkeeping is Group-global state shared by every
 		// processor, so under the sharded kernel it must run in the
@@ -317,8 +324,7 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 				g.barrierResume = nil
 				m.ScheduleGlobal(m.Cfg.BarrierOverhead, func() {
 					for _, w := range waiters {
-						w := w
-						m.ScheduleAt(coherent.NodeID(w.id), 0, func() { g.advance(w, 0) })
+						m.ScheduleAt(coherent.NodeID(w.id), 0, w.onEvent)
 					}
 				})
 			}
@@ -337,7 +343,7 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 			if !ls.held {
 				ls.held = true
 				m.Ctr.LockAcquires++
-				m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.LockOverhead, func() { g.advance(p, 0) })
+				m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.LockOverhead, p.onEvent)
 			} else {
 				ls.queue = append(ls.queue, p)
 			}
@@ -356,12 +362,12 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 				next := ls.queue[0]
 				ls.queue = ls.queue[1:]
 				m.Ctr.LockAcquires++
-				m.ScheduleAt(coherent.NodeID(next.id), m.Cfg.LockOverhead, func() { g.advance(next, 0) })
+				m.ScheduleAt(coherent.NodeID(next.id), m.Cfg.LockOverhead, next.onEvent)
 			} else {
 				ls.held = false
 			}
 			// Releasing costs one cycle locally; the releaser continues.
-			m.ScheduleAt(coherent.NodeID(p.id), 1, func() { g.advance(p, 0) })
+			m.ScheduleAt(coherent.NodeID(p.id), 1, p.onEvent)
 		})
 	case reqDone:
 		p.done = true
@@ -420,8 +426,7 @@ func (g *Group) memLockAcquire(p *proc, id int) {
 func (g *Group) memLockRelease(p *proc, id int) {
 	w := g.lockWords(id)
 	m := g.m
-	m.AccessRMW(coherent.NodeID(p.id), w[1], func(old uint64) uint64 { return old + 1 },
-		func(uint64) { g.advance(p, 0) })
+	m.AccessRMW(coherent.NodeID(p.id), w[1], func(old uint64) uint64 { return old + 1 }, p.onWrite)
 }
 
 // env adapts a proc to the Env interface.

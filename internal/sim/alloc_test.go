@@ -22,14 +22,14 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 			fn := func() { fired++ }
 			// Warm the heap's backing array.
 			for i := 0; i < 64; i++ {
-				e.Schedule(Time(i%7+1), fn)
+				e.Schedule(Time(i%7+1), Func(fn))
 			}
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 32; i++ {
-					e.Schedule(Time(i%5+1), fn)
+					e.Schedule(Time(i%5+1), Func(fn))
 				}
 				if err := e.Run(); err != nil {
 					t.Fatal(err)

@@ -17,12 +17,12 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			remaining--
 			// Vary the delay so events interleave in the heap instead of
 			// draining in insertion order.
-			e.Schedule(Time(remaining%7+1), tick)
+			e.Schedule(Time(remaining%7+1), Func(tick))
 		}
 	}
 	for i := 0; i < depth && remaining > 0; i++ {
 		remaining--
-		e.Schedule(Time(i%7+1), tick)
+		e.Schedule(Time(i%7+1), Func(tick))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,12 +52,12 @@ func BenchmarkShardedScheduleRun(b *testing.B) {
 		ticks[n] = func() {
 			if r := remaining[n]; r > 0 {
 				remaining[n] = r - 1
-				s.ScheduleNode(n, Time(r%7+1), ticks[n])
+				s.ScheduleNode(n, Time(r%7+1), Func(ticks[n]))
 			}
 		}
 	}
 	for n := 0; n < nodes; n++ {
-		s.ScheduleNode(n, Time(n%7+1), ticks[n])
+		s.ScheduleNode(n, Time(n%7+1), Func(ticks[n]))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -109,12 +109,12 @@ func BenchmarkShardedScheduleRunEmit(b *testing.B) {
 				remaining[n] = r - 1
 				sink.bufs[lane] = append(sink.bufs[lane], uint64(r))
 				s.LogEmitAt(n)
-				s.ScheduleNode(n, Time(r%7+1), ticks[n])
+				s.ScheduleNode(n, Time(r%7+1), Func(ticks[n]))
 			}
 		}
 	}
 	for n := 0; n < nodes; n++ {
-		s.ScheduleNode(n, Time(n%7+1), ticks[n])
+		s.ScheduleNode(n, Time(n%7+1), Func(ticks[n]))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,6 +7,13 @@
 // produce the same event interleaving and therefore the same cycle
 // counts and statistics.
 //
+// An event's work is a Handler: the kernel queues the handler value
+// itself and calls its Fire method at the event's instant. A record
+// that already exists and outlives its event — a coherence message, a
+// transaction — implements Fire and is scheduled as it is, so firing it
+// costs no allocation. Func adapts a closure; building the closure is
+// the caller's allocation, not the kernel's.
+//
 // The queue is an inlined binary min-heap over a flat []event rather
 // than container/heap: the standard library's interface-typed
 // Push/Pop box every event into an `any`, which puts one heap
@@ -22,11 +29,23 @@ import "fmt"
 // Time is a simulated clock value in cycles.
 type Time uint64
 
-// Event is a closure scheduled to run at a simulated instant.
+// Handler is the work of one event. Fire runs at the event's instant;
+// it may schedule further events.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a closure to Handler.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a handler scheduled to fire at a simulated instant.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  func()
+	h   Handler
 }
 
 // before reports whether a fires before b: earlier timestamp, with the
@@ -44,7 +63,8 @@ func (a event) before(b event) bool {
 // sift loops inlined (no interface dispatch, no boxing).
 type eventQueue []event
 
-// push appends ev and restores the heap invariant.
+// push appends ev and restores the heap invariant. Both sifts move a
+// hole rather than swapping: each level copies one event, not two.
 //
 //dirccvet:hotpath
 func (q *eventQueue) push(ev event) {
@@ -53,29 +73,33 @@ func (q *eventQueue) push(ev event) {
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
+		if !ev.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 	*q = h
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue does not retain the popped closure (and whatever
-// it captures) beyond its firing.
+// zeroed so the queue does not retain the popped handler (and whatever
+// it references) beyond its firing.
 //
 //dirccvet:hotpath
 func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
+	x := h[last]
 	h[last] = event{}
 	h = h[:last]
 	*q = h
-	// Sift down.
+	if last == 0 {
+		return top
+	}
+	// Sift x down from the root.
 	i := 0
 	for {
 		left := 2*i + 1
@@ -86,12 +110,13 @@ func (q *eventQueue) pop() event {
 		if right := left + 1; right < last && h[right].before(h[left]) {
 			min = right
 		}
-		if !h[min].before(h[i]) {
+		if !h[min].before(x) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
 		i = min
 	}
+	h[i] = x
 	return top
 }
 
@@ -133,23 +158,23 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule runs fn after delay cycles. A zero delay runs fn after all
+// Schedule fires h after delay cycles. A zero delay fires h after all
 // events already scheduled for the current instant.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if fn == nil {
-		panic("sim: Schedule called with nil fn")
+func (e *Engine) Schedule(delay Time, h Handler) {
+	if h == nil {
+		panic("sim: Schedule called with nil handler")
 	}
 	e.seq++
-	e.queue.push(event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.queue.push(event{at: e.now + delay, seq: e.seq, h: h})
 }
 
-// At runs fn at the absolute instant t. Scheduling in the past panics:
+// At fires h at the absolute instant t. Scheduling in the past panics:
 // it indicates a protocol bug, not a recoverable condition.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
-	e.Schedule(t-e.now, fn)
+	e.Schedule(t-e.now, h)
 }
 
 // Reset returns the engine to time zero with an empty queue and no
@@ -186,7 +211,7 @@ func (e *Engine) Run() error {
 		if e.tick != nil {
 			e.tick(e.now)
 		}
-		ev.fn()
+		ev.h.Fire()
 	}
 	return nil
 }
@@ -214,7 +239,7 @@ func (e *Engine) RunUntil(deadline Time) (fired uint64, err error) {
 		if e.tick != nil {
 			e.tick(e.now)
 		}
-		ev.fn()
+		ev.h.Fire()
 	}
 	if e.now < deadline {
 		e.now = deadline

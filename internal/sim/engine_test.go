@@ -11,7 +11,7 @@ import (
 func TestZeroValueEngineUsable(t *testing.T) {
 	var e Engine
 	ran := false
-	e.Schedule(5, func() { ran = true })
+	e.Schedule(5, Func(func() { ran = true }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -23,12 +23,27 @@ func TestZeroValueEngineUsable(t *testing.T) {
 	}
 }
 
+// orderRec is a typed handler that appends its index to a shared
+// order when it fires.
+type orderRec struct {
+	order *[]int
+	i     int
+}
+
+func (r *orderRec) Fire() { *r.order = append(*r.order, r.i) }
+
+// TestFIFOWithinSameInstant schedules typed handlers and Func closures,
+// interleaved, for one instant: they must fire in schedule order.
 func TestFIFOWithinSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(3, func() { order = append(order, i) })
+		if i%3 == 0 {
+			e.Schedule(3, &orderRec{order: &order, i: i})
+			continue
+		}
+		e.Schedule(3, Func(func() { order = append(order, i) }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -45,7 +60,7 @@ func TestTimestampOrdering(t *testing.T) {
 	var times []Time
 	delays := []Time{9, 1, 7, 3, 5, 0, 8, 2, 6, 4}
 	for _, d := range delays {
-		e.Schedule(d, func() { times = append(times, e.Now()) })
+		e.Schedule(d, Func(func() { times = append(times, e.Now()) }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -61,13 +76,13 @@ func TestTimestampOrdering(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []Time
-	e.Schedule(1, func() {
+	e.Schedule(1, Func(func() {
 		trace = append(trace, e.Now())
-		e.Schedule(2, func() {
+		e.Schedule(2, Func(func() {
 			trace = append(trace, e.Now())
-			e.Schedule(0, func() { trace = append(trace, e.Now()) })
-		})
-	})
+			e.Schedule(0, Func(func() { trace = append(trace, e.Now()) }))
+		}))
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +100,11 @@ func TestNestedScheduling(t *testing.T) {
 func TestZeroDelayRunsAfterCurrentInstantFIFO(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Schedule(0, func() {
+	e.Schedule(0, Func(func() {
 		order = append(order, "a")
-		e.Schedule(0, func() { order = append(order, "c") })
-	})
-	e.Schedule(0, func() { order = append(order, "b") })
+		e.Schedule(0, Func(func() { order = append(order, "c") }))
+	}))
+	e.Schedule(0, Func(func() { order = append(order, "b") }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +116,8 @@ func TestZeroDelayRunsAfterCurrentInstantFIFO(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
+	e.Schedule(1, Func(func() { fired++; e.Stop() }))
+	e.Schedule(2, Func(func() { fired++ }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +133,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	for _, d := range []Time{1, 5, 10, 15} {
-		e.Schedule(d, func() { fired = append(fired, e.Now()) })
+		e.Schedule(d, Func(func() { fired = append(fired, e.Now()) }))
 	}
 	n, err := e.RunUntil(10)
 	if err != nil {
@@ -156,8 +171,8 @@ func TestEventBudget(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 10
 	var tick func()
-	tick = func() { e.Schedule(1, tick) }
-	e.Schedule(1, tick)
+	tick = func() { e.Schedule(1, Func(tick)) }
+	e.Schedule(1, Func(tick))
 	if err := e.Run(); err != ErrEventBudget {
 		t.Fatalf("err = %v, want ErrEventBudget", err)
 	}
@@ -165,14 +180,14 @@ func TestEventBudget(t *testing.T) {
 
 func TestAtPanicsOnPast(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.Schedule(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("At in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.At(5, Func(func() {}))
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +211,7 @@ func TestQuickOrdering(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for i := 0; i < n; i++ {
-			e.Schedule(Time(rng.Intn(50)), func() { fired = append(fired, e.Now()) })
+			e.Schedule(Time(rng.Intn(50)), Func(func() { fired = append(fired, e.Now()) }))
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -222,11 +237,11 @@ func TestQuickDeterminism(t *testing.T) {
 		recurse = func(depth int) {
 			fired = append(fired, e.Now())
 			if depth > 0 && rng.Intn(2) == 0 {
-				e.Schedule(Time(rng.Intn(7)), func() { recurse(depth - 1) })
+				e.Schedule(Time(rng.Intn(7)), Func(func() { recurse(depth - 1) }))
 			}
 		}
 		for i := 0; i < 50; i++ {
-			e.Schedule(Time(rng.Intn(20)), func() { recurse(3) })
+			e.Schedule(Time(rng.Intn(20)), Func(func() { recurse(3) }))
 		}
 		if err := e.Run(); err != nil {
 			return nil
@@ -254,7 +269,7 @@ func TestReset(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 100
 	for _, d := range []Time{1, 5, 10} {
-		e.Schedule(d, func() {})
+		e.Schedule(d, Func(func() {}))
 	}
 	if _, err := e.RunUntil(5); err != nil {
 		t.Fatal(err)
@@ -267,7 +282,7 @@ func TestReset(t *testing.T) {
 	// Sequence numbers restart too: same-instant events keep FIFO order.
 	var order []int
 	for i := 0; i < 3; i++ {
-		e.Schedule(2, func() { order = append(order, i) })
+		e.Schedule(2, Func(func() { order = append(order, i) }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -23,22 +23,36 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
+// seqTag is a typed handler that records the sequence number it was
+// queued with.
+type seqTag uint64
+
+func (*seqTag) Fire() {}
+
 // TestHeapMatchesContainerHeap drives the inlined heap and
 // container/heap with an identical random interleaving of pushes and
 // pops — 10k scheduled (at, seq) events with heavy timestamp collisions
 // — and requires bit-identical pop sequences. This is the guarantee
 // that swapping out container/heap cannot change any simulated result.
+// Even sequence numbers carry typed handlers and odd ones Func
+// closures, and every pop must come out with the handler it was pushed
+// with.
 func TestHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var q eventQueue
 	var ref refHeap
 	pushed, popped := 0, 0
 	const total = 10_000
-	nop := func() {}
+	nop := Func(func() {})
 	for popped < total {
 		// Bias toward pushes until the budget is spent, then drain.
 		if pushed < total && (len(q) == 0 || rng.Intn(3) != 0) {
-			ev := event{at: Time(rng.Intn(100)), seq: uint64(pushed), fn: nop}
+			var h Handler = nop
+			if pushed%2 == 0 {
+				tag := seqTag(pushed)
+				h = &tag
+			}
+			ev := event{at: Time(rng.Intn(100)), seq: uint64(pushed), h: h}
 			q.push(ev)
 			heap.Push(&ref, ev)
 			pushed++
@@ -53,6 +67,9 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 			t.Fatalf("pop %d diverged: inlined (at=%d seq=%d), container/heap (at=%d seq=%d)",
 				popped, got.at, got.seq, want.at, want.seq)
 		}
+		if tag, typed := got.h.(*seqTag); typed != (got.seq%2 == 0) || typed && uint64(*tag) != got.seq {
+			t.Fatalf("pop %d: seq %d came out with handler %T", popped, got.seq, got.h)
+		}
 		popped++
 	}
 }
@@ -63,7 +80,7 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 func TestRunBackwardsTimePanics(t *testing.T) {
 	e := NewEngine()
 	e.now = 10
-	e.queue = eventQueue{{at: 5, seq: 1, fn: func() {}}}
+	e.queue = eventQueue{{at: 5, seq: 1, h: Func(func() {})}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Run did not panic on a backwards-time event")
@@ -77,7 +94,7 @@ func TestRunBackwardsTimePanics(t *testing.T) {
 func TestRunUntilBackwardsTimePanics(t *testing.T) {
 	e := NewEngine()
 	e.now = 10
-	e.queue = eventQueue{{at: 5, seq: 1, fn: func() {}}}
+	e.queue = eventQueue{{at: 5, seq: 1, h: Func(func() {})}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RunUntil did not panic on a backwards-time event")
@@ -87,14 +104,15 @@ func TestRunUntilBackwardsTimePanics(t *testing.T) {
 }
 
 // TestPopReleasesClosure checks the vacated heap slot is zeroed so the
-// queue does not pin popped closures (and their captures) in memory.
+// queue does not pin popped handlers (and what they reference) in
+// memory.
 func TestPopReleasesClosure(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 1, seq: 1, fn: func() {}})
-	q.push(event{at: 2, seq: 2, fn: func() {}})
+	q.push(event{at: 1, seq: 1, h: Func(func() {})})
+	q.push(event{at: 2, seq: 2, h: Func(func() {})})
 	q.pop()
 	tail := q[:cap(q)][len(q)]
-	if tail.fn != nil {
-		t.Fatal("popped slot still holds its closure")
+	if tail.h != nil {
+		t.Fatal("popped slot still holds its handler")
 	}
 }

@@ -79,13 +79,13 @@ func TestShardedProfiledHotPathAllocs(t *testing.T) {
 		fns[n] = func() {
 			if perNode[n] > 0 {
 				perNode[n]--
-				sh.ScheduleNode(n, Time(n%3+1), fns[n])
+				sh.ScheduleNode(n, Time(n%3+1), Func(fns[n]))
 			}
 		}
 	}
 	for n := range perNode {
 		perNode[n] = events / 8
-		sh.ScheduleNode(n, 1, fns[n])
+		sh.ScheduleNode(n, 1, Func(fns[n]))
 	}
 	if err := sh.Run(); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestShardedProfiledHotPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		for n := range perNode {
 			perNode[n] = events / 8
-			sh.ScheduleNode(n, 1, fns[n])
+			sh.ScheduleNode(n, 1, Func(fns[n]))
 		}
 		if err := sh.Run(); err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestShardedTick(t *testing.T) {
 func TestShardedLanePending(t *testing.T) {
 	sh := NewSharded(6, 3)
 	for n := 0; n < 6; n++ {
-		sh.ScheduleNode(n, Time(n+1), func() {})
+		sh.ScheduleNode(n, Time(n+1), Func(func() {}))
 	}
 	sum := 0
 	for i := 0; i < sh.Shards(); i++ {

@@ -72,19 +72,19 @@ type EmitReplayer interface {
 
 // NodeScheduler is the kernel surface shared by Engine (node-oblivious)
 // and Sharded (routes to the owning lane): the current instant, the
-// ability to deliver a closure to a specific node at an absolute time
+// ability to fire a handler at a specific node at an absolute time
 // (all the network layer needs), the observer tick, and the event
 // count the coherence machine reports.
 type NodeScheduler interface {
 	Now() Time
-	AtNode(node int, t Time, fn func())
+	AtNode(node int, t Time, h Handler)
 	SetTick(fn func(Time))
 	Executed() uint64
 }
 
-// AtNode delivers fn at instant t; the sequential engine has a single
+// AtNode fires h at instant t; the sequential engine has a single
 // queue, so the node is irrelevant.
-func (e *Engine) AtNode(node int, t Time, fn func()) { e.At(t, fn) }
+func (e *Engine) AtNode(node int, t Time, h Handler) { e.At(t, h) }
 
 // Sharded engine states. Transitions happen only on the coordinator
 // goroutine; workers observe statePhase through the happens-before
@@ -107,7 +107,7 @@ const (
 // the lane heap.
 type pevent struct {
 	at Time
-	fn func()
+	h  Handler
 }
 
 // logEnt records one fired event that performed at least one action
@@ -160,7 +160,7 @@ func (l *lane) run(T Time) {
 	for len(l.q) > 0 && l.q[0].at == T {
 		ev := l.q.pop()
 		l.curKey, l.curOpen = ev.seq, false
-		ev.fn()
+		ev.h.Fire()
 		l.fired++
 	}
 }
@@ -289,25 +289,25 @@ func (s *Sharded) LanePending(i int) int {
 // keys its send path off this.
 func (s *Sharded) InPhase() bool { return s.state == statePhase }
 
-// ScheduleNode runs fn on node n after delay cycles. During Phase P
+// ScheduleNode fires h on node n after delay cycles. During Phase P
 // the caller must be the lane that owns n (node affinity); the event
 // is provisional until replay binds its sequence number. Outside
 // Phase P (setup, replay, quiesce checks) the event gets a true
 // sequence number immediately — exactly the number the sequential
 // engine would allocate at the same point.
-func (s *Sharded) ScheduleNode(n int, delay Time, fn func()) {
-	if fn == nil {
-		panic("sim: ScheduleNode called with nil fn")
+func (s *Sharded) ScheduleNode(n int, delay Time, h Handler) {
+	if h == nil {
+		panic("sim: ScheduleNode called with nil handler")
 	}
 	l := s.lanes[s.laneOf[n]]
 	if s.state == statePhase {
-		l.eq = append(l.eq, pevent{at: s.now + delay, fn: fn})
+		l.eq = append(l.eq, pevent{at: s.now + delay, h: h})
 		l.bind = append(l.bind, 0)
 		l.addAct(actSpawn)
 		return
 	}
 	s.seq++
-	l.q.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+	l.q.push(event{at: s.now + delay, seq: s.seq, h: h})
 }
 
 // LogSendAt records that the event firing on node n's lane deferred
@@ -347,37 +347,37 @@ func (s *Sharded) GlobalOp(n int, fn func()) {
 	fn()
 }
 
-// ScheduleGlobal runs fn — global state only — after delay cycles, as
+// ScheduleGlobal fires h — global state only — after delay cycles, as
 // a merge-ordered event outside any lane. Callable only from replay or
 // idle contexts (global-op closures, setup); Phase P events must use
 // GlobalOp to get here.
-func (s *Sharded) ScheduleGlobal(delay Time, fn func()) {
-	if fn == nil {
-		panic("sim: ScheduleGlobal called with nil fn")
+func (s *Sharded) ScheduleGlobal(delay Time, h Handler) {
+	if h == nil {
+		panic("sim: ScheduleGlobal called with nil handler")
 	}
 	if s.state == statePhase {
 		panic("sim: ScheduleGlobal during Phase P (wrap in GlobalOp)")
 	}
 	s.seq++
-	s.gq.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.gq.push(event{at: s.now + delay, seq: s.seq, h: h})
 }
 
-// AtNode delivers fn to node n at absolute instant t. This is the
-// network delivery path: it must run outside Phase P (deliveries are
-// produced by replayed sends), where direct true-seq insertion is
+// AtNode fires h at node n at absolute instant t. This is the network
+// delivery path: it must run outside Phase P (deliveries are produced
+// by replayed sends), where direct true-seq insertion is
 // deterministic.
-func (s *Sharded) AtNode(n int, t Time, fn func()) {
+func (s *Sharded) AtNode(n int, t Time, h Handler) {
 	if s.state == statePhase {
 		panic("sim: AtNode during Phase P (defer the send)")
 	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: AtNode(%d) is in the past (now=%d)", t, s.now))
 	}
-	if fn == nil {
-		panic("sim: AtNode called with nil fn")
+	if h == nil {
+		panic("sim: AtNode called with nil handler")
 	}
 	s.seq++
-	s.lanes[s.laneOf[n]].q.push(event{at: t, seq: s.seq, fn: fn})
+	s.lanes[s.laneOf[n]].q.push(event{at: t, seq: s.seq, h: h})
 }
 
 // nextTime returns the earliest pending instant across all lanes and
@@ -452,10 +452,10 @@ func (s *Sharded) replay(T Time) error {
 			}
 			if p := s.prof; p != nil {
 				t0 := p.Clock()
-				ev.fn()
+				ev.h.Fire()
 				p.NoteGlobalEvent(p.Clock() - t0)
 			} else {
-				ev.fn()
+				ev.h.Fire()
 			}
 			continue
 		}
@@ -514,7 +514,7 @@ func (s *Sharded) replay(T Time) error {
 
 // rebind moves each lane's provisional events — now carrying true
 // sequence numbers — into its main heap and resets the sub-round
-// structures (capacity retained, closures released). It reports
+// structures (capacity retained, handlers and closures released). It reports
 // whether any lane or the global queue still has work at T, i.e.
 // whether another sub-round is needed.
 func (s *Sharded) rebind(T Time) bool {
@@ -528,8 +528,8 @@ func (s *Sharded) rebind(T Time) bool {
 				// leaked across lanes during Phase P.
 				panic("sim: provisional event never bound during replay (cross-lane schedule during Phase P?)")
 			}
-			l.q.push(event{at: pe.at, seq: l.bind[i], fn: pe.fn})
-			pe.fn = nil
+			l.q.push(event{at: pe.at, seq: l.bind[i], h: pe.h})
+			pe.h = nil
 		}
 		l.eq = l.eq[:0]
 		l.log = l.log[:0]

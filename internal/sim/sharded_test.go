@@ -12,32 +12,35 @@ import (
 // a plain inline call, ScheduleNode ignores the node).
 type tkernel interface {
 	Now() Time
-	ScheduleNode(n int, d Time, fn func())
+	ScheduleNode(n int, d Time, h Handler)
 	GlobalOp(n int, fn func())
-	ScheduleGlobal(d Time, fn func())
-	AtNode(n int, t Time, fn func())
+	ScheduleGlobal(d Time, h Handler)
+	AtNode(n int, t Time, h Handler)
 	Run() error
 	Executed() uint64
 }
 
 type seqKern struct{ *Engine }
 
-func (k seqKern) ScheduleNode(n int, d Time, fn func()) { k.Schedule(d, fn) }
+func (k seqKern) ScheduleNode(n int, d Time, h Handler) { k.Schedule(d, h) }
 func (k seqKern) GlobalOp(n int, fn func())             { fn() }
-func (k seqKern) ScheduleGlobal(d Time, fn func())      { k.Schedule(d, fn) }
+func (k seqKern) ScheduleGlobal(d Time, h Handler)      { k.Schedule(d, h) }
 
 // testWorld runs a deterministic pseudo-random workload: per-node
 // event chains that mix local schedules, cross-node sends through the
 // mailbox discipline, and global ops mutating shared state — including
-// zero-delay global wakeups that force sub-rounds. Per-node traces,
-// the global-op trace, and shared link state must come out identical
-// on every kernel.
+// zero-delay global wakeups that force sub-rounds. A node's steps are
+// scheduled both as typed handlers (its nodeStep record) and as Func
+// closures, often for one instant, and the trace records which kind
+// fired. Per-node traces, the global-op trace, and shared link state
+// must come out identical on every kernel.
 type testWorld struct {
 	k     tkernel
 	sh    *Sharded // nil when sequential
 	nodes int
+	typed []nodeStep // per node: the typed handler for its steps
 
-	trace    [][]uint64 // per node: (now, rng) pairs at each fired step
+	trace    [][]uint64 // per node: (now, rng, typed) at each fired step
 	gtrace   []uint64   // (now, gctr) pairs from global ops
 	gctr     uint64
 	linkFree []Time // shared network state, mutated at send-processing time
@@ -53,6 +56,23 @@ type testWorld struct {
 	emits []uint64
 }
 
+// nodeStep is a node's step as a typed handler, built once per node.
+type nodeStep struct {
+	w *testWorld
+	n int
+}
+
+func (s *nodeStep) Fire() { s.w.step(s.n, 1) }
+
+// next returns the handler for node n's next step: its typed record
+// when typed is set, otherwise a fresh closure.
+func (w *testWorld) next(n int, typed bool) Handler {
+	if typed {
+		return &w.typed[n]
+	}
+	return Func(func() { w.step(n, 0) })
+}
+
 type tmsg struct{ dst int }
 
 type temit struct{ at, payload uint64 }
@@ -65,12 +85,14 @@ func lcg(x *uint64) uint64 {
 func newTestWorld(k tkernel, sh *Sharded, nodes, steps int) *testWorld {
 	w := &testWorld{
 		k: k, sh: sh, nodes: nodes,
+		typed:    make([]nodeStep, nodes),
 		trace:    make([][]uint64, nodes),
 		linkFree: make([]Time, nodes),
 		rng:      make([]uint64, nodes),
 		steps:    make([]int, nodes),
 	}
 	for n := 0; n < nodes; n++ {
+		w.typed[n] = nodeStep{w: w, n: n}
 		w.rng[n] = uint64(n)*2654435761 + 12345
 		w.steps[n] = steps
 	}
@@ -81,14 +103,15 @@ func newTestWorld(k tkernel, sh *Sharded, nodes, steps int) *testWorld {
 		sh.SetEmitReplayer(w)
 	}
 	for n := 0; n < nodes; n++ {
-		n := n
-		k.ScheduleNode(n, Time(n%3), func() { w.step(n) })
+		k.ScheduleNode(n, Time(n%3), w.next(n, n%2 == 0))
 	}
 	return w
 }
 
-func (w *testWorld) step(n int) {
-	w.trace[n] = append(w.trace[n], uint64(w.k.Now()), w.rng[n])
+// step is one event of node n; typed is 1 when it fired as the node's
+// typed handler, 0 when as a closure.
+func (w *testWorld) step(n int, typed uint64) {
+	w.trace[n] = append(w.trace[n], uint64(w.k.Now()), w.rng[n], typed)
 	w.emitAt(n, w.rng[n])
 	if w.steps[n] <= 0 {
 		return
@@ -97,11 +120,11 @@ func (w *testWorld) step(n int) {
 	r := lcg(&w.rng[n])
 	switch r % 5 {
 	case 0, 1: // local reschedule, sometimes zero-delay (same-round chain)
-		w.k.ScheduleNode(n, Time(r>>3%4), func() { w.step(n) })
+		w.k.ScheduleNode(n, Time(r>>3%4), w.next(n, r>>7&1 == 1))
 	case 2: // cross-node send through the mailbox
 		dst := (n + 1 + int(r>>3)%(w.nodes-1)) % w.nodes
 		w.send(n, dst)
-		w.k.ScheduleNode(n, 1+Time(r>>9%3), func() { w.step(n) })
+		w.k.ScheduleNode(n, 1+Time(r>>9%3), w.next(n, r>>7&1 == 1))
 	case 3: // global op; every third one releases a zero-delay wakeup
 		w.k.GlobalOp(n, func() {
 			w.gctr++
@@ -112,16 +135,17 @@ func (w *testWorld) step(n int) {
 			w.emitAt(n, ^w.gctr)
 			if w.gctr%3 == 0 {
 				dst := int(w.gctr) % w.nodes
-				w.k.ScheduleGlobal(Time(w.gctr%2), func() {
+				w.k.ScheduleGlobal(Time(w.gctr%2), Func(func() {
 					w.gtrace = append(w.gtrace, uint64(w.k.Now()), ^w.gctr)
-					w.k.ScheduleNode(dst, 0, func() { w.step(dst) })
-				})
+					w.k.ScheduleNode(dst, 0, w.next(dst, w.gctr%2 == 0))
+				}))
 			}
 		})
-		w.k.ScheduleNode(n, 2, func() { w.step(n) })
-	case 4: // fan out two local continuations
-		w.k.ScheduleNode(n, 1, func() { w.step(n) })
-		w.k.ScheduleNode(n, Time(2+r>>5%3), func() { w.step(n) })
+		w.k.ScheduleNode(n, 2, w.next(n, r>>7&1 == 1))
+	case 4: // fan out two local continuations, one of each kind, sometimes at one instant
+		typedFirst := r>>7&1 == 1
+		w.k.ScheduleNode(n, 1, w.next(n, typedFirst))
+		w.k.ScheduleNode(n, Time(1+r>>5%3), w.next(n, !typedFirst))
 	}
 }
 
@@ -144,7 +168,7 @@ func (w *testWorld) deliver(dst int) {
 		arr = w.linkFree[dst]
 	}
 	w.linkFree[dst] = arr + 1
-	w.k.AtNode(dst, arr, func() { w.step(dst) })
+	w.k.AtNode(dst, arr, w.next(dst, arr%2 == 0))
 }
 
 func (w *testWorld) ReplaySend(lane, idx int) {
@@ -254,10 +278,10 @@ func TestShardedEventBudget(t *testing.T) {
 	sh.MaxEvents = 50
 	var spin func(n int) func()
 	spin = func(n int) func() {
-		return func() { sh.ScheduleNode(n, 1, spin(n)) }
+		return func() { sh.ScheduleNode(n, 1, Func(spin(n))) }
 	}
 	for n := 0; n < 4; n++ {
-		sh.ScheduleNode(n, 0, spin(n))
+		sh.ScheduleNode(n, 0, Func(spin(n)))
 	}
 	if err := sh.Run(); err != ErrEventBudget {
 		t.Fatalf("Run = %v, want ErrEventBudget", err)
@@ -274,8 +298,8 @@ func TestShardedSameInstantLivelockBudget(t *testing.T) {
 	sh := NewSharded(2, 2)
 	sh.MaxEvents = 100
 	var spin func()
-	spin = func() { sh.ScheduleNode(0, 0, spin) }
-	sh.ScheduleNode(0, 0, spin)
+	spin = func() { sh.ScheduleNode(0, 0, Func(spin)) }
+	sh.ScheduleNode(0, 0, Func(spin))
 	if err := sh.Run(); err != ErrEventBudget {
 		t.Fatalf("Run = %v, want ErrEventBudget", err)
 	}
@@ -292,16 +316,16 @@ func TestShardedPhasePanics(t *testing.T) {
 		name string
 		bad  func(sh *Sharded)
 	}{
-		{"AtNode", func(sh *Sharded) { sh.AtNode(1, sh.Now()+1, func() {}) }},
-		{"ScheduleGlobal", func(sh *Sharded) { sh.ScheduleGlobal(1, func() {}) }},
+		{"AtNode", func(sh *Sharded) { sh.AtNode(1, sh.Now()+1, Func(func() {})) }},
+		{"ScheduleGlobal", func(sh *Sharded) { sh.ScheduleGlobal(1, Func(func() {})) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sh := NewSharded(2, 1)
 			panicked := make(chan any, 1)
-			sh.ScheduleNode(0, 0, func() {
+			sh.ScheduleNode(0, 0, Func(func() {
 				defer func() { panicked <- recover() }()
 				tc.bad(sh)
-			})
+			}))
 			_ = sh.Run()
 			if p := <-panicked; p == nil {
 				t.Fatalf("%s during Phase P did not panic", tc.name)
@@ -348,14 +372,14 @@ func TestShardedHotPathAllocs(t *testing.T) {
 		fns[n] = func() {
 			if perNode[n] > 0 {
 				perNode[n]--
-				sh.ScheduleNode(n, Time(n%3+1), fns[n])
+				sh.ScheduleNode(n, Time(n%3+1), Func(fns[n]))
 			}
 		}
 	}
 	// Warm round-local buffer capacity with one full run.
 	for n := range perNode {
 		perNode[n] = events / 8
-		sh.ScheduleNode(n, 1, fns[n])
+		sh.ScheduleNode(n, 1, Func(fns[n]))
 	}
 	if err := sh.Run(); err != nil {
 		t.Fatal(err)
@@ -363,7 +387,7 @@ func TestShardedHotPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		for n := range perNode {
 			perNode[n] = events / 8
-			sh.ScheduleNode(n, 1, fns[n])
+			sh.ScheduleNode(n, 1, Func(fns[n]))
 		}
 		if err := sh.Run(); err != nil {
 			t.Fatal(err)
@@ -407,14 +431,14 @@ func TestShardedEmitHotPathAllocs(t *testing.T) {
 			sh.LogEmitAt(n)
 			if perNode[n] > 0 {
 				perNode[n]--
-				sh.ScheduleNode(n, Time(n%3+1), fns[n])
+				sh.ScheduleNode(n, Time(n%3+1), Func(fns[n]))
 			}
 		}
 	}
 	warm := func() {
 		for n := range perNode {
 			perNode[n] = events / nodes
-			sh.ScheduleNode(n, 1, fns[n])
+			sh.ScheduleNode(n, 1, Func(fns[n]))
 		}
 		if err := sh.Run(); err != nil {
 			t.Fatal(err)
