@@ -20,8 +20,8 @@ vet:
 
 # lint runs go vet, a gofmt gate (fails if any tracked Go file is not
 # gofmt-clean, and names the files), and the repo's own analyzer suite
-# (cmd/dirccvet: simdet, maprange, probeguard, laneguard, plus the
-# allocguard escape gate over //dirccvet:hotpath functions).
+# (cmd/dirccvet: simdet, maprange, probeguard, laneguard, msgown, plus
+# the allocguard escape gate over //dirccvet:hotpath functions).
 # staticcheck and govulncheck also run when installed — CI installs
 # them; offline dev boxes may not have them, so their absence is not an
 # error here.

@@ -1,5 +1,5 @@
 // Command dirccvet runs the repository's custom static analyzers
-// (simdet, maprange, probeguard, laneguard, allocguard — see
+// (simdet, maprange, probeguard, laneguard, msgown, allocguard — see
 // internal/lint) over the given package patterns, defaulting to ./... .
 // It prints the findings that survive the //dirccvet:allow
 // suppressions and exits 1 if there are any.

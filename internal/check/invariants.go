@@ -1,28 +1,12 @@
 package check
 
-import (
-	"fmt"
-
-	"dircc/internal/coherent"
-)
+import "fmt"
 
 // checkInvariants asserts the drained-state invariants (see Invariants
 // in machine.go) with the checker-owned message pool as the in-flight
 // set.
 func (r *replayer) checkInvariants() error {
-	return Invariants(r.m, r.cfg.Blocks, r.poolMsgs())
-}
-
-// poolMsgs exposes the undelivered messages to the invariant core.
-func (r *replayer) poolMsgs() []*coherent.Msg {
-	if len(r.pool) == 0 {
-		return nil
-	}
-	r.inflight = r.inflight[:0]
-	for _, p := range r.pool {
-		r.inflight = append(r.inflight, p.msg)
-	}
-	return r.inflight
+	return Invariants(r.m, r.cfg.Blocks, r.pool)
 }
 
 // checkTerminal asserts quiescent-state convergence on a state with no

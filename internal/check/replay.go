@@ -14,33 +14,27 @@ import (
 	"dircc/internal/sim"
 )
 
-// pendingMsg is one sent-but-undelivered message: the checker owns
-// delivery order via the machine's send hook.
-type pendingMsg struct {
-	msg     *coherent.Msg
-	deliver func()
-}
-
 // replayer drives one machine along explored paths. Run keeps a single
 // replayer and, before every transition, resets its machine with a
 // fresh engine and replays the path from the initial state; all
 // machine code is deterministic, so equal paths yield equal states.
 type replayer struct {
-	cfg     *Config
-	m       *coherent.Machine
-	pool    []pendingMsg
+	cfg *Config
+	m   *coherent.Machine
+	// pool holds the sent-but-undelivered message records, in send
+	// order: the send hook appends each, and the checker owns delivery
+	// order, handing a record back with Machine.Deliver.
+	pool    []*coherent.Msg
 	cursors []int
 
 	// buf holds the canonical rendering, reused from state to state.
 	buf bytes.Buffer
 	// chans counts messages per (src, dst) channel, indexed by
 	// channel; flight and spans hold the in-flight lines while canon
-	// sorts them; inflight is poolMsgs' slice. All are scratch kept
-	// across states.
-	chans    []int
-	flight   []byte
-	spans    [][2]int
-	inflight []*coherent.Msg
+	// sorts them. All are scratch kept across states.
+	chans  []int
+	flight []byte
+	spans  [][2]int
 }
 
 func newReplayer(cfg *Config) (*replayer, error) {
@@ -59,9 +53,7 @@ func newReplayer(cfg *Config) (*replayer, error) {
 		cursors: make([]int, len(cfg.Program)),
 		chans:   make([]int, cfg.Procs*cfg.Procs),
 	}
-	m.SetSendHook(func(msg *coherent.Msg, deliver func()) {
-		r.pool = append(r.pool, pendingMsg{msg: msg, deliver: deliver})
-	})
+	m.SetSendHook(func(msg *coherent.Msg) { r.pool = append(r.pool, msg) })
 	if cfg.LaneAudit {
 		m.EnableLaneAudit()
 	}
@@ -120,8 +112,8 @@ func (r *replayer) choices() []choice {
 		}
 	}
 	clear(r.chans)
-	for i, p := range r.pool {
-		ch := r.channel(p.msg)
+	for i, msg := range r.pool {
+		ch := r.channel(msg)
 		if r.chans[ch] > 0 {
 			continue
 		}
@@ -136,7 +128,7 @@ func (r *replayer) describe(c choice) string {
 	if c.issue >= 0 {
 		return fmt.Sprintf("node %d issues %s", c.issue, r.cfg.Program[c.issue][r.cursors[c.issue]])
 	}
-	return "deliver " + r.pool[c.deliver].msg.Canon()
+	return "deliver " + r.pool[c.deliver].Canon()
 }
 
 // applyChecked performs one choice and drains the kernel, converting
@@ -166,9 +158,9 @@ func (r *replayer) applyChecked(c choice) (verr error) {
 			r.m.ReplaceBlock(n, op.Block)
 		}
 	} else {
-		p := r.pool[c.deliver]
+		msg := r.pool[c.deliver]
 		r.pool = append(r.pool[:c.deliver], r.pool[c.deliver+1:]...)
-		p.deliver()
+		r.m.Deliver(msg)
 	}
 	if err := r.m.RunKernel(); err != nil {
 		if errors.Is(err, sim.ErrEventBudget) {
@@ -244,14 +236,14 @@ func (r *replayer) appendInFlight(b []byte) []byte {
 	clear(r.chans)
 	f := r.flight[:0]
 	r.spans = r.spans[:0]
-	for _, p := range r.pool {
+	for _, msg := range r.pool {
 		start := len(f)
 		f = append(f, "ch"...)
-		f = strconv.AppendInt(f, int64(p.msg.Src), 10)
+		f = strconv.AppendInt(f, int64(msg.Src), 10)
 		f = append(f, '>')
-		f = strconv.AppendInt(f, int64(p.msg.Dst), 10)
+		f = strconv.AppendInt(f, int64(msg.Dst), 10)
 		f = append(f, '#')
-		seq := &r.chans[r.channel(p.msg)]
+		seq := &r.chans[r.channel(msg)]
 		if *seq < 100 {
 			f = append(f, '0')
 		}
@@ -261,7 +253,7 @@ func (r *replayer) appendInFlight(b []byte) []byte {
 		f = strconv.AppendInt(f, int64(*seq), 10)
 		*seq++
 		f = append(f, ' ')
-		f = p.msg.AppendCanon(f)
+		f = msg.AppendCanon(f)
 		r.spans = append(r.spans, [2]int{start, len(f)})
 	}
 	r.flight = f

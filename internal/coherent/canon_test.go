@@ -19,7 +19,8 @@ func fmtCanon(msg *Msg) string {
 
 // TestMsgCanonCoversEveryField changes Msg's fields one at a time, by
 // reflection, and requires every change but those to bookkeeping (the
-// probe ID and the sending machine) to change Canon. A field left out of the hand-written renderer would
+// probe ID, the sending machine and the free-list link) to change
+// Canon. A field left out of the hand-written renderer would
 // merge model-checker states that differ in it; merged states pass
 // every invariant, and the explored-space pins notice only for fields
 // the grid happens to vary. Each variant must also render exactly as
@@ -42,6 +43,8 @@ func TestMsgCanonCoversEveryField(t *testing.T) {
 				m.probeID = 7
 			case "mach":
 				m.mach = &Machine{}
+			case "next":
+				m.next = &Msg{Type: MsgWriteReq, Src: 5}
 			default:
 				t.Fatalf("unexported field %s: render it in AppendCanon or exclude it here", f.Name)
 			}

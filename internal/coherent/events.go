@@ -1,16 +1,20 @@
 package coherent
 
 // The machine's own kernel events. Each is a record the machine already
-// owns — a message, a transaction, a node's hit record — viewed as a
-// sim.Handler, so scheduling it allocates nothing. A message or
-// transaction fires several kinds of event; each kind is a named view of
-// the same record (a pointer conversion, not a copy).
+// owns — a message, a transaction, a node's hit record, a RelHome
+// companion — viewed as a sim.Handler, so scheduling it allocates
+// nothing. A message or transaction fires several kinds of event; each
+// kind is a named view of the same record (a pointer conversion, not a
+// copy). Message, hit and companion records come from per-lane or
+// per-node free lists and go back after their last dispatch.
 
 // msgDelivery is a sent message's arrival at its destination, the
 // handler sendNow gives the network.
 type msgDelivery Msg
 
-// Fire reports the delivery to the network and dispatches the message.
+// Fire reports the delivery to the network and dispatches the message,
+// then returns the record to the destination lane's free list unless
+// the record now waits at a held gate.
 //
 //dirccvet:hotpath
 func (d *msgDelivery) Fire() {
@@ -18,44 +22,64 @@ func (d *msgDelivery) Fire() {
 	m := msg.mach
 	m.Net.Delivered(msg.Dst)
 	m.markHomeCommit(msg)
-	m.dispatch(msg)
+	if m.dispatch(msg) {
+		m.freeMsg(msg)
+	}
 }
 
 // homeRelease is a RelHome message's companion event at the home, at the
-// delivery instant (see sendNow).
-type homeRelease Msg
+// delivery instant (see sendNow). It holds the block, not the message:
+// on a sequential machine the companion fires after the delivery, whose
+// handler may already have reused the recycled message record for a new
+// send. Each lane keeps a free list of them (Machine.free); a record
+// lives on its home's lane.
+type homeRelease struct {
+	mach  *Machine
+	block BlockID
+	next  *homeRelease // free-list link
+}
 
-// Fire commits the granted write and releases the block's gate.
+// Fire returns the record to the home lane's free list, then commits
+// the granted write and releases the block's gate.
 //
 //dirccvet:hotpath
 func (r *homeRelease) Fire() {
-	m := r.mach
-	m.Store.CommitWrite(r.Block)
-	m.ReleaseHome(r.Block)
+	m, b := r.mach, r.block
+	l := &m.free[m.laneOf(m.Home(b))]
+	r.next = l.rels
+	l.rels = r
+	m.Store.CommitWrite(b)
+	m.ReleaseHome(b)
 }
 
 // redelivery hands a message deferred on a transaction back to the
 // engine once the transaction has completed (CompleteTxn).
 type redelivery Msg
 
-// Fire delivers the message to the cache controller again.
+// Fire delivers the message to the cache controller again and recycles
+// the record DeferToTxn made.
 //
 //dirccvet:hotpath
 func (r *redelivery) Fire() {
 	msg := (*Msg)(r)
-	msg.mach.proto.CacheMsg(msg.mach, msg)
+	m := msg.mach
+	m.proto.CacheMsg(m, msg)
+	m.freeMsg(msg)
 }
 
 // gateRestart starts a gated request that waited in its block's gate
 // queue, once ReleaseHome hands it the gate.
 type gateRestart Msg
 
-// Fire processes the request as a fresh arrival.
+// Fire processes the request as a fresh arrival and recycles its
+// record.
 //
 //dirccvet:hotpath
 func (g *gateRestart) Fire() {
 	msg := (*Msg)(g)
-	msg.mach.startHome(msg)
+	m := msg.mach
+	m.startHome(msg)
+	m.freeMsg(msg)
 }
 
 // txnStart hands a miss to the engine, one cache access after the

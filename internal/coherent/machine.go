@@ -89,7 +89,10 @@ type Txn struct {
 	Served bool
 	// Deferred collects messages (typically Inv) that arrived for this
 	// block while the data reply was still in flight; the machine
-	// redelivers them after installation.
+	// redelivers them after installation. Engines add to it only
+	// through Machine.DeferToTxn, which copies each message into a
+	// record of its own; the machine recycles the records after their
+	// redelivery.
 	Deferred []*Msg
 	// Scratch is engine-private per-transaction state.
 	Scratch any
@@ -217,15 +220,23 @@ type Machine struct {
 	// Only the node's own lane touches its list.
 	hits []*hitDone
 
+	// free holds each lane's free lists of message records and RelHome
+	// companion records (one lane on a sequential machine). A send
+	// takes a message record from its sender's lane; the record's last
+	// dispatch returns it to the lane of its destination, where that
+	// dispatch ran. Reset keeps the lists; records that dropped events
+	// still reference are never returned, and the GC reclaims them.
+	free []msgLane
+
 	// allocTop is the next free byte of the shared address space.
 	allocTop uint64
 
 	// sendHook, when set, intercepts message transport: instead of
-	// traveling through the network model, each sent message is handed
-	// to the hook together with its delivery thunk. The model checker
-	// (internal/check) uses this to own the set of in-flight messages
-	// and explore every delivery order.
-	sendHook func(msg *Msg, deliver func())
+	// traveling through the network model, each sent message record is
+	// handed to the hook, which delivers it later with Deliver. The
+	// model checker (internal/check) uses this to own the set of
+	// in-flight messages and explore every delivery order.
+	sendHook func(msg *Msg)
 
 	// laneAudit, when non-nil, records which nodes' lanes executed a
 	// sanctioned event since the last LaneAuditReset — the model
@@ -275,6 +286,16 @@ type laneEvent struct {
 type laneClock struct {
 	t uint64
 	_ [7]uint64
+}
+
+// msgLane is one lane's free lists: message records and RelHome
+// companion records, padded so adjacent lanes never share a cache line.
+// During a parallel phase only the owning lane touches them; outside
+// one the lanes are parked.
+type msgLane struct {
+	msgs *Msg
+	rels *homeRelease
+	_    [48]byte // two pointers are 16 bytes; pad to a 64-byte line
 }
 
 // NewMachine builds a machine over a hypercube sized for cfg.Procs.
@@ -388,6 +409,7 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		sched = eng
 	}
 	m.sched = sched
+	m.free = make([]msgLane, m.Shards())
 	net, err := network.New(sched, topo, cfg.Net, ctr)
 	if err != nil {
 		return nil, err
@@ -585,6 +607,16 @@ func (m *Machine) DeferAt(issuer, target NodeID, fn func()) {
 	m.ScheduleAt(target, 0, fn)
 }
 
+// laneOf returns the lane that owns node n (0 on a sequential machine).
+//
+//dirccvet:hotpath
+func (m *Machine) laneOf(n NodeID) int {
+	if m.shard != nil {
+		return m.shard.LaneOf(int(n))
+	}
+	return 0
+}
+
 // CtrAt returns the counter sink for an event executing at node n: the
 // machine counters on a sequential machine, the lane-local sink on a
 // sharded one (folded into Ctr in deterministic lane order at
@@ -658,7 +690,10 @@ func (m *Machine) ReplayEmit(lane, idx int) {
 // sendNow injects msg into the network model, with the message itself
 // as its delivery event (msgDelivery). For RelHome messages it also
 // schedules the write commit and home-gate release as a companion
-// event at the delivery instant (homeRelease), consuming the sequence
+// event at the delivery instant (a homeRelease record from the home
+// lane's free list; sendNow runs single-threaded, inline on a
+// sequential machine and in the replay step on a sharded one, so it may
+// take from any lane's list), consuming the sequence
 // number right after the delivery's: both are then ordered exactly
 // where the receiving handler used to perform them inline — after the
 // delivery, before any other same-instant event — while executing on
@@ -679,8 +714,28 @@ func (m *Machine) sendNow(msg *Msg) {
 	//dirccvet:allow allocguard String formats only out-of-range types; every type an engine sends has a constant name
 	arrive := m.Net.Send(msg.Type.String(), msg.Src, msg.Dst, msg.Bytes(m.Cfg), (*msgDelivery)(msg))
 	if msg.RelHome {
-		m.sched.AtNode(int(m.Home(msg.Block)), arrive, (*homeRelease)(msg))
+		home := m.Home(msg.Block)
+		m.sched.AtNode(int(home), arrive, m.newRelease(home, msg.Block))
 	}
+}
+
+// newRelease takes a RelHome companion record for block b from the free
+// list of home's lane, where its event fires and returns it. It stays
+// out of line so that allocguard attributes its one allocation, on an
+// empty list, here rather than to its caller.
+//
+//dirccvet:hotpath
+//go:noinline
+func (m *Machine) newRelease(home NodeID, b BlockID) *homeRelease {
+	l := &m.free[m.laneOf(home)]
+	r := l.rels
+	if r == nil {
+		//dirccvet:allow allocguard a lane allocates a companion only while more of its gate releases are pending than ever before
+		return &homeRelease{mach: m, block: b}
+	}
+	l.rels = r.next
+	r.block, r.next = b, nil
+	return r
 }
 
 // markHomeCommit flags the receiver's write transaction, just before a
@@ -784,11 +839,7 @@ func (m *Machine) noteProgress(n NodeID) {
 	if m.laneProg == nil {
 		return
 	}
-	lane := 0
-	if m.shard != nil {
-		lane = m.shard.LaneOf(int(n))
-	}
-	m.laneProg[lane].t = uint64(m.Now())
+	m.laneProg[m.laneOf(n)].t = uint64(m.Now())
 }
 
 // AttachKProf attaches a kernel profile to the machine's parallel
@@ -1281,8 +1332,6 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 	deferred := txn.Deferred
 	txn.Deferred = nil
 	for _, msg := range deferred {
-		// Engines may defer a message they built and never sent.
-		msg.mach = m
 		m.scheduleAt(txn.Node, 0, (*redelivery)(msg))
 	}
 	txn.ret = val
@@ -1297,52 +1346,99 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 // ---------------------------------------------------------------------
 
 // Send transmits msg over the network and dispatches it on arrival.
-func (m *Machine) Send(msg *Msg) {
-	msg.mach = m
+// The machine copies msg into a record it owns, taken from the free list
+// of the sender's lane (the lane a send runs on during a sharded
+// parallel phase; outside one the lanes are parked), and recycles the
+// record after its last dispatch. The *Msg a handler receives is that
+// record, valid only during the call.
+//
+//dirccvet:hotpath
+func (m *Machine) Send(msg Msg) {
+	r := m.newMsg(msg.Src, &msg)
 	if m.events {
 		// The probe writes the message ID through the slot when the
 		// emission finalizes: at once, or at its merge position during a
 		// sharded Phase P. Either way the ID lands before the delivery
-		// fires.
-		m.emit(msg.Src, obs.Event{Kind: obs.KindSend, Type: msg.Type.String(),
-			Src: int(msg.Src), Dst: int(msg.Dst), Block: uint64(msg.Block),
-			Req: int(msg.Requester), Dir: msg.ToDir}, &msg.probeID)
+		// fires, and so before the record can be recycled.
+		//dirccvet:allow allocguard trace-only: String formats unknown types, and the event escapes to the probe
+		m.emit(r.Src, obs.Event{Kind: obs.KindSend, Type: r.Type.String(),
+			Src: int(r.Src), Dst: int(r.Dst), Block: uint64(r.Block),
+			Req: int(r.Requester), Dir: r.ToDir}, &r.probeID)
 	}
 	if m.sendHook != nil {
-		deliver := func() { m.dispatch(msg) }
-		if msg.RelHome {
-			// Intercepted transport has no delivery instant to hang the
-			// companion event on; run the commit and release right after
-			// the dispatch, which is where the sequential order puts
-			// them (nothing can observe the machine in between).
-			deliver = func() {
-				m.markHomeCommit(msg)
-				m.dispatch(msg)
-				m.Store.CommitWrite(msg.Block)
-				m.ReleaseHome(msg.Block)
-			}
-		}
-		m.sendHook(msg, deliver)
+		m.sendHook(r)
 		return
 	}
 	if m.shard != nil && m.shard.InPhase() {
 		// Parallel phase: the network's link/port bookkeeping is shared
 		// across lanes, so the send is parked in the sender's mailbox
 		// and replayed (ReplaySend) in the global deterministic order.
-		lane := m.shard.LaneOf(int(msg.Src))
-		m.sendLogs[lane] = append(m.sendLogs[lane], msg)
-		m.shard.LogSendAt(int(msg.Src))
+		lane := m.shard.LaneOf(int(r.Src))
+		m.sendLogs[lane] = append(m.sendLogs[lane], r)
+		m.shard.LogSendAt(int(r.Src))
 		return
 	}
-	m.sendNow(msg)
+	m.sendNow(r)
+}
+
+// newMsg copies msg into a record from the free list of n's lane. It
+// stays out of line so that allocguard attributes its one allocation,
+// on an empty list, here rather than to every sender.
+//
+//dirccvet:hotpath
+//go:noinline
+func (m *Machine) newMsg(n NodeID, msg *Msg) *Msg {
+	l := &m.free[m.laneOf(n)]
+	r := l.msgs
+	if r == nil {
+		//dirccvet:allow allocguard a lane allocates a record only while more of its messages are live than ever before
+		r = new(Msg)
+	} else {
+		l.msgs = r.next
+	}
+	*r = *msg
+	r.probeID, r.mach, r.next = 0, m, nil
+	return r
+}
+
+// freeMsg returns r, after its last dispatch, to the free list of the
+// lane that owns r.Dst, where that dispatch ran. Clearing the record
+// releases its Ptrs slice.
+//
+//dirccvet:hotpath
+func (m *Machine) freeMsg(r *Msg) {
+	l := &m.free[m.laneOf(r.Dst)]
+	*r = Msg{next: l.msgs}
+	l.msgs = r
 }
 
 // SetSendHook installs (or clears, with nil) the transport interceptor
 // used by the model checker. With a hook installed, messages bypass the
-// network model entirely: the hook receives each message and a thunk
-// that performs its delivery, and becomes responsible for invoking
-// every thunk exactly once, in whatever order it chooses to explore.
-func (m *Machine) SetSendHook(fn func(msg *Msg, deliver func())) { m.sendHook = fn }
+// network model entirely: the hook receives each sent message's record
+// and becomes responsible for passing every record to Deliver exactly
+// once, in whatever order it chooses to explore. Until then the hook
+// owns the record and may read it.
+func (m *Machine) SetSendHook(fn func(msg *Msg)) { m.sendHook = fn }
+
+// Deliver delivers msg, a record the send hook received, as the
+// network's delivery event would, and then recycles the record: the
+// caller must not touch msg afterwards. For a RelHome reply it commits
+// the granted write and releases the home gate right after the
+// dispatch. Intercepted transport has no delivery instant to hang the
+// companion event on, and right after the dispatch is where the
+// sequential order puts it: nothing can observe the machine in between.
+func (m *Machine) Deliver(msg *Msg) {
+	m.markHomeCommit(msg)
+	rel, b := msg.RelHome, msg.Block
+	done := m.dispatch(msg)
+	if rel {
+		m.Store.CommitWrite(b)
+		m.ReleaseHome(b)
+	}
+	if done {
+		m.freeMsg(msg)
+	}
+}
 
 // ReplaceBlock forces node n to replace its copy of block b, exactly
 // as if the frame had been reclaimed for a conflicting miss: the
@@ -1363,8 +1459,13 @@ func (m *Machine) ReplaceBlock(n NodeID, b BlockID) bool {
 	return true
 }
 
+// dispatch hands msg to the engine handler its routing names, or queues
+// it at its block's held gate. It reports whether the caller is done
+// with the record: false when the gate queue keeps it for a later
+// gateRestart.
+//
 //dirccvet:hotpath
-func (m *Machine) dispatch(msg *Msg) {
+func (m *Machine) dispatch(msg *Msg) bool {
 	m.auditLane(msg.Dst)
 	if m.events {
 		// A delivery fires at least one sub-round after its send was
@@ -1376,11 +1477,11 @@ func (m *Machine) dispatch(msg *Msg) {
 	}
 	if !msg.ToDir {
 		m.proto.CacheMsg(m, msg)
-		return
+		return true
 	}
 	if !msg.Gated {
 		m.proto.HomeMsg(m, msg)
-		return
+		return true
 	}
 	g := m.slot(msg.Block)
 	if g.busy {
@@ -1391,10 +1492,11 @@ func (m *Machine) dispatch(msg *Msg) {
 				Src: int(msg.Dst), Dst: int(msg.Dst), Block: uint64(msg.Block)}, nil)
 		}
 		g.queue = append(g.queue, msg)
-		return
+		return false
 	}
 	g.busy = true
 	m.startHome(msg)
+	return true
 }
 
 // startHome marks the serialization point of a gated request — the
@@ -1444,16 +1546,23 @@ func (m *Machine) HomeGateBusy(b BlockID) bool {
 // Common engine helpers
 // ---------------------------------------------------------------------
 
-// DeferToTxn queues msg onto node n's outstanding read transaction for
-// the same block, returning true if it did. Engines use this for
-// invalidations that arrive before the data reply they logically
-// follow.
+// DeferToTxn queues a copy of msg onto node n's outstanding read
+// transaction for the same block, returning true if it did; the machine
+// redelivers the copy to n's cache controller once the transaction
+// completes. Engines use this for invalidations that arrive before the
+// data reply they logically follow, and it is the only way they defer
+// a message: msg may be the handler's own record, which is recycled
+// when the handler returns, or a message the engine built. msg must be
+// addressed to n.
 func (m *Machine) DeferToTxn(n NodeID, msg *Msg) bool {
 	txn := m.Txn(n, msg.Block)
 	if txn == nil || txn.Write {
 		return false
 	}
-	txn.Deferred = append(txn.Deferred, msg)
+	if msg.Dst != n {
+		panic(fmt.Sprintf("coherent: DeferToTxn at node %d of a message addressed to %d", n, msg.Dst))
+	}
+	txn.Deferred = append(txn.Deferred, m.newMsg(n, msg))
 	return true
 }
 

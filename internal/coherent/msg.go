@@ -96,6 +96,12 @@ func (t MsgType) appendName(b []byte) []byte {
 
 // Msg is a coherence message. Fields beyond Type/Src/Dst/Block are
 // protocol-specific and documented by the engines that use them.
+//
+// Engines build a Msg as a value and hand it to Machine.Send, which
+// copies it into a record the machine owns and recycles after the
+// record's last dispatch. The *Msg a handler receives is that record:
+// it is valid only during the call. An engine keeps what it needs past
+// the handler by value (a Msg copy or its fields), never the pointer.
 type Msg struct {
 	Type  MsgType
 	Src   NodeID
@@ -156,6 +162,9 @@ type Msg struct {
 	// delivery event (msgDelivery) and fires its companions through it.
 	// Bookkeeping, like probeID: Canon leaves it out.
 	mach *Machine
+	// next links the record into its lane's free list while it is not
+	// in use (see Machine.newMsg). Bookkeeping: Canon leaves it out.
+	next *Msg
 }
 
 // NoNode is the sentinel for "no node" in Aux and pointer slots.

@@ -87,8 +87,11 @@ const (
 	stageInv
 )
 
+// pending is an in-progress home transaction (the gate is held). It
+// keeps the request by value: the delivered record is recycled when the
+// handler returns.
 type pending struct {
-	req      *coherent.Msg
+	req      coherent.Msg
 	stage    stage
 	wbFrom   coherent.NodeID
 	acksLeft int
@@ -194,7 +197,7 @@ func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 			upgrade = true
 		}
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write, Write: upgrade,
 		ToDir: true, Gated: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -207,8 +210,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	switch msg.Type {
 	case coherent.MsgReadReq:
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: msg, stage: stageWb, wbFrom: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
@@ -218,8 +221,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	case coherent.MsgWriteReq:
 		m.SerializeWrite(msg)
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: msg, stage: stageWb, wbFrom: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Write: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
@@ -245,7 +248,7 @@ func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	}
 	m.ReadMem(b, func() {
 		markServed(m, req, b)
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
 			Requester: req, HasData: true, Data: m.Store.Value(b),
 			Ptrs: handoff, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -329,7 +332,7 @@ func (e *Engine) equalPair(en *entry) int {
 func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
-	pend := &pending{req: msg, stage: stageInv, wbFrom: coherent.NoNode}
+	pend := &pending{req: *msg, stage: stageInv, wbFrom: coherent.NoNode}
 	en.pend = pend
 	waveType := coherent.MsgInv
 	if e.opts.Update {
@@ -352,7 +355,7 @@ func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent
 	}
 	_, ackTo := AckPlan(len(roots))
 	for idx, s := range roots {
-		inv := &coherent.Msg{
+		inv := coherent.Msg{
 			Type: waveType, Src: home, Dst: s.node, Block: b,
 			Requester: msg.Requester, HasData: e.opts.Update, Data: msg.Data,
 			Aux: coherent.NoNode,
@@ -408,13 +411,14 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 			m.TraceDir(b, fmt.Sprintf("dirty owner %d", en.owner))
 		}
 	}
+	req := msg.Requester
 	m.ReadMem(b, func() {
 		// RelHome: the write commit and home-gate release ride a
 		// companion event at the delivery instant on the home's own
 		// lane, in place of the receiver's handler doing them inline.
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b),
 			Ptrs: handoff, Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true,
 		})
 	})
@@ -432,7 +436,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		p.acksLeft--
 		if p.acksLeft == 0 {
-			e.grantWrite(m, en, p.req)
+			e.grantWrite(m, en, &p.req)
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
@@ -445,7 +449,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			}
 		}
 		if p := en.pend; p != nil && p.stage == stageWb && p.wbFrom == msg.Src {
-			req := p.req
+			req := &p.req
 			en.pend = nil
 			// On an RM_WW recall the demoted owner keeps a shared copy
 			// and stays recorded in its slot; on WM_WW it was
@@ -522,7 +526,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			ln.State = cache.Valid
 			m.TraceState(n, msg.Block, cache.Exclusive, cache.Valid)
 		}
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			HasData: true, Data: data, Write: !msg.Write, ToDir: true,
 			Aux: coherent.NoNode, AckTo: coherent.NoNode,

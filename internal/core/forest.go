@@ -120,7 +120,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		// this invalidation to — is in flight. Defer until it installs;
 		// the wave cannot deadlock because the reply does not depend on
 		// the home gate the writer holds.
-		txn.Deferred = append(txn.Deferred, msg)
+		m.DeferToTxn(n, msg)
 		return
 	}
 	b := msg.Block
@@ -192,7 +192,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 	for _, c := range fanout {
 		a.left++
 		m.CtrAt(n).Invalidations++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: msg.Type, Src: n, Dst: c, Block: msg.Block,
 			Requester: msg.Requester, HasData: update, Data: msg.Data,
 			AckTo: n, Aux: coherent.NoNode,
@@ -220,12 +220,12 @@ func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 		return
 	}
 	delete(f.aggs[key.n], key.b)
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgInvAck, Src: key.n, Dst: a.to, Block: key.b,
 		Requester: a.req, ToDir: a.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
 	for _, d := range a.extra {
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInvAck, Src: key.n, Dst: d.to, Block: key.b,
 			Requester: d.req, ToDir: d.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -234,7 +234,7 @@ func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 
 // sendAck acknowledges msg immediately (dangling-edge case).
 func (f *forest) sendAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgInvAck, Src: n, Dst: msg.AckTo, Block: msg.Block,
 		Requester: msg.Requester, ToDir: msg.AckDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
@@ -268,7 +268,7 @@ func (f *forest) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 		f.mergeTombs(n, ln.Block, children)
 		f.sendReplaceInv(m, n, ln.Block, children)
 	case cache.Exclusive:
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
 			HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -301,7 +301,7 @@ func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []co
 func (f *forest) sendReplaceInv(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, children []coherent.NodeID) {
 	for _, c := range children {
 		m.CtrAt(n).ReplaceInvs++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgReplaceInv, Src: n, Dst: c, Block: b,
 			Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})

@@ -36,8 +36,11 @@ type stpEntry struct {
 	pend  *stpPending
 }
 
+// stpPending is a request in progress at the home (the gate is held).
+// It keeps the request by value: the delivered record is recycled when
+// the handler returns.
 type stpPending struct {
-	req *coherent.Msg
+	req coherent.Msg
 	// txn is the requester's outstanding transaction at serialization
 	// time (reads only). Served-marking on Done/bounce must verify the
 	// requester is still in THIS transaction: after a silent
@@ -89,7 +92,7 @@ func (e *STP) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	if txn.Write {
 		typ = coherent.MsgWriteReq
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write,
 		ToDir: true, Gated: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -111,8 +114,8 @@ func (e *STP) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		// Descend from the root; the gate stays held until the adopter
 		// confirms with Done (or the descent bounces).
-		en.pend = &stpPending{req: msg, txn: m.Txn(msg.Requester, b)}
-		m.Send(&coherent.Msg{
+		en.pend = &stpPending{req: *msg, txn: m.Txn(msg.Requester, b)}
+		m.Send(coherent.Msg{
 			Type: coherent.MsgFwd, Src: home, Dst: en.root, Block: b,
 			Requester: msg.Requester, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -122,9 +125,9 @@ func (e *STP) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			e.grantWrite(m, en, msg)
 			return
 		}
-		en.pend = &stpPending{req: msg, acksLeft: 1}
+		en.pend = &stpPending{req: *msg, acksLeft: 1}
 		m.CtrAt(home).Invalidations++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInv, Src: home, Dst: en.root, Block: b,
 			Requester: msg.Requester, AckTo: home, AckDir: true, Aux: coherent.NoNode,
 		})
@@ -137,11 +140,12 @@ func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) 
 	b := msg.Block
 	en.state = shared
 	en.root = msg.Requester
+	req := msg.Requester
 	m.ReadMem(b, func() {
-		markServed(m, msg.Requester, b)
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+		markServed(m, req, b)
+		m.Send(coherent.Msg{
+			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b),
 			Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 		m.ReleaseHome(b)
@@ -166,13 +170,14 @@ func (e *STP) grantWrite(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) {
 	en.state = dirty
 	en.owner = msg.Requester
 	en.root = msg.Requester
+	req := msg.Requester
 	m.ReadMem(b, func() {
 		// RelHome: the write commit and home-gate release ride a
 		// companion event at the delivery instant on the home's own
 		// lane, in place of the receiver's handler doing them inline.
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b),
 			Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true,
 		})
 	})
@@ -198,21 +203,21 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			panic("stp: bounced insert without a pending read")
 		}
 		p := en.pend
-		req := p.req
+		req := p.req.Requester
 		en.pend = nil
 		oldRoot := en.root
 		b := msg.Block
-		en.root = req.Requester
+		en.root = req
 		en.state = shared
 		var ptrs []coherent.NodeID
-		if oldRoot != coherent.NoNode && oldRoot != req.Requester {
+		if oldRoot != coherent.NoNode && oldRoot != req {
 			ptrs = []coherent.NodeID{oldRoot}
 		}
 		m.ReadMem(b, func() {
 			e.markServedPending(m, p, b)
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req.Requester, Block: b,
-				Requester: req.Requester, HasData: true, Data: m.Store.Value(b),
+			m.Send(coherent.Msg{
+				Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+				Requester: req, HasData: true, Data: m.Store.Value(b),
 				Ptrs: ptrs, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
 			m.ReleaseHome(b)
@@ -225,7 +230,7 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		p.acksLeft--
 		if p.acksLeft == 0 {
-			e.grantWrite(m, en, p.req)
+			e.grantWrite(m, en, &p.req)
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
@@ -302,7 +307,7 @@ func (e *STP) onInsert(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 	ln := node.Cache.Lookup(msg.Block)
 	if ln == nil || ln.State == cache.Invalid {
 		// Torn-down node: bounce to the home, which re-roots.
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgFwd, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			Requester: msg.Requester, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -316,7 +321,7 @@ func (e *STP) onInsert(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 	if ln.State == cache.Exclusive {
 		// A dirty root demotes itself and writes back before sharing.
 		ln.State = cache.Valid
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			HasData: true, Data: ln.Val, Write: true, ToDir: true,
 			Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -326,12 +331,12 @@ func (e *STP) onInsert(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		if meta.children[i] == coherent.NoNode {
 			meta.children[i] = msg.Requester
 			meta.counts[i] = 1
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: msg.Block,
 				Requester: msg.Requester, HasData: true, Data: ln.Val,
 				Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgDone, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 				Requester: msg.Requester, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
@@ -344,7 +349,7 @@ func (e *STP) onInsert(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		dir = 1
 	}
 	meta.counts[dir]++
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgFwd, Src: n, Dst: meta.children[dir], Block: msg.Block,
 		Requester: msg.Requester, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})

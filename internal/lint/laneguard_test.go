@@ -71,8 +71,8 @@ func TestLaneGuardCatchesDirectChainWalkRevert(t *testing.T) {
 		t.Skip("builds the module for export data")
 	}
 	const (
-		fixed   = "m.DeferAt(n, src, func() { e.successorHop(m, txn, chain, src, 0) })"
-		mutated = "e.successorHop(m, txn, chain, src, 0)"
+		fixed   = "m.DeferAt(n, src, func() { e.successorHop(m, txn, data, src, 0) })"
+		mutated = "e.successorHop(m, txn, data, src, 0)"
 	)
 	dir := filepath.Join("..", "protocol", "list")
 	src, err := os.ReadFile(filepath.Join(dir, "sci.go"))
@@ -103,7 +103,7 @@ func TestLaneGuardCatchesDirectChainWalkRevert(t *testing.T) {
 			if filepath.Base(name) == "sci.go" {
 				text = []byte(code)
 				for i, l := range strings.Split(code, "\n") {
-					if strings.Contains(l, "e.successorHop(m, txn, chain, src, 0)") {
+					if strings.Contains(l, "e.successorHop(m, txn, data, src, 0)") {
 						mutLine = i + 1
 						break
 					}

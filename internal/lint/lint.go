@@ -21,6 +21,11 @@
 //     scheduling façade (a dataflow analysis: cfg.go, dataflow.go,
 //     laneguard.go), and no code may mutate Machine.Ctr — handlers
 //     count through the per-lane sink m.CtrAt.
+//   - msgown: the machine recycles a message record after its last
+//     dispatch, so in the same packages a handler's *coherent.Msg must
+//     not outlive the call: no field, element or map entry of that
+//     type, no closure capturing it, no store of it outside a local
+//     variable (msgown.go).
 //
 // The sequential kernel behind the façade is an unexported Machine
 // field, so the compiler already keeps code outside internal/coherent
@@ -85,7 +90,7 @@ const allowCheckName = "allowcheck"
 
 // All returns the full analyzer suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{SimDet, MapRange, ProbeGuard, LaneGuard}
+	return []*Analyzer{SimDet, MapRange, ProbeGuard, LaneGuard, MsgOwn}
 }
 
 // RunAnalyzers applies the analyzers to every package, drops findings

@@ -54,7 +54,7 @@ func (e *engine) entry(m *coherent.Machine, b coherent.BlockID) *entry {
 // StartMiss is clean: it runs at txn.Node and only touches resident
 // state and the synchronized Send surface.
 func (e *engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgReadReq, Src: txn.Node, Dst: m.Home(txn.Block),
 		Block: txn.Block, Requester: txn.Node, Aux: coherent.NoNode,
 		ToDir: true, Gated: true,

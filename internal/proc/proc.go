@@ -116,6 +116,17 @@ type proc struct {
 	// it with 0 as a scheduled event.
 	onValue, onWrite func(uint64)
 	onEvent          func()
+
+	// The synchronization operations, also built once in Run: the
+	// global ops a barrier, lock, unlock and exit hand to GlobalOpAt,
+	// and FetchAdd's add function. They read their operands from lockID
+	// and delta, which dispatchOrdered sets. A processor has one request
+	// outstanding, so neither changes before its op has run, in the
+	// sharded kernel's replay step too.
+	onBarrier, onLock, onUnlock, onExit func()
+	addDelta                            func(old uint64) uint64
+	lockID                              int
+	delta                               uint64
 }
 
 type lockState struct {
@@ -142,6 +153,11 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 		p.onValue = func(v uint64) { g.advance(p, v) }
 		p.onWrite = func(uint64) { g.advance(p, 0) }
 		p.onEvent = func() { g.advance(p, 0) }
+		p.onBarrier = func() { g.barrierArrive(p) }
+		p.onLock = func() { g.lockAcquire(p) }
+		p.onUnlock = func() { g.lockRelease(p) }
+		p.onExit = func() { g.exit(p) }
+		p.addDelta = func(old uint64) uint64 { return old + p.delta }
 		g.procs = append(g.procs, p)
 		go func(p *proc) {
 			<-p.resume // wait for the simulator to start us
@@ -304,8 +320,8 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 	case reqWrite:
 		m.Access(coherent.NodeID(p.id), r.addr, true, r.value, p.onWrite)
 	case reqFetchAdd:
-		delta := r.value
-		m.AccessRMW(coherent.NodeID(p.id), r.addr, func(old uint64) uint64 { return old + delta }, p.onValue)
+		p.delta = r.value
+		m.AccessRMW(coherent.NodeID(p.id), r.addr, p.addDelta, p.onValue)
 	case reqCompute:
 		m.CtrAt(coherent.NodeID(p.id)).ComputeCycles += r.cycles
 		m.ScheduleAt(coherent.NodeID(p.id), sim.Time(r.cycles), p.onEvent)
@@ -314,73 +330,92 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 		// processor, so under the sharded kernel it must run in the
 		// replay step; GlobalOpAt defers it there (and is a plain call
 		// sequentially). The same applies to locks and exit below.
-		m.GlobalOpAt(coherent.NodeID(p.id), func() {
-			g.barrierWaiting++
-			g.barrierResume = append(g.barrierResume, p)
-			if g.barrierWaiting == g.running {
-				m.Ctr.BarrierEpochs++
-				waiters := g.barrierResume
-				g.barrierWaiting = 0
-				g.barrierResume = nil
-				m.ScheduleGlobal(m.Cfg.BarrierOverhead, func() {
-					for _, w := range waiters {
-						m.ScheduleAt(coherent.NodeID(w.id), 0, w.onEvent)
-					}
-				})
-			}
-		})
+		m.GlobalOpAt(coherent.NodeID(p.id), p.onBarrier)
 	case reqLock:
 		if m.Cfg.MemLocks {
 			g.memLockAcquire(p, r.lockID)
 			return
 		}
-		m.GlobalOpAt(coherent.NodeID(p.id), func() {
-			ls := g.locks[r.lockID]
-			if ls == nil {
-				ls = &lockState{}
-				g.locks[r.lockID] = ls
-			}
-			if !ls.held {
-				ls.held = true
-				m.Ctr.LockAcquires++
-				m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.LockOverhead, p.onEvent)
-			} else {
-				ls.queue = append(ls.queue, p)
-			}
-		})
+		p.lockID = r.lockID
+		m.GlobalOpAt(coherent.NodeID(p.id), p.onLock)
 	case reqUnlock:
 		if m.Cfg.MemLocks {
 			g.memLockRelease(p, r.lockID)
 			return
 		}
-		m.GlobalOpAt(coherent.NodeID(p.id), func() {
-			ls := g.locks[r.lockID]
-			if ls == nil || !ls.held {
-				panic(fmt.Sprintf("proc: processor %d unlocked lock %d which is not held", p.id, r.lockID))
-			}
-			if len(ls.queue) > 0 {
-				next := ls.queue[0]
-				ls.queue = ls.queue[1:]
-				m.Ctr.LockAcquires++
-				m.ScheduleAt(coherent.NodeID(next.id), m.Cfg.LockOverhead, next.onEvent)
-			} else {
-				ls.held = false
-			}
-			// Releasing costs one cycle locally; the releaser continues.
-			m.ScheduleAt(coherent.NodeID(p.id), 1, p.onEvent)
-		})
+		p.lockID = r.lockID
+		m.GlobalOpAt(coherent.NodeID(p.id), p.onUnlock)
 	case reqDone:
 		p.done = true
-		m.GlobalOpAt(coherent.NodeID(p.id), func() {
-			g.finished++
-			g.running--
-			// A barrier can now be satisfied by the remaining processors.
-			// Finishing while others wait at a barrier is an application
-			// bug; detect it rather than hang.
-			if g.barrierWaiting > 0 && g.barrierWaiting == g.running {
-				panic(fmt.Sprintf("proc: processor %d exited while %d peers wait at a barrier", p.id, g.barrierWaiting))
+		m.GlobalOpAt(coherent.NodeID(p.id), p.onExit)
+	}
+}
+
+// barrierArrive is p's global op at a barrier: the last arrival
+// releases every waiter after the barrier overhead.
+func (g *Group) barrierArrive(p *proc) {
+	m := g.m
+	g.barrierWaiting++
+	g.barrierResume = append(g.barrierResume, p)
+	if g.barrierWaiting == g.running {
+		m.Ctr.BarrierEpochs++
+		waiters := g.barrierResume
+		g.barrierWaiting = 0
+		g.barrierResume = nil
+		m.ScheduleGlobal(m.Cfg.BarrierOverhead, func() {
+			for _, w := range waiters {
+				m.ScheduleAt(coherent.NodeID(w.id), 0, w.onEvent)
 			}
 		})
+	}
+}
+
+// lockAcquire is p's global op taking lock p.lockID, or queueing for it.
+func (g *Group) lockAcquire(p *proc) {
+	m := g.m
+	ls := g.locks[p.lockID]
+	if ls == nil {
+		ls = &lockState{}
+		g.locks[p.lockID] = ls
+	}
+	if !ls.held {
+		ls.held = true
+		m.Ctr.LockAcquires++
+		m.ScheduleAt(coherent.NodeID(p.id), m.Cfg.LockOverhead, p.onEvent)
+	} else {
+		ls.queue = append(ls.queue, p)
+	}
+}
+
+// lockRelease is p's global op releasing lock p.lockID to the next
+// waiter, if any.
+func (g *Group) lockRelease(p *proc) {
+	m := g.m
+	ls := g.locks[p.lockID]
+	if ls == nil || !ls.held {
+		panic(fmt.Sprintf("proc: processor %d unlocked lock %d which is not held", p.id, p.lockID))
+	}
+	if len(ls.queue) > 0 {
+		next := ls.queue[0]
+		ls.queue = ls.queue[1:]
+		m.Ctr.LockAcquires++
+		m.ScheduleAt(coherent.NodeID(next.id), m.Cfg.LockOverhead, next.onEvent)
+	} else {
+		ls.held = false
+	}
+	// Releasing costs one cycle locally; the releaser continues.
+	m.ScheduleAt(coherent.NodeID(p.id), 1, p.onEvent)
+}
+
+// exit is p's global op when its body returns.
+func (g *Group) exit(p *proc) {
+	g.finished++
+	g.running--
+	// A barrier can now be satisfied by the remaining processors.
+	// Finishing while others wait at a barrier is an application
+	// bug; detect it rather than hang.
+	if g.barrierWaiting > 0 && g.barrierWaiting == g.running {
+		panic(fmt.Sprintf("proc: processor %d exited while %d peers wait at a barrier", p.id, g.barrierWaiting))
 	}
 }
 

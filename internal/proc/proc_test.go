@@ -154,6 +154,30 @@ func TestLockFIFO(t *testing.T) {
 	}
 }
 
+// TestLockUnlockAllocs: the lock and unlock ops a processor hands to
+// GlobalOpAt are built once, in Run, so a lock and unlock pair allocates
+// nothing. A body taking and releasing a lock 2,000 times allocates
+// fewer than 100 objects more than one doing it 1,000 times; closures
+// built per request would cost two per pair.
+func TestLockUnlockAllocs(t *testing.T) {
+	run := func(pairs int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			m := newMachine(t, 2)
+			if _, err := Run(m, func(e Env) {
+				for range pairs {
+					e.Lock(e.ID())
+					e.Unlock(e.ID())
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := run(2000) - run(1000); d >= 100 {
+		t.Fatalf("1,000 more lock/unlock pairs allocate %.0f more objects, want fewer than 100", d)
+	}
+}
+
 func TestDistinctLocksIndependent(t *testing.T) {
 	m := newMachine(t, 2)
 	if _, err := Run(m, func(e Env) {

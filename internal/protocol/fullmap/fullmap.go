@@ -13,7 +13,7 @@ package fullmap
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -42,14 +42,42 @@ func (s dirState) String() string {
 // entry is the per-block directory record.
 type entry struct {
 	state   dirState
-	sharers map[coherent.NodeID]bool
+	sharers presence
 	owner   coherent.NodeID
 	pend    *pending
 }
 
-// pending is an in-progress home transaction (the gate is held).
+// presence is the paper's full-map vector: one bit per node, node n at
+// bit n%64 of word n/64, in ⌈P/64⌉ words allocated with the entry.
+type presence []uint64
+
+func (p presence) add(n coherent.NodeID)    { p[n/64] |= 1 << (n % 64) }
+func (p presence) remove(n coherent.NodeID) { p[n/64] &^= 1 << (n % 64) }
+
+// count returns the number of nodes present.
+func (p presence) count() int {
+	c := 0
+	for _, w := range p {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// appendNodes appends the present nodes to dst in node order.
+func (p presence) appendNodes(dst []coherent.NodeID) []coherent.NodeID {
+	for i, w := range p {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, coherent.NodeID(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// pending is an in-progress home transaction (the gate is held). It
+// keeps the request by value: the delivered record is recycled when the
+// handler returns.
 type pending struct {
-	req      *coherent.Msg
+	req      coherent.Msg
 	wantWb   coherent.NodeID // owner a writeback is expected from, or NoNode
 	acksLeft int
 }
@@ -74,7 +102,7 @@ func (e *Engine) Prepare(m *coherent.Machine) { e.m = m }
 func (e *Engine) entry(b coherent.BlockID) *entry {
 	en, _ := e.m.Dir(b).(*entry)
 	if en == nil {
-		en = &entry{state: uncached, sharers: make(map[coherent.NodeID]bool), owner: coherent.NoNode}
+		en = &entry{state: uncached, sharers: make(presence, (e.m.Cfg.Procs+63)/64), owner: coherent.NoNode}
 		e.m.SetDir(b, en)
 	}
 	return en
@@ -86,7 +114,7 @@ func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	if txn.Write {
 		typ = coherent.MsgWriteReq
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write,
 		ToDir: true, Gated: true, Aux: coherent.NoNode,
@@ -100,8 +128,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	case coherent.MsgReadReq:
 		if en.state == dirty && en.owner != msg.Requester {
 			// RM_WW: recall the dirty copy, demoting the owner.
-			en.pend = &pending{req: msg, wantWb: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, wantWb: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Aux: coherent.NoNode,
 			})
@@ -112,8 +140,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		m.SerializeWrite(msg)
 		if en.state == dirty && en.owner != msg.Requester {
 			// WM_WW: recall and invalidate the dirty copy.
-			en.pend = &pending{req: msg, wantWb: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, wantWb: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Write: true, Aux: coherent.NoNode,
 			})
@@ -129,12 +157,12 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
-	en.sharers[msg.Requester] = true
+	en.sharers.add(msg.Requester)
 	if en.state == uncached {
 		en.state = shared
 	}
 	if m.Tracing() {
-		m.TraceDir(b, fmt.Sprintf("%s +sharer %d (%d sharers)", en.state, msg.Requester, len(en.sharers)))
+		m.TraceDir(b, fmt.Sprintf("%s +sharer %d (%d sharers)", en.state, msg.Requester, en.sharers.count()))
 	}
 	if en.state == dirty && en.owner == msg.Requester {
 		// The owner's copy was silently... it cannot re-read while
@@ -143,10 +171,11 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		// means the writeback logic broke.
 		panic("fullmap: dirty owner re-requested its own block")
 	}
+	req := msg.Requester
 	m.ReadMem(b, func() {
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
+		m.Send(coherent.Msg{
+			Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
 		})
 		m.ReleaseHome(b)
 	})
@@ -157,24 +186,23 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
-	pend := &pending{req: msg, wantWb: coherent.NoNode}
+	pend := &pending{req: *msg, wantWb: coherent.NoNode}
 	en.pend = pend
-	// Iterate sharers in node order: map iteration order would make
-	// injection order — and therefore cycle counts — nondeterministic.
-	targets := make([]coherent.NodeID, 0, len(en.sharers))
-	for n := range en.sharers {
-		if n != msg.Requester {
-			targets = append(targets, n)
+	// Walk the presence bits in node order, which fixes the injection
+	// order and with it the cycle counts.
+	for i, w := range en.sharers {
+		for ; w != 0; w &= w - 1 {
+			n := coherent.NodeID(i*64 + bits.TrailingZeros64(w))
+			if n == msg.Requester {
+				continue
+			}
+			pend.acksLeft++
+			m.CtrAt(home).Invalidations++
+			m.Send(coherent.Msg{
+				Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
+				Requester: msg.Requester, Aux: coherent.NoNode,
+			})
 		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	for _, n := range targets {
-		pend.acksLeft++
-		m.CtrAt(home).Invalidations++
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
-			Requester: msg.Requester, Aux: coherent.NoNode,
-		})
 	}
 	if pend.acksLeft == 0 {
 		e.grantWrite(m, en, msg)
@@ -187,17 +215,19 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	en.pend = nil
 	en.state = dirty
 	en.owner = msg.Requester
-	en.sharers = map[coherent.NodeID]bool{msg.Requester: true}
+	clear(en.sharers)
+	en.sharers.add(msg.Requester)
 	if m.Tracing() {
 		m.TraceDir(b, fmt.Sprintf("dirty owner %d", en.owner))
 	}
 	// The gate stays held until the writer confirms installation
 	// (WM_LIP ends when the write performs); the writer-side handler
 	// releases it. This keeps write serialization windows disjoint.
+	req := msg.Requester
 	m.ReadMem(b, func() {
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
 			RelHome: true,
 		})
 	})
@@ -214,28 +244,28 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		en.pend.acksLeft--
 		if en.pend.acksLeft == 0 {
-			e.grantWrite(m, en, en.pend.req)
+			e.grantWrite(m, en, &en.pend.req)
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
 		m.Store.WritebackValue(msg.Block, msg.Data)
-		delete(en.sharers, msg.Src)
+		en.sharers.remove(msg.Src)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			en.state = shared
-			if len(en.sharers) == 0 {
+			if en.sharers.count() == 0 {
 				en.state = uncached
 			}
 		}
 		if p := en.pend; p != nil && p.wantWb == msg.Src {
 			// The recall (or a racing eviction) satisfied RM_WW/WM_WW.
 			p.wantWb = coherent.NoNode
-			req := p.req
+			req := &p.req
 			en.pend = nil
 			if req.Type == coherent.MsgReadReq {
 				if msg.Write {
 					// The owner kept a demoted shared copy.
-					en.sharers[msg.Src] = true
+					en.sharers.add(msg.Src)
 					en.state = shared
 				}
 				e.serveRead(m, en, req)
@@ -271,7 +301,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		// Invalidate if present; always acknowledge (presence bits may
 		// be stale after silent replacement).
 		m.Invalidate(n, msg.Block)
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInvAck, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			Requester: msg.Requester, ToDir: true, Aux: coherent.NoNode,
 		})
@@ -291,7 +321,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			ln.State = cache.Valid
 			m.TraceState(n, msg.Block, cache.Exclusive, cache.Valid)
 		}
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			HasData: true, Data: data, Write: !msg.Write, ToDir: true, Aux: coherent.NoNode,
 		})
@@ -306,7 +336,7 @@ func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 	if ln.State != cache.Exclusive {
 		return
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
 		HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode,
 	})
@@ -318,12 +348,7 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 	if en == nil {
 		return "uncached (no entry)"
 	}
-	sharers := make([]coherent.NodeID, 0, len(en.sharers))
-	for n := range en.sharers {
-		sharers = append(sharers, n)
-	}
-	sort.Slice(sharers, func(i, j int) bool { return sharers[i] < sharers[j] })
-	s := fmt.Sprintf("%s owner=%d sharers=%v", en.state, en.owner, sharers)
+	s := fmt.Sprintf("%s owner=%d sharers=%v", en.state, en.owner, sortedNodes(en.sharers))
 	if p := en.pend; p != nil {
 		s += fmt.Sprintf(" pending{%s from %d, wantWb=%d, acksLeft=%d}",
 			p.req.Type, p.req.Requester, p.wantWb, p.acksLeft)

@@ -121,3 +121,49 @@ func TestReadMissOnDirtyBlockRecalls(t *testing.T) {
 func BenchmarkFullMapMix(b *testing.B) {
 	ptest.BenchmarkMix(b, func() coherent.Engine { return New() })
 }
+
+// TestPresenceSpansTwoWords runs fm at P=128, where the presence vector
+// has two words: every node but 0 shares a block, node 0 writes it
+// (127 invalidations over both words), the upper half re-reads it
+// (recalling the dirty copy, whose owner stays a sharer), and node 70
+// writes it again. The cycle and message counts were recorded with the
+// map-based sharer set the vector replaced.
+func TestPresenceSpansTwoWords(t *testing.T) {
+	cfg := coherent.DefaultConfig(128)
+	cfg.Check = true
+	m, err := coherent.NewMachine(cfg, New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := m.Alloc(8)
+	if _, err := proc.Run(m, func(e proc.Env) {
+		if e.ID() != 0 {
+			e.Read(addr)
+		}
+		e.Barrier()
+		if e.ID() == 0 {
+			e.Write(addr, 1)
+		}
+		e.Barrier()
+		if e.ID() >= 64 {
+			e.Read(addr)
+		}
+		e.Barrier()
+		if e.ID() == 70 {
+			e.Write(addr, 2)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// 127 + 64 invalidations: node 70's write reaches node 0 and the
+	// 63 other upper-half readers.
+	if m.Ctr.Invalidations != 191 || m.Ctr.InvAcks != 191 {
+		t.Errorf("%d invalidations, %d acks; want 191 each", m.Ctr.Invalidations, m.Ctr.InvAcks)
+	}
+	if m.Ctr.MsgByType["WbReq"] != 1 || m.Ctr.MsgByType["WbData"] != 1 {
+		t.Errorf("recall messages wrong: %v", m.Ctr.MsgByType)
+	}
+	if m.Ctr.Cycles != 4906 || m.Ctr.Messages != 770 {
+		t.Errorf("%d cycles, %d messages; want 4906 and 770", m.Ctr.Cycles, m.Ctr.Messages)
+	}
+}

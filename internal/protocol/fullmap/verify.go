@@ -3,7 +3,6 @@ package fullmap
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dircc/internal/coherent"
 )
@@ -18,7 +17,7 @@ func (e *Engine) CanonState(w io.Writer) {
 		if !ok {
 			continue
 		}
-		if en.state == uncached && len(en.sharers) == 0 && en.owner == coherent.NoNode && en.pend == nil {
+		if en.state == uncached && en.sharers.count() == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
 		fmt.Fprintf(w, "dir b%d %s owner%d sharers%v", b, en.state, en.owner, sortedNodes(en.sharers))
@@ -49,11 +48,8 @@ func (e *Engine) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n cohere
 	return nil
 }
 
-func sortedNodes(set map[coherent.NodeID]bool) []coherent.NodeID {
-	out := make([]coherent.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// sortedNodes returns the present nodes in node order (never nil, so an
+// empty set renders as []).
+func sortedNodes(p presence) []coherent.NodeID {
+	return p.appendNodes(make([]coherent.NodeID, 0, p.count()))
 }

@@ -74,8 +74,11 @@ const (
 	stageInv         // write miss: waiting for invalidation acks
 )
 
+// pending is an in-progress home transaction (the gate is held). It
+// keeps the request by value: the delivered record is recycled when the
+// handler returns.
 type pending struct {
-	req      *coherent.Msg
+	req      coherent.Msg
 	stage    stage
 	wbFrom   coherent.NodeID
 	acksLeft int
@@ -184,7 +187,7 @@ func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	if txn.Write {
 		typ = coherent.MsgWriteReq
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write,
 		ToDir: true, Gated: true, Aux: coherent.NoNode,
@@ -197,8 +200,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	switch msg.Type {
 	case coherent.MsgReadReq:
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: msg, stage: stageWb, wbFrom: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Aux: coherent.NoNode,
 			})
@@ -208,8 +211,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	case coherent.MsgWriteReq:
 		m.SerializeWrite(msg)
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: msg, stage: stageWb, wbFrom: en.owner}
-			m.Send(&coherent.Msg{
+			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Write: true, Aux: coherent.NoNode,
 			})
@@ -247,8 +250,8 @@ func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		victim := en.ptrs[en.rr%len(en.ptrs)]
 		en.rr++
 		m.CtrAt(home).PointerEvicts++
-		en.pend = &pending{req: msg, stage: stageEvict, acksLeft: 1, wbFrom: coherent.NoNode}
-		sendInvs(m, msg, victim)
+		en.pend = &pending{req: *msg, stage: stageEvict, acksLeft: 1, wbFrom: coherent.NoNode}
+		sendInvs(m, msg.Block, msg.Requester, victim)
 		return
 	}
 	e.serveRead(m, en, msg, trap)
@@ -261,19 +264,20 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg, tr
 	if en.state == uncached {
 		en.state = shared
 	}
+	b, req := msg.Block, msg.Requester
 	if e.overflow == overflowSpill {
-		m.ScheduleAt(m.Home(msg.Block), trap, func() { sendData(m, msg) })
+		m.ScheduleAt(m.Home(b), trap, func() { sendData(m, b, req) })
 		return
 	}
-	sendData(m, msg)
+	sendData(m, b, req)
 }
 
-func sendData(m *coherent.Machine, msg *coherent.Msg) {
-	b := msg.Block
+// sendData reads block b from memory and replies to requester req.
+func sendData(m *coherent.Machine, b coherent.BlockID, req coherent.NodeID) {
 	m.ReadMem(b, func() {
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
+		m.Send(coherent.Msg{
+			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
 		})
 		m.ReleaseHome(b)
 	})
@@ -297,37 +301,39 @@ func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent
 	} else {
 		targets = slices.Concat(en.ptrs, en.spill)
 	}
-	targets = slices.DeleteFunc(targets, func(n coherent.NodeID) bool { return n == msg.Requester })
+	b, req := msg.Block, msg.Requester
+	targets = slices.DeleteFunc(targets, func(n coherent.NodeID) bool { return n == req })
 	if len(targets) == 0 {
 		e.grantWrite(m, en, msg)
 		return
 	}
-	en.pend = &pending{req: msg, stage: stageInv, wbFrom: coherent.NoNode, acksLeft: len(targets)}
+	en.pend = &pending{req: *msg, stage: stageInv, wbFrom: coherent.NoNode, acksLeft: len(targets)}
 	if e.overflow != overflowSpill {
-		sendInvs(m, msg, targets...)
+		sendInvs(m, b, req, targets...)
 		return
 	}
 	slices.Sort(targets)
 	delay := sim.Time(0)
 	spilled := len(en.spill)
-	if slices.Contains(en.spill, msg.Requester) {
+	if slices.Contains(en.spill, req) {
 		spilled--
 	}
 	if spilled > 0 {
 		m.CtrAt(home).Broadcasts++ // counts software-assisted invalidation rounds
 		delay = e.trap + sim.Time(spilled)*e.trap/4
 	}
-	m.ScheduleAt(home, delay, func() { sendInvs(m, msg, targets...) })
+	m.ScheduleAt(home, delay, func() { sendInvs(m, b, req, targets...) })
 }
 
-// sendInvs sends the home's invalidations on behalf of msg's requester.
-func sendInvs(m *coherent.Machine, msg *coherent.Msg, targets ...coherent.NodeID) {
-	home := m.Home(msg.Block)
+// sendInvs sends the home's invalidations of block b on behalf of
+// requester req.
+func sendInvs(m *coherent.Machine, b coherent.BlockID, req coherent.NodeID, targets ...coherent.NodeID) {
+	home := m.Home(b)
 	for _, n := range targets {
 		m.CtrAt(home).Invalidations++
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgInv, Src: home, Dst: n, Block: msg.Block,
-			Requester: msg.Requester, Aux: coherent.NoNode,
+		m.Send(coherent.Msg{
+			Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
+			Requester: req, Aux: coherent.NoNode,
 		})
 	}
 }
@@ -340,10 +346,11 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	en.ptrs = []coherent.NodeID{msg.Requester}
 	en.broadcast = false
 	en.spill = nil
+	req := msg.Requester
 	m.ReadMem(b, func() {
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
 			RelHome: true,
 		})
 	})
@@ -369,9 +376,9 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			en.drop(msg.Src)
 			en.ptrs = append(en.ptrs, p.req.Requester)
 			en.pend = nil
-			e.serveRead(m, en, p.req, 0)
+			e.serveRead(m, en, &p.req, 0)
 		case stageInv:
-			e.grantWrite(m, en, p.req)
+			e.grantWrite(m, en, &p.req)
 		default:
 			panic("limited: InvAck in wrong stage")
 		}
@@ -387,7 +394,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			}
 		}
 		if p := en.pend; p != nil && p.stage == stageWb && p.wbFrom == msg.Src {
-			req := p.req
+			req := &p.req
 			en.pend = nil
 			if msg.Write {
 				// RM_WW recall: the demoted owner keeps a shared copy.
@@ -426,7 +433,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		m.CompleteTxn(txn, cache.Exclusive, txn.Value, nil)
 	case coherent.MsgInv:
 		m.Invalidate(n, msg.Block)
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInvAck, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			Requester: msg.Requester, ToDir: true, Aux: coherent.NoNode,
 		})
@@ -442,7 +449,7 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			ln.State = cache.Valid
 			m.TraceState(n, msg.Block, cache.Exclusive, cache.Valid)
 		}
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 			HasData: true, Data: data, Write: !msg.Write, ToDir: true, Aux: coherent.NoNode,
 		})
@@ -457,7 +464,7 @@ func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 	if ln.State != cache.Exclusive {
 		return
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
 		HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode,
 	})

@@ -38,8 +38,11 @@ type sciLink struct {
 	prev, next coherent.NodeID
 }
 
+// sciPending is a write in progress at the home (the gate is held). It
+// keeps the request by value: the delivered record is recycled when the
+// handler returns.
 type sciPending struct {
-	req *coherent.Msg
+	req coherent.Msg
 }
 
 // sciMeta is the per-line doubly linked list state. prev == NoNode
@@ -136,7 +139,7 @@ func (e *SCI) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	if txn.Write {
 		typ = coherent.MsgWriteReq
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write,
 		ToDir: true, Gated: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -156,11 +159,12 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// home supplies the data directly.
 			en.state = shared
 			en.head = msg.Requester
+			req := msg.Requester
 			m.ReadMem(b, func() {
-				markServed(m, msg.Requester, b)
-				m.Send(&coherent.Msg{
-					Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
-					Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+				markServed(m, req, b)
+				m.Send(coherent.Msg{
+					Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
+					Requester: req, HasData: true, Data: m.Store.Value(b),
 					Aux: coherent.NoNode, AckTo: coherent.NoNode,
 				})
 				m.ReleaseHome(b)
@@ -175,7 +179,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		en.attach[msg.Requester] = oldHead
 		markServed(m, msg.Requester, b)
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgHeadReply, Src: home, Dst: msg.Requester, Block: b,
 			Requester: msg.Requester, Aux: oldHead, AckTo: coherent.NoNode,
 		})
@@ -186,8 +190,8 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			e.grantWrite(m, en, msg)
 			return
 		}
-		en.pend = &sciPending{req: msg}
-		m.Send(&coherent.Msg{
+		en.pend = &sciPending{req: *msg}
+		m.Send(coherent.Msg{
 			Type: coherent.MsgHeadReply, Src: home, Dst: msg.Requester, Block: b,
 			Requester: msg.Requester, Aux: en.head, Write: true, AckTo: coherent.NoNode,
 		})
@@ -202,13 +206,14 @@ func (e *SCI) grantWrite(m *coherent.Machine, en *sciEntry, msg *coherent.Msg) {
 	en.state = dirty
 	en.owner = msg.Requester
 	en.head = msg.Requester
+	req := msg.Requester
 	m.ReadMem(b, func() {
 		// RelHome: the write commit and home-gate release ride a
 		// companion event at the delivery instant on the home's own
 		// lane, in place of the receiver's handler doing them inline.
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b),
 			RelHome: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 	})
@@ -223,7 +228,7 @@ func (e *SCI) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.pend == nil {
 			panic("list/sci: Done without a pending write")
 		}
-		e.grantWrite(m, en, en.pend.req)
+		e.grantWrite(m, en, &en.pend.req)
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
 		m.Store.WritebackValue(msg.Block, msg.Data)
@@ -280,16 +285,13 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			return
 		}
 		// Attach to the old head.
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgFwd, Src: n, Dst: msg.Aux, Block: msg.Block,
-			Requester: n, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
+		m.Send(fwdMsg(msg.Block, msg.Aux, n))
 	case coherent.MsgFwd:
 		// The stale-attach check and, on the dead-line path, the data
 		// both live at the home, so the forward hops to the home's lane
 		// and back before it is served (see fwdViaHome).
-		fwd := msg
-		m.DeferAt(n, m.Home(msg.Block), func() { e.fwdViaHome(m, fwd, false) })
+		b, req := msg.Block, msg.Requester
+		m.DeferAt(n, m.Home(b), func() { e.fwdViaHome(m, b, n, req, false) })
 	case coherent.MsgChainData:
 		txn := m.Txn(n, msg.Block)
 		if txn == nil || txn.Write {
@@ -299,12 +301,11 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		e.clearAttach(m, n, msg.Block)
 		// Resolve the supplier to its nearest live chain position on
 		// the lanes that own the links, then install (see successorHop).
-		chain := msg
-		src := msg.Src
-		m.DeferAt(n, src, func() { e.successorHop(m, txn, chain, src, 0) })
+		data, src := msg.Data, msg.Src
+		m.DeferAt(n, src, func() { e.successorHop(m, txn, data, src, 0) })
 	case coherent.MsgPurge:
 		if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served {
-			txn.Deferred = append(txn.Deferred, msg)
+			m.DeferToTxn(n, msg)
 			return
 		}
 		next := coherent.NoNode
@@ -323,7 +324,7 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			delete(e.tombs[n], msg.Block)
 		}
 		m.CtrAt(n).InvAcks++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgPurgeAck, Src: n, Dst: msg.Requester, Block: msg.Block,
 			Requester: msg.Requester, Aux: next, AckTo: coherent.NoNode,
 		})
@@ -356,16 +357,25 @@ func (e *SCI) mirrorLink(m *coherent.Machine, n coherent.NodeID, b coherent.Bloc
 	})
 }
 
+// fwdMsg is the forward by which requester req attaches to head, the
+// old head of block b's list. serveFwd rebuilds it to defer it, so the
+// two copies cannot differ.
+func fwdMsg(b coherent.BlockID, head, req coherent.NodeID) coherent.Msg {
+	return coherent.Msg{
+		Type: coherent.MsgFwd, Src: req, Dst: head, Block: b,
+		Requester: req, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+	}
+}
+
 // fwdViaHome runs on the home's lane: consult the attach table and
-// either answer a stale attach from home memory or bounce the forward
-// back to the old head's lane to be served there. rechecked is true on
-// the second pass serveFwd requests before deferring (see there).
-func (e *SCI) fwdViaHome(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
-	b := msg.Block
-	n := msg.Dst
+// either answer requester req's stale attach from home memory or bounce
+// the forward back to the lane of n, the old head, to be served there.
+// rechecked is true on the second pass serveFwd requests before
+// deferring (see there).
+func (e *SCI) fwdViaHome(m *coherent.Machine, b coherent.BlockID, n, req coherent.NodeID, rechecked bool) {
 	home := m.Home(b)
 	en := e.entry(b)
-	if t, ok := en.attach[msg.Requester]; ok && t == coherent.NoNode {
+	if t, ok := en.attach[req]; ok && t == coherent.NoNode {
 		// The attacher is chasing a copy we already evicted (its
 		// attach was stale-marked by OnEvict). Answer at once — never
 		// defer: deferring onto the old head's re-read transaction
@@ -381,23 +391,21 @@ func (e *SCI) fwdViaHome(m *coherent.Machine, msg *coherent.Msg, rechecked bool)
 		// retry round trip, a documented liberty.
 		data := m.Store.Value(b)
 		m.DeferAt(home, n, func() {
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: b,
-				Requester: msg.Requester, HasData: true, Data: data,
+			m.Send(coherent.Msg{
+				Type: coherent.MsgChainData, Src: n, Dst: req, Block: b,
+				Requester: req, HasData: true, Data: data,
 				Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
 		})
 		return
 	}
-	m.DeferAt(home, n, func() { e.serveFwd(m, msg, rechecked) })
+	m.DeferAt(home, n, func() { e.serveFwd(m, b, n, req, rechecked) })
 }
 
-// serveFwd runs on the old head's own lane: defer behind a served
-// read, supply from the live line, or fetch the current home value for
-// a silently replaced copy.
-func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
-	n := msg.Dst
-	b := msg.Block
+// serveFwd runs on the lane of n, the old head: defer requester req's
+// forward behind a served read, supply from the live line, or fetch the
+// current home value for a silently replaced copy.
+func (e *SCI) serveFwd(m *coherent.Machine, b coherent.BlockID, n, req coherent.NodeID, rechecked bool) {
 	ln := m.Nodes[n].Cache.Lookup(b)
 	live := ln != nil && ln.State != cache.Invalid
 	if txn := m.Txn(n, b); !live && txn != nil && !txn.Write && txn.Served {
@@ -409,10 +417,11 @@ func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
 			// Any such eviction has already replayed its inline part by
 			// the time we observe the dead line, so its mark op is
 			// scheduled — one more pass through the home's lane sees it.
-			m.DeferAt(n, m.Home(b), func() { e.fwdViaHome(m, msg, true) })
+			m.DeferAt(n, m.Home(b), func() { e.fwdViaHome(m, b, n, req, true) })
 			return
 		}
-		txn.Deferred = append(txn.Deferred, msg)
+		fwd := fwdMsg(b, n, req)
+		m.DeferToTxn(n, &fwd)
 		return
 	}
 	if !live {
@@ -424,9 +433,9 @@ func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
 		m.DeferAt(n, home, func() {
 			data := m.Store.Value(b)
 			m.DeferAt(home, n, func() {
-				m.Send(&coherent.Msg{
-					Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: b,
-					Requester: msg.Requester, HasData: true, Data: data,
+				m.Send(coherent.Msg{
+					Type: coherent.MsgChainData, Src: n, Dst: req, Block: b,
+					Requester: req, HasData: true, Data: data,
 					Aux: coherent.NoNode, AckTo: coherent.NoNode,
 				})
 			})
@@ -437,9 +446,8 @@ func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
 	// data.
 	data := ln.Val
 	if meta := sciMetaOf(ln); meta != nil {
-		meta.prev = msg.Requester
+		meta.prev = req
 	}
-	req := msg.Requester
 	m.DeferAt(n, m.Home(b), func() {
 		en := e.entry(b)
 		if lk, ok := en.links[n]; ok {
@@ -449,15 +457,15 @@ func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
 	})
 	if ln.State == cache.Exclusive {
 		ln.State = cache.Valid
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(b), Block: b,
 			HasData: true, Data: data, Write: true, ToDir: true,
 			Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 	}
-	m.Send(&coherent.Msg{
-		Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: b,
-		Requester: msg.Requester, HasData: true, Data: data,
+	m.Send(coherent.Msg{
+		Type: coherent.MsgChainData, Src: n, Dst: req, Block: b,
+		Requester: req, HasData: true, Data: data,
 		Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
 }
@@ -470,15 +478,16 @@ func (e *SCI) serveFwd(m *coherent.Machine, msg *coherent.Msg, rechecked bool) {
 // could not patch — the attacher's line did not exist yet. Data flows
 // strictly in attach order, so the supplier's tombstone is still
 // present whenever the edge needs rerouting. The walk ends with a hop
-// back to the requester's lane to install the line (cur's residency
-// invariant: successorHop always runs on cur's lane).
-func (e *SCI) successorHop(m *coherent.Machine, txn *coherent.Txn, msg *coherent.Msg, cur coherent.NodeID, hops int) {
-	n := msg.Dst
-	b := msg.Block
+// back to the requester's lane to install the line with the supplied
+// data (cur's residency invariant: successorHop always runs on cur's
+// lane).
+func (e *SCI) successorHop(m *coherent.Machine, txn *coherent.Txn, data uint64, cur coherent.NodeID, hops int) {
+	n := txn.Node
+	b := txn.Block
 	install := func(next coherent.NodeID) {
 		m.DeferAt(cur, n, func() {
 			e.mirrorLink(m, n, b, sciLink{prev: coherent.NoNode, next: next})
-			m.CompleteTxn(txn, cache.Valid, msg.Data, &sciMeta{prev: coherent.NoNode, next: next})
+			m.CompleteTxn(txn, cache.Valid, data, &sciMeta{prev: coherent.NoNode, next: next})
 		})
 	}
 	if hops > len(m.Nodes) {
@@ -498,7 +507,7 @@ func (e *SCI) successorHop(m *coherent.Machine, txn *coherent.Txn, msg *coherent
 		install(t)
 		return
 	}
-	m.DeferAt(cur, t, func() { e.successorHop(m, txn, msg, t, hops+1) })
+	m.DeferAt(cur, t, func() { e.successorHop(m, txn, data, t, hops+1) })
 }
 
 // startPurge begins the writer's serial purge at the old head.
@@ -534,14 +543,14 @@ func (e *SCI) continuePurge(m *coherent.Machine, txn *coherent.Txn, cur coherent
 		cur = next
 	}
 	if cur == coherent.NoNode {
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgDone, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 			Requester: txn.Node, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 		return
 	}
 	m.CtrAt(txn.Node).Invalidations++
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgPurge, Src: txn.Node, Dst: cur, Block: txn.Block,
 		Requester: txn.Node, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
@@ -568,7 +577,7 @@ func (e *SCI) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 		m.CtrAt(n).Writebacks++
 		e.tombs[n][b] = coherent.NoNode
 		val := ln.Val
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgUnlink, Src: n, Dst: home, Block: b,
 			HasData: true, Data: val, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -652,7 +661,7 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 			}
 		}
 		m.DeferAt(home, n, func() {
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgUnlink, Src: n, Dst: home, Block: b,
 				ToDir: true, Aux: next, AckTo: coherent.NoNode,
 			})
@@ -671,7 +680,7 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 			}
 		})
 		m.DeferAt(home, n, func() {
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgUnlink, Src: n, Dst: p, Block: b,
 				Aux: next, AckTo: coherent.NoNode,
 			})
@@ -692,7 +701,7 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 			}
 		})
 		m.DeferAt(home, n, func() {
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgUnlink, Src: n, Dst: nn, Block: b,
 				Aux: fp, AckTo: coherent.NoNode,
 			})

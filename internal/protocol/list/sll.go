@@ -48,8 +48,11 @@ type sllEntry struct {
 	seq uint64
 }
 
+// sllPending is a write in progress at the home (the gate is held). It
+// keeps the request by value: the delivered record is recycled when the
+// handler returns.
 type sllPending struct {
-	req *coherent.Msg
+	req coherent.Msg
 }
 
 // sllMeta is the per-line state: the forward pointer toward the tail.
@@ -131,7 +134,7 @@ func (e *SLL) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	if txn.Write {
 		typ = coherent.MsgWriteReq
 	}
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: typ, Src: txn.Node, Dst: m.Home(txn.Block), Block: txn.Block,
 		Requester: txn.Node, Data: txn.Value, HasData: txn.Write,
 		ToDir: true, Gated: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -152,12 +155,12 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// home supplies the data directly.
 			en.state = shared
 			en.head = msg.Requester
-			seq := en.seq
+			seq, req := en.seq, msg.Requester
 			m.ReadMem(b, func() {
-				markServed(m, msg.Requester, b)
-				m.Send(&coherent.Msg{
-					Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
-					Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+				markServed(m, req, b)
+				m.Send(coherent.Msg{
+					Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
+					Requester: req, HasData: true, Data: m.Store.Value(b),
 					Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: seq,
 				})
 				m.ReleaseHome(b)
@@ -173,7 +176,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.owner = coherent.NoNode
 		}
 		markServed(m, msg.Requester, b)
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgFwd, Src: home, Dst: oldHead, Block: b,
 			Requester: msg.Requester, Data: m.Store.Value(b),
 			Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: en.seq,
@@ -185,9 +188,9 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			e.grantWrite(m, en, msg)
 			return
 		}
-		en.pend = &sllPending{req: msg}
+		en.pend = &sllPending{req: *msg}
 		m.CtrAt(home).Invalidations++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInv, Src: home, Dst: en.head, Block: b,
 			Requester: msg.Requester, AckTo: home, AckDir: true, Aux: coherent.NoNode,
 		})
@@ -212,14 +215,14 @@ func (e *SLL) grantWrite(m *coherent.Machine, en *sllEntry, msg *coherent.Msg) {
 	en.head = msg.Requester
 	// The gate is held from the write's serialization until the grant,
 	// so en.seq is still the write's own stamp here.
-	seq := en.seq
+	seq, req := en.seq, msg.Requester
 	m.ReadMem(b, func() {
 		// RelHome: the write commit and home-gate release ride a
 		// companion event at the delivery instant on the home's own
 		// lane, in place of the receiver's handler doing them inline.
-		m.Send(&coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
-			Requester: msg.Requester, HasData: true, Data: m.Store.Value(b),
+		m.Send(coherent.Msg{
+			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Data: m.Store.Value(b),
 			Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true, Seq: seq,
 		})
 	})
@@ -234,7 +237,7 @@ func (e *SLL) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.pend == nil {
 			panic("list/sll: unexpected InvAck")
 		}
-		e.grantWrite(m, en, en.pend.req)
+		e.grantWrite(m, en, &en.pend.req)
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
 		m.Store.WritebackValue(msg.Block, msg.Data)
@@ -287,13 +290,13 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			if ln.State == cache.Exclusive {
 				// Demote and write back (RM on a dirty head).
 				ln.State = cache.Valid
-				m.Send(&coherent.Msg{
+				m.Send(coherent.Msg{
 					Type: coherent.MsgWbData, Src: n, Dst: m.Home(msg.Block), Block: msg.Block,
 					HasData: true, Data: data, Write: true, ToDir: true,
 					Aux: coherent.NoNode, AckTo: coherent.NoNode,
 				})
 			}
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: msg.Block,
 				Requester: msg.Requester, HasData: true, Data: data,
 				Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: msg.Seq,
@@ -312,7 +315,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			// installs (the home snapshot in msg.Data may be stale if a
 			// dirty owner upstream keeps writing), so the requester's
 			// successor pointer names an installed copy.
-			txn.Deferred = append(txn.Deferred, msg)
+			m.DeferToTxn(n, msg)
 			return
 		}
 		if v, ok := e.gone[n][msg.Block]; ok {
@@ -323,7 +326,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			// writeback or a demoting owner's), and deferring behind our
 			// own re-read would let two in-flight attaches wait on each
 			// other forever.
-			m.Send(&coherent.Msg{
+			m.Send(coherent.Msg{
 				Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: msg.Block,
 				Requester: msg.Requester, HasData: true, Data: v,
 				Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: msg.Seq,
@@ -333,7 +336,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		// No victim value (the old copy fell to an invalidation wave,
 		// not a replacement): the home snapshot is coherent for this
 		// forward's serialization point.
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgChainData, Src: n, Dst: msg.Requester, Block: msg.Block,
 			Requester: msg.Requester, HasData: true, Data: msg.Data,
 			Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: msg.Seq,
@@ -350,7 +353,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served {
 			// Our copy is in flight; invalidate it after it installs so
 			// the walk continues through our successor pointer.
-			txn.Deferred = append(txn.Deferred, msg)
+			m.DeferToTxn(n, msg)
 			return
 		}
 		ln := node.Cache.Lookup(msg.Block)
@@ -370,7 +373,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			return
 		}
 		m.CtrAt(n).Invalidations++
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgInv, Src: n, Dst: next, Block: msg.Block,
 			Requester: msg.Requester, AckTo: msg.AckTo, AckDir: msg.AckDir, Aux: coherent.NoNode,
 		})
@@ -388,7 +391,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 func (e *SLL) ack(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgInvAck, Src: n, Dst: msg.AckTo, Block: msg.Block,
 		Requester: msg.Requester, ToDir: msg.AckDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
@@ -411,7 +414,7 @@ func (e *SLL) ack(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 func (e *SLL) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 	e.gone[n][ln.Block] = ln.Val
 	if ln.State == cache.Exclusive {
-		m.Send(&coherent.Msg{
+		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
 			HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
@@ -438,7 +441,7 @@ func (e *SLL) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 // mid-attach successor replays against itself (see teardownAt).
 func (e *SLL) teardown(m *coherent.Machine, src, next coherent.NodeID, b coherent.BlockID, evictSeq uint64) {
 	m.CtrAt(src).ReplaceInvs++
-	m.Send(&coherent.Msg{
+	m.Send(coherent.Msg{
 		Type: coherent.MsgReplaceInv, Src: src, Dst: next, Block: b,
 		Aux: coherent.NoNode, AckTo: coherent.NoNode,
 	})
@@ -459,7 +462,7 @@ func (e *SLL) teardownAt(m *coherent.Machine, n coherent.NodeID, b coherent.Bloc
 	ln := m.Nodes[n].Cache.Lookup(b)
 	if ln == nil || ln.State == cache.Invalid {
 		if txn := m.Txn(n, b); txn != nil && !txn.Write && txn.Served {
-			txn.Deferred = append(txn.Deferred, &coherent.Msg{
+			m.DeferToTxn(n, &coherent.Msg{
 				Type: coherent.MsgReplaceInv, Src: n, Dst: n, Block: b,
 				Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: evictSeq,
 			})
