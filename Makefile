@@ -81,17 +81,43 @@ race:
 
 # bench runs the hot-path micro-benchmarks. Save the output before and
 # after a change and compare with cmd/benchdiff (or benchstat).
+BENCH_RE = EngineScheduleRun|EngineTinyDrain|NetworkSend|ShardedScheduleRun|CacheLookup
+BENCH_PKGS = sim network cache
 bench:
-	$(GO) test -bench 'EngineScheduleRun|NetworkSend|ShardedScheduleRun' -benchmem -run '^$$' ./internal/sim ./internal/network
+	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS))
 
-# perf reruns the micro-benchmarks and diffs them against the newest
-# committed BENCH_PR*.json snapshot; exits nonzero past a 25% ns/op
-# regression. The gate is explicit in CI (no continue-on-error): the
-# threshold is sized so shared-runner noise stays under it while real
-# hot-path regressions trip it.
+# perf gates the micro-benchmarks at a 25% ns/op regression. With
+# BASE=<rev> (CI passes the PR's base commit, or the push's previous
+# head) it builds <rev> in a temporary git worktree, compiles each
+# benchmark package once per side, and runs base and head alternately
+# on this host, five times each, so both sides see the same machine;
+# benchdiff compares the medians (base.out, head.out). A benchmark
+# present on one side only is reported, not gated. Without BASE it
+# diffs one run against the newest committed BENCH_PR*.json snapshot,
+# which was recorded on another host.
 perf:
-	$(GO) test -bench 'EngineScheduleRun|NetworkSend|ShardedScheduleRun' -benchmem -run '^$$' ./internal/sim ./internal/network > bench.out
+ifdef BASE
+	@set -e; tmp=$$(mktemp -d); wt=$$tmp/base; \
+	trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach --quiet "$$wt" "$(BASE)"; \
+	for p in $(BENCH_PKGS); do \
+		(cd "$$wt" && $(GO) test -c -o "$$tmp/base-$$p.test" ./internal/$$p); \
+		$(GO) test -c -o "$$tmp/head-$$p.test" ./internal/$$p; \
+	done; \
+	: > base.out; : > head.out; \
+	run() { [ -x "$$tmp/$$1-$$2.test" ] || return 0; \
+		(cd "$$3/internal/$$2" && "$$tmp/$$1-$$2.test" -test.run '^$$' -test.bench '$(BENCH_RE)' -test.benchmem -test.timeout 10m) >> $$1.out; }; \
+	for i in 1 2 3 4 5; do \
+		for p in $(BENCH_PKGS); do \
+			if [ $$((i % 2)) -eq 1 ]; then run base $$p "$$wt"; run head $$p "$(CURDIR)"; \
+			else run head $$p "$(CURDIR)"; run base $$p "$$wt"; fi; \
+		done; \
+	done
+	$(GO) run ./cmd/benchdiff -gate -threshold 0.25 base.out head.out
+else
+	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS)) > bench.out
 	$(GO) run ./cmd/benchdiff -gate -threshold 0.25 $$(ls BENCH_PR*.json | sort -V | tail -1) bench.out
+endif
 
 # perf-shards measures the parallel kernel's wall-clock scaling: the
 # P=64 full-map experiment, sequential vs 1/2/4/8 worker shards.
@@ -129,4 +155,4 @@ lines:
 
 # clean removes generated artifacts.
 clean:
-	rm -f coverage.out bench.out dirccvet.sarif
+	rm -f coverage.out bench.out base.out head.out dirccvet.sarif

@@ -74,9 +74,13 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 // ParseBench reads raw `go test -bench` output. Lines it does not
 // recognize (PASS, ok, goos/goarch headers) are skipped; "pkg:" lines
-// set the package for the benchmarks that follow.
+// set the package for the benchmarks that follow. A benchmark run more
+// than once (-count, or several runs appended to one file) is reported
+// as the median of its runs, metric by metric, so one slow run on a
+// noisy host does not decide a comparison.
 func ParseBench(r io.Reader) (*Snapshot, error) {
 	s := &Snapshot{}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(r)
 	pkg := ""
 	for sc.Scan() {
@@ -93,19 +97,42 @@ func ParseBench(r io.Reader) (*Snapshot, error) {
 			return nil, err
 		}
 		res.Package = pkg
-		// Re-runs of the same benchmark (e.g. -count) keep the last
-		// sample; benchdiff compares snapshots, not distributions.
-		if prev := s.Find(res.Name); prev != nil {
-			*prev = res
-		} else {
+		if runs[res.Name] == nil {
 			s.Benchmarks = append(s.Benchmarks, res)
 		}
+		runs[res.Name] = append(runs[res.Name], res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	for i := range s.Benchmarks {
+		rs := runs[s.Benchmarks[i].Name]
+		if len(rs) == 1 {
+			continue
+		}
+		res := &s.Benchmarks[i]
+		res.Iterations = int64(median(rs, func(r Result) float64 { return float64(r.Iterations) }))
+		res.NsPerOp = median(rs, func(r Result) float64 { return r.NsPerOp })
+		res.BytesPerOp = median(rs, func(r Result) float64 { return r.BytesPerOp })
+		res.AllocsPerOp = median(rs, func(r Result) float64 { return r.AllocsPerOp })
+	}
 	s.sortResults()
 	return s, nil
+}
+
+// median returns the median of one metric over runs: the middle value,
+// or the mean of the two middle values of an even count.
+func median(runs []Result, metric func(Result) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = metric(r)
+	}
+	sort.Float64s(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // parseBenchLine parses one result line:

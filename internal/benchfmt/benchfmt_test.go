@@ -45,6 +45,34 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchMedian: a benchmark run several times is reported as
+// the median of its runs, metric by metric, wherever its slowest or
+// last run falls.
+func TestParseBenchMedian(t *testing.T) {
+	const runs = `pkg: dircc/internal/sim
+BenchmarkEngineScheduleRun-2 	100	 19.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEngineScheduleRun-2 	300	 95.0 ns/op	 8 B/op	 1 allocs/op
+BenchmarkEngineScheduleRun-2 	200	 18.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEngineTinyDrain-2 	10	 40.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEngineTinyDrain-2 	10	 50.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEngineScheduleRun-2 	400	 21.0 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEngineScheduleRun-2 	500	 90.0 ns/op	 0 B/op	 0 allocs/op
+`
+	s, err := ParseBench(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Benchmarks) != 2 {
+		t.Fatalf("got %d benchmarks, want 2", len(s.Benchmarks))
+	}
+	if r := s.Find("BenchmarkEngineScheduleRun"); r.NsPerOp != 21 || r.AllocsPerOp != 0 || r.BytesPerOp != 0 || r.Iterations != 300 {
+		t.Errorf("median of five runs: %+v, want 21 ns/op, 0 B/op, 0 allocs/op, 300 iterations", r)
+	}
+	if r := s.Find("BenchmarkEngineTinyDrain"); r.NsPerOp != 45 {
+		t.Errorf("median of two runs: %v ns/op, want 45", r.NsPerOp)
+	}
+}
+
 func TestLoadFormats(t *testing.T) {
 	dir := t.TempDir()
 

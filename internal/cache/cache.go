@@ -6,9 +6,20 @@
 // The cache holds tags and states only; simulated data values live in
 // the machine's backing store so that the coherence monitor can verify
 // protocol correctness independently of the cache structure.
+//
+// One open-addressed table per cache maps a block to its line: linear
+// probing over a power-of-two table at least twice the frame count,
+// keyed by a multiplicative hash of the block number, with
+// backward-shift deletion so no tombstones build up. Each set keeps its
+// frames in a doubly linked LRU list. Frames are handed out from chunks
+// of up to 64 Lines, so a *Line stays valid for the cache's life and a
+// miss allocates nothing but the occasional chunk.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BlockID is a global shared-memory block number (address / block size).
 type BlockID uint64
@@ -59,15 +70,25 @@ type Line struct {
 	prev, next *Line // LRU list links within the set
 }
 
+// frameChunk is the most Lines the cache allocates at once.
+const frameChunk = 64
+
 // Cache is a set-associative cache with per-set true LRU.
 type Cache struct {
 	sets  int
 	assoc int
-	// per-set lookup and LRU ordering; head = MRU, tail = LRU.
-	index []map[BlockID]*Line
-	head  []*Line
-	tail  []*Line
-	used  []int
+	// index maps a block to its line: linear probing from slot
+	// hash(block) >> shift, nil marking an empty slot.
+	index []*Line
+	shift uint
+	// per-set LRU ordering; head = MRU, tail = LRU.
+	head []*Line
+	tail []*Line
+	used []int
+	// lines counts the frames handed out since New or Reset; fresh is
+	// what is left of the newest chunk.
+	lines int
+	fresh []Line
 }
 
 // New builds a cache with the given number of sets and associativity.
@@ -79,18 +100,18 @@ func New(sets, assoc int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: sets must be a power of two, got %d", sets)
 	}
-	c := &Cache{
+	// The smallest power of two at least twice the frame count keeps
+	// the load factor at or under one half.
+	logSize := bits.Len(uint(2*sets*assoc - 1))
+	return &Cache{
 		sets:  sets,
 		assoc: assoc,
-		index: make([]map[BlockID]*Line, sets),
+		index: make([]*Line, 1<<logSize),
+		shift: uint(64 - logSize),
 		head:  make([]*Line, sets),
 		tail:  make([]*Line, sets),
 		used:  make([]int, sets),
-	}
-	for i := range c.index {
-		c.index[i] = make(map[BlockID]*Line, assoc)
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New that panics on error.
@@ -103,16 +124,16 @@ func MustNew(sets, assoc int) *Cache {
 }
 
 // Reset empties the cache to the state New leaves it in: no frames in
-// any set. The per-set index maps keep their storage; frames are
-// allocated afresh by Victim, so no Line handed out before the reset is
-// reused after it.
+// any set. The index keeps its storage; the chunk of unused frames is
+// dropped and frames are allocated afresh by Victim, so no Line handed
+// out before the reset is reused after it.
 func (c *Cache) Reset() {
-	for s := range c.index {
-		clear(c.index[s])
-	}
+	clear(c.index)
 	clear(c.head)
 	clear(c.tail)
 	clear(c.used)
+	c.lines = 0
+	c.fresh = nil
 }
 
 // Sets returns the number of sets.
@@ -126,19 +147,51 @@ func (c *Cache) Capacity() int { return c.sets * c.assoc }
 
 // Len returns the number of lines currently holding a block (any state,
 // including Invalid lines that still occupy a frame until reused).
-func (c *Cache) Len() int {
-	n := 0
-	for _, u := range c.used {
-		n += u
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.lines }
 
 func (c *Cache) setOf(b BlockID) int { return int(b) & (c.sets - 1) }
 
+// home returns block b's home slot in the index: Fibonacci hashing, the
+// top bits of the block number times 2^64 over the golden ratio.
+func (c *Cache) home(b BlockID) int { return int(uint64(b) * 0x9e3779b97f4a7c15 >> c.shift) }
+
+// slot returns the index slot holding block b, or the empty slot where
+// b's probe sequence ends.
+//
+//dirccvet:hotpath
+func (c *Cache) slot(b BlockID) int {
+	mask := len(c.index) - 1
+	i := c.home(b)
+	for ln := c.index[i]; ln != nil && ln.Block != b; ln = c.index[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove empties index slot i by backward-shift deletion: each later
+// line of the same probe run that may live at or before the hole moves
+// into it, so every remaining line stays reachable from its home slot
+// without tombstones.
+//
+//dirccvet:hotpath
+func (c *Cache) remove(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != nil; j = (j + 1) & mask {
+		// The line at j may move to the hole at i when i lies
+		// cyclically within [home, j).
+		if (j-c.home(c.index[j].Block))&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = nil
+}
+
 // Lookup returns the line holding block b, or nil. It does not update
 // LRU order; callers decide whether an access counts as a use (Touch).
-func (c *Cache) Lookup(b BlockID) *Line { return c.index[c.setOf(b)][b] }
+//
+//dirccvet:hotpath
+func (c *Cache) Lookup(b BlockID) *Line { return c.index[c.slot(b)] }
 
 // Touch marks ln most-recently-used within its set.
 func (c *Cache) Touch(ln *Line) {
@@ -153,14 +206,22 @@ func (c *Cache) Touch(ln *Line) {
 // pinned, which cannot happen with one outstanding miss per processor
 // unless the cache is pathologically small; callers treat nil as a
 // fatal configuration error.
+//
+//dirccvet:hotpath
 func (c *Cache) Victim(b BlockID) *Line {
-	s := c.setOf(b)
-	if ln := c.index[s][b]; ln != nil {
+	if ln := c.Lookup(b); ln != nil {
 		return ln
 	}
+	s := c.setOf(b)
 	if c.used[s] < c.assoc {
-		ln := &Line{set: s, State: Invalid}
+		if len(c.fresh) == 0 {
+			c.newChunk()
+		}
+		ln := &c.fresh[0]
+		c.fresh = c.fresh[1:]
+		ln.set = s
 		c.used[s]++
+		c.lines++
 		c.pushFront(ln)
 		return ln
 	}
@@ -173,12 +234,26 @@ func (c *Cache) Victim(b BlockID) *Line {
 	return nil
 }
 
+// newChunk allocates the next chunk of frames: up to frameChunk Lines,
+// never more than the cache has left to hand out. It stays out of line
+// so that allocguard attributes the allocation here rather than to
+// Victim.
+//
+//dirccvet:hotpath
+//go:noinline
+func (c *Cache) newChunk() {
+	//dirccvet:allow allocguard one chunk per 64 frames, never more Lines than the cache holds
+	c.fresh = make([]Line, min(frameChunk, c.sets*c.assoc-c.lines))
+}
+
 // Evict removes ln's current block from the lookup index and resets the
 // line to Invalid with no metadata. The frame remains in the set for
 // reuse. Evicting an unindexed (fresh) line is a no-op.
+//
+//dirccvet:hotpath
 func (c *Cache) Evict(ln *Line) {
-	if old, ok := c.index[ln.set][ln.Block]; ok && old == ln {
-		delete(c.index[ln.set], ln.Block)
+	if i := c.slot(ln.Block); c.index[i] == ln {
+		c.remove(i)
 	}
 	ln.State = Invalid
 	ln.Meta = nil
@@ -187,17 +262,35 @@ func (c *Cache) Evict(ln *Line) {
 // Install binds ln to block b in the given state and marks it MRU.
 // The line must have been obtained from Victim (and Evicted if it held
 // a different block).
+//
+//dirccvet:hotpath
 func (c *Cache) Install(ln *Line, b BlockID, st State) {
-	if old, ok := c.index[ln.set][ln.Block]; ok && old == ln && ln.Block != b {
-		panic(fmt.Sprintf("cache: Install over live block %d without Evict", ln.Block))
+	if ln.Block != b && c.Lookup(ln.Block) == ln {
+		c.panicLive(ln)
 	}
-	if other := c.index[ln.set][b]; other != nil && other != ln {
-		panic(fmt.Sprintf("cache: block %d already cached in another frame", b))
+	i := c.slot(b)
+	switch other := c.index[i]; {
+	case other == nil:
+		c.index[i] = ln
+	case other != ln:
+		c.panicTaken(b)
 	}
 	ln.Block = b
 	ln.State = st
-	c.index[ln.set][b] = ln
 	c.Touch(ln)
+}
+
+// panicLive and panicTaken report Install's misuse. They stay out of
+// line so that their formatting is not charged to Install.
+//
+//go:noinline
+func (c *Cache) panicLive(ln *Line) {
+	panic(fmt.Sprintf("cache: Install over live block %d without Evict", ln.Block))
+}
+
+//go:noinline
+func (c *Cache) panicTaken(b BlockID) {
+	panic(fmt.Sprintf("cache: block %d already cached in another frame", b))
 }
 
 // Invalidate marks the line holding b Invalid (clearing metadata) and
@@ -216,11 +309,11 @@ func (c *Cache) Invalidate(b BlockID) (State, bool) {
 	return st, true
 }
 
-// ForEach calls fn for every line currently bound to a block. fn must
-// not mutate the cache structure.
+// ForEach calls fn for every line currently bound to a block, in index
+// order. fn must not mutate the cache structure.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for s := 0; s < c.sets; s++ {
-		for _, ln := range c.index[s] {
+	for _, ln := range c.index {
+		if ln != nil {
 			fn(ln)
 		}
 	}

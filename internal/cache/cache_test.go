@@ -284,3 +284,258 @@ func TestReset(t *testing.T) {
 		t.Fatalf("Victim after Reset reused a frame from before: %+v", v)
 	}
 }
+
+// refCache is the cache as it was before the open-addressed index: one
+// Go map per set and a fresh Line per frame. TestCacheMatchesReference
+// uses it as an independent oracle for victim choice, LRU order and
+// lookup.
+type refCache struct {
+	sets, assoc int
+	index       []map[BlockID]*refLine
+	head, tail  []*refLine
+	used        []int
+}
+
+type refLine struct {
+	Block      BlockID
+	State      State
+	Pinned     bool
+	set        int
+	prev, next *refLine
+}
+
+func newRefCache(sets, assoc int) *refCache {
+	r := &refCache{sets: sets, assoc: assoc}
+	r.Reset()
+	return r
+}
+
+func (r *refCache) Reset() {
+	r.index = make([]map[BlockID]*refLine, r.sets)
+	for i := range r.index {
+		r.index[i] = map[BlockID]*refLine{}
+	}
+	r.head = make([]*refLine, r.sets)
+	r.tail = make([]*refLine, r.sets)
+	r.used = make([]int, r.sets)
+}
+
+func (r *refCache) setOf(b BlockID) int { return int(b) & (r.sets - 1) }
+
+func (r *refCache) Len() int {
+	n := 0
+	for _, u := range r.used {
+		n += u
+	}
+	return n
+}
+
+func (r *refCache) Lookup(b BlockID) *refLine { return r.index[r.setOf(b)][b] }
+
+func (r *refCache) Victim(b BlockID) *refLine {
+	s := r.setOf(b)
+	if ln := r.index[s][b]; ln != nil {
+		return ln
+	}
+	if r.used[s] < r.assoc {
+		ln := &refLine{set: s}
+		r.used[s]++
+		r.pushFront(ln)
+		return ln
+	}
+	for ln := r.tail[s]; ln != nil; ln = ln.prev {
+		if !ln.Pinned {
+			return ln
+		}
+	}
+	return nil
+}
+
+func (r *refCache) Evict(ln *refLine) {
+	if old, ok := r.index[ln.set][ln.Block]; ok && old == ln {
+		delete(r.index[ln.set], ln.Block)
+	}
+	ln.State = Invalid
+}
+
+func (r *refCache) Install(ln *refLine, b BlockID, st State) {
+	ln.Block = b
+	ln.State = st
+	r.index[ln.set][b] = ln
+	r.Touch(ln)
+}
+
+func (r *refCache) Invalidate(b BlockID) (State, bool) {
+	ln := r.Lookup(b)
+	if ln == nil {
+		return Invalid, false
+	}
+	st := ln.State
+	r.Evict(ln)
+	r.unlink(ln)
+	r.pushBack(ln)
+	return st, true
+}
+
+func (r *refCache) Touch(ln *refLine) {
+	r.unlink(ln)
+	r.pushFront(ln)
+}
+
+func (r *refCache) pushFront(ln *refLine) {
+	s := ln.set
+	ln.prev, ln.next = nil, r.head[s]
+	if r.head[s] != nil {
+		r.head[s].prev = ln
+	}
+	r.head[s] = ln
+	if r.tail[s] == nil {
+		r.tail[s] = ln
+	}
+}
+
+func (r *refCache) pushBack(ln *refLine) {
+	s := ln.set
+	ln.next, ln.prev = nil, r.tail[s]
+	if r.tail[s] != nil {
+		r.tail[s].next = ln
+	}
+	r.tail[s] = ln
+	if r.head[s] == nil {
+		r.head[s] = ln
+	}
+}
+
+func (r *refCache) unlink(ln *refLine) {
+	s := ln.set
+	if ln.prev != nil {
+		ln.prev.next = ln.next
+	} else if r.head[s] == ln {
+		r.head[s] = ln.next
+	}
+	if ln.next != nil {
+		ln.next.prev = ln.prev
+	} else if r.tail[s] == ln {
+		r.tail[s] = ln.prev
+	}
+	ln.prev, ln.next = nil, nil
+}
+
+// TestCacheMatchesReference drives the cache and refCache with one
+// random sequence of Victim, Evict, Install, Invalidate, Touch, Lookup,
+// pinning and Reset, on a fully associative 1×64 and a 4×16 geometry.
+// Blocks come from four times the capacity plus a group that shares one
+// home slot in the index, so probe runs grow long and deletions must
+// shift lines back. Frames correspond one to one between the two caches
+// (a fresh frame on one side must be a fresh frame on the other), and
+// after every operation Len, every block's Lookup and each set's
+// ForEachMRU order must agree.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, geo := range []struct{ sets, assoc int }{{1, 64}, {4, 16}} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, r := MustNew(geo.sets, geo.assoc), newRefCache(geo.sets, geo.assoc)
+			capacity := geo.sets * geo.assoc
+			universe := make([]BlockID, 0, 5*capacity)
+			for b := BlockID(0); b < BlockID(4*capacity); b++ {
+				universe = append(universe, b)
+			}
+			collide := c.home(1 << 20)
+			for b := BlockID(1 << 20); len(universe) < cap(universe); b++ {
+				if c.home(b) == collide {
+					universe = append(universe, b)
+				}
+			}
+			twin, paired := map[*Line]*refLine{}, map[*refLine]bool{}
+			same := func(ln *Line, rl *refLine) bool {
+				if ln == nil || rl == nil {
+					return ln == nil && rl == nil
+				}
+				return twin[ln] == rl && ln.Block == rl.Block && ln.State == rl.State && ln.Pinned == rl.Pinned
+			}
+			victim := func(op int, b BlockID) (*Line, *refLine) {
+				ln, rl := c.Victim(b), r.Victim(b)
+				if _, seen := twin[ln]; ln != nil && !seen && rl != nil && !paired[rl] {
+					twin[ln], paired[rl] = rl, true // a fresh frame on both sides
+				}
+				if !same(ln, rl) {
+					t.Fatalf("%dx%d seed %d op %d: Victim(%d) picked a different frame", geo.sets, geo.assoc, seed, op, b)
+				}
+				return ln, rl
+			}
+			for op := 0; op < 4000; op++ {
+				b := universe[rng.Intn(len(universe))]
+				if rng.Intn(3) == 0 {
+					b = universe[4*capacity+rng.Intn(len(universe)-4*capacity)]
+				}
+				switch k := rng.Intn(100); {
+				case k < 40: // a miss: victim, evict, install
+					ln, rl := victim(op, b)
+					if ln == nil {
+						continue
+					}
+					if c.Lookup(b) == ln {
+						c.Touch(ln)
+						r.Touch(rl)
+						continue
+					}
+					st := State(1 + rng.Intn(2))
+					c.Evict(ln)
+					r.Evict(rl)
+					c.Install(ln, b, st)
+					r.Install(rl, b, st)
+				case k < 45: // a Victim whose caller gives up
+					victim(op, b)
+				case k < 60:
+					cs, cok := c.Invalidate(b)
+					rs, rok := r.Invalidate(b)
+					if cs != rs || cok != rok {
+						t.Fatalf("%dx%d seed %d op %d: Invalidate(%d) = %v,%v, reference %v,%v",
+							geo.sets, geo.assoc, seed, op, b, cs, cok, rs, rok)
+					}
+				case k < 75:
+					if ln := c.Lookup(b); ln != nil {
+						c.Touch(ln)
+						r.Touch(twin[ln])
+					}
+				case k < 85: // evict a frame without reinstalling it
+					if ln := c.Lookup(b); ln != nil {
+						c.Evict(ln)
+						r.Evict(twin[ln])
+					}
+				case k < 99:
+					if ln := c.Lookup(b); ln != nil {
+						ln.Pinned = !ln.Pinned
+						twin[ln].Pinned = ln.Pinned
+					}
+				default:
+					c.Reset()
+					r.Reset()
+					twin, paired = map[*Line]*refLine{}, map[*refLine]bool{}
+				}
+				if c.Len() != r.Len() {
+					t.Fatalf("%dx%d seed %d op %d: Len %d, reference %d", geo.sets, geo.assoc, seed, op, c.Len(), r.Len())
+				}
+				for _, x := range universe {
+					if !same(c.Lookup(x), r.Lookup(x)) {
+						t.Fatalf("%dx%d seed %d op %d: Lookup(%d) disagrees with the reference", geo.sets, geo.assoc, seed, op, x)
+					}
+				}
+				var order []*Line
+				c.ForEachMRU(func(ln *Line) { order = append(order, ln) })
+				i := 0
+				for s := 0; s < geo.sets; s++ {
+					for rl := r.head[s]; rl != nil; rl = rl.next {
+						if i >= len(order) || !same(order[i], rl) {
+							t.Fatalf("%dx%d seed %d op %d: ForEachMRU frame %d disagrees with the reference", geo.sets, geo.assoc, seed, op, i)
+						}
+						i++
+					}
+				}
+				if i != len(order) {
+					t.Fatalf("%dx%d seed %d op %d: ForEachMRU visits %d frames, reference %d", geo.sets, geo.assoc, seed, op, len(order), i)
+				}
+			}
+		}
+	}
+}

@@ -458,8 +458,8 @@ func (m *Machine) setUp(proto Engine) {
 // in, bound to proto, which must be a new engine: no engine state
 // survives from one run to the next. The storage the last run grew is
 // kept — the kernel queue, the network's free-time arrays, the cache
-// index maps, transaction slots, home slots, store arrays, counters
-// and monitor — so a driver that runs many short simulations of one
+// indexes, transaction slots, home slots, store arrays, counters and
+// monitor — so a driver that runs many short simulations of one
 // configuration (the model checker replays one path per explored
 // transition) stops paying for a machine each time. The send hook and
 // the lane audit stay installed; a probe or kernel profile is

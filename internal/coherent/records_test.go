@@ -56,32 +56,47 @@ func newRecorder(t *testing.T, procs int) (*Machine, *recorder) {
 // TestWriteMissRoundTripAllocs: a write miss on the fake engine is a
 // WriteReq to the home and a WriteReply back. Once the free list holds
 // two records, the round trip allocates one object, the transaction.
-// Two nodes take turns, so every write is a miss; their one-line caches
-// reuse the frame.
+// Two nodes take turns, so every write is a miss. With one-line caches
+// every miss reuses the frame; with the default 2048-line cache every
+// miss takes a fresh frame, because the invalidated one has left the
+// index, and frames come in chunks, so those misses allocate no Line
+// of their own either.
 func TestWriteMissRoundTripAllocs(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.CacheBytes = cfg.BlockBytes
-	cfg.CacheSets = 1
-	m, err := NewMachine(cfg, newFake())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := m.Alloc(8)
-	done := func(uint64) {}
-	turn := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		n := NodeID(1 + turn%2)
-		turn++
-		m.Access(n, addr, true, uint64(turn), done)
-		if err := m.RunKernel(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 1 {
-		t.Fatalf("a write-miss round trip allocates %.1f objects, want 1 (the Txn)", allocs)
-	}
-	if m.Ctr.WriteMisses != 201 || m.Net.Sent() != 402 {
-		t.Fatalf("%d write misses, %d messages; want 201 and 402", m.Ctr.WriteMisses, m.Net.Sent())
+	for _, tc := range []struct {
+		name       string
+		cacheLines int
+	}{
+		{"one-line cache", 1},
+		{"default cache", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			if tc.cacheLines != 0 {
+				cfg.CacheBytes = tc.cacheLines * cfg.BlockBytes
+			}
+			cfg.CacheSets = 1
+			m, err := NewMachine(cfg, newFake())
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := m.Alloc(8)
+			done := func(uint64) {}
+			turn := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				n := NodeID(1 + turn%2)
+				turn++
+				m.Access(n, addr, true, uint64(turn), done)
+				if err := m.RunKernel(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("a write-miss round trip allocates %.1f objects, want 1 (the Txn)", allocs)
+			}
+			if m.Ctr.WriteMisses != 201 || m.Net.Sent() != 402 {
+				t.Fatalf("%d write misses, %d messages; want 201 and 402", m.Ctr.WriteMisses, m.Net.Sent())
+			}
+		})
 	}
 }
 

@@ -78,17 +78,32 @@ type forest struct {
 // Prepare implements coherent.Preparer: directory entries live in the
 // machine's per-home dir storage and the per-cache records in slices
 // indexed by node, which is what makes the engine's state lane-local
-// under the sharded kernel.
+// under the sharded kernel. A node's maps are allocated on its first
+// write; reads and deletes on a nil map are safe, and most nodes of a
+// model-checker replay never write.
 func (f *forest) Prepare(m *coherent.Machine) {
 	f.m = m
 	f.aggs = make([]map[coherent.BlockID]*agg, m.Cfg.Procs)
 	f.tombs = make([]map[coherent.BlockID][]coherent.NodeID, m.Cfg.Procs)
 	f.torn = make([]map[coherent.BlockID]bool, m.Cfg.Procs)
-	for i := 0; i < m.Cfg.Procs; i++ {
-		f.aggs[i] = make(map[coherent.BlockID]*agg)
-		f.tombs[i] = make(map[coherent.BlockID][]coherent.NodeID)
-		f.torn[i] = make(map[coherent.BlockID]bool)
+}
+
+// newAgg starts node n's aggregation record for block b.
+func (f *forest) newAgg(n coherent.NodeID, b coherent.BlockID) *agg {
+	if f.aggs[n] == nil {
+		f.aggs[n] = make(map[coherent.BlockID]*agg)
 	}
+	a := &agg{}
+	f.aggs[n][b] = a
+	return a
+}
+
+// markTorn records that node n has had a replacement teardown of b.
+func (f *forest) markTorn(n coherent.NodeID, b coherent.BlockID) {
+	if f.torn[n] == nil {
+		f.torn[n] = make(map[coherent.BlockID]bool)
+	}
+	f.torn[n][b] = true
 }
 
 // childrenOf returns a line's child pointers in either engine's format:
@@ -145,8 +160,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		return
 	}
 	if a == nil {
-		a = &agg{}
-		f.aggs[n][b] = a
+		a = f.newAgg(n, b)
 	}
 	a.armed = true
 	a.to = msg.AckTo
@@ -208,8 +222,7 @@ func (f *forest) onCacheAck(m *coherent.Machine, n coherent.NodeID, msg *coheren
 	m.CtrAt(n).InvAcks++
 	a := f.aggs[n][msg.Block]
 	if a == nil {
-		a = &agg{}
-		f.aggs[n][msg.Block] = a
+		a = f.newAgg(n, msg.Block)
 	}
 	a.left--
 	f.maybeFinishAgg(m, aggKey{n: n, b: msg.Block}, a)
@@ -245,7 +258,7 @@ func (f *forest) sendAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.M
 // in the victim buffer; a copy already gone means a dangling edge.
 func (f *forest) onReplaceInv(m *coherent.Machine, node *coherent.Node, msg *coherent.Msg) {
 	n := node.ID
-	f.torn[n][msg.Block] = true
+	f.markTorn(n, msg.Block)
 	ln := node.Cache.Lookup(msg.Block)
 	if ln == nil || ln.State == cache.Invalid {
 		return // dangling edge; subtree already gone
@@ -263,7 +276,7 @@ func (f *forest) onReplaceInv(m *coherent.Machine, node *coherent.Node, msg *coh
 func (f *forest) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 	switch ln.State {
 	case cache.Valid:
-		f.torn[n][ln.Block] = true
+		f.markTorn(n, ln.Block)
 		children := childrenOf(ln)
 		f.mergeTombs(n, ln.Block, children)
 		f.sendReplaceInv(m, n, ln.Block, children)
@@ -294,6 +307,9 @@ func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []co
 		if !dup {
 			cur = append(cur, c)
 		}
+	}
+	if f.tombs[n] == nil {
+		f.tombs[n] = make(map[coherent.BlockID][]coherent.NodeID)
 	}
 	f.tombs[n][b] = cur
 }

@@ -103,13 +103,20 @@ func NewSCI() *SCI {
 func (e *SCI) Name() string { return "sci" }
 
 // Prepare implements coherent.Preparer: bind the machine and allocate
-// the per-node tombstone maps so each lane mutates only its own slot.
+// the per-node tombstone slots so each lane mutates only its own. A
+// node's map is allocated on its first tombstone.
 func (e *SCI) Prepare(m *coherent.Machine) {
 	e.m = m
 	e.tombs = make([]map[coherent.BlockID]coherent.NodeID, len(m.Nodes))
-	for i := range e.tombs {
-		e.tombs[i] = make(map[coherent.BlockID]coherent.NodeID)
+}
+
+// setTomb records node n's tombstone for b: the successor a walk that
+// still names n's dead copy continues to.
+func (e *SCI) setTomb(n coherent.NodeID, b coherent.BlockID, next coherent.NodeID) {
+	if e.tombs[n] == nil {
+		e.tombs[n] = make(map[coherent.BlockID]coherent.NodeID)
 	}
+	e.tombs[n][b] = next
 }
 
 func (e *SCI) entry(b coherent.BlockID) *sciEntry {
@@ -575,7 +582,7 @@ func (e *SCI) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 		// tombstone makes chain edges recorded against this incarnation
 		// resolve to "end of list".
 		m.CtrAt(n).Writebacks++
-		e.tombs[n][b] = coherent.NoNode
+		e.setTomb(n, b, coherent.NoNode)
 		val := ln.Val
 		m.Send(coherent.Msg{
 			Type: coherent.MsgUnlink, Src: n, Dst: home, Block: b,
@@ -596,7 +603,7 @@ func (e *SCI) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 		// names the dead neighbor, whose own tombstone carries the walk
 		// onward. spliceAtHome re-reads the authoritative links at the
 		// home and corrects the tombstone if it survives that long.
-		e.tombs[n][b] = provNext
+		e.setTomb(n, b, provNext)
 	}
 	m.DeferAt(n, home, func() { e.spliceAtHome(m, n, b, provPrev, provNext, spliced) })
 }

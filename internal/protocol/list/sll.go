@@ -105,15 +105,22 @@ type SLL struct {
 func NewSLL() *SLL { return &SLL{} }
 
 // Prepare implements coherent.Preparer: bind the machine and allocate
-// the per-node victim buffers so each lane mutates only its own slot.
+// the per-node victim buffer slots so each lane mutates only its own.
+// A node's maps are allocated on its first write.
 func (e *SLL) Prepare(m *coherent.Machine) {
 	e.m = m
 	e.gone = make([]map[coherent.BlockID]uint64, len(m.Nodes))
 	e.seqs = make([]map[coherent.BlockID]uint64, len(m.Nodes))
-	for i := range e.gone {
-		e.gone[i] = make(map[coherent.BlockID]uint64)
-		e.seqs[i] = make(map[coherent.BlockID]uint64)
+}
+
+// installed empties node n's victim buffer for b and records the stamp
+// of the request that installed n's new copy.
+func (e *SLL) installed(n coherent.NodeID, b coherent.BlockID, seq uint64) {
+	delete(e.gone[n], b)
+	if e.seqs[n] == nil {
+		e.seqs[n] = make(map[coherent.BlockID]uint64)
 	}
+	e.seqs[n][b] = seq
 }
 
 // Name implements coherent.Engine.
@@ -268,16 +275,14 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if txn == nil || txn.Write {
 			panic("list/sll: DataReply without matching read txn")
 		}
-		delete(e.gone[n], msg.Block)
-		e.seqs[n][msg.Block] = msg.Seq
+		e.installed(n, msg.Block, msg.Seq)
 		m.CompleteTxn(txn, cache.Valid, msg.Data, &sllMeta{next: coherent.NoNode})
 	case coherent.MsgWriteReply:
 		txn := m.Txn(n, msg.Block)
 		if txn == nil || !txn.Write {
 			panic("list/sll: WriteReply without matching write txn")
 		}
-		delete(e.gone[n], msg.Block)
-		e.seqs[n][msg.Block] = msg.Seq
+		e.installed(n, msg.Block, msg.Seq)
 		m.CompleteTxn(txn, cache.Exclusive, txn.Value, &sllMeta{next: coherent.NoNode})
 		// The home gate is released by the RelHome companion event on
 		// the home's own lane (see grantWrite).
@@ -346,8 +351,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if txn == nil || txn.Write {
 			panic("list/sll: ChainData without matching read txn")
 		}
-		delete(e.gone[n], msg.Block)
-		e.seqs[n][msg.Block] = msg.Seq
+		e.installed(n, msg.Block, msg.Seq)
 		m.CompleteTxn(txn, cache.Valid, msg.Data, &sllMeta{next: msg.Src})
 	case coherent.MsgInv:
 		if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served {
@@ -412,6 +416,9 @@ func (e *SLL) ack(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 // deferred op at a time (see teardown), so each successor's line is
 // read and invalidated on that successor's own lane.
 func (e *SLL) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
+	if e.gone[n] == nil {
+		e.gone[n] = make(map[coherent.BlockID]uint64)
+	}
 	e.gone[n][ln.Block] = ln.Val
 	if ln.State == cache.Exclusive {
 		m.Send(coherent.Msg{

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkEngineScheduleRun measures the steady-state cost of one
 // schedule+pop cycle with a realistically deep queue. The engine is the
 // innermost loop of every simulation, so this must be allocation-free:
-// heap storage is reused across iterations and nothing escapes per
+// queue storage is reused across iterations and nothing escapes per
 // event.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
@@ -15,7 +15,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	tick = func() {
 		if remaining > 0 {
 			remaining--
-			// Vary the delay so events interleave in the heap instead of
+			// Vary the delay so events interleave in the queue instead of
 			// draining in insertion order.
 			e.Schedule(Time(remaining%7+1), Func(tick))
 		}
@@ -31,10 +31,31 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTinyDrain measures the model checker's kernel use: it
+// resets one engine before every replay, and a replay step schedules a
+// few events and drains them. Reset on an empty queue must stay O(1)
+// and the cycle allocation-free.
+func BenchmarkEngineTinyDrain(b *testing.B) {
+	e := NewEngine()
+	var fired int
+	fn := Func(func() { fired++ })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		e.Schedule(1, fn)
+		e.Schedule(3, fn)
+		e.Schedule(3, fn)
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedScheduleRun measures the same schedule+pop cycle on
 // the time-windowed parallel kernel's intra-shard hot path: every
 // event reschedules onto its own node, so the work stays inside one
-// lane's heap and never crosses the mailbox. Like the sequential
+// lane's queue and never crosses the mailbox. Like the sequential
 // engine, this path must be allocation-free in steady state — the
 // per-lane provisional queues and act logs are reused across waves.
 func BenchmarkShardedScheduleRun(b *testing.B) {

@@ -14,14 +14,13 @@
 // costs no allocation. Func adapts a closure; building the closure is
 // the caller's allocation, not the kernel's.
 //
-// The queue is an inlined binary min-heap over a flat []event rather
-// than container/heap: the standard library's interface-typed
-// Push/Pop box every event into an `any`, which puts one heap
-// allocation on the hot path of every Schedule. The inlined heap keeps
-// events in place, reuses the slice's capacity across the run, and
-// preserves the exact (at, seq) total order — the pop sequence is
-// identical to container/heap's, so simulated results are bit-for-bit
-// unchanged.
+// The queue is a calendar queue of one-cycle buckets over a 1,024-cycle
+// horizon, with a binary heap holding the rare event beyond it (see
+// calendar.go). Scheduling and popping cost O(1) and allocate nothing
+// once the node pool has grown to the run's peak of pending events, and
+// the pop sequence is exactly the (at, seq) order a binary min-heap
+// gives — the property tests check it against container/heap — so no
+// simulated result depends on the queue's layout.
 package sim
 
 import "fmt"
@@ -41,91 +40,12 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// event is a handler scheduled to fire at a simulated instant.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
-	h   Handler
-}
-
-// before reports whether a fires before b: earlier timestamp, with the
-// unique sequence number breaking ties FIFO. This is a strict total
-// order, so the heap's pop sequence is fully determined by the set of
-// scheduled events regardless of internal sift order.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a binary min-heap over a flat event slice with the
-// sift loops inlined (no interface dispatch, no boxing).
-type eventQueue []event
-
-// push appends ev and restores the heap invariant. Both sifts move a
-// hole rather than swapping: each level copies one event, not two.
-//
-//dirccvet:hotpath
-func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
-	// Sift up.
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-	*q = h
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue does not retain the popped handler (and whatever
-// it references) beyond its firing.
-//
-//dirccvet:hotpath
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	x := h[last]
-	h[last] = event{}
-	h = h[:last]
-	*q = h
-	if last == 0 {
-		return top
-	}
-	// Sift x down from the root.
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= last {
-			break
-		}
-		min := left
-		if right := left + 1; right < last && h[right].before(h[left]) {
-			min = right
-		}
-		if !h[min].before(x) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = x
-	return top
-}
-
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   calendar
 	stopped bool
 
 	// Executed counts events that have fired; useful for budget limits
@@ -156,7 +76,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // Schedule fires h after delay cycles. A zero delay fires h after all
 // events already scheduled for the current instant.
@@ -165,7 +85,7 @@ func (e *Engine) Schedule(delay Time, h Handler) {
 		panic("sim: Schedule called with nil handler")
 	}
 	e.seq++
-	e.queue.push(event{at: e.now + delay, seq: e.seq, h: h})
+	e.queue.push(e.now+delay, e.seq, h)
 }
 
 // At fires h at the absolute instant t. Scheduling in the past panics:
@@ -179,10 +99,12 @@ func (e *Engine) At(t Time, h Handler) {
 
 // Reset returns the engine to time zero with an empty queue and no
 // events fired, as NewEngine leaves it, keeping MaxEvents, the tick and
-// the queue's capacity. Pending events are dropped unfired.
+// the queue's storage. Pending events are dropped unfired. The fields
+// are reset one by one: a struct assignment would clear the calendar's
+// bucket arrays, which an empty calendar does not need.
 func (e *Engine) Reset() {
-	clear(e.queue)
-	*e = Engine{queue: e.queue[:0], MaxEvents: e.MaxEvents, tick: e.tick}
+	e.now, e.seq, e.executed, e.stopped = 0, 0, 0, false
+	e.queue.reset()
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -198,7 +120,7 @@ func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 //dirccvet:hotpath
 func (e *Engine) Run() error {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for e.queue.len() > 0 && !e.stopped {
 		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -222,8 +144,8 @@ func (e *Engine) Run() error {
 //dirccvet:hotpath
 func (e *Engine) RunUntil(deadline Time) (fired uint64, err error) {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
+	for e.queue.len() > 0 && !e.stopped {
+		if e.queue.next() > deadline {
 			break
 		}
 		ev := e.queue.pop()

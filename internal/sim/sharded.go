@@ -4,7 +4,7 @@
 // advances the clock in lock-step rounds, one simulated instant per
 // round. Each round is a sequence of sub-rounds with two phases:
 //
-//   - Phase P (parallel): every lane fires, from its private heap, its
+//   - Phase P (parallel): every lane fires, from its private queue, its
 //     events whose timestamp equals the round instant T — in (at, seq)
 //     order, using true global sequence numbers assigned before the
 //     sub-round began. Events spawned during the phase are provisional:
@@ -24,7 +24,7 @@
 //     their own merge positions.
 //
 // The sub-round loop repeats at the same instant while work keeps
-// landing at T. Because every firing comes from a true-seq heap, each
+// landing at T. Because every firing comes from a true-seq queue, each
 // sub-round fires a sequence-monotone wave: the global sequence
 // counter only grows, so every sequence number allocated during a
 // replay — spawn bindings, wakeups inserted by global ops, send
@@ -104,7 +104,7 @@ const (
 
 // pevent is a provisional event: spawned during Phase P, buffered
 // until replay binds its true sequence number and rebind moves it to
-// the lane heap.
+// the lane queue.
 type pevent struct {
 	at Time
 	h  Handler
@@ -117,19 +117,19 @@ type logEnt struct {
 	acts int32
 }
 
-// lane is the per-shard slice of the simulation: a private event heap
+// lane is the per-shard slice of the simulation: a private event queue
 // plus the round-local structures Phase P appends to. Only the owning
 // worker touches a lane during Phase P; only the coordinator touches
 // it otherwise.
 type lane struct {
-	q     eventQueue // events with true (at, seq) keys
-	eq    []pevent   // events spawned this sub-round, in spawn order
-	log   []logEnt   // fired events with actions, in fire order
-	kinds []uint8    // flattened per-entry action kinds, in call order
-	gfns  []func()   // global-op closures, in log order
-	bind  []uint64   // true seq for eq[i]; 0 = not yet bound
-	fired uint64     // events fired this sub-round (merged into executed)
-	fence uint64     // smallest same-instant seq bound this replay; 0 = none
+	q     calendar // events with true (at, seq) keys
+	eq    []pevent // events spawned this sub-round, in spawn order
+	log   []logEnt // fired events with actions, in fire order
+	kinds []uint8  // flattened per-entry action kinds, in call order
+	gfns  []func() // global-op closures, in log order
+	bind  []uint64 // true seq for eq[i]; 0 = not yet bound
+	fired uint64   // events fired this sub-round (merged into executed)
+	fence uint64   // smallest same-instant seq bound this replay; 0 = none
 
 	// Open log entry for the currently firing event (Phase P scratch).
 	curKey  uint64
@@ -151,18 +151,25 @@ func (l *lane) addAct(kind uint8) {
 	l.log[len(l.log)-1].acts++
 }
 
-// run is Phase P for one lane: fire the lane's heap events at instant
-// T in sequence order. The heap cannot grow mid-phase — spawns go to
-// the provisional FIFO — so the drain is bounded by construction.
+// run is Phase P for one lane: fire the lane's queued events at
+// instant T in sequence order. The queue cannot grow mid-phase — spawns
+// go to the provisional FIFO — so the drain is bounded by construction.
 //
 //dirccvet:hotpath
 func (l *lane) run(T Time) {
-	for len(l.q) > 0 && l.q[0].at == T {
+	for l.atHead(T) {
 		ev := l.q.pop()
 		l.curKey, l.curOpen = ev.seq, false
 		ev.h.Fire()
 		l.fired++
 	}
+}
+
+// atHead reports whether the lane's next queued event fires at T.
+//
+//dirccvet:hotpath
+func (l *lane) atHead(T Time) bool {
+	return l.q.len() > 0 && l.q.next() == T
 }
 
 // replCur tracks a lane's replay position: log entry, flattened
@@ -185,7 +192,7 @@ type Sharded struct {
 
 	lanes  []*lane
 	laneOf []int32
-	gq     eventQueue // global-state events (barriers, locks): fired during replay
+	gq     calendar // global-state events (barriers, locks): fired during replay
 	cur    []replCur
 
 	replayer SendReplayer
@@ -251,9 +258,9 @@ func (s *Sharded) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events waiting across all lanes.
 func (s *Sharded) Pending() int {
-	n := len(s.gq)
+	n := s.gq.len()
 	for _, l := range s.lanes {
-		n += len(l.q) + len(l.eq)
+		n += l.q.len() + len(l.eq)
 	}
 	return n
 }
@@ -276,12 +283,12 @@ func (s *Sharded) SetProf(p *kprof.Profile) { s.prof = p }
 // callback must not schedule events.
 func (s *Sharded) SetTick(fn func(Time)) { s.tick = fn }
 
-// LanePending returns the number of events waiting on lane i (heap
+// LanePending returns the number of events waiting on lane i (queue
 // plus provisional FIFO). Coordinator/idle contexts only — the stall
 // watchdog uses it to annotate dumps.
 func (s *Sharded) LanePending(i int) int {
 	l := s.lanes[i]
-	return len(l.q) + len(l.eq)
+	return l.q.len() + len(l.eq)
 }
 
 // InPhase reports whether the engine is inside Phase P, i.e. whether
@@ -307,7 +314,7 @@ func (s *Sharded) ScheduleNode(n int, delay Time, h Handler) {
 		return
 	}
 	s.seq++
-	l.q.push(event{at: s.now + delay, seq: s.seq, h: h})
+	l.q.push(s.now+delay, s.seq, h)
 }
 
 // LogSendAt records that the event firing on node n's lane deferred
@@ -359,7 +366,7 @@ func (s *Sharded) ScheduleGlobal(delay Time, h Handler) {
 		panic("sim: ScheduleGlobal during Phase P (wrap in GlobalOp)")
 	}
 	s.seq++
-	s.gq.push(event{at: s.now + delay, seq: s.seq, h: h})
+	s.gq.push(s.now+delay, s.seq, h)
 }
 
 // AtNode fires h at node n at absolute instant t. This is the network
@@ -377,7 +384,7 @@ func (s *Sharded) AtNode(n int, t Time, h Handler) {
 		panic("sim: AtNode called with nil handler")
 	}
 	s.seq++
-	s.lanes[s.laneOf[n]].q.push(event{at: t, seq: s.seq, h: h})
+	s.lanes[s.laneOf[n]].q.push(t, s.seq, h)
 }
 
 // nextTime returns the earliest pending instant across all lanes and
@@ -386,14 +393,28 @@ func (s *Sharded) nextTime() (Time, bool) {
 	var t Time
 	ok := false
 	for _, l := range s.lanes {
-		if len(l.q) > 0 && (!ok || l.q[0].at < t) {
-			t, ok = l.q[0].at, true
+		if l.q.len() > 0 {
+			if at := l.q.next(); !ok || at < t {
+				t, ok = at, true
+			}
 		}
 	}
-	if len(s.gq) > 0 && (!ok || s.gq[0].at < t) {
-		t, ok = s.gq[0].at, true
+	if s.gq.len() > 0 {
+		if at := s.gq.next(); !ok || at < t {
+			t, ok = at, true
+		}
 	}
 	return t, ok
+}
+
+// globalAt returns the sequence number of the next global event and
+// whether it fires at T.
+func (s *Sharded) globalAt(T Time) (uint64, bool) {
+	if s.gq.len() == 0 {
+		return 0, false
+	}
+	at, seq := s.gq.peek()
+	return seq, at == T
 }
 
 // replay is Phase R: merge the per-lane action logs and the global
@@ -410,8 +431,8 @@ func (s *Sharded) replay(T Time) error {
 		bestLane := -1
 		var bestKey uint64
 		have := false
-		if len(s.gq) > 0 && s.gq[0].at == T {
-			// Fence: a global event may fire now only if no lane heap
+		if gseq, ok := s.globalAt(T); ok {
+			// Fence: a global event may fire now only if no lane queue
 			// holds a same-instant event with a smaller sequence number
 			// (inserted earlier in this very replay by a global op or
 			// send). Such an event fires in the next sub-round's phase
@@ -422,14 +443,19 @@ func (s *Sharded) replay(T Time) error {
 			// their physical fire time — is observable.
 			fenced := false
 			for _, l := range s.lanes {
-				if (len(l.q) > 0 && l.q[0].at == T && l.q[0].seq < s.gq[0].seq) ||
-					(l.fence != 0 && l.fence < s.gq[0].seq) {
+				if l.fence != 0 && l.fence < gseq {
 					fenced = true
 					break
 				}
+				if l.q.len() > 0 {
+					if at, seq := l.q.peek(); at == T && seq < gseq {
+						fenced = true
+						break
+					}
+				}
 			}
 			if !fenced {
-				bestKey, have = s.gq[0].seq, true
+				bestKey, have = gseq, true
 			}
 		}
 		for li, l := range s.lanes {
@@ -513,7 +539,7 @@ func (s *Sharded) replay(T Time) error {
 }
 
 // rebind moves each lane's provisional events — now carrying true
-// sequence numbers — into its main heap and resets the sub-round
+// sequence numbers — into its main queue and resets the sub-round
 // structures (capacity retained, handlers and closures released). It reports
 // whether any lane or the global queue still has work at T, i.e.
 // whether another sub-round is needed.
@@ -528,7 +554,7 @@ func (s *Sharded) rebind(T Time) bool {
 				// leaked across lanes during Phase P.
 				panic("sim: provisional event never bound during replay (cross-lane schedule during Phase P?)")
 			}
-			l.q.push(event{at: pe.at, seq: l.bind[i], h: pe.h})
+			l.q.push(pe.at, l.bind[i], pe.h)
 			pe.h = nil
 		}
 		l.eq = l.eq[:0]
@@ -539,11 +565,11 @@ func (s *Sharded) rebind(T Time) bool {
 		l.fence = 0
 		s.executed += l.fired
 		l.fired = 0
-		if len(l.q) > 0 && l.q[0].at == T {
+		if l.atHead(T) {
 			more = true
 		}
 	}
-	if len(s.gq) > 0 && s.gq[0].at == T {
+	if _, ok := s.globalAt(T); ok {
 		more = true
 	}
 	return more
