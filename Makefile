@@ -81,8 +81,8 @@ race:
 
 # bench runs the hot-path micro-benchmarks. Save the output before and
 # after a change and compare with cmd/benchdiff (or benchstat).
-BENCH_RE = EngineScheduleRun|EngineTinyDrain|NetworkSend|ShardedScheduleRun|CacheLookup
-BENCH_PKGS = sim network cache
+BENCH_RE = EngineScheduleRun|EngineTinyDrain|NetworkSend|ShardedScheduleRun|CacheLookup|EnvRoundTrip
+BENCH_PKGS = sim network cache proc
 bench:
 	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS))
 

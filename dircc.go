@@ -92,7 +92,7 @@ func NewMachine(cfg Config, engine Engine) (*Machine, error) {
 }
 
 // RunBody executes body on every processor of m (execution-driven, one
-// goroutine per processor, deterministically scheduled) and returns the
+// coroutine per processor, deterministically scheduled) and returns the
 // total simulated cycles.
 func RunBody(m *Machine, body func(Env)) (Time, error) {
 	return proc.Run(m, body)

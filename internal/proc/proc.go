@@ -1,17 +1,27 @@
+//go:build go1.23
+
+// The go1.23 constraint raises this file's language version above
+// go.mod's go 1.22, so that it may use iter.Pull; building the package
+// takes a Go 1.23 or newer toolchain. go.mod stays at go 1.22 because
+// perfbench/go.mod, which the benchmark builds with -mod=readonly, must
+// be raised in the same change.
+
 // Package proc provides the execution-driven processor front end: each
 // simulated CPU runs real Go application code against a simulated
 // shared-memory API, cooperatively scheduled by the event kernel.
 //
-// This is the Proteus substitution described in DESIGN.md §6. One
-// goroutine per processor executes the application; every call into
-// the Env blocks the goroutine and hands control back to the single
-// simulator goroutine, which advances the clock and resumes the
-// processor when the reference completes. Exactly one goroutine is
-// runnable at any instant, so simulations remain deterministic.
+// This is the Proteus substitution described in DESIGN.md §6. Each
+// processor's body runs as an iter.Pull coroutine. Every call into the
+// Env yields a request to the simulator, which advances the clock and
+// resumes the coroutine when the reference completes. A processor runs
+// only while the simulator code resuming it waits, and the kernel
+// resumes each processor from one event at a time (on sim.Sharded,
+// from its own node's lane), so simulations remain deterministic.
 package proc
 
 import (
 	"fmt"
+	"iter"
 
 	"dircc/internal/coherent"
 	"dircc/internal/sim"
@@ -103,12 +113,19 @@ type wstate struct {
 	cont func()
 }
 
+// proc is one processor; it is also the Env its body runs against.
 type proc struct {
-	id     int
-	req    chan request
-	resume chan uint64
-	g      *Group
-	done   bool
+	id int
+	g  *Group
+
+	// next resumes the body until its next Env call and returns that
+	// call's request, or false once the body has returned; stop ends a
+	// body that has not. yield, the coroutine's side of next, hands the
+	// request over, and resume carries the simulator's answer back.
+	next   func() (request, bool)
+	stop   func()
+	yield  func(request) bool
+	resume uint64
 
 	// The resume callbacks, built once in Run rather than per request:
 	// onValue resumes the processor with a reference's result, onWrite
@@ -138,9 +155,12 @@ type lockState struct {
 // completion, and returns the total simulated cycles. The machine must
 // be fresh (its event queue is consumed). It fails if the simulation
 // deadlocks (a processor never finished but no events remain) or the
-// coherence monitor found violations.
+// coherence monitor found violations. A panic in a body, or in the
+// simulation, reaches Run's caller. On every exit Run first ends the
+// bodies that have not returned.
 func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 	g := &Group{m: m, locks: make(map[int]*lockState), memLocks: make(map[int][2]uint64)}
+	defer g.stopAll()
 	n := m.Cfg.Procs
 	if m.Cfg.WriteBuffer > 0 {
 		g.wb = make([]*wstate, n)
@@ -149,7 +169,7 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		p := &proc{id: i, req: make(chan request), resume: make(chan uint64), g: g}
+		p := &proc{id: i, g: g}
 		p.onValue = func(v uint64) { g.advance(p, v) }
 		p.onWrite = func(uint64) { g.advance(p, 0) }
 		p.onEvent = func() { g.advance(p, 0) }
@@ -158,54 +178,61 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 		p.onUnlock = func() { g.lockRelease(p) }
 		p.onExit = func() { g.exit(p) }
 		p.addDelta = func(old uint64) uint64 { return old + p.delta }
+		p.next, p.stop = iter.Pull(p.requests(body))
 		g.procs = append(g.procs, p)
-		go func(p *proc) {
-			<-p.resume // wait for the simulator to start us
-			body(&env{p: p})
-			p.req <- request{kind: reqDone}
-		}(p)
 	}
 	g.running = n
 	for _, p := range g.procs {
 		m.ScheduleAt(coherent.NodeID(p.id), 0, p.onEvent)
 	}
 	if err := m.Quiesce(); err != nil {
-		g.abandon()
 		return 0, err
 	}
 	if g.finished != n {
-		g.abandon()
 		return 0, fmt.Errorf("proc: deadlock — %d of %d processors never finished (barrier/lock imbalance?)",
 			n-g.finished, n)
 	}
 	return m.Now(), nil
 }
 
-// abandon unblocks any still-parked goroutines so they can exit; their
-// next request is discarded. Only used on error paths.
-func (g *Group) abandon() {
-	for _, p := range g.procs {
-		if p.done {
-			continue
-		}
-		p := p
-		go func() {
-			p.resume <- 0
-			for r := range p.req {
-				if r.kind == reqDone {
-					return
+// abandoned unwinds a body that Run ends early: the Env call whose
+// yield reports the coroutine stopped panics with it, and requests
+// recovers it.
+type abandoned struct{}
+
+// requests is p's coroutine: it runs body against p and yields the
+// request of every Env call.
+func (p *proc) requests(body Body) iter.Seq[request] {
+	return func(yield func(request) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abandoned); !ok {
+					panic(r)
 				}
-				p.resume <- 0
 			}
 		}()
+		p.yield = yield
+		body(p)
 	}
 }
 
-// advance resumes processor p with value v, waits for its next request,
-// and dispatches it. It runs on the simulator goroutine.
+// stopAll ends every body that has not returned; after a complete run
+// it has nothing to do.
+func (g *Group) stopAll() {
+	for _, p := range g.procs {
+		p.stop()
+	}
+}
+
+// advance resumes processor p with value v, takes its next request,
+// and dispatches it. It runs in the simulator. A body that has
+// returned makes the request reqDone.
 func (g *Group) advance(p *proc, v uint64) {
-	p.resume <- v
-	r := <-p.req
+	p.resume = v
+	r, ok := p.next()
+	if !ok {
+		r = request{kind: reqDone}
+	}
 	g.dispatch(p, r)
 }
 
@@ -346,7 +373,6 @@ func (g *Group) dispatchOrdered(p *proc, r request) {
 		p.lockID = r.lockID
 		m.GlobalOpAt(coherent.NodeID(p.id), p.onUnlock)
 	case reqDone:
-		p.done = true
 		m.GlobalOpAt(coherent.NodeID(p.id), p.onExit)
 	}
 }
@@ -464,50 +490,41 @@ func (g *Group) memLockRelease(p *proc, id int) {
 	m.AccessRMW(coherent.NodeID(p.id), w[1], func(old uint64) uint64 { return old + 1 }, p.onWrite)
 }
 
-// env adapts a proc to the Env interface.
-type env struct {
-	p *proc
+// call hands request r to the simulator and returns its answer. It
+// runs in p's body.
+func (p *proc) call(r request) uint64 {
+	if !p.yield(r) {
+		panic(abandoned{})
+	}
+	return p.resume
 }
 
-func (e *env) ID() int     { return e.p.id }
-func (e *env) NProcs() int { return e.p.g.m.Cfg.Procs }
+func (p *proc) ID() int     { return p.id }
+func (p *proc) NProcs() int { return p.g.m.Cfg.Procs }
 
-func (e *env) Read(addr uint64) uint64 {
-	e.p.req <- request{kind: reqRead, addr: addr}
-	return <-e.p.resume
+func (p *proc) Read(addr uint64) uint64 {
+	return p.call(request{kind: reqRead, addr: addr})
 }
 
-func (e *env) Write(addr uint64, v uint64) {
-	e.p.req <- request{kind: reqWrite, addr: addr, value: v}
-	<-e.p.resume
+func (p *proc) Write(addr uint64, v uint64) {
+	p.call(request{kind: reqWrite, addr: addr, value: v})
 }
 
-func (e *env) FetchAdd(addr uint64, delta uint64) uint64 {
-	e.p.req <- request{kind: reqFetchAdd, addr: addr, value: delta}
-	return <-e.p.resume
+func (p *proc) FetchAdd(addr uint64, delta uint64) uint64 {
+	return p.call(request{kind: reqFetchAdd, addr: addr, value: delta})
 }
 
-func (e *env) Compute(cycles uint64) {
+func (p *proc) Compute(cycles uint64) {
 	if cycles == 0 {
 		return
 	}
-	e.p.req <- request{kind: reqCompute, cycles: cycles}
-	<-e.p.resume
+	p.call(request{kind: reqCompute, cycles: cycles})
 }
 
-func (e *env) Barrier() {
-	e.p.req <- request{kind: reqBarrier}
-	<-e.p.resume
-}
+func (p *proc) Barrier() { p.call(request{kind: reqBarrier}) }
 
-func (e *env) Lock(id int) {
-	e.p.req <- request{kind: reqLock, lockID: id}
-	<-e.p.resume
-}
+func (p *proc) Lock(id int) { p.call(request{kind: reqLock, lockID: id}) }
 
-func (e *env) Unlock(id int) {
-	e.p.req <- request{kind: reqUnlock, lockID: id}
-	<-e.p.resume
-}
+func (p *proc) Unlock(id int) { p.call(request{kind: reqUnlock, lockID: id}) }
 
-func (e *env) Now() sim.Time { return e.p.g.m.Now() }
+func (p *proc) Now() sim.Time { return p.g.m.Now() }

@@ -1,6 +1,8 @@
 package proc
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,20 @@ func newMachine(t *testing.T, procs int) *coherent.Machine {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// goroutinesBack records the goroutine count and returns a check that
+// fails t unless the count is back to it: Run must end every body it
+// started, whichever way it returns.
+func goroutinesBack(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("%d goroutines after Run, %d before", n, before)
+		}
+	}
 }
 
 func TestIDAndNProcs(t *testing.T) {
@@ -189,24 +205,49 @@ func TestDistinctLocksIndependent(t *testing.T) {
 	}
 }
 
+// TestEnvCallAllocs: an Env call hands its request to the simulator and
+// takes the answer back without allocating, so 1,000 more Compute calls
+// allocate fewer than 10 more objects.
+func TestEnvCallAllocs(t *testing.T) {
+	run := func(calls int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			m := newMachine(t, 2)
+			if _, err := Run(m, func(e Env) {
+				for range calls / 2 {
+					e.Compute(1)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := run(2000) - run(1000); d >= 10 {
+		t.Fatalf("1,000 more Compute calls allocate %.0f more objects, want fewer than 10", d)
+	}
+}
+
 func TestUnlockWithoutLockPanics(t *testing.T) {
 	m := newMachine(t, 1)
+	check := goroutinesBack(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("unlock of free lock did not panic")
 		}
+		check()
 	}()
 	_, _ = Run(m, func(e Env) { e.Unlock(9) })
 }
 
 func TestBarrierImbalanceDetected(t *testing.T) {
 	m := newMachine(t, 2)
+	check := goroutinesBack(t)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Error("exiting past a waiting barrier should panic")
 		} else if !strings.Contains(r.(string), "barrier") {
 			t.Errorf("unexpected panic %v", r)
 		}
+		check()
 	}()
 	_, _ = Run(m, func(e Env) {
 		if e.ID() == 0 {
@@ -232,6 +273,69 @@ func TestLockDeadlockDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("deadlock not reported: %v", err)
 	}
+}
+
+// TestDeadlockEndsStuckBodies: after a deadlock, Run ends the bodies
+// that never finished instead of answering their requests with zeros,
+// under which this body would spin on its flag for ever.
+func TestDeadlockEndsStuckBodies(t *testing.T) {
+	m := newMachine(t, 2)
+	flag := m.Alloc(8)
+	check := goroutinesBack(t)
+	_, err := Run(m, func(e Env) {
+		e.Lock(0)
+		e.Lock(0) // queues behind itself
+		for e.Read(flag) == 0 {
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("deadlock not reported: %v", err)
+	}
+	check()
+}
+
+// TestEventBudgetEndsBodies: when the kernel stops on its event budget,
+// Run returns the error and ends the bodies in the middle of their
+// loops.
+func TestEventBudgetEndsBodies(t *testing.T) {
+	cfg := coherent.DefaultConfig(2)
+	cfg.MaxEvents = 100
+	m, err := coherent.NewMachine(cfg, fullmap.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := goroutinesBack(t)
+	if _, err := Run(m, func(e Env) {
+		for {
+			e.Compute(1)
+		}
+	}); !errors.Is(err, sim.ErrEventBudget) {
+		t.Fatalf("Run returned %v, want the event budget error", err)
+	}
+	check()
+}
+
+// TestBodyPanicReachesCaller: a panic in application code comes out of
+// Run with its own value, and the other processors' bodies are ended.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	m := newMachine(t, 4)
+	check := goroutinesBack(t)
+	defer func() {
+		r := recover()
+		if err, ok := r.(runtime.Error); !ok || !strings.Contains(err.Error(), "index out of range") {
+			t.Errorf("recovered %v, want processor 1's index error", r)
+		}
+		check()
+	}()
+	var table []int
+	_, _ = Run(m, func(e Env) {
+		e.Compute(10)
+		if e.ID() == 1 {
+			_ = table[e.ID()]
+		}
+		e.Barrier()
+	})
+	t.Error("Run returned")
 }
 
 func TestMemoryThroughEnv(t *testing.T) {
