@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet race bench perf perf-shards perfbench sweep cover lines lint check smoke fuzz stress clean
+.PHONY: all build test tier1 vet race bench perf perfbench sweep cover lines lint check smoke fuzz stress clean
 
 all: tier1
 
@@ -37,9 +37,9 @@ lint: vet
 # random walks that pin the canonical state text and compare a reset
 # machine against a fresh one, plus the mutation self-tests that prove
 # the checker catches a seeded protocol bug and the lane-partition
-# audit catches a wrong-lane mutation), the time-boxed differential fuzz smoke tier, and the
-# sharded-kernel large-machine smoke (P=256 on 8 shards,
-# byte-identical to sequential).
+# audit catches a wrong-lane mutation), the time-boxed differential
+# fuzz smoke tier, and TestShardedLargeP: P=256 on a machine built
+# with 8 shards of the parallel kernel, byte-identical to sequential.
 check: smoke
 	$(GO) test ./internal/check -v -run 'TestExhaustive|TestCanonWalks|TestMutationCaught|TestLaneMutantCaught'
 	$(GO) test . -v -run 'TestShardedLargeP'
@@ -50,11 +50,12 @@ check: smoke
 # LimitLESS4 sharing the limited engine, STP and Dir4Tree2 sharing
 # internal/core's wave and teardown), the mutant sensitivity test
 # proving the harness catches a seeded replacement bug, the
-# sharded-kernel determinism oracle (the same 200 seeds, all eight
-# scheme families sequential vs 4 shards, bit-exact
-# cycles/memory/read digests), and the chain-surgery adversarial sweep
-# (200 seeds of concurrent mid-chain eviction/re-attach/invalidation
-# races over the list and tree schemes). Budgeted at under a minute.
+# parallel kernel's determinism oracle (fuzz.RunWorkloadSharded: the
+# same 200 seeds, all eight scheme families sequential vs 4 shards,
+# bit-exact cycles/memory/read digests), and the chain-surgery
+# adversarial sweep (200 seeds of concurrent mid-chain
+# eviction/re-attach/invalidation races over the list and tree
+# schemes). Budgeted at under a minute.
 smoke:
 	$(GO) test ./internal/fuzz -run 'TestSmokeDifferential|TestRegressionSeeds|TestFuzzCatchesMutant|TestShardedFuzzSmoke|TestChainSurgerySmoke'
 
@@ -86,17 +87,17 @@ BENCH_PKGS = sim network cache proc
 bench:
 	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS))
 
-# perf gates the micro-benchmarks at a 25% ns/op regression. With
+# perf gates the micro-benchmarks at a 25% ns/op regression against
 # BASE=<rev> (CI passes the PR's base commit, or the push's previous
-# head) it builds <rev> in a temporary git worktree, compiles each
+# head). It builds <rev> in a temporary git worktree, compiles each
 # benchmark package once per side, and runs base and head alternately
 # on this host, five times each, so both sides see the same machine;
 # benchdiff compares the medians (base.out, head.out). A benchmark
-# present on one side only is reported, not gated. Without BASE it
-# diffs one run against the newest committed BENCH_PR*.json snapshot,
-# which was recorded on another host.
+# present on one side only is reported, not gated.
 perf:
-ifdef BASE
+ifndef BASE
+	$(error make perf needs BASE=<rev>, the commit to gate against: make perf BASE=main)
+endif
 	@set -e; tmp=$$(mktemp -d); wt=$$tmp/base; \
 	trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach --quiet "$$wt" "$(BASE)"; \
@@ -114,22 +115,12 @@ ifdef BASE
 		done; \
 	done
 	$(GO) run ./cmd/benchdiff -gate -threshold 0.25 base.out head.out
-else
-	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS)) > bench.out
-	$(GO) run ./cmd/benchdiff -gate -threshold 0.25 $$(ls BENCH_PR*.json | sort -V | tail -1) bench.out
-endif
-
-# perf-shards measures the parallel kernel's wall-clock scaling: the
-# P=64 full-map experiment, sequential vs 1/2/4/8 worker shards.
-# Speedup needs real cores — on a single-CPU box the sharded runs show
-# only the coordination overhead.
-perf-shards:
-	$(GO) test -bench 'ShardedExperiment' -benchmem -run '^$$' .
 
 # perfbench runs the self-tests of the benchmark in perfbench/, a
 # separate module that `go test ./...` at the root never reaches: the
-# engine decorator must be transparent on all eight families, and the
-# sharded runs must match the sequential digests.
+# engine decorator must be transparent on all eight families, and
+# mp3d-s2's runs on the parallel kernel must match the sequential
+# digests.
 perfbench:
 	cd perfbench && $(GO) test ./...
 
@@ -155,4 +146,4 @@ lines:
 
 # clean removes generated artifacts.
 clean:
-	rm -f coverage.out bench.out base.out head.out dirccvet.sarif
+	rm -f coverage.out base.out head.out dirccvet.sarif

@@ -518,92 +518,3 @@ func BenchmarkAblationHomeMapping(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkShardedExperiment times the P=64 full-map experiment end to
-// end, sequential and on 1/2/4/8 worker shards (`make perf-shards`).
-// The sharded entries only show speedup when real cores are available:
-// on a single-CPU machine they measure pure coordination overhead,
-// which is the honest lower bound to report alongside multi-core runs.
-func BenchmarkShardedExperiment(b *testing.B) {
-	run := func(b *testing.B, shards int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := RunExperiment(Experiment{App: "fft", Protocol: "fm", Procs: 64, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.Cycles == 0 {
-				b.Fatal("zero-cycle run")
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 0) })
-	for _, s := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) { run(b, s) })
-	}
-}
-
-// BenchmarkShardedExperimentFamilies times each chain/tree family —
-// the engines the shard-safe restructure brought onto the parallel
-// kernel — end to end at P=32, sequential and on 1/2/4/8 worker
-// shards (`make perf-shards`). Like BenchmarkShardedExperiment, the
-// sharded entries only show speedup with real cores; on a single-CPU
-// box they measure the coordination overhead the restructure adds to
-// each family's deferred-op replay traffic.
-func BenchmarkShardedExperimentFamilies(b *testing.B) {
-	for _, proto := range []string{"sci", "sll", "stp", "T4"} {
-		run := func(b *testing.B, shards int) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := RunExperiment(Experiment{App: "fft", Protocol: proto, Procs: 32, Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if shards > 0 && r.ShardPlan.Fallback() {
-					b.Fatalf("fell back to sequential: %s", r.ShardPlan.ReasonToken)
-				}
-				if r.Cycles == 0 {
-					b.Fatal("zero-cycle run")
-				}
-			}
-		}
-		b.Run(proto+"/sequential", func(b *testing.B) { run(b, 0) })
-		for _, s := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", proto, s), func(b *testing.B) { run(b, s) })
-		}
-	}
-}
-
-// BenchmarkShardedExperimentObs times the P=64 full-map experiment on
-// 4 shards with event observability off, trace-only, and trace+attrib
-// (`make perf-shards`). The obs entries bound the per-event cost of
-// the shard-safe probe layer: Phase-P emissions append to lane-local
-// buffers and are finalized by the coordinator at their global
-// (at, seq) merge position, so the overhead is one buffered append
-// plus one replayed finalize per event, and the exported artifacts
-// stay byte-identical to a sequential run.
-func BenchmarkShardedExperimentObs(b *testing.B) {
-	run := func(b *testing.B, oc *ObsConfig) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			exp := Experiment{App: "fft", Protocol: "fm", Procs: 64, Shards: 4}
-			if oc != nil {
-				c := *oc // each run needs a fresh ObsConfig-derived probe
-				exp.Obs = &c
-			}
-			r, err := RunExperiment(exp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.ShardPlan.Fallback() {
-				b.Fatalf("fell back to sequential: %s", r.ShardPlan.ReasonToken)
-			}
-			if oc != nil && oc.Trace && r.Probe.Trace.Len() == 0 {
-				b.Fatal("trace enabled but no events captured")
-			}
-		}
-	}
-	b.Run("obs=off", func(b *testing.B) { run(b, nil) })
-	b.Run("obs=trace", func(b *testing.B) { run(b, &ObsConfig{Trace: true}) })
-	b.Run("obs=trace+attrib", func(b *testing.B) { run(b, &ObsConfig{Trace: true, Attrib: true}) })
-}

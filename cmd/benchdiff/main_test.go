@@ -47,13 +47,11 @@ func TestUsageErrors(t *testing.T) {
 
 // TestInputErrors: unreadable inputs exit 1.
 func TestInputErrors(t *testing.T) {
-	if code, _, _ := runDiff(t, filepath.Join(t.TempDir(), "missing.json")); code != 1 {
+	if code, _, _ := runDiff(t, filepath.Join(t.TempDir(), "missing.out")); code != 1 {
 		t.Errorf("missing input: exit %d, want 1", code)
 	}
-	old := writeBench(t, "old.txt", oldBench)
-	bad := filepath.Join(t.TempDir(), "gone", "out.json")
-	if code, _, _ := runDiff(t, "-emit", bad, old); code != 1 {
-		t.Errorf("unwritable -emit: exit %d, want 1", code)
+	if code, _, _ := runDiff(t, writeBench(t, "old.txt", oldBench), writeBench(t, "empty.out", "PASS\n")); code != 1 {
+		t.Errorf("input without benchmark results: exit %d, want 1", code)
 	}
 }
 
@@ -73,78 +71,5 @@ func TestGate(t *testing.T) {
 	}
 	if code, _, _ := runDiff(t, old); code != 0 {
 		t.Errorf("single input: exit %d, want 0", code)
-	}
-}
-
-// TestEmit writes a canonical snapshot and round-trips it as input.
-func TestEmit(t *testing.T) {
-	old := writeBench(t, "old.txt", oldBench)
-	snap := filepath.Join(t.TempDir(), "snap.json")
-	if code, _, errOut := runDiff(t, "-emit", snap, "-pr", "5", old); code != 0 {
-		t.Fatalf("emit: exit %d (stderr %q)", code, errOut)
-	}
-	if code, out, _ := runDiff(t, snap, old); code != 0 || !strings.Contains(out, "BenchmarkAccess") {
-		t.Errorf("snapshot round-trip: exit %d (stdout %q)", code, out)
-	}
-}
-
-const kprofRowsOld = `[
-  {"app":"fft","scheme":"fm","procs":8,"topology":"hypercube","shards":4,
-   "report":{"shards":4,"coord_overhead":0.120,"serial_fraction":0.150,"parallel_efficiency":0.30}}
-]`
-
-const kprofRowsNew = `[
-  {"app":"fft","scheme":"fm","procs":8,"topology":"hypercube","shards":4,
-   "report":{"shards":4,"coord_overhead":0.100,"serial_fraction":0.140,"parallel_efficiency":0.35}},
-  {"app":"lu","scheme":"fm","procs":16,"topology":"hypercube","shards":4,
-   "report":{"shards":4,"coord_overhead":0.200,"serial_fraction":0.250,"parallel_efficiency":0.20}}
-]`
-
-// TestKProfDiff: kernel-profile deltas print matched by grid key and
-// never gate, even when coordination overhead regresses.
-func TestKProfDiff(t *testing.T) {
-	old := writeBench(t, "kp_old.json", kprofRowsOld)
-	cur := writeBench(t, "kp_new.json", kprofRowsNew)
-	code, out, errOut := runDiff(t, "-kprof-old", old, "-kprof-new", cur)
-	if code != 0 {
-		t.Fatalf("kprof diff: exit %d (stderr %q)", code, errOut)
-	}
-	if !strings.Contains(out, "fft/fm/P8/hypercube") || !strings.Contains(out, "-0.020") {
-		t.Errorf("delta table missing matched row or delta:\n%s", out)
-	}
-	if !strings.Contains(out, "lu/fm/P16/hypercube") || !strings.Contains(out, "no baseline") {
-		t.Errorf("unmatched row not reported as new:\n%s", out)
-	}
-	if !strings.Contains(out, "1 of 2 rows matched") {
-		t.Errorf("match summary missing:\n%s", out)
-	}
-	// Warn-only even with the gate armed: a coordination regression in
-	// the reversed direction must not flip the exit code.
-	if code, _, _ := runDiff(t, "-gate", "-kprof-old", cur, "-kprof-new", old); code != 0 {
-		t.Errorf("kprof regression tripped -gate: exit %d, want 0", code)
-	}
-	// Half a pair is a usage error.
-	if code, _, _ := runDiff(t, "-kprof-old", old); code != 2 {
-		t.Errorf("lone -kprof-old: exit %d, want 2", code)
-	}
-	// Unreadable input exits 1.
-	if code, _, _ := runDiff(t, "-kprof-old", old, "-kprof-new", filepath.Join(t.TempDir(), "missing.json")); code != 1 {
-		t.Errorf("missing -kprof-new: exit %d, want 1", code)
-	}
-}
-
-// TestKProfDiffWithBench: the kprof comparison composes with a normal
-// benchmark diff in one invocation.
-func TestKProfDiffWithBench(t *testing.T) {
-	kpOld := writeBench(t, "kp_old.json", kprofRowsOld)
-	kpNew := writeBench(t, "kp_new.json", kprofRowsNew)
-	old := writeBench(t, "old.txt", oldBench)
-	cur := writeBench(t, "new.txt", newBench)
-	code, out, _ := runDiff(t, "-kprof-old", kpOld, "-kprof-new", kpNew, old, cur)
-	if code != 0 {
-		t.Fatalf("combined diff: exit %d", code)
-	}
-	if !strings.Contains(out, "kernel-profile deltas") || !strings.Contains(out, "BenchmarkAccess") {
-		t.Errorf("combined output missing a section:\n%s", out)
 	}
 }

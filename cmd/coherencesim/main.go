@@ -19,16 +19,6 @@
 // command exit 2). -attrib prints the per-transaction latency
 // attribution (phase breakdown, critical path, invalidation-wave
 // structure). -json prints the result as JSON instead of text.
-//
-// With -shards N (N>1) the run uses the deterministic parallel kernel;
-// -kprof then prints the kernel profile (per-lane busy/idle, wave
-// structure, coordinator overhead, Amdahl attribution) after the
-// counters, -kprof-json / -kprof-trace export it as JSON / a Chrome
-// trace, and -explain-shards prints why the run would (or would not)
-// shard — without running it. -trace and -attrib compose with -shards:
-// event emissions stream through per-lane buffers merged in the global
-// (at, seq) order, so the exported trace and attribution are
-// byte-identical to a sequential run.
 package main
 
 import (
@@ -40,7 +30,6 @@ import (
 
 	"dircc"
 	"dircc/internal/attrib"
-	"dircc/internal/kprof"
 	"dircc/internal/trace"
 )
 
@@ -50,7 +39,6 @@ func main() {
 	procs := flag.Int("procs", 16, "number of processors")
 	full := flag.Bool("full", false, "use the paper-scale workload parameters")
 	check := flag.Bool("check", false, "enable the coherence monitor")
-	shards := flag.Int("shards", 1, "worker shards for the deterministic parallel kernel (any protocol; -check falls back to sequential; results are byte-identical at every shard count)")
 	record := flag.String("record", "", "record the reference trace to this file")
 	replay := flag.String("replay", "", "replay a recorded trace instead of running -app")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON here (.jsonl suffix selects the raw event log)")
@@ -60,10 +48,6 @@ func main() {
 	watchdogJSON := flag.Bool("watchdog-json", false, "emit watchdog reports as machine-readable JSON lines")
 	attribOut := flag.Bool("attrib", false, "print the per-transaction latency attribution after the counters")
 	jsonOut := flag.Bool("json", false, "print the result as JSON instead of text")
-	kprofOut := flag.Bool("kprof", false, "print the parallel-kernel profile after the counters (needs -shards > 1)")
-	kprofJSON := flag.String("kprof-json", "", "write the kernel profile as JSON here (needs -shards > 1)")
-	kprofTrace := flag.String("kprof-trace", "", "write the kernel lane timeline as a Chrome trace here (needs -shards > 1)")
-	explainShards := flag.Bool("explain-shards", false, "print the shard plan (effective shard count and fallback reason) and exit without running")
 	flag.Parse()
 
 	var oc *dircc.ObsConfig
@@ -79,38 +63,12 @@ func main() {
 		}
 	}
 
-	wantKProf := *kprofOut || *kprofJSON != "" || *kprofTrace != ""
-	var prof *kprof.Profile
-	if wantKProf {
-		if *shards <= 1 {
-			fail(fmt.Errorf("-kprof/-kprof-json/-kprof-trace profile the parallel kernel; run with -shards > 1"))
-		}
-		prof = &kprof.Profile{}
-	}
-
-	if *explainShards {
-		exp := dircc.Experiment{
-			App: *app, Protocol: *protocol, Procs: *procs, Full: *full, Check: *check,
-			Shards: *shards, Obs: oc,
-		}
-		plan, perr := dircc.ExplainShards(exp)
-		if perr != nil {
-			fail(perr)
-		}
-		fmt.Printf("requested shards: %d\neffective shards: %d\nreason: %s\n%s\n",
-			plan.Requested, plan.Shards, plan.ReasonToken, plan.Reason.Describe())
-		return
-	}
-
 	var r *dircc.Result
 	var err error
 	switch {
 	case *replay != "":
 		if oc != nil {
 			fail(fmt.Errorf("-trace/-timeseries/-watchdog are not supported with -replay"))
-		}
-		if prof != nil {
-			fail(fmt.Errorf("-kprof is not supported with -replay (trace replay is sequential)"))
 		}
 		f, ferr := os.Open(*replay)
 		if ferr != nil {
@@ -132,9 +90,6 @@ func main() {
 	case *record != "":
 		if oc != nil {
 			fail(fmt.Errorf("-trace/-timeseries/-watchdog are not supported with -record"))
-		}
-		if prof != nil {
-			fail(fmt.Errorf("-kprof is not supported with -record (trace recording is sequential)"))
 		}
 		exp := dircc.Experiment{App: *app, Protocol: *protocol, Procs: *procs, Full: *full, Check: *check}
 		var tr *dircc.Trace
@@ -158,16 +113,10 @@ func main() {
 	default:
 		r, err = dircc.RunExperiment(dircc.Experiment{
 			App: *app, Protocol: *protocol, Procs: *procs, Full: *full, Check: *check,
-			Shards: *shards,
-			Obs:    oc,
-			KProf:  prof,
+			Obs: oc,
 		})
 		if err != nil {
 			fail(err)
-		}
-		if *shards > 1 && r.ShardPlan.Fallback() {
-			fmt.Fprintf(os.Stderr, "coherencesim: requested %d shards but ran sequentially (%s: %s)\n",
-				r.ShardPlan.Requested, r.ShardPlan.ReasonToken, r.ShardPlan.Reason.Describe())
 		}
 		if !*jsonOut {
 			fmt.Printf("workload %s, protocol %s, %d processors (full=%v)\n",
@@ -196,23 +145,6 @@ func main() {
 		}
 	}
 
-	if r.KProf != nil {
-		if *kprofJSON != "" {
-			writeFile(*kprofJSON, func(f *os.File) error { return r.KProf.JSON(f) })
-			if !*jsonOut {
-				fmt.Printf("kernel profile: written to %s\n", *kprofJSON)
-			}
-		}
-		if *kprofTrace != "" {
-			writeFile(*kprofTrace, func(f *os.File) error { return prof.WriteChromeTrace(f) })
-			if !*jsonOut {
-				fmt.Printf("kernel lane timeline: written to %s\n", *kprofTrace)
-			}
-		}
-	} else if wantKProf {
-		fmt.Fprintln(os.Stderr, "coherencesim: no kernel profile collected (the run fell back to the sequential kernel)")
-	}
-
 	stalled := r.Probe != nil && r.Probe.Watchdog != nil && r.Probe.Watchdog.Stalled()
 	if *jsonOut {
 		out := struct {
@@ -224,7 +156,6 @@ func main() {
 			Cycles   uint64          `json:"cycles"`
 			Counters *dircc.Counters `json:"counters"`
 			Attrib   *attrib.Report  `json:"attrib,omitempty"`
-			KProf    *kprof.Report   `json:"kprof,omitempty"`
 			Stalled  bool            `json:"stalled,omitempty"`
 		}{
 			App: r.Experiment.App, Protocol: r.Experiment.Protocol,
@@ -235,7 +166,6 @@ func main() {
 		if r.Attrib != nil {
 			out.Attrib = r.Attrib.Report()
 		}
-		out.KProf = r.KProf
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -246,10 +176,6 @@ func main() {
 		if r.Attrib != nil {
 			fmt.Println()
 			r.Attrib.Report().WriteTable(os.Stdout)
-		}
-		if *kprofOut && r.KProf != nil {
-			fmt.Println()
-			r.KProf.WriteTable(os.Stdout)
 		}
 	}
 	if stalled {

@@ -9,7 +9,6 @@ import (
 	"dircc/internal/apps"
 	"dircc/internal/attrib"
 	"dircc/internal/coherent"
-	"dircc/internal/kprof"
 	"dircc/internal/obs"
 	"dircc/internal/proc"
 	"dircc/internal/topology"
@@ -49,30 +48,10 @@ type Experiment struct {
 	// HomePageBlocks selects the home-mapping granularity (see
 	// coherent.Config.HomePageBlocks).
 	HomePageBlocks int
-	// Shards runs the simulation on the time-windowed parallel kernel
-	// (sim.Sharded) with this many worker lanes. Results are
-	// byte-identical to the sequential engine at every shard count.
-	// 0 or 1 selects the sequential kernel. Values above 1 apply only
-	// when the run is eligible — it uses no checker and no
-	// memory-resident locks; every registered protocol runs sharded —
-	// and fall back to the sequential kernel otherwise, so sweeps can
-	// set Shards unconditionally. Observability composes fully: trace
-	// and attribution stream through per-lane buffers merged in the
-	// global (at, seq) order, byte-identical to the sequential run. The
-	// structured fallback reason is returned in Result.ShardPlan and
-	// queryable up front via ExplainShards.
-	Shards int
 	// Obs selects observability instruments for the run; nil (the
 	// default) disables all probing, preserving the allocation-free hot
 	// path and bit-identical statistics.
 	Obs *ObsConfig
-	// KProf, when non-nil, attaches a kernel profile to the run's
-	// parallel kernel (see internal/kprof); the folded report is
-	// returned in Result.KProf. Inert on sequential runs — S<=1 uses
-	// the plain event loop, which has no kernel structure to profile.
-	// The caller owns the profile (one per concurrently running
-	// experiment).
-	KProf *kprof.Profile
 }
 
 // ObsConfig selects which observability instruments to attach to a
@@ -127,104 +106,6 @@ func (oc *ObsConfig) probe(ctr *Counters) (*obs.Probe, *attrib.Collector) {
 	return p, col
 }
 
-// ShardReason explains a shard-plan decision.
-type ShardReason int
-
-const (
-	// ShardOK: the run is eligible and uses the requested shard count.
-	ShardOK ShardReason = iota
-	// ShardSequentialRequested: the experiment asked for Shards <= 1.
-	ShardSequentialRequested
-	// ShardCheckedRun: the coherence monitor inspects all caches at
-	// completion events, which is inherently cross-lane.
-	ShardCheckedRun
-	// ShardMemLocks: memory-resident ticket locks arbitrate through
-	// global state the lanes would contend on.
-	ShardMemLocks
-)
-
-// String returns the short machine-readable reason token (logged by
-// the CLIs and asserted by the -explain-shards tests).
-func (r ShardReason) String() string {
-	switch r {
-	case ShardOK:
-		return "ok"
-	case ShardSequentialRequested:
-		return "sequential-requested"
-	case ShardCheckedRun:
-		return "checked-run"
-	case ShardMemLocks:
-		return "mem-locks"
-	}
-	return fmt.Sprintf("ShardReason(%d)", int(r))
-}
-
-// Describe returns the human-readable explanation.
-func (r ShardReason) Describe() string {
-	switch r {
-	case ShardOK:
-		return "eligible for the parallel kernel"
-	case ShardSequentialRequested:
-		return "sequential kernel requested (shards <= 1)"
-	case ShardCheckedRun:
-		return "coherence checker inspects all caches cross-lane"
-	case ShardMemLocks:
-		return "memory-resident ticket locks serialize on global state"
-	}
-	return r.String()
-}
-
-// ShardPlan is the structured outcome of shard-eligibility resolution:
-// the shard count a run will actually use and why.
-type ShardPlan struct {
-	// Requested is Experiment.Shards as given.
-	Requested int `json:"requested"`
-	// Shards is the effective lane count (1 = sequential kernel).
-	Shards int `json:"shards"`
-	// Reason explains the decision; ShardOK when Shards == Requested.
-	Reason ShardReason `json:"-"`
-	// ReasonToken is Reason.String(), carried for JSON consumers.
-	ReasonToken string `json:"reason"`
-}
-
-// Fallback reports whether parallel simulation was requested but the
-// run fell back to the sequential kernel.
-func (p ShardPlan) Fallback() bool { return p.Requested > 1 && p.Shards <= 1 }
-
-// shardPlan resolves the shard count a run actually uses, mirroring
-// the sharded machine's restrictions. Fallback order is most-specific
-// first: explicit sequential request, checker, then locks. The
-// protocol never forces a fallback: every registered engine keeps to
-// the lane contract. Nor does observability: the event stream is
-// merged deterministically from per-lane buffers, and the watchdog
-// and sampler ride the coordinator tick.
-func (exp Experiment) shardPlan() ShardPlan {
-	plan := ShardPlan{Requested: exp.Shards, Shards: 1}
-	switch {
-	case exp.Shards <= 1:
-		plan.Reason = ShardSequentialRequested
-	case exp.Check:
-		plan.Reason = ShardCheckedRun
-	case exp.MemLocks:
-		plan.Reason = ShardMemLocks
-	default:
-		plan.Reason = ShardOK
-		plan.Shards = exp.Shards
-	}
-	plan.ReasonToken = plan.Reason.String()
-	return plan
-}
-
-// ExplainShards resolves an experiment's shard plan without running
-// it: which kernel it would use and, for fallbacks, the structured
-// reason. The CLIs surface this as -explain-shards.
-func ExplainShards(exp Experiment) (ShardPlan, error) {
-	if _, err := NewEngine(exp.Protocol); err != nil {
-		return ShardPlan{}, err
-	}
-	return exp.shardPlan(), nil
-}
-
 // Result is the outcome of one experiment.
 type Result struct {
 	Experiment Experiment
@@ -238,12 +119,6 @@ type Result struct {
 	// Attrib holds the latency-attribution collector attached via
 	// ObsConfig.Attrib; nil when attribution was off.
 	Attrib *attrib.Collector
-	// ShardPlan records which kernel the run used and, for fallbacks,
-	// the structured reason.
-	ShardPlan ShardPlan
-	// KProf holds the folded kernel-profile report when
-	// Experiment.KProf was set and the run used the parallel kernel.
-	KProf *kprof.Report
 }
 
 // RunExperiment executes one experiment and verifies the workload's
@@ -257,17 +132,7 @@ func RunExperiment(exp Experiment) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig(exp.Procs)
-	cfg.Check = exp.Check
-	cfg.MaxEvents = exp.MaxEvents
-	cfg.MemLocks = exp.MemLocks
-	cfg.WriteBuffer = exp.WriteBuffer
-	cfg.HomePageBlocks = exp.HomePageBlocks
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 4_000_000_000
-	}
-	plan := exp.shardPlan()
-	m, err := newMachineFor(cfg, eng, exp.Topology, plan.Shards)
+	m, err := newMachineFor(exp.config(), eng, exp.Topology)
 	if err != nil {
 		return nil, err
 	}
@@ -277,9 +142,6 @@ func RunExperiment(exp Experiment) (*Result, error) {
 		probe, col = exp.Obs.probe(m.Ctr)
 		m.AttachProbe(probe)
 	}
-	if exp.KProf != nil && plan.Shards > 1 {
-		m.AttachKProf(exp.KProf)
-	}
 	body, check := app.Prepare(m)
 	cycles, err := proc.Run(m, body)
 	if err != nil {
@@ -288,17 +150,25 @@ func RunExperiment(exp Experiment) (*Result, error) {
 	if err := check(); err != nil {
 		return nil, fmt.Errorf("dircc: %s/%s/%d produced a wrong answer: %w", exp.App, exp.Protocol, exp.Procs, err)
 	}
-	res := &Result{Experiment: exp, Cycles: uint64(cycles), Counters: m.Ctr, Probe: probe, Attrib: col, ShardPlan: plan}
-	if exp.KProf != nil && plan.Shards > 1 {
-		res.KProf = exp.KProf.Report()
-	}
-	return res, nil
+	return &Result{Experiment: exp, Cycles: uint64(cycles), Counters: m.Ctr, Probe: probe, Attrib: col}, nil
 }
 
-// newMachineFor builds a machine on the named interconnect, simulated
-// by the sequential kernel (shards <= 1) or the time-windowed parallel
-// kernel.
-func newMachineFor(cfg Config, eng Engine, topoName string, shards int) (*Machine, error) {
+// config returns the machine configuration the experiment runs on.
+func (exp Experiment) config() Config {
+	cfg := DefaultConfig(exp.Procs)
+	cfg.Check = exp.Check
+	cfg.MaxEvents = exp.MaxEvents
+	cfg.MemLocks = exp.MemLocks
+	cfg.WriteBuffer = exp.WriteBuffer
+	cfg.HomePageBlocks = exp.HomePageBlocks
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = 4_000_000_000
+	}
+	return cfg
+}
+
+// newMachineFor builds a machine on the named interconnect.
+func newMachineFor(cfg Config, eng Engine, topoName string) (*Machine, error) {
 	var topo topology.Topology
 	var err error
 	switch topoName {
@@ -321,9 +191,6 @@ func newMachineFor(cfg Config, eng Engine, topoName string, shards int) (*Machin
 	}
 	if err != nil {
 		return nil, err
-	}
-	if shards > 1 {
-		return coherent.NewShardedMachineOn(cfg, eng, topo, shards)
 	}
 	return coherent.NewMachineOn(cfg, eng, topo)
 }

@@ -54,23 +54,3 @@ func WriteExports(exp Experiment, r *Result, traceDir, tsDir string) error {
 	}
 	return nil
 }
-
-// WriteKProfTrace dumps one experiment's kernel-profile timeline as
-// <stem>.kprof.trace.json into traceDir — per-lane wave tracks plus
-// the coordinator track, loadable in Perfetto next to the protocol
-// trace. No-op when the experiment carried no profile or ran on the
-// sequential kernel (nothing recorded).
-func WriteKProfTrace(exp Experiment, traceDir string) error {
-	if exp.KProf == nil || traceDir == "" || exp.KProf.Shards() == 0 {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(traceDir, ExportStem(exp)+".kprof.trace.json"))
-	if err != nil {
-		return err
-	}
-	if err := exp.KProf.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -1,14 +1,12 @@
-// Package benchfmt parses Go benchmark results — raw `go test -bench`
-// output or the repo's BENCH_*.json snapshots — into a common form so
-// cmd/benchdiff can compare runs across PRs. Only the standard library
-// is used; the parser understands the stable subset of the benchmark
-// text format (name, iterations, ns/op, B/op, allocs/op).
+// Package benchfmt parses raw `go test -bench` output so cmd/benchdiff
+// can compare two runs. Only the standard library is used; the parser
+// understands the stable subset of the benchmark text format (name,
+// iterations, ns/op, B/op, allocs/op).
 package benchfmt
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -21,30 +19,23 @@ import (
 type Result struct {
 	// Name is the benchmark name without the -GOMAXPROCS suffix
 	// (BenchmarkNetworkSend, not BenchmarkNetworkSend-4).
-	Name string `json:"name"`
+	Name string
 	// Package is the import path, when known.
-	Package string `json:"package,omitempty"`
+	Package string
 	// Iterations is b.N for the recorded run (0 when unknown).
-	Iterations int64 `json:"iterations,omitempty"`
+	Iterations int64
 	// NsPerOp is nanoseconds per operation.
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp float64
 	// BytesPerOp is heap bytes allocated per operation (-benchmem).
-	BytesPerOp float64 `json:"bytes_per_op"`
+	BytesPerOp float64
 	// AllocsPerOp is heap allocations per operation (-benchmem).
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	AllocsPerOp float64
 }
 
-// Snapshot is a set of benchmark results from one run, the schema of
-// the BENCH_PR<N>.json files.
+// Snapshot is the set of benchmark results from one input.
 type Snapshot struct {
-	// PR tags which PR produced the snapshot (0 when untagged).
-	PR int `json:"pr,omitempty"`
-	// Title is a free-form description of the run.
-	Title string `json:"title,omitempty"`
-	// Go is the toolchain version string (go1.24.0 linux/amd64).
-	Go string `json:"go,omitempty"`
 	// Benchmarks holds the results, sorted by name.
-	Benchmarks []Result `json:"benchmarks"`
+	Benchmarks []Result
 }
 
 // Find returns the result with the given name, or nil.
@@ -62,14 +53,6 @@ func (s *Snapshot) sortResults() {
 	sort.Slice(s.Benchmarks, func(i, j int) bool {
 		return s.Benchmarks[i].Name < s.Benchmarks[j].Name
 	})
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	s.sortResults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // ParseBench reads raw `go test -bench` output. Lines it does not
@@ -171,9 +154,9 @@ func parseBenchLine(line string) (Result, error) {
 	return res, nil
 }
 
-// Load reads a benchmark input from path: a canonical snapshot JSON or
-// raw `go test -bench` text. "-" reads stdin (text only). The format is
-// sniffed from the content, not the file name.
+// Load reads raw `go test -bench` output from path; "-" reads stdin.
+// An input without a single benchmark result is an error, so a failed
+// or empty run cannot pass a comparison by having nothing to compare.
 func Load(path string) (*Snapshot, error) {
 	var data []byte
 	var err error
@@ -185,19 +168,14 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("benchfmt: %s is empty", path)
+	s, err := ParseBench(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
 	}
-	if trimmed[0] != '{' {
-		return ParseBench(bytes.NewReader(data))
+	if len(s.Benchmarks) == 0 {
+		return nil, fmt.Errorf("benchfmt: %s: no benchmark results", path)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil || len(s.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchfmt: %s: not a benchmark snapshot (no \"benchmarks\" key)", path)
-	}
-	s.sortResults()
-	return &s, nil
+	return s, nil
 }
 
 // Delta is one benchmark's old→new comparison.

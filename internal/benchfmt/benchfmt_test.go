@@ -84,35 +84,25 @@ func TestLoadFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.Benchmarks) != 2 {
-		t.Errorf("raw load: got %d benchmarks, want 2", len(s2.Benchmarks))
+	if len(s2.Benchmarks) != 2 || s2.Find("BenchmarkNetworkSend").NsPerOp != 153.0 {
+		t.Errorf("raw load: %+v", s2)
 	}
 
-	// Round trip: canonical JSON written by WriteJSON loads back.
-	canon := filepath.Join(dir, "canon.json")
-	f, err := os.Create(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	s3, err := Load(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s3.Benchmarks) != 2 || s3.Find("BenchmarkNetworkSend").NsPerOp != 153.0 {
-		t.Errorf("round trip: %+v", s3)
-	}
-
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := Load(filepath.Join(dir, "missing.out")); err == nil {
 		t.Error("loading a missing file must fail")
 	}
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"unrelated": true}`), 0o644)
-	if _, err := Load(bad); err == nil {
-		t.Error("loading unrelated JSON must fail")
+	for name, content := range map[string]string{
+		"empty.out":  "",
+		"failed.out": "FAIL\tdircc/internal/sim [build failed]\n",
+		"json.out":   `{"benchmarks": [{"name": "BenchmarkX", "ns_per_op": 1}]}`,
+	} {
+		bad := filepath.Join(dir, name)
+		if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil {
+			t.Errorf("loading %s, which holds no benchmark result line, must fail", name)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"dircc/internal/cache"
+	"dircc/internal/obs"
+	"dircc/internal/topology"
 )
 
 // fakeEngine is a minimal protocol used to unit-test the machine
@@ -148,6 +150,51 @@ func TestNewMachineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewMachine(DefaultConfig(4), nil); err == nil {
 		t.Error("nil engine accepted")
+	}
+}
+
+// TestShardedRefusals pins what the parallel kernel refuses: at more
+// than one shard, NewShardedMachineOn returns an error for a checked
+// run and for memory-resident locks, and AttachProbe panics. At one
+// shard or fewer the same machine is the sequential kernel and accepts
+// all three.
+func TestShardedRefusals(t *testing.T) {
+	topo, err := topology.HypercubeForNodes(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Check", func(c *Config) { c.Check = true }},
+		{"MemLocks", func(c *Config) { c.MemLocks = true }},
+		{"AttachProbe", nil},
+	} {
+		for _, shards := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				cfg := DefaultConfig(4)
+				if tc.set != nil {
+					tc.set(&cfg)
+				}
+				m, err := NewShardedMachineOn(cfg, newFake(), topo, shards)
+				if tc.set != nil {
+					if refused := err != nil; refused != (shards > 1) {
+						t.Fatalf("error %v, want one only above one shard", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					if panicked := recover() != nil; panicked != (shards > 1) {
+						t.Fatalf("AttachProbe panicked: %v, want a panic only above one shard", panicked)
+					}
+				}()
+				m.AttachProbe(&obs.Probe{Trace: obs.NewTrace()})
+			})
+		}
 	}
 }
 

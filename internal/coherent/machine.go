@@ -137,7 +137,7 @@ type Machine struct {
 	// probe is the observability layer; nil (the default) disables all
 	// probing at the cost of one flag check per emission site. Only
 	// AttachProbe sets it, together with the state derived from it
-	// (events, watchdog, laneProg and the kernel tick).
+	// (events, watchdog and the kernel tick).
 	probe *obs.Probe
 	// events is set when probe has a trace or sink to feed; emission
 	// sites build their events only then.
@@ -148,30 +148,14 @@ type Machine struct {
 	// kprof is the kernel profiling layer, non-nil only when attached
 	// via AttachKProf on a sharded machine. It observes only kernel
 	// structure (waves, lanes, replay) on the host clock, never the
-	// simulated event stream, so — unlike Probe — it composes with the
-	// parallel kernel.
+	// simulated event stream.
 	kprof *kprof.Profile
 
-	// watchdog is the attached probe's stall watchdog, or nil. sendNow
-	// feeds it the invalidation counts behind its hottest-blocks table:
-	// both kernels run sendNow single-threaded in merge order, whether
-	// or not a trace is attached.
+	// watchdog is the attached probe's stall watchdog, or nil. Every
+	// retired operation reports progress to it (noteProgress), and
+	// sendNow feeds it the invalidation counts behind its hottest-blocks
+	// table, whether or not a trace is attached.
 	watchdog *obs.Watchdog
-
-	// laneObs are the per-lane emission buffers of the sharded kernel:
-	// events emitted during a parallel phase are appended to the firing
-	// lane's buffer and finalized — ID/wave tagging plus trace/sink
-	// fan-out on the coordinator — by ReplayEmit, in the global
-	// deterministic (at, seq) order. Nil on sequential machines.
-	laneObs []laneEvents
-
-	// laneProg tracks, per lane, the last simulated cycle at which one
-	// of the lane's nodes retired an operation — the watchdog's progress
-	// signal, folded in by the kernel tick (foldProgress). A sequential
-	// machine has one lane. Each slot is written only by its owning lane
-	// (cache-line padded) and read by the tick after the wave barrier.
-	// Nil unless a watchdog is attached.
-	laneProg []laneClock
 
 	// eng is the sequential event kernel and shard the time-windowed
 	// parallel one, non-nil when the machine was built with
@@ -182,8 +166,7 @@ type Machine struct {
 	shard *sim.Sharded
 
 	// sched is the live kernel, eng or shard, behind the surface both
-	// share: the network delivers through it, and AttachProbe ticks and
-	// reads it.
+	// share: the network delivers through it.
 	sched sim.NodeScheduler
 
 	// laneCtrs are per-lane counter sinks under the sharded engine
@@ -263,31 +246,6 @@ type homeSlot struct {
 	queue []*Msg
 }
 
-// laneEvents holds the events one lane emitted during the current
-// parallel phase, in that lane's own (at, seq) order, each with the
-// slot that receives its message ID at finalize time (sends only). The
-// owning lane appends during Phase P and the coordinator drains during
-// replay, so no entry is touched from two goroutines at once. The pad
-// keeps adjacent lanes' slice headers on separate cache lines, and the
-// backing array is kept across phases, so appends stop allocating once
-// it has grown.
-type laneEvents struct {
-	ents []laneEvent
-	_    [40]byte // slice header is 24 bytes; pad to a 64-byte line
-}
-
-type laneEvent struct {
-	e      obs.Event
-	idSlot *int64
-}
-
-// laneClock is one lane's progress timestamp, padded so adjacent lanes
-// never share a cache line.
-type laneClock struct {
-	t uint64
-	_ [7]uint64
-}
-
 // msgLane is one lane's free lists: message records and RelHome
 // companion records, padded so adjacent lanes never share a cache line.
 // During a parallel phase only the owning lane touches them; outside
@@ -342,16 +300,25 @@ func NewShardedMachine(cfg Config, proto Engine, shards int) (*Machine, error) {
 // cache contents — are byte-identical to the sequential machine at
 // every shard count. shards <= 1 builds a plain sequential machine.
 //
-// Restriction: checked runs (Cfg.Check) are not supported — the
-// monitor inspects all caches at completion events, which is
-// inherently cross-lane. Callers wanting the differential oracle run
-// the same experiment sequentially instead. Every engine in this
+// Restrictions, each refused with an error when shards > 1:
+//   - checked runs (Cfg.Check): the monitor inspects all caches at
+//     completion events, which is inherently cross-lane. Callers
+//     wanting the differential oracle run the same experiment
+//     sequentially instead.
+//   - memory-resident locks (Cfg.MemLocks): the ticket locks allocate
+//     their words (Alloc) and keep their addresses in a map shared by
+//     every processor, from whichever lane the locking node runs on.
+//
+// The probe (AttachProbe) is sequential-only too. Every engine in this
 // module keeps to the lane contract (see ScheduleAt and DeferAt);
 // cmd/dirccvet's laneguard analyzer enforces it on every package that
 // declares an engine.
 func NewShardedMachineOn(cfg Config, proto Engine, topo topology.Topology, shards int) (*Machine, error) {
 	if shards > 1 && cfg.Check {
 		return nil, fmt.Errorf("coherent: checked runs require the sequential engine")
+	}
+	if shards > 1 && cfg.MemLocks {
+		return nil, fmt.Errorf("coherent: memory-resident locks require the sequential engine")
 	}
 	return newMachine(cfg, proto, topo, shards)
 }
@@ -393,9 +360,7 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		sh := sim.NewSharded(cfg.Procs, shards)
 		sh.MaxEvents = cfg.MaxEvents
 		sh.SetReplayer(m)
-		sh.SetEmitReplayer(m)
 		m.shard = sh
-		m.laneObs = make([]laneEvents, sh.Shards())
 		m.laneCtrs = make([]*stats.Counters, sh.Shards())
 		for i := range m.laneCtrs {
 			m.laneCtrs[i] = stats.NewCounters()
@@ -647,43 +612,12 @@ func (m *Machine) ReplaySend(lane, idx int) {
 }
 
 // emit stamps e with the current instant and hands it to the probe.
-// During a sharded Phase P the event is parked in the firing lane's
-// buffer and logged with the kernel, which calls ReplayEmit at the
-// event's merge position; every other emission — replayed sends and
-// global ops, setup, quiesce, and every sequential one — is already at
-// its merge position and finalizes inline. node is the node the firing
-// event executes at (the destination for a delivery, the source
-// otherwise), so the buffer append stays lane-local. Callers check
-// m.events first, so no event is built without a consumer.
-func (m *Machine) emit(node NodeID, e obs.Event, idSlot *int64) {
+// Callers check m.events first, so no event is built without a
+// consumer.
+func (m *Machine) emit(e obs.Event, idSlot *int64) {
 	e.At = uint64(m.Now())
-	if m.shard != nil && m.shard.InPhase() {
-		buf := &m.laneObs[m.shard.LaneOf(int(node))]
-		buf.ents = append(buf.ents, laneEvent{e, idSlot})
-		m.shard.LogEmitAt(int(node))
-		return
-	}
 	if m.probe != nil {
 		m.probe.Finalize(e, idSlot)
-	}
-}
-
-// ReplayEmit implements sim.EmitReplayer: it finalizes the idx-th
-// buffered emission of the given lane at the deterministic global
-// position the sharded kernel derives from the parallel phase. The
-// probe assigns the order-dependent tags (message ID, wave number)
-// here, so the finalized stream is byte-identical to the sequential
-// engine's. Draining a buffer resets it for the next phase; cleared
-// entries drop their idSlot so finished messages can be collected.
-func (m *Machine) ReplayEmit(lane, idx int) {
-	buf := &m.laneObs[lane]
-	ent := buf.ents[idx]
-	buf.ents[idx] = laneEvent{}
-	if idx == len(buf.ents)-1 {
-		buf.ents = buf.ents[:0]
-	}
-	if m.probe != nil {
-		m.probe.Finalize(ent.e, ent.idSlot)
 	}
 }
 
@@ -756,22 +690,18 @@ func (m *Machine) markHomeCommit(msg *Msg) {
 // ---------------------------------------------------------------------
 
 // AttachProbe installs the observability layer: the machine's
-// emission sites start feeding p, the kernel ticks it, and the network
-// reports transport timing. A watchdog without a dump function gets
-// the machine's state dump. Call before running the workload.
-//
-// Both kernels share the wiring. The tick runs single-threaded —
-// before every event on the sequential kernel, after every sub-round
-// on the sharded one — and folds the per-lane progress clocks into the
-// watchdog before the sampler and the stall check read the clock.
-// Event-stream consumers (Trace, Sinks) see every event in the global
-// (at, seq) order (see emit), so the stream is byte-identical to the
-// sequential run at any shard count.
+// emission sites start feeding p, the kernel ticks it before every
+// event, and the network reports transport timing. A watchdog without a
+// dump function gets the machine's state dump. Call before running the
+// workload. The probe runs on the sequential kernel only; AttachProbe
+// panics on a sharded machine.
 func (m *Machine) AttachProbe(p *obs.Probe) {
+	if m.shard != nil {
+		panic("coherent: AttachProbe requires the sequential kernel")
+	}
 	m.probe = p
 	m.events = false
 	m.watchdog = nil
-	m.laneProg = nil
 	var tick func(sim.Time)
 	if p == nil {
 		m.Net.SetProbe(nil)
@@ -779,67 +709,26 @@ func (m *Machine) AttachProbe(p *obs.Probe) {
 		m.events = p.WantsEvents()
 		if wd := p.Watchdog; wd != nil {
 			m.watchdog = wd
-			m.laneProg = make([]laneClock, m.Shards())
 			if wd.Dump == nil {
 				wd.Dump = m.DumpState
 			}
-			if m.shard != nil && wd.KernelState == nil {
-				wd.KernelState = m.kernelLaneState
-			}
 		}
-		if s := p.Sampler; s != nil {
-			// Node-side increments of a sharded run live in the lane sinks
-			// until quiesce folds them; reading them live keeps interval
-			// deltas equal to the sequential run's.
-			s.Extra = func() []*stats.Counters { return m.laneCtrs }
-			// Both kernels inject messages single-threaded (the sharded
-			// one replays them on the coordinator), so the transport
-			// probe needs no synchronization.
+		if p.Sampler != nil {
 			m.Net.SetProbe(func(start, arrive, unloaded sim.Time) {
 				p.NetSend(uint64(start), uint64(arrive), uint64(unloaded))
 			})
 		}
-		tick = func(t sim.Time) {
-			m.foldProgress()
-			p.Tick(uint64(t))
-		}
+		tick = func(t sim.Time) { p.Tick(uint64(t)) }
 	}
-	m.sched.SetTick(tick)
+	m.eng.SetTick(tick)
 }
 
-// foldProgress advances the watchdog to the latest cycle at which any
-// lane retired an operation (laneProg is nil unless a watchdog is
-// attached). It runs single-threaded: in the kernel tick, and in
-// Quiesce before a drain report.
-func (m *Machine) foldProgress() {
-	for i := range m.laneProg {
-		m.watchdog.Progress(m.laneProg[i].t)
+// noteProgress tells the watchdog, when one is attached, that a
+// processor retired an operation at the current cycle.
+func (m *Machine) noteProgress() {
+	if m.watchdog != nil {
+		m.watchdog.Progress(uint64(m.Now()))
 	}
-}
-
-// kernelLaneState snapshots the sharded kernel for watchdog reports:
-// per-lane pending depth and progress, plus the current wave instant.
-// Runs on the coordinator (tick) or after the kernel returns.
-func (m *Machine) kernelLaneState() ([]obs.LaneState, uint64) {
-	out := make([]obs.LaneState, m.shard.Shards())
-	for i := range out {
-		var lp uint64
-		if m.laneProg != nil {
-			lp = m.laneProg[i].t
-		}
-		out[i] = obs.LaneState{Lane: i, Pending: m.shard.LanePending(i), LastProgress: lp}
-	}
-	return out, uint64(m.shard.Now())
-}
-
-// noteProgress records that node n retired an operation, in the lane
-// progress slot foldProgress reads. Written by n's own lane only; no-op
-// unless a watchdog is attached.
-func (m *Machine) noteProgress(n NodeID) {
-	if m.laneProg == nil {
-		return
-	}
-	m.laneProg[m.laneOf(n)].t = uint64(m.Now())
 }
 
 // AttachKProf attaches a kernel profile to the machine's parallel
@@ -870,7 +759,7 @@ func (m *Machine) Tracing() bool { return m.probe != nil && m.probe.Trace != nil
 func (m *Machine) TraceDir(b BlockID, label string) {
 	if m.events {
 		home := m.Home(b)
-		m.emit(home, obs.Event{Kind: obs.KindDirState, Src: int(home), Dst: int(home),
+		m.emit(obs.Event{Kind: obs.KindDirState, Src: int(home), Dst: int(home),
 			Block: uint64(b), Label: label}, nil)
 	}
 }
@@ -878,7 +767,7 @@ func (m *Machine) TraceDir(b BlockID, label string) {
 // TraceState records a cache-line state transition at node n.
 func (m *Machine) TraceState(n NodeID, b BlockID, from, to cache.State) {
 	if m.events {
-		m.emit(n, obs.Event{Kind: obs.KindCacheState, Src: int(n), Dst: int(n),
+		m.emit(obs.Event{Kind: obs.KindCacheState, Src: int(n), Dst: int(n),
 			Block: uint64(b), Label: from.String() + "->" + to.String()}, nil)
 	}
 }
@@ -901,13 +790,6 @@ func (m *Machine) Invalidate(n NodeID, b BlockID) (cache.State, bool) {
 func (m *Machine) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "machine state at cycle %d (%s, %d procs): %d messages in flight\n",
 		m.Now(), m.proto.Name(), m.Cfg.Procs, m.Net.InFlight())
-	if m.shard != nil {
-		lanes, _ := m.kernelLaneState()
-		for _, l := range lanes {
-			fmt.Fprintf(w, "  lane %d: %d pending events, last progress at cycle %d\n",
-				l.Lane, l.Pending, l.LastProgress)
-		}
-	}
 	blocks := make(map[BlockID]bool)
 	for n := range m.txns {
 		for _, txn := range m.appendNodeTxns(nil, NodeID(n)) {
@@ -1176,7 +1058,7 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 		if m.Mon != nil {
 			m.Mon.OnReadHit(n, b, v)
 		}
-		m.noteProgress(n)
+		m.noteProgress()
 		m.completeHit(n, done, v)
 		return
 	}
@@ -1188,7 +1070,7 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 		// The exclusive owner is the serialization point for its own
 		// writes; the authoritative image follows it.
 		m.Store.OwnerWrite(b, value)
-		m.noteProgress(n)
+		m.noteProgress()
 		m.completeHit(n, done, old)
 		return
 	}
@@ -1283,7 +1165,7 @@ func (m *Machine) issueMiss(txn *Txn, ctr *stats.Counters) {
 	txn.Issued = m.Now()
 	m.putTxn(txn)
 	if m.events {
-		m.emit(n, obs.Event{Kind: obs.KindTxnStart, Src: int(n), Dst: int(n),
+		m.emit(obs.Event{Kind: obs.KindTxnStart, Src: int(n), Dst: int(n),
 			Block: uint64(b), Write: txn.Write}, nil)
 	}
 	m.scheduleAt(n, m.Cfg.CacheLatency, (*txnStart)(txn))
@@ -1323,10 +1205,10 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 
 	if m.events {
 		n := int(txn.Node)
-		m.emit(txn.Node, obs.Event{Kind: obs.KindTxnEnd, Src: n, Dst: n,
+		m.emit(obs.Event{Kind: obs.KindTxnEnd, Src: n, Dst: n,
 			Block: uint64(txn.Block), Write: txn.Write}, nil)
 	}
-	m.noteProgress(txn.Node)
+	m.noteProgress()
 
 	m.delTxn(txn)
 	deferred := txn.Deferred
@@ -1356,12 +1238,11 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 func (m *Machine) Send(msg Msg) {
 	r := m.newMsg(msg.Src, &msg)
 	if m.events {
-		// The probe writes the message ID through the slot when the
-		// emission finalizes: at once, or at its merge position during a
-		// sharded Phase P. Either way the ID lands before the delivery
-		// fires, and so before the record can be recycled.
+		// The probe writes the message ID through the slot at once, so
+		// the ID lands before the delivery fires, and so before the
+		// record can be recycled.
 		//dirccvet:allow allocguard trace-only: String formats unknown types, and the event escapes to the probe
-		m.emit(r.Src, obs.Event{Kind: obs.KindSend, Type: r.Type.String(),
+		m.emit(obs.Event{Kind: obs.KindSend, Type: r.Type.String(),
 			Src: int(r.Src), Dst: int(r.Dst), Block: uint64(r.Block),
 			Req: int(r.Requester), Dir: r.ToDir}, &r.probeID)
 	}
@@ -1468,10 +1349,10 @@ func (m *Machine) ReplaceBlock(n NodeID, b BlockID) bool {
 func (m *Machine) dispatch(msg *Msg) bool {
 	m.auditLane(msg.Dst)
 	if m.events {
-		// A delivery fires at least one sub-round after its send was
-		// finalized, so reading the ID out of the message is race-free.
+		// The send's emission wrote the ID into the message before the
+		// delivery could fire.
 		//dirccvet:allow allocguard trace-only: String formats unknown types, and the event escapes to the probe
-		m.emit(msg.Dst, obs.Event{Kind: obs.KindDeliver, Type: msg.Type.String(),
+		m.emit(obs.Event{Kind: obs.KindDeliver, Type: msg.Type.String(),
 			Src: int(msg.Src), Dst: int(msg.Dst), Block: uint64(msg.Block),
 			ID: msg.probeID, Dir: msg.ToDir}, nil)
 	}
@@ -1488,7 +1369,7 @@ func (m *Machine) dispatch(msg *Msg) bool {
 		m.CtrAt(msg.Dst).DirectoryBusy++
 		if m.events {
 			//dirccvet:allow allocguard trace-only: String formats unknown types, and the event escapes to the probe
-			m.emit(msg.Dst, obs.Event{Kind: obs.KindGateWait, Type: msg.Type.String(),
+			m.emit(obs.Event{Kind: obs.KindGateWait, Type: msg.Type.String(),
 				Src: int(msg.Dst), Dst: int(msg.Dst), Block: uint64(msg.Block)}, nil)
 		}
 		g.queue = append(g.queue, msg)
@@ -1502,11 +1383,10 @@ func (m *Machine) dispatch(msg *Msg) bool {
 // startHome marks the serialization point of a gated request — the
 // home gate is held — and hands it to the engine. A gated write
 // starting here opens a new invalidation wave in the trace (the probe
-// bumps the wave counter when it finalizes the event, so the bump
-// lands in merge order on sharded runs).
+// bumps the wave counter when it finalizes the event).
 func (m *Machine) startHome(msg *Msg) {
 	if m.events {
-		m.emit(msg.Dst, obs.Event{Kind: obs.KindHomeStart, Type: msg.Type.String(),
+		m.emit(obs.Event{Kind: obs.KindHomeStart, Type: msg.Type.String(),
 			Src: int(msg.Dst), Dst: int(msg.Dst), Block: uint64(msg.Block),
 			Req: int(msg.Requester)}, nil)
 	}
@@ -1597,17 +1477,9 @@ func (m *Machine) Quiesce() error {
 	err := m.quiesce()
 	if p := m.probe; p != nil {
 		if err != nil && p.Watchdog != nil {
-			// The sequential tick runs before each event, so it never saw
-			// what the last fired event retired; fold that in so the
-			// report's last progress is current.
-			m.foldProgress()
 			p.Watchdog.FireDrain(uint64(m.Now()), err.Error())
 		}
 		if p.Sampler != nil {
-			// On sharded machines the lane counter sinks were just merged
-			// into Ctr (and replaced with zeroed sinks), so the flush
-			// capture — main counters plus live sinks — sees the same
-			// totals a sequential run would.
 			p.Sampler.Flush(uint64(m.Now()))
 		}
 	}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"strings"
 	"testing"
 
 	"dircc/internal/coherent"
@@ -63,6 +64,27 @@ func TestShardedFuzzSmoke(t *testing.T) {
 						seed, eng.Name, b, shd.Mem[b], seq.Mem[b])
 				}
 			}
+		}
+	}
+}
+
+// brokenHome is full-map with a home handler that panics, as a broken
+// engine would.
+type brokenHome struct{ coherent.Engine }
+
+func (e brokenHome) Prepare(m *coherent.Machine) { e.Engine.(coherent.Preparer).Prepare(m) }
+
+func (brokenHome) HomeRequest(*coherent.Machine, *coherent.Msg) { panic("broken home") }
+
+// TestShardedEnginePanicIsError: a panicking engine on the parallel
+// kernel fails its workload with an error, as on the sequential kernel,
+// instead of killing the test binary from a lane goroutine.
+func TestShardedEnginePanicIsError(t *testing.T) {
+	eng := NamedEngine{"broken", func() coherent.Engine { return brokenHome{fullmap.New()} }}
+	for _, shards := range []int{1, 4} {
+		res := RunWorkloadSharded(ForSeed(1), eng, shards)
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "broken home") {
+			t.Errorf("shards=%d: Err = %v, want the engine's panic as an error", shards, res.Err)
 		}
 	}
 }

@@ -18,9 +18,8 @@
 //
 // From these it derives an Amdahl-style speedup attribution: the
 // serial fraction the coordinator imposes, the critical-lane imbalance
-// factor, and the parallel efficiency — the numbers ROADMAP items 1–2
-// (chain/tree shard safety, the P=1024 frontier) need before any
-// tuning is possible.
+// factor, and the parallel efficiency. The repository benchmark
+// reports them as its kprof.* metrics.
 //
 // The design contract mirrors internal/obs: a nil *Profile costs one
 // pointer check per hook site, and profiling never perturbs the
@@ -31,8 +30,7 @@
 // firing and rescheduling inside one lane) is untouched: lane timing
 // brackets the whole wave drain, not individual events, so the
 // 0 allocs/op guarantee holds with a Profile attached — every
-// accumulator here is fixed-size and preallocated, including the
-// bounded per-wave timeline.
+// accumulator here is fixed-size and preallocated.
 //
 // Writer discipline: during a parallel phase each worker writes only
 // its own cache-line-padded scratch slot (LaneStart/LaneEnd); the
@@ -42,13 +40,6 @@
 package kprof
 
 import "time"
-
-// TimelineCap bounds the per-wave timeline retained for the Chrome
-// trace export. Long runs execute millions of waves; the timeline
-// keeps the first TimelineCap and counts the rest in
-// Report.TimelineDropped — a documented cap, never a silent one (the
-// report and the trace metadata both carry the dropped count).
-const TimelineCap = 2048
 
 // laneScratch is the per-lane slot a worker stamps during the parallel
 // phase, plus the coordinator's post-barrier fired count. Padded to a
@@ -86,9 +77,8 @@ type LaneAcc struct {
 
 // Profile collects a kernel profile across one or more Run calls of a
 // sim.Sharded engine. Attach it before running (sim.Sharded.SetProf /
-// coherent.Machine.AttachKProf); read it after with Report, Timeline,
-// or WriteChromeTrace. A Profile must not be shared between
-// concurrently running engines.
+// coherent.Machine.AttachKProf); read it after with Report. A Profile
+// must not be shared between concurrently running engines.
 type Profile struct {
 	shards  int
 	scratch []laneScratch
@@ -123,18 +113,6 @@ type Profile struct {
 
 	// Per-wave scratch (coordinator).
 	waveStart int64
-	waveAt    uint64
-
-	// Timeline: flat parallel arrays, preallocated to TimelineCap so
-	// recording a wave never allocates. tlLaneBusy/tlLaneEvents hold
-	// shards entries per recorded wave.
-	tlAt            []uint64
-	tlStart         []int64
-	tlPhase         []int64
-	tlReplay        []int64
-	tlLaneBusy      []int64
-	tlLaneEvents    []uint64
-	timelineDropped uint64
 }
 
 // now returns monotonic ns since the current Run started.
@@ -156,14 +134,6 @@ func (p *Profile) Start(shards int) {
 		p.scratch = make([]laneScratch, shards)
 		p.lanes = make([]LaneAcc, shards)
 		p.shards = shards
-		p.tlLaneBusy = make([]int64, 0, TimelineCap*shards)
-		p.tlLaneEvents = make([]uint64, 0, TimelineCap*shards)
-	}
-	if p.tlAt == nil {
-		p.tlAt = make([]uint64, 0, TimelineCap)
-		p.tlStart = make([]int64, 0, TimelineCap)
-		p.tlPhase = make([]int64, 0, TimelineCap)
-		p.tlReplay = make([]int64, 0, TimelineCap)
 	}
 	for i := range p.scratch {
 		p.scratch[i] = laneScratch{}
@@ -204,7 +174,6 @@ func (p *Profile) RoundStart(at uint64) {
 // WaveStart marks the dispatch of one parallel phase at instant at.
 func (p *Profile) WaveStart(at uint64) {
 	p.waves++
-	p.waveAt = at
 	p.waveStart = p.now()
 }
 
@@ -216,14 +185,12 @@ func (p *Profile) LaneDone(lane int, fired uint64) {
 
 // WaveBarrier folds the wave's parallel phase after every lane passed
 // the barrier and LaneDone ran: per-lane busy/idle accounting, the
-// wave-width and stall histograms, the critical-lane accumulator, and
-// (below the cap) one timeline slice.
+// wave-width and stall histograms, and the critical-lane accumulator.
 func (p *Profile) WaveBarrier() {
 	phase := p.now() - p.waveStart
 	p.phaseNs += phase
 	var total uint64
 	var maxBusy int64
-	record := len(p.tlAt) < TimelineCap
 	for i := range p.lanes {
 		s := &p.scratch[i]
 		busy := s.busyNs
@@ -246,33 +213,15 @@ func (p *Profile) WaveBarrier() {
 			maxBusy = busy
 		}
 		total += s.fired
-		if record {
-			p.tlLaneBusy = append(p.tlLaneBusy, busy)
-			p.tlLaneEvents = append(p.tlLaneEvents, s.fired)
-		}
 		s.busyNs, s.fired = 0, 0
 	}
 	p.criticalNs += maxBusy
 	p.waveWidth.Observe(total)
-	if record {
-		p.tlAt = append(p.tlAt, p.waveAt)
-		p.tlStart = append(p.tlStart, p.waveStart)
-		p.tlPhase = append(p.tlPhase, phase)
-		p.tlReplay = append(p.tlReplay, 0)
-	} else {
-		p.timelineDropped++
-	}
 }
 
 // EndReplay attributes one Phase-R merge loop that began at start (a
 // Clock stamp taken just before replay).
-func (p *Profile) EndReplay(start int64) {
-	d := p.now() - start
-	p.replayNs += d
-	if n := len(p.tlReplay); n > 0 && p.tlAt[n-1] == p.waveAt && p.timelineDropped == 0 {
-		p.tlReplay[n-1] += d
-	}
-}
+func (p *Profile) EndReplay(start int64) { p.replayNs += p.now() - start }
 
 // EndRebind attributes one provisional-event rebind that began at
 // start.
@@ -324,38 +273,4 @@ func (p *Profile) WaveEnd(executed uint64) {
 func (p *Profile) Finish(executed uint64) {
 	p.executed = executed
 	p.wallNs += p.now()
-}
-
-// ---------------------------------------------------------------------
-// Timeline reconstruction
-// ---------------------------------------------------------------------
-
-// TimelineSlice is one recorded wave: the instant it simulated and how
-// its wall time split between the parallel phase and the coordinator.
-type TimelineSlice struct {
-	// At is the simulated instant the wave fired.
-	At uint64 `json:"at"`
-	// StartNs is the wave's start, in monotonic ns since its Run began.
-	StartNs int64 `json:"start_ns"`
-	// PhaseNs is the parallel-phase wall time (dispatch to barrier).
-	PhaseNs int64 `json:"phase_ns"`
-	// ReplayNs is the coordinator's merge/replay wall time.
-	ReplayNs int64 `json:"replay_ns"`
-	// LaneBusyNs / LaneEvents split the phase per lane.
-	LaneBusyNs []int64  `json:"lane_busy_ns"`
-	LaneEvents []uint64 `json:"lane_events"`
-}
-
-// Timeline materializes the recorded waves (at most TimelineCap; see
-// Report.TimelineDropped for the overflow count). Call after the run.
-func (p *Profile) Timeline() []TimelineSlice {
-	out := make([]TimelineSlice, len(p.tlAt))
-	for i := range out {
-		out[i] = TimelineSlice{
-			At: p.tlAt[i], StartNs: p.tlStart[i], PhaseNs: p.tlPhase[i], ReplayNs: p.tlReplay[i],
-			LaneBusyNs: append([]int64(nil), p.tlLaneBusy[i*p.shards:(i+1)*p.shards]...),
-			LaneEvents: append([]uint64(nil), p.tlLaneEvents[i*p.shards:(i+1)*p.shards]...),
-		}
-	}
-	return out
 }

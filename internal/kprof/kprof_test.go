@@ -1,13 +1,6 @@
 package kprof
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestHist(t *testing.T) {
 	var h Hist
@@ -115,40 +108,6 @@ func TestProfileFoldAndReport(t *testing.T) {
 		t.Fatalf("amdahl bound %v out of [1,2] for S=2", r.AmdahlSpeedupBound)
 	}
 
-	// Timeline recorded all three waves with per-lane splits.
-	tl := p.Timeline()
-	if len(tl) != 3 {
-		t.Fatalf("timeline len %d", len(tl))
-	}
-	if tl[2].At != 20 || tl[2].LaneEvents[0] != 4 || tl[2].LaneEvents[1] != 4 {
-		t.Fatalf("timeline slice: %+v", tl[2])
-	}
-	if tl[0].ReplayNs <= 0 {
-		t.Fatalf("replay not attributed to timeline: %+v", tl[0])
-	}
-
-	// CSV row matches header width.
-	if len(CSVHeader()) != len(r.CSVRow()) {
-		t.Fatalf("csv header %d cols, row %d", len(CSVHeader()), len(r.CSVRow()))
-	}
-
-	// Table and JSON render without error.
-	var buf bytes.Buffer
-	r.WriteTable(&buf)
-	if !strings.Contains(buf.String(), "serial-fraction") || !strings.Contains(buf.String(), "lane  1") {
-		t.Fatalf("table output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := r.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Events != r.Events || len(back.Lanes) != 2 {
-		t.Fatalf("json round trip: %+v", back)
-	}
 }
 
 func TestProfileAccumulatesAcrossRuns(t *testing.T) {
@@ -170,80 +129,5 @@ func TestProfileAccumulatesAcrossRuns(t *testing.T) {
 	}
 	if r.WallNs < w1 {
 		t.Fatalf("wall went backwards: %d < %d", r.WallNs, w1)
-	}
-}
-
-func TestTimelineCap(t *testing.T) {
-	p := &Profile{}
-	p.Start(1)
-	for i := 0; i < TimelineCap+10; i++ {
-		p.RoundStart(uint64(i))
-		driveWave(p, uint64(i), []uint64{1})
-	}
-	p.Finish(uint64(TimelineCap + 10))
-	r := p.Report()
-	if r.TimelineDropped != 10 {
-		t.Fatalf("dropped %d", r.TimelineDropped)
-	}
-	if len(p.Timeline()) != TimelineCap {
-		t.Fatalf("timeline len %d", len(p.Timeline()))
-	}
-}
-
-func TestChromeTrace(t *testing.T) {
-	p := &Profile{}
-	p.Start(2)
-	p.RoundStart(5)
-	driveWave(p, 5, []uint64{2, 3})
-	p.Finish(5)
-	var buf bytes.Buffer
-	if err := p.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("not valid json: %v\n%s", err, buf.String())
-	}
-	var laneSlices, coordSlices int
-	for _, e := range doc.TraceEvents {
-		switch e["cat"] {
-		case "lane":
-			laneSlices++
-		case "coord":
-			coordSlices++
-		}
-	}
-	if laneSlices != 2 || coordSlices != 1 {
-		t.Fatalf("lane=%d coord=%d\n%s", laneSlices, coordSlices, buf.String())
-	}
-}
-
-func TestRowsRoundTrip(t *testing.T) {
-	p := &Profile{}
-	p.Start(2)
-	p.RoundStart(1)
-	driveWave(p, 1, []uint64{1, 1})
-	p.Finish(2)
-	rows := []Row{{App: "fft", Scheme: "l4", Procs: 16, Topology: "mesh", Shards: 2, Report: p.Report()}}
-	path := filepath.Join(t.TempDir(), "kprof.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRows(f, rows); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	back, err := LoadRows(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Key() != "fft/l4/P16/mesh" || back[0].Report.Events != 2 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	if _, err := LoadRows(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }

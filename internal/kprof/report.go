@@ -1,13 +1,5 @@
 package kprof
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"strconv"
-	"time"
-)
-
 // Report is the folded, derived view of a Profile: the Amdahl-style
 // speedup attribution for one profiled run. Build one with
 // Profile.Report after the run completes.
@@ -47,10 +39,6 @@ type Report struct {
 	WaveWidth    Hist      `json:"wave_width"`
 	BarrierStall Hist      `json:"barrier_stall_ns"`
 
-	// TimelineDropped counts waves beyond TimelineCap that were
-	// profiled but not retained for the Chrome trace.
-	TimelineDropped uint64 `json:"timeline_dropped"`
-
 	// Derived attribution.
 	//
 	// SerialFraction: share of wall time that is inherently
@@ -84,10 +72,9 @@ func (p *Profile) Report() *Report {
 		GlobalOpNs: p.globalOpNs, GlobalOpCnt: p.globalOpCnt,
 		GlobalEvNs: p.globalEvNs, GlobalEvCnt: p.globalEvCnt,
 		BindCount: p.bindCount, RelHomeCount: p.relHomeCount,
-		Lanes:           append([]LaneAcc(nil), p.lanes...),
-		WaveWidth:       p.waveWidth,
-		BarrierStall:    p.stall,
-		TimelineDropped: p.timelineDropped,
+		Lanes:        append([]LaneAcc(nil), p.lanes...),
+		WaveWidth:    p.waveWidth,
+		BarrierStall: p.stall,
 	}
 	r.OtherNs = r.WallNs - r.PhaseNs - r.ReplayNs - r.RebindNs
 	if r.OtherNs < 0 {
@@ -116,89 +103,4 @@ func (p *Profile) Report() *Report {
 		r.AmdahlSpeedupBound = 1 / (s + (1-s)/float64(r.Shards))
 	}
 	return r
-}
-
-// JSON writes the report as indented JSON.
-func (r *Report) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// CSVHeader is the flat-CSV column set for per-experiment kprof rows.
-func CSVHeader() []string {
-	return []string{
-		"shards", "waves", "rounds", "events",
-		"wall_ns", "phase_ns", "replay_ns", "rebind_ns", "other_ns",
-		"critical_ns", "merge_ns", "send_ns", "send_count",
-		"global_op_ns", "global_op_count", "global_ev_ns", "global_ev_count",
-		"bind_count", "rel_home_count",
-		"serial_fraction", "coord_overhead", "imbalance_factor",
-		"parallel_efficiency", "amdahl_bound",
-		"mean_wave_width", "max_wave_width", "stall_p50_ns", "stall_p99_ns",
-		"timeline_dropped",
-	}
-}
-
-// CSVRow renders the report as one flat CSV row matching CSVHeader.
-func (r *Report) CSVRow() []string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	return []string{
-		strconv.Itoa(r.Shards), u(r.Waves), u(r.Rounds), u(r.Events),
-		i(r.WallNs), i(r.PhaseNs), i(r.ReplayNs), i(r.RebindNs), i(r.OtherNs),
-		i(r.CriticalNs), i(r.MergeNs), i(r.SendNs), u(r.SendCount),
-		i(r.GlobalOpNs), u(r.GlobalOpCnt), i(r.GlobalEvNs), u(r.GlobalEvCnt),
-		u(r.BindCount), u(r.RelHomeCount),
-		f(r.SerialFraction), f(r.CoordOverhead), f(r.ImbalanceFactor),
-		f(r.ParallelEfficiency), f(r.AmdahlSpeedupBound),
-		f(r.WaveWidth.Mean()), u(r.WaveWidth.MaxV),
-		u(r.BarrierStall.Quantile(0.50)), u(r.BarrierStall.Quantile(0.99)),
-		u(r.TimelineDropped),
-	}
-}
-
-func dur(ns int64) string {
-	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-func pct(part, whole int64) string {
-	if whole <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
-}
-
-// WriteTable renders a human-readable profile summary.
-func (r *Report) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "kernel profile: S=%d  waves=%d  rounds=%d  events=%d", r.Shards, r.Waves, r.Rounds, r.Events)
-	if r.Runs > 1 {
-		fmt.Fprintf(w, "  (runs=%d)", r.Runs)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  wall %-12s phase %-12s (%s)  replay %-12s (%s)  rebind %-12s (%s)  other %-12s (%s)\n",
-		dur(r.WallNs),
-		dur(r.PhaseNs), pct(r.PhaseNs, r.WallNs),
-		dur(r.ReplayNs), pct(r.ReplayNs, r.WallNs),
-		dur(r.RebindNs), pct(r.RebindNs, r.WallNs),
-		dur(r.OtherNs), pct(r.OtherNs, r.WallNs))
-	fmt.Fprintf(w, "  replay split: merge %s  sends %s/%d  global-ops %s/%d  global-events %s/%d  binds %d  relhome %d\n",
-		dur(r.MergeNs), dur(r.SendNs), r.SendCount,
-		dur(r.GlobalOpNs), r.GlobalOpCnt, dur(r.GlobalEvNs), r.GlobalEvCnt,
-		r.BindCount, r.RelHomeCount)
-	fmt.Fprintf(w, "  attribution: serial-fraction %.3f  coord-overhead %.3f  imbalance %.2fx  parallel-efficiency %.3f  amdahl-bound %.2fx\n",
-		r.SerialFraction, r.CoordOverhead, r.ImbalanceFactor, r.ParallelEfficiency, r.AmdahlSpeedupBound)
-	fmt.Fprintf(w, "  wave width: mean %.1f  max %d   barrier stall: p50 %s  p99 %s  max %s\n",
-		r.WaveWidth.Mean(), r.WaveWidth.MaxV,
-		dur(int64(r.BarrierStall.Quantile(0.50))), dur(int64(r.BarrierStall.Quantile(0.99))), dur(int64(r.BarrierStall.MaxV)))
-	for i := range r.Lanes {
-		l := &r.Lanes[i]
-		fmt.Fprintf(w, "  lane %2d: events %-9d busy %-12s idle %-12s (%s idle)  sends %-7d spawns %-7d gops %-5d max-wave %d\n",
-			i, l.Events, dur(l.BusyNs), dur(l.IdleNs), pct(l.IdleNs, l.BusyNs+l.IdleNs),
-			l.Sends, l.Spawns, l.GlobalOps, l.MaxWaveEvents)
-	}
-	if r.TimelineDropped > 0 {
-		fmt.Fprintf(w, "  (timeline capped at %d waves; %d dropped from trace export)\n", TimelineCap, r.TimelineDropped)
-	}
 }

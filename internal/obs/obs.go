@@ -16,9 +16,10 @@
 // the event queue — and therefore the simulated timeline — bit-for-bit
 // identical with probes on or off.
 //
-// Nothing here depends on which simulation kernel runs: both feed a
-// probe through the same calls — Finalize, with events in the global
-// (at, seq) order, Tick, and NetSend.
+// A probe runs on the sequential kernel only: the machine feeds it
+// through Finalize, with events in (at, seq) order, Tick before every
+// event, and NetSend. A machine on the parallel kernel (sim.Sharded)
+// refuses it.
 package obs
 
 // Sink consumes the structured event stream in capture order without
@@ -54,10 +55,9 @@ type Probe struct {
 func (p *Probe) WantsEvents() bool { return p.Trace != nil || len(p.Sinks) > 0 }
 
 // Tick is called from the simulation kernel's tick hook with the
-// (possibly advanced) simulated clock: before every event on the
-// sequential kernel, after every sub-round on the sharded one. It
-// drives the lazy sampler and the stall check without scheduling
-// anything itself.
+// (possibly advanced) simulated clock, before every event. It drives
+// the lazy sampler and the stall check without scheduling anything
+// itself.
 func (p *Probe) Tick(now uint64) {
 	if p.Sampler != nil {
 		p.Sampler.Advance(now)
@@ -70,12 +70,9 @@ func (p *Probe) Tick(now uint64) {
 // Finalize applies the order-dependent parts of an emission — message
 // ID assignment, wave tagging, the wave counter bump — and fans the
 // event out to the trace and sinks. Callers hand over events in the
-// global (at, seq) order: the sharded machine buffers Phase-P
-// emissions per lane and finalizes each at its merge position, so the
-// stream is byte-identical to the sequential run. idSlot, when
-// non-nil, receives the assigned message ID (sends only); it points
-// into the in-flight Msg so the delivery side can echo the ID without
-// any closure allocation.
+// (at, seq) order they fire in. idSlot, when non-nil, receives the
+// assigned message ID (sends only); it points into the in-flight Msg
+// so the delivery side can echo the ID without any closure allocation.
 func (p *Probe) Finalize(e Event, idSlot *int64) {
 	switch e.Kind {
 	case KindSend:

@@ -22,15 +22,6 @@ type Sampler struct {
 	// Interval is the sampling period in simulated cycles.
 	Interval uint64
 
-	// Extra, when non-nil, returns additional counter sinks summed into
-	// every capture. Sharded machines keep node-side increments in
-	// per-lane sinks that are folded into the main counters only at
-	// quiesce; Extra lets the sampler see main + live lane sinks so
-	// interval deltas fold identically to a sequential run (which has
-	// no lane sinks, so Extra returns none). The returned slice is read
-	// in tick context, never during a parallel phase.
-	Extra func() []*stats.Counters
-
 	ctr  *stats.Counters
 	next uint64
 	last sampleState
@@ -107,30 +98,7 @@ func (s *Sampler) Flush(now uint64) {
 }
 
 func (s *Sampler) capture() sampleState {
-	st := captureOne(s.ctr)
-	if s.Extra != nil {
-		for _, c := range s.Extra() {
-			e := captureOne(c)
-			st.messages += e.messages
-			st.bytes += e.bytes
-			st.readMisses += e.readMisses
-			st.writeMisses += e.writeMisses
-			st.readHits += e.readHits
-			st.writeHits += e.writeHits
-			st.invalidations += e.invalidations
-			st.invAcks += e.invAcks
-			st.writebacks += e.writebacks
-			st.directoryBusy += e.directoryBusy
-			st.rmCount += e.rmCount
-			st.rmSum += e.rmSum
-			st.wmCount += e.wmCount
-			st.wmSum += e.wmSum
-		}
-	}
-	return st
-}
-
-func captureOne(c *stats.Counters) sampleState {
+	c := s.ctr
 	return sampleState{
 		messages: c.Messages, bytes: c.Bytes,
 		readMisses: c.ReadMisses, writeMisses: c.WriteMisses,

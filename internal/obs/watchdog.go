@@ -19,9 +19,9 @@ import (
 //     lost ack, a gate never released). The machine reports this from
 //     Quiesce via FireDrain.
 //
-// Like the sampler, the watchdog schedules nothing: the machine's tick
-// hook, on either kernel, folds each lane's last-progress cycle into it
-// (Progress) and then checks it (Probe.Tick), so an enabled watchdog
+// Like the sampler, the watchdog schedules nothing: the machine reports
+// each retired operation to it (Progress), and the kernel's tick hook
+// checks it before every event (Probe.Tick), so an enabled watchdog
 // cannot change simulated results.
 type Watchdog struct {
 	// Stall is the progress-free cycle budget before firing (0
@@ -39,28 +39,11 @@ type Watchdog struct {
 	// single machine-readable JSON object per firing (see Report), for
 	// CI gates that parse watchdog output.
 	JSON bool
-	// KernelState, when non-nil, snapshots the parallel kernel at
-	// report time: per-lane state plus the current wave instant. The
-	// machine wires this on sharded runs so a stalled parallel
-	// simulation names the lane holding the undrained work.
-	KernelState func() ([]LaneState, uint64)
 
 	lastProgress uint64
 	fired        bool
 	drained      bool
 	invCount     map[uint64]uint64
-}
-
-// LaneState is one worker lane's snapshot in a watchdog report from a
-// sharded run.
-type LaneState struct {
-	// Lane is the lane index.
-	Lane int `json:"lane"`
-	// Pending is the lane's queued event count (heap + provisional).
-	Pending int `json:"pending"`
-	// LastProgress is the last cycle at which a node owned by this lane
-	// retired an operation.
-	LastProgress uint64 `json:"last_progress"`
 }
 
 // NewWatchdog returns a watchdog writing to out that fires after
@@ -70,9 +53,8 @@ func NewWatchdog(stall uint64, out io.Writer) *Watchdog {
 }
 
 // Progress records that a processor retired an operation at now. A
-// cycle no later than the last one recorded changes nothing, so lane
-// clocks can be folded in any order, on every tick, without re-arming
-// a stall report that already fired.
+// cycle no later than the last one recorded changes nothing, so a
+// stall report that already fired is re-armed only by later progress.
 func (w *Watchdog) Progress(now uint64) {
 	if now <= w.lastProgress {
 		return
@@ -83,7 +65,7 @@ func (w *Watchdog) Progress(now uint64) {
 
 // NoteInv counts an invalidation-type message on block, feeding the
 // hottest-blocks table. The machine calls it for every Inv, Update and
-// ReplaceInv it injects into the network, on either kernel.
+// ReplaceInv it injects into the network.
 func (w *Watchdog) NoteInv(block uint64) {
 	if w.invCount == nil {
 		w.invCount = make(map[uint64]uint64)
@@ -127,11 +109,7 @@ type Report struct {
 	Now          uint64       `json:"now"`
 	LastProgress uint64       `json:"last_progress"`
 	HotBlocks    []BlockCount `json:"hot_blocks,omitempty"`
-	// Lanes and WaveAt annotate reports from sharded runs (KernelState
-	// wired): per-lane pending depth and the current wave instant.
-	Lanes       []LaneState `json:"lanes,omitempty"`
-	WaveAt      uint64      `json:"wave_at,omitempty"`
-	MachineDump string      `json:"machine_dump,omitempty"`
+	MachineDump  string       `json:"machine_dump,omitempty"`
 }
 
 func (w *Watchdog) report(kind string, now uint64, headline string) {
@@ -144,14 +122,9 @@ func (w *Watchdog) report(kind string, now uint64, headline string) {
 		topK = 10
 	}
 	hot := topBlocks(w.invCount, topK)
-	var lanes []LaneState
-	var waveAt uint64
-	if w.KernelState != nil {
-		lanes, waveAt = w.KernelState()
-	}
 	if w.JSON {
 		r := Report{Kind: kind, Headline: headline, Now: now, LastProgress: w.lastProgress,
-			HotBlocks: hot, Lanes: lanes, WaveAt: waveAt}
+			HotBlocks: hot}
 		if w.Dump != nil {
 			var sb strings.Builder
 			w.Dump(&sb)
@@ -167,12 +140,6 @@ func (w *Watchdog) report(kind string, now uint64, headline string) {
 		fmt.Fprintf(out, "hottest blocks by invalidation count:\n")
 		for _, h := range hot {
 			fmt.Fprintf(out, "  block %-8d %d invalidations\n", h.Block, h.Count)
-		}
-	}
-	if len(lanes) > 0 {
-		fmt.Fprintf(out, "kernel lanes at wave %d:\n", waveAt)
-		for _, l := range lanes {
-			fmt.Fprintf(out, "  lane %-3d %d pending, last progress at %d\n", l.Lane, l.Pending, l.LastProgress)
 		}
 	}
 	if w.Dump != nil {

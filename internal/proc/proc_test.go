@@ -2,6 +2,7 @@ package proc
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -317,25 +318,37 @@ func TestEventBudgetEndsBodies(t *testing.T) {
 
 // TestBodyPanicReachesCaller: a panic in application code comes out of
 // Run with its own value, and the other processors' bodies are ended.
+// On a machine with two shards of the parallel kernel the body runs on
+// a worker lane's goroutine, and the kernel hands the panic over.
 func TestBodyPanicReachesCaller(t *testing.T) {
-	m := newMachine(t, 4)
-	check := goroutinesBack(t)
-	defer func() {
-		r := recover()
-		if err, ok := r.(runtime.Error); !ok || !strings.Contains(err.Error(), "index out of range") {
-			t.Errorf("recovered %v, want processor 1's index error", r)
-		}
-		check()
-	}()
-	var table []int
-	_, _ = Run(m, func(e Env) {
-		e.Compute(10)
-		if e.ID() == 1 {
-			_ = table[e.ID()]
-		}
-		e.Barrier()
-	})
-	t.Error("Run returned")
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m := newMachine(t, 4)
+			if shards > 1 {
+				var err error
+				if m, err = coherent.NewShardedMachine(coherent.DefaultConfig(4), fullmap.New(), shards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := goroutinesBack(t)
+			defer func() {
+				r := recover()
+				if err, ok := r.(runtime.Error); !ok || !strings.Contains(err.Error(), "index out of range") {
+					t.Errorf("recovered %v, want processor 1's index error", r)
+				}
+				check()
+			}()
+			var table []int
+			_, _ = Run(m, func(e Env) {
+				e.Compute(10)
+				if e.ID() == 1 {
+					_ = table[e.ID()]
+				}
+				e.Barrier()
+			})
+			t.Error("Run returned")
+		})
+	}
 }
 
 func TestMemoryThroughEnv(t *testing.T) {

@@ -111,7 +111,7 @@ func (e *Engine) Reset() {
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetTick installs (or, with nil, removes) the per-event observer,
-// the sequential counterpart of Sharded.SetTick.
+// which runs before every event with the instant it fires at.
 func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 
 // Run fires events in timestamp order until the queue drains, Stop is

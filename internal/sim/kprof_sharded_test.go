@@ -105,31 +105,6 @@ func TestShardedProfiledHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedTick: the coordinator tick runs once per sub-round,
-// outside Phase P.
-func TestShardedTick(t *testing.T) {
-	sh := NewSharded(4, 2)
-	var ticks int
-	var last Time
-	sh.SetTick(func(tm Time) {
-		if sh.InPhase() {
-			t.Fatal("tick during Phase P")
-		}
-		ticks++
-		last = tm
-	})
-	w := newTestWorld(sh, sh, 4, 100)
-	if err := w.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks == 0 {
-		t.Fatal("tick never ran")
-	}
-	if last != sh.Now() {
-		t.Fatalf("last tick at %d, final clock %d", last, sh.Now())
-	}
-}
-
 // TestShardedLanePending: lane pending counts sum to Pending minus the
 // global queue.
 func TestShardedLanePending(t *testing.T) {

@@ -60,25 +60,14 @@ type SendReplayer interface {
 	ReplaySend(lane, idx int)
 }
 
-// EmitReplayer finalizes one observability emission that a lane
-// buffered during Phase P. The coherence machine implements this: it
-// holds the pre-built event in a per-lane buffer and hands it to the
-// probe — which assigns order-dependent tags like message IDs and wave
-// numbers — when the merge reaches the logged position. That makes the
-// finalized event stream identical to the sequential engine's.
-type EmitReplayer interface {
-	ReplayEmit(lane, idx int)
-}
-
 // NodeScheduler is the kernel surface shared by Engine (node-oblivious)
 // and Sharded (routes to the owning lane): the current instant, the
 // ability to fire a handler at a specific node at an absolute time
-// (all the network layer needs), the observer tick, and the event
-// count the coherence machine reports.
+// (all the network layer needs), and the event count the coherence
+// machine reports.
 type NodeScheduler interface {
 	Now() Time
 	AtNode(node int, t Time, h Handler)
-	SetTick(fn func(Time))
 	Executed() uint64
 }
 
@@ -99,7 +88,6 @@ const (
 	actSpawn  uint8 = iota // one Schedule by a lane event: binds the next true seq
 	actSend                // one deferred network send: replayed via SendReplayer
 	actGlobal              // one global-state closure: executed at merge position
-	actEmit                // one buffered probe emission: finalized via EmitReplayer
 )
 
 // pevent is a provisional event: spawned during Phase P, buffered
@@ -130,6 +118,7 @@ type lane struct {
 	bind  []uint64 // true seq for eq[i]; 0 = not yet bound
 	fired uint64   // events fired this sub-round (merged into executed)
 	fence uint64   // smallest same-instant seq bound this replay; 0 = none
+	fault any      // value of a panic raised during Phase P; nil = none
 
 	// Open log entry for the currently firing event (Phase P scratch).
 	curKey  uint64
@@ -165,6 +154,19 @@ func (l *lane) run(T Time) {
 	}
 }
 
+// fire runs Phase P for the lane behind a recover: a panic raised by
+// one of the lane's events is kept in fault for the coordinator, which
+// re-raises it on Run's goroutine after the wave barrier, instead of
+// killing the process from a worker goroutine.
+func (l *lane) fire(T Time) {
+	defer func() {
+		if v := recover(); v != nil {
+			l.fault = v
+		}
+	}()
+	l.run(T)
+}
+
 // atHead reports whether the lane's next queued event fires at T.
 //
 //dirccvet:hotpath
@@ -173,9 +175,9 @@ func (l *lane) atHead(T Time) bool {
 }
 
 // replCur tracks a lane's replay position: log entry, flattened
-// action, send, global-fn, emission, and bind indices.
+// action, send, global-fn, and bind indices.
 type replCur struct {
-	li, ai, si, gi, ei, bi int
+	li, ai, si, gi, bi int
 }
 
 // Sharded is a conservative parallel discrete-event engine that is
@@ -196,18 +198,11 @@ type Sharded struct {
 	cur    []replCur
 
 	replayer SendReplayer
-	emitter  EmitReplayer
 
 	// prof, when non-nil, receives the kernel profiling hooks (see
 	// internal/kprof). Every hook site is behind a nil check, so an
 	// unprofiled run pays one pointer compare per sub-round section.
 	prof *kprof.Profile
-
-	// tick, when non-nil, runs on the coordinator at the end of every
-	// sub-round (outside Phase P, after rebind). The observability
-	// bridge uses it to drive watchdog/sampler checks from a single
-	// goroutine without touching the event stream.
-	tick func(Time)
 
 	// MaxEvents, when non-zero, aborts Run with ErrEventBudget once the
 	// fired-event count exceeds it. Unlike the sequential engine the
@@ -269,19 +264,10 @@ func (s *Sharded) Pending() int {
 // before Run if any Phase-P event defers a send.
 func (s *Sharded) SetReplayer(r SendReplayer) { s.replayer = r }
 
-// SetEmitReplayer installs the probe-emission replayer. Required
-// before Run if any Phase-P event logs an emission via LogEmitAt.
-func (s *Sharded) SetEmitReplayer(r EmitReplayer) { s.emitter = r }
-
 // SetProf attaches a kernel profile. Must be set before Run; nil
 // detaches. Profiling reads only the host clock and never the
 // simulated state, so results are byte-identical with it on or off.
 func (s *Sharded) SetProf(p *kprof.Profile) { s.prof = p }
-
-// SetTick installs a coordinator-side callback invoked at the end of
-// every sub-round with the round instant. Must be set before Run; the
-// callback must not schedule events.
-func (s *Sharded) SetTick(fn func(Time)) { s.tick = fn }
 
 // LanePending returns the number of events waiting on lane i (queue
 // plus provisional FIFO). Coordinator/idle contexts only — the stall
@@ -324,17 +310,6 @@ func (s *Sharded) LogSendAt(n int) {
 		panic("sim: LogSendAt outside Phase P (send directly instead)")
 	}
 	s.lanes[s.laneOf[n]].addAct(actSend)
-}
-
-// LogEmitAt records that the event firing on node n's lane buffered
-// one observability emission. Phase P only — emissions from replay or
-// idle contexts are already at their merge position and finalize
-// directly.
-func (s *Sharded) LogEmitAt(n int) {
-	if s.state != statePhase {
-		panic("sim: LogEmitAt outside Phase P (finalize directly instead)")
-	}
-	s.lanes[s.laneOf[n]].addAct(actEmit)
 }
 
 // GlobalOp runs fn — which may touch only global (non-node) state —
@@ -526,12 +501,6 @@ func (s *Sharded) replay(T Time) error {
 				} else {
 					fn()
 				}
-			case actEmit:
-				if s.emitter == nil {
-					panic("sim: buffered emission with no EmitReplayer installed")
-				}
-				s.emitter.ReplayEmit(bestLane, c.ei)
-				c.ei++
 			}
 			c.ai++
 		}
@@ -579,7 +548,11 @@ func (s *Sharded) rebind(T Time) bool {
 // event budget is exhausted. Worker goroutines live for the duration
 // of one Run call; all coordination is two channel operations per lane
 // per sub-round, which also provide the happens-before edges that make
-// the lane structures race-free.
+// the lane structures race-free. A panic raised by an event reaches
+// Run's caller, as on the sequential kernel: after the wave barrier the
+// coordinator re-raises the value of the lowest-numbered lane that
+// panicked, and Run's deferred cleanup stops every worker before the
+// panic leaves Run.
 func (s *Sharded) Run() error {
 	if s.state != stateIdle {
 		panic("sim: Sharded.Run re-entered")
@@ -599,14 +572,14 @@ func (s *Sharded) Run() error {
 			if prof != nil {
 				for t := range in {
 					prof.LaneStart(li)
-					l.run(t)
+					l.fire(t)
 					prof.LaneEnd(li)
 					done <- struct{}{}
 				}
 				return
 			}
 			for t := range in {
-				l.run(t)
+				l.fire(t)
 				done <- struct{}{}
 			}
 		}(i, s.lanes[i], work[i])
@@ -644,6 +617,12 @@ func (s *Sharded) Run() error {
 			for range s.lanes {
 				<-done
 			}
+			for _, l := range s.lanes {
+				if v := l.fault; v != nil {
+					l.fault = nil
+					panic(v)
+				}
+			}
 			s.state = stateReplay
 			if prof != nil {
 				// l.fired is still per-wave here: rebind folds it below.
@@ -664,9 +643,6 @@ func (s *Sharded) Run() error {
 			} else {
 				err = s.replay(T)
 				sub = s.rebind(T)
-			}
-			if s.tick != nil {
-				s.tick(T)
 			}
 			if err == nil && s.MaxEvents != 0 && s.executed > s.MaxEvents {
 				err = ErrEventBudget

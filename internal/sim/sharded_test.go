@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -47,13 +48,7 @@ type testWorld struct {
 	rng      []uint64
 	steps    []int // remaining steps per node (owned by that node's lane)
 
-	mail [][]tmsg  // per lane, sharded mode only
-	ebuf [][]temit // per lane, sharded mode only: buffered emissions
-
-	// emits is the finalized emission stream: (now, payload) pairs in
-	// merge order. The emission analogue of the event trace — it must
-	// come out identical on every kernel.
-	emits []uint64
+	mail [][]tmsg // per lane, sharded mode only
 }
 
 // nodeStep is a node's step as a typed handler, built once per node.
@@ -74,8 +69,6 @@ func (w *testWorld) next(n int, typed bool) Handler {
 }
 
 type tmsg struct{ dst int }
-
-type temit struct{ at, payload uint64 }
 
 func lcg(x *uint64) uint64 {
 	*x = *x*6364136223846793005 + 1442695040888963407
@@ -98,9 +91,7 @@ func newTestWorld(k tkernel, sh *Sharded, nodes, steps int) *testWorld {
 	}
 	if sh != nil {
 		w.mail = make([][]tmsg, sh.Shards())
-		w.ebuf = make([][]temit, sh.Shards())
 		sh.SetReplayer(w)
-		sh.SetEmitReplayer(w)
 	}
 	for n := 0; n < nodes; n++ {
 		k.ScheduleNode(n, Time(n%3), w.next(n, n%2 == 0))
@@ -112,7 +103,6 @@ func newTestWorld(k tkernel, sh *Sharded, nodes, steps int) *testWorld {
 // typed handler, 0 when as a closure.
 func (w *testWorld) step(n int, typed uint64) {
 	w.trace[n] = append(w.trace[n], uint64(w.k.Now()), w.rng[n], typed)
-	w.emitAt(n, w.rng[n])
 	if w.steps[n] <= 0 {
 		return
 	}
@@ -129,10 +119,6 @@ func (w *testWorld) step(n int, typed uint64) {
 		w.k.GlobalOp(n, func() {
 			w.gctr++
 			w.gtrace = append(w.gtrace, uint64(w.k.Now()), w.gctr)
-			// Exercises the out-of-phase emission path: on a sharded
-			// kernel this runs during replay, where the emission lands
-			// inline at its merge position instead of being buffered.
-			w.emitAt(n, ^w.gctr)
 			if w.gctr%3 == 0 {
 				dst := int(w.gctr) % w.nodes
 				w.k.ScheduleGlobal(Time(w.gctr%2), Func(func() {
@@ -179,28 +165,6 @@ func (w *testWorld) ReplaySend(lane, idx int) {
 	}
 }
 
-// emitAt mirrors the coherence machine's probe routing: during Phase P
-// the emission is buffered on the firing lane and logged with the
-// kernel; otherwise it is already at its merge position and finalizes
-// (appends to the stream) inline.
-func (w *testWorld) emitAt(n int, payload uint64) {
-	if w.sh != nil && w.sh.InPhase() {
-		lane := w.sh.LaneOf(n)
-		w.ebuf[lane] = append(w.ebuf[lane], temit{at: uint64(w.k.Now()), payload: payload})
-		w.sh.LogEmitAt(n)
-		return
-	}
-	w.emits = append(w.emits, uint64(w.k.Now()), payload)
-}
-
-func (w *testWorld) ReplayEmit(lane, idx int) {
-	e := w.ebuf[lane][idx]
-	w.emits = append(w.emits, e.at, e.payload)
-	if idx == len(w.ebuf[lane])-1 {
-		w.ebuf[lane] = w.ebuf[lane][:0]
-	}
-}
-
 func runSeq(nodes, steps int) *testWorld {
 	e := NewEngine()
 	w := newTestWorld(seqKern{e}, nil, nodes, steps)
@@ -237,9 +201,6 @@ func compareWorlds(t *testing.T, want, got *testWorld, label string) {
 		if !reflect.DeepEqual(want.trace[n], got.trace[n]) {
 			t.Fatalf("%s: node %d trace diverged (len %d vs %d)", label, n, len(got.trace[n]), len(want.trace[n]))
 		}
-	}
-	if !reflect.DeepEqual(want.emits, got.emits) {
-		t.Fatalf("%s: emission stream diverged (len %d vs %d)", label, len(got.emits), len(want.emits))
 	}
 }
 
@@ -399,72 +360,46 @@ func TestShardedHotPathAllocs(t *testing.T) {
 	}
 }
 
-// emitCounter is a minimal EmitReplayer for the alloc test: fixed-size
-// per-lane ring of payloads, counting finalizations.
-type emitCounter struct {
-	bufs      [][]uint64
-	finalized uint64
-}
-
-func (e *emitCounter) ReplayEmit(lane, idx int) {
-	e.finalized += e.bufs[lane][idx]
-	if idx == len(e.bufs[lane])-1 {
-		e.bufs[lane] = e.bufs[lane][:0]
-	}
-}
-
-// TestShardedEmitHotPathAllocs asserts the PR 9 probe discipline at the
-// kernel level: with every event buffering one emission (append +
-// LogEmitAt) that the coordinator replays, the steady-state cost stays
-// at ~0 allocations per event once the lane buffers have grown.
-func TestShardedEmitHotPathAllocs(t *testing.T) {
-	const nodes, events = 8, 20000
-	sh := NewSharded(nodes, 4)
-	ec := &emitCounter{bufs: make([][]uint64, sh.Shards())}
-	sh.SetEmitReplayer(ec)
-	perNode := make([]int, nodes)
-	fns := make([]func(), nodes)
-	for n := 0; n < nodes; n++ {
-		n := n
-		fns[n] = func() {
-			ec.bufs[sh.LaneOf(n)] = append(ec.bufs[sh.LaneOf(n)], 1)
-			sh.LogEmitAt(n)
-			if perNode[n] > 0 {
-				perNode[n]--
-				sh.ScheduleNode(n, Time(n%3+1), Func(fns[n]))
+// TestShardedPanicReachesCaller: a panic raised by an event on a
+// worker lane comes out of Run on the caller's goroutine with its own
+// value, and Run stops its workers before it leaves. The coordinator
+// waits for every lane of the wave before it re-raises, so lane 0's
+// event at the same instant still fires; when both lanes panic, lane
+// 0's value wins.
+func TestShardedPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lane0 func()
+		want  any
+	}{
+		{"lane 1", nil, "lane 1"},
+		{"both lanes", func() { panic("lane 0") }, "lane 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := NewSharded(4, 2)
+			ran := false
+			sh.ScheduleNode(0, 5, Func(func() {
+				ran = true
+				if tc.lane0 != nil {
+					tc.lane0()
+				}
+			}))
+			sh.ScheduleNode(3, 5, Func(func() { panic("lane 1") }))
+			before := runtime.NumGoroutine()
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				_ = sh.Run()
+				return nil
+			}()
+			if got != tc.want {
+				t.Fatalf("recovered %v, want %v", got, tc.want)
 			}
-		}
+			if !ran {
+				t.Error("lane 0's event at the same instant never fired")
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("%d goroutines after Run, %d before", n, before)
+			}
+		})
 	}
-	warm := func() {
-		for n := range perNode {
-			perNode[n] = events / nodes
-			sh.ScheduleNode(n, 1, Func(fns[n]))
-		}
-		if err := sh.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm()
-	before := ec.finalized
-	allocs := testing.AllocsPerRun(1, warm)
-	if ec.finalized <= before {
-		t.Fatal("no emissions finalized during the measured run")
-	}
-	perEvent := allocs / events
-	if perEvent > 0.01 {
-		t.Fatalf("sharded emit path allocates %.4f per event (%.0f total), want ~0", perEvent, allocs)
-	}
-}
-
-// TestShardedLogEmitOutsidePhase pins LogEmitAt's contract: emissions
-// logged outside Phase P are a bug (they are already at their merge
-// position and must finalize directly).
-func TestShardedLogEmitOutsidePhase(t *testing.T) {
-	sh := NewSharded(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LogEmitAt outside Phase P did not panic")
-		}
-	}()
-	sh.LogEmitAt(0)
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
+	"dircc/internal/coherent"
 	"dircc/internal/obs"
 )
 
@@ -227,5 +229,124 @@ func TestProbesDoNotPerturbResults(t *testing.T) {
 		if cycles[i] != cycles[0] {
 			t.Errorf("config %d changed cycle count: %d vs %d", i, cycles[0], cycles[i])
 		}
+	}
+}
+
+// dropFirstReply wraps an engine and swallows the first data reply
+// addressed to victim, so that node's read never completes and the run
+// drains with work outstanding.
+type dropFirstReply struct {
+	coherent.Engine
+	victim  coherent.NodeID
+	dropped bool
+}
+
+func (e *dropFirstReply) Prepare(m *coherent.Machine) {
+	if p, ok := e.Engine.(coherent.Preparer); ok {
+		p.Prepare(m)
+	}
+}
+
+func (e *dropFirstReply) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
+	if msg.Dst == e.victim && msg.Type == coherent.MsgDataReply && !e.dropped {
+		e.dropped = true
+		return
+	}
+	e.Engine.CacheMsg(m, msg)
+}
+
+// txnEnds records every completed miss as the event stream reports it:
+// its cycle and the number of kernel events fired by then.
+type txnEnds struct {
+	m         *coherent.Machine
+	at, fired []uint64
+}
+
+func (s *txnEnds) Event(e obs.Event) {
+	if e.Kind == obs.KindTxnEnd {
+		s.at = append(s.at, e.At)
+		s.fired = append(s.fired, s.m.Executed())
+	}
+}
+
+// drainRun drives full-map P=8 through cold reads of distinct blocks —
+// every access a miss — with node 3's first reply swallowed, and
+// returns the watchdog's JSON reports and the completed misses. budget,
+// when non-zero, is the kernel's event budget.
+func drainRun(t *testing.T, budget uint64) ([]obs.Report, *txnEnds) {
+	t.Helper()
+	const procs, reads = 8, 12
+	eng, err := NewEngine("fm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(procs)
+	cfg.MaxEvents = budget
+	m, err := coherent.NewMachine(cfg, &dropFirstReply{Engine: eng, victim: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	wd := obs.NewWatchdog(0, &out)
+	wd.JSON = true
+	ends := &txnEnds{m: m}
+	m.AttachProbe(&obs.Probe{Watchdog: wd, Sinks: []obs.Sink{ends}})
+	base := m.Alloc(procs * reads * uint64(cfg.BlockBytes))
+	for n := 0; n < procs; n++ {
+		node := coherent.NodeID(n)
+		var read func(i int)
+		read = func(i int) {
+			if i == reads {
+				return
+			}
+			addr := base + uint64((n*reads+i)*cfg.BlockBytes)
+			m.Access(node, addr, false, 0, func(uint64) { read(i + 1) })
+		}
+		m.ScheduleAt(node, 0, func() { read(0) })
+	}
+	if err := m.Quiesce(); err == nil {
+		t.Fatal("a swallowed reply must leave the run deadlocked")
+	}
+	var reps []obs.Report
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var r obs.Report
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("watchdog line does not parse: %v\n%s", err, line)
+		}
+		reps = append(reps, r)
+	}
+	return reps, ends
+}
+
+// TestWatchdogDrainReport drives the watchdog's drain report through
+// Quiesce: a deadlocked run emits exactly one "drain" report whose
+// last_progress is the cycle of the last retired operation. A run cut
+// short by the event budget right after a completion must report that
+// completion too, although no tick ran after the event that retired it.
+func TestWatchdogDrainReport(t *testing.T) {
+	lastEnd := func(e *txnEnds) (at, fired uint64) {
+		for i, a := range e.at {
+			if a > at {
+				at, fired = a, e.fired[i]
+			}
+		}
+		return at, fired
+	}
+	reps, ends := drainRun(t, 0)
+	if len(reps) != 1 || reps[0].Kind != "drain" {
+		t.Fatalf("want exactly one drain report, got %+v", reps)
+	}
+	at, fired := lastEnd(ends)
+	if reps[0].LastProgress != at {
+		t.Errorf("last_progress %d, want the last completion at %d", reps[0].LastProgress, at)
+	}
+
+	cut, _ := drainRun(t, fired)
+	if len(cut) != 1 || cut[0].Kind != "drain" || !strings.Contains(cut[0].Headline, "budget") {
+		t.Fatalf("budget-cut run: want one drain report for the exhausted budget, got %+v", cut)
+	}
+	if cut[0].LastProgress != at {
+		t.Errorf("budget-cut run: last_progress %d, want the completion at %d that the last fired event retired",
+			cut[0].LastProgress, at)
 	}
 }

@@ -5,48 +5,79 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"dircc/internal/coherent"
+	"dircc/internal/kprof"
+	"dircc/internal/proc"
 )
 
-// The sharded-determinism regressions pin the tentpole guarantee of
-// the time-windowed parallel kernel: the sweep CSV — cycles, every
-// counter, the normalized column — is byte-identical at every shard
-// count, and byte-identical to the sequential engine (the committed
-// golden fixture). Since the chain/tree restructure every engine
-// family is shard-safe — the grid covers the pointer schemes (fm, l4,
-// b4, ll4), the tree (T4, via deferred subtree teardown), and the
-// chain schemes (stp, sci, sll, via deferred splice/teardown hops) —
-// so nothing here falls back to the sequential kernel.
+// The sharded-determinism regressions pin the guarantee of the
+// time-windowed parallel kernel (sim.Sharded), which only the
+// benchmark, the fuzz oracle and these tests build: the sweep CSV — cycles, every counter, the normalized column — is
+// byte-identical at every shard count, and byte-identical to the
+// sequential engine (the committed golden fixture). The grid covers
+// every engine family: the pointer schemes (fm, l4, b4, ll4), the tree
+// (T4, via deferred subtree teardown), and the chain schemes (stp,
+// sci, sll, via deferred splice/teardown hops).
 
 // goldenGrid returns the experiment grid of testdata/sweep_golden.csv
-// in fixture row order, with every experiment requesting the given
-// shard count.
-func goldenGrid(shards int) []Experiment {
+// in fixture row order.
+func goldenGrid() []Experiment {
 	var exps []Experiment
 	for _, app := range []string{"mp3d", "fft"} {
 		for _, procs := range []int{8, 16} {
 			for _, scheme := range []string{"fm", "l4", "b4", "ll4", "T4", "stp", "sci", "sll"} {
-				exps = append(exps, Experiment{
-					App: app, Protocol: scheme, Procs: procs, Shards: shards,
-				})
+				exps = append(exps, Experiment{App: app, Protocol: scheme, Procs: procs})
 			}
 		}
 	}
 	return exps
 }
 
-// sweepCSV runs the experiments in order and renders the sweep CSV
-// exactly as cmd/sweep does, including the per-(app,procs) full-map
-// normalization baseline.
-func sweepCSV(t *testing.T, exps []Experiment) string {
+// runSharded runs exp as RunExperiment does, but on a machine built
+// with coherent.NewShardedMachine at the given shard count (1 builds
+// the sequential kernel). prof, when non-nil, profiles the parallel
+// kernel; it stays untouched at one shard.
+func runSharded(exp Experiment, shards int, prof *kprof.Profile) (*Result, error) {
+	eng, err := NewEngine(exp.Protocol)
+	if err != nil {
+		return nil, err
+	}
+	app, err := NewApp(exp.App, exp.Full)
+	if err != nil {
+		return nil, err
+	}
+	m, err := coherent.NewShardedMachine(exp.config(), eng, shards)
+	if err != nil {
+		return nil, err
+	}
+	if prof != nil {
+		m.AttachKProf(prof)
+	}
+	body, check := app.Prepare(m)
+	cycles, err := proc.Run(m, body)
+	if err != nil {
+		return nil, err
+	}
+	if err := check(); err != nil {
+		return nil, err
+	}
+	return &Result{Experiment: exp, Cycles: uint64(cycles), Counters: m.Ctr}, nil
+}
+
+// sweepCSV runs the experiments in order with run and renders the
+// sweep CSV exactly as cmd/sweep does, including the per-(app,procs)
+// full-map normalization baseline.
+func sweepCSV(t *testing.T, exps []Experiment, run func(Experiment) (*Result, error)) string {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString(SweepCSVHeader())
 	sb.WriteByte('\n')
 	var baseline uint64
 	for _, exp := range exps {
-		r, err := RunExperiment(exp)
+		r, err := run(exp)
 		if err != nil {
-			t.Fatalf("%s/%s/%d shards=%d: %v", exp.App, exp.Protocol, exp.Procs, exp.Shards, err)
+			t.Fatalf("%s/%s/%d: %v", exp.App, exp.Protocol, exp.Procs, err)
 		}
 		if exp.Protocol == "fm" {
 			baseline = r.Cycles
@@ -73,7 +104,7 @@ func TestSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("28-experiment grid; skipped in -short")
 	}
-	diffCSV(t, goldenCSV(t), sweepCSV(t, goldenGrid(0)), "sequential")
+	diffCSV(t, goldenCSV(t), sweepCSV(t, goldenGrid(), RunExperiment), "sequential")
 }
 
 // TestShardedDeterministic pins the sweep CSV at S∈{1,2,4,8} against
@@ -93,7 +124,7 @@ func TestShardedDeterministic(t *testing.T) {
 		shardCounts = []int{2, 8}
 	}
 	for _, s := range shardCounts {
-		got := sweepCSV(t, goldenGrid(s))
+		got := sweepCSV(t, goldenGrid(), func(exp Experiment) (*Result, error) { return runSharded(exp, s, nil) })
 		diffCSV(t, goldenCSV(t), got, fmt.Sprintf("shards=%d", s))
 	}
 }
@@ -122,16 +153,17 @@ func safeLine(lines []string, i int) string {
 // TestShardedLargeP is the large-machine smoke for the parallel
 // kernel (wired into `make check`): a P=256 run on 8 shards must
 // complete, produce the workload's correct numerical answer (checked
-// inside RunExperiment), and match the sequential run byte-for-byte.
+// inside runSharded), and match the sequential run byte-for-byte.
 func TestShardedLargeP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P=256 run; skipped in -short")
 	}
-	seq, err := RunExperiment(Experiment{App: "fft", Protocol: "fm", Procs: 256})
+	exp := Experiment{App: "fft", Protocol: "fm", Procs: 256}
+	seq, err := RunExperiment(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := RunExperiment(Experiment{App: "fft", Protocol: "fm", Procs: 256, Shards: 8})
+	shd, err := runSharded(exp, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
