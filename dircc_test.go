@@ -225,6 +225,32 @@ func TestRecordReplayFacade(t *testing.T) {
 	}
 }
 
+// TestRecordTraceUsesExperimentConfig: a recorded run is the run the
+// experiment describes. With page-interleaved homes and memory-resident
+// locks, floyd on T4 at P=16 runs a different number of cycles than on
+// the default machine, and RecordTrace must match RunExperiment.
+func TestRecordTraceUsesExperimentConfig(t *testing.T) {
+	exp := Experiment{App: "floyd", Protocol: "T4", Procs: 16, HomePageBlocks: 16, MemLocks: true}
+	run, err := RunExperiment(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := RecordTrace(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Cycles != run.Cycles {
+		t.Fatalf("RecordTrace ran %d cycles, RunExperiment %d", rec.Cycles, run.Cycles)
+	}
+	plain, err := RunExperiment(Experiment{App: "floyd", Protocol: "T4", Procs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Cycles == run.Cycles {
+		t.Fatalf("the configuration does not change the run (%d cycles): the test shows nothing", run.Cycles)
+	}
+}
+
 func TestTopologySelection(t *testing.T) {
 	for _, topo := range []string{"", "hypercube", "torus", "bus"} {
 		r, err := RunExperiment(Experiment{App: "fft", Protocol: "T4", Procs: 8, Check: true, Topology: topo})

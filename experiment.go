@@ -195,8 +195,9 @@ func newMachineFor(cfg Config, eng Engine, topoName string) (*Machine, error) {
 	return coherent.NewMachineOn(cfg, eng, topo)
 }
 
-// RecordTrace runs an experiment execution-driven while recording every
-// processor's reference stream for later trace-driven replay.
+// RecordTrace runs an experiment execution-driven, on the machine
+// RunExperiment would build for it, while recording every processor's
+// reference stream for later trace-driven replay.
 func RecordTrace(exp Experiment) (*Trace, *Result, error) {
 	eng, err := NewEngine(exp.Protocol)
 	if err != nil {
@@ -206,13 +207,7 @@ func RecordTrace(exp Experiment) (*Trace, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := DefaultConfig(exp.Procs)
-	cfg.Check = exp.Check
-	cfg.MaxEvents = exp.MaxEvents
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 4_000_000_000
-	}
-	m, err := NewMachine(cfg, eng)
+	m, err := newMachineFor(exp.config(), eng, exp.Topology)
 	if err != nil {
 		return nil, nil, err
 	}

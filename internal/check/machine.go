@@ -100,7 +100,7 @@ func coverage(m *coherent.Machine, ce coherent.CoverageEnumerator, b coherent.Bl
 		if !msg.AckDir {
 			add(msg.AckTo)
 		}
-		for _, p := range msg.Ptrs {
+		for _, p := range msg.Ptrs.Nodes() {
 			add(p)
 		}
 	}

@@ -71,7 +71,7 @@ func (msg *Msg) AppendCanon(b []byte) []byte {
 	b = append(b, " a"...)
 	b = strconv.AppendInt(b, int64(msg.Aux), 10)
 	b = append(b, " p["...)
-	for i, p := range msg.Ptrs {
+	for i, p := range msg.Ptrs.Nodes() {
 		if i > 0 {
 			b = append(b, ' ')
 		}

@@ -61,14 +61,8 @@ func (f *fakeEngine) HomeRequest(m *Machine, msg *Msg) {
 			Requester: msg.Requester, HasData: true, Aux: NoNode, RelHome: f.relHome})
 		return
 	}
-	// The closure outlives msg's record, which the machine recycles when
-	// this handler returns: it keeps the requester by value.
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		m.Send(Msg{Type: MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: NoNode})
-		m.ReleaseHome(b)
-	})
+	m.ReplyFromMemory(Msg{Type: MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, Aux: NoNode}, ServeNone)
 }
 
 func (f *fakeEngine) HomeMsg(m *Machine, msg *Msg) {}
@@ -229,7 +223,7 @@ func TestMsgBytes(t *testing.T) {
 	if got := data.Bytes(cfg); got != cfg.HeaderBytes+cfg.BlockBytes {
 		t.Fatalf("data message %d bytes", got)
 	}
-	handoff := &Msg{Type: MsgDataReply, HasData: true, Ptrs: []NodeID{1, 2}}
+	handoff := &Msg{Type: MsgDataReply, HasData: true, Ptrs: PtrsOf(1, 2)}
 	if got := handoff.Bytes(cfg); got != cfg.HeaderBytes+cfg.BlockBytes+2*cfg.PtrBytes {
 		t.Fatalf("handoff message %d bytes", got)
 	}

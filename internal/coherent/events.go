@@ -5,8 +5,9 @@ package coherent
 // companion — viewed as a sim.Handler, so scheduling it allocates
 // nothing. A message or transaction fires several kinds of event; each
 // kind is a named view of the same record (a pointer conversion, not a
-// copy). Message, hit and companion records come from per-lane or
-// per-node free lists and go back after their last dispatch.
+// copy). Message, transaction, hit and companion records come from
+// per-lane or per-node free lists and go back after their last
+// dispatch.
 
 // msgDelivery is a sent message's arrival at its destination, the
 // handler sendNow gives the network.
@@ -98,13 +99,48 @@ func (s *txnStart) Fire() {
 // completed (CompleteTxn).
 type txnDone Txn
 
-// Fire passes the reference's result to the processor.
+// Fire returns the record to its node's free list, then passes the
+// reference's result to the processor, which may issue its next
+// reference, and so take the record again, at once.
 //
 //dirccvet:hotpath
-func (d *txnDone) Fire() { d.done(d.ret) }
+func (d *txnDone) Fire() {
+	txn := (*Txn)(d)
+	m, done, ret := txn.mach, txn.done, txn.ret
+	// Drop what the record references, so a parked record keeps no
+	// processor, frame or engine state alive.
+	txn.Line, txn.Scratch, txn.RMW, txn.done = nil, nil, nil, nil
+	sp := &m.spare[txn.Node]
+	txn.next, sp.txns = sp.txns, txn
+	done(ret)
+}
+
+// memReply is a reply the home sends from memory (ReplyFromMemory),
+// one memory access after the engine served the request: a message
+// record taken from the home lane's free list, waiting for its data.
+type memReply Msg
+
+// Fire reads the block's data from the store, marks the requester's
+// read served when the reply says so, sends the record itself, and
+// releases the block's gate unless the reply's delivery does
+// (RelHome).
+//
+//dirccvet:hotpath
+func (r *memReply) Fire() {
+	msg := (*Msg)(r)
+	m, b, rel := msg.mach, msg.Block, msg.RelHome
+	msg.Data = m.Store.Value(b)
+	if msg.serve != ServeNone {
+		m.markServed(msg.Requester, b, msg.serve)
+	}
+	m.post(msg)
+	if !rel {
+		m.ReleaseHome(b)
+	}
+}
 
 // hitDone resumes the processor one cache access after a hit. Each node
-// keeps a free list of them (Machine.hits): a node allocates one only
+// keeps a free list of them (Machine.spare): a node allocates one only
 // while more of its hits are in flight than ever before.
 type hitDone struct {
 	mach *Machine
@@ -121,7 +157,7 @@ type hitDone struct {
 func (h *hitDone) Fire() {
 	done, v := h.done, h.v
 	h.done = nil
-	h.next = h.mach.hits[h.node]
-	h.mach.hits[h.node] = h
+	sp := &h.mach.spare[h.node]
+	h.next, sp.hits = sp.hits, h
 	done(v)
 }

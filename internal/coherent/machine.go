@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -69,12 +70,20 @@ type Engine interface {
 }
 
 // Txn is one outstanding processor transaction (the requester side of a
-// miss). The machine allocates it; engines may hang per-transaction
+// miss). The machine owns it: a miss takes a record from its node's free
+// list, and the record goes back one cache access after CompleteTxn, so
+// an engine may hold a *Txn only while the transaction is outstanding
+// (reach it through Machine.Txn). Engines may hang per-transaction
 // scratch state off Scratch.
 type Txn struct {
 	Node  NodeID
 	Block BlockID
-	Write bool
+	// Serial numbers the node's transactions in issue order, from 1.
+	// Records are recycled, so code that must tell a node's later
+	// transaction from the one it saw earlier compares serials, never
+	// pointers.
+	Serial uint64
+	Write  bool
 	// Value is the datum being written (write transactions).
 	Value uint64
 	// Line is the pinned destination frame.
@@ -117,6 +126,9 @@ type Txn struct {
 	// returns, one cache access after CompleteTxn.
 	done func(uint64)
 	ret  uint64
+	// next links the record into its node's free list while it is not
+	// in use (see Machine.newTxn).
+	next *Txn
 }
 
 // Node is one processing element.
@@ -198,10 +210,12 @@ type Machine struct {
 	// the allocated address space (growSlots).
 	homes [][]homeSlot
 
-	// hits is each node's free list of hit-completion records: a hit
-	// takes one, and its event returns it before resuming the processor.
-	// Only the node's own lane touches its list.
-	hits []*hitDone
+	// spare holds each node's free lists of hit-completion and
+	// transaction records and its last issue serial: a hit takes a hit
+	// record, a miss a transaction record and the next serial, and the
+	// record's completion event returns it before resuming the
+	// processor. Only the node's own lane touches its entry.
+	spare []nodeSpare
 
 	// free holds each lane's free lists of message records and RelHome
 	// companion records (one lane on a sequential machine). A send
@@ -229,6 +243,13 @@ type Machine struct {
 	// allAudit marks that a global event (GlobalOpAt, ScheduleGlobal)
 	// ran since the last reset; global events may touch any lane's state.
 	allAudit bool
+}
+
+// nodeSpare is one node's entry in Machine.spare.
+type nodeSpare struct {
+	hits   *hitDone
+	txns   *Txn
+	serial uint64
 }
 
 // txnSlots bounds concurrently outstanding transactions per node: one
@@ -353,7 +374,7 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 		Store: NewStore(),
 		txns:  make([][]atomic.Pointer[Txn], cfg.Procs),
 		homes: make([][]homeSlot, cfg.Procs),
-		hits:  make([]*hitDone, cfg.Procs),
+		spare: make([]nodeSpare, cfg.Procs),
 	}
 	var sched sim.NodeScheduler
 	if shards > 1 {
@@ -405,6 +426,7 @@ func (m *Machine) setUp(proto Engine) {
 		for j := range m.txns[i] {
 			m.txns[i][j].Store(nil)
 		}
+		m.spare[i].serial = 0
 		clear(m.homes[i])
 	}
 	if m.Cfg.Check {
@@ -423,10 +445,10 @@ func (m *Machine) setUp(proto Engine) {
 // in, bound to proto, which must be a new engine: no engine state
 // survives from one run to the next. The storage the last run grew is
 // kept — the kernel queue, the network's free-time arrays, the cache
-// indexes, transaction slots, home slots, store arrays, counters and
-// monitor — so a driver that runs many short simulations of one
-// configuration (the model checker replays one path per explored
-// transition) stops paying for a machine each time. The send hook and
+// indexes, transaction slots and free lists, home slots, store arrays,
+// counters and monitor — so a caller that runs many short simulations
+// of one configuration (the model checker replays one path per
+// explored transition) stops paying for a machine each time. The send hook and
 // the lane audit stay installed; a probe or kernel profile is
 // detached.
 func (m *Machine) Reset(proto Engine) {
@@ -1080,15 +1102,31 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 	} else {
 		ctr.ReadMisses++
 	}
-	//dirccvet:allow allocguard one Txn per miss: engines hold it past completion, so it is not pooled
-	m.issueMiss(&Txn{
-		Node:  n,
-		Block: b,
-		Write: write,
-		Value: value,
-		mach:  m,
-		done:  done,
-	}, ctr)
+	txn := m.newTxn(n, b, write, done)
+	txn.Value = value
+	m.issueMiss(txn, ctr)
+}
+
+// newTxn takes a transaction record for node n's miss on block b from
+// n's free list and numbers it with n's next serial. It stays out of
+// line so that allocguard attributes its one allocation, on an empty
+// list, here rather than to its callers.
+//
+//dirccvet:hotpath
+//go:noinline
+func (m *Machine) newTxn(n NodeID, b BlockID, write bool, done func(uint64)) *Txn {
+	sp := &m.spare[n]
+	t := sp.txns
+	if t == nil {
+		//dirccvet:allow allocguard a node allocates a transaction only while more of its misses are in flight than ever before
+		t = new(Txn)
+	} else {
+		sp.txns = t.next
+	}
+	sp.serial++
+	*t = Txn{Node: n, Block: b, Serial: sp.serial, Write: write,
+		Deferred: t.Deferred[:0], mach: m, done: done}
+	return t
 }
 
 // completeHit schedules a hit's completion one cache access from now:
@@ -1096,12 +1134,13 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 //
 //dirccvet:hotpath
 func (m *Machine) completeHit(n NodeID, done func(uint64), v uint64) {
-	h := m.hits[n]
+	sp := &m.spare[n]
+	h := sp.hits
 	if h == nil {
 		//dirccvet:allow allocguard a node allocates a hit record only while more of its hits are in flight than ever before
 		h = &hitDone{mach: m, node: n}
 	} else {
-		m.hits[n] = h.next
+		sp.hits = h.next
 	}
 	h.done, h.v, h.next = done, v, nil
 	m.scheduleAt(n, m.Cfg.CacheLatency, h)
@@ -1130,14 +1169,9 @@ func (m *Machine) AccessRMW(n NodeID, addr uint64, f func(old uint64) uint64, do
 	ctr := m.CtrAt(n)
 	ctr.Writes++
 	ctr.WriteMisses++
-	m.issueMiss(&Txn{
-		Node:  n,
-		Block: b,
-		Write: true,
-		RMW:   f,
-		mach:  m,
-		done:  done,
-	}, ctr)
+	txn := m.newTxn(n, b, true, done)
+	txn.RMW = f
+	m.issueMiss(txn, ctr)
 }
 
 // issueMiss is the miss path Access and AccessRMW share: it selects the
@@ -1145,11 +1179,14 @@ func (m *Machine) AccessRMW(n NodeID, addr uint64, f func(old uint64) uint64, do
 // pins it, installs txn, and hands txn to the engine's StartMiss once
 // the miss is detected, one cache access later. ctr is the node's
 // counter sink.
+//
+//dirccvet:hotpath
 func (m *Machine) issueMiss(txn *Txn, ctr *stats.Counters) {
 	n, b := txn.Node, txn.Block
 	node := m.Nodes[n]
 	victim := node.Cache.Victim(b)
 	if victim == nil {
+		//dirccvet:allow allocguard panic formatting is off the steady-state path
 		panic(fmt.Sprintf("coherent: node %d has no evictable frame for block %d", n, b))
 	}
 	if victim.Block != b || node.Cache.Lookup(b) != victim {
@@ -1211,11 +1248,11 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 	m.noteProgress()
 
 	m.delTxn(txn)
-	deferred := txn.Deferred
-	txn.Deferred = nil
-	for _, msg := range deferred {
+	for _, msg := range txn.Deferred {
 		m.scheduleAt(txn.Node, 0, (*redelivery)(msg))
 	}
+	clear(txn.Deferred)
+	txn.Deferred = txn.Deferred[:0]
 	txn.ret = val
 	if txn.Write && txn.RMW != nil {
 		txn.ret = txn.rmwOld
@@ -1236,7 +1273,13 @@ func (m *Machine) CompleteTxn(txn *Txn, st cache.State, val uint64, meta any) {
 //
 //dirccvet:hotpath
 func (m *Machine) Send(msg Msg) {
-	r := m.newMsg(msg.Src, &msg)
+	m.post(m.newMsg(msg.Src, &msg))
+}
+
+// post transmits r, a record of the sender's lane, as Send describes.
+//
+//dirccvet:hotpath
+func (m *Machine) post(r *Msg) {
 	if m.events {
 		// The probe writes the message ID through the slot at once, so
 		// the ID lands before the delivery fires, and so before the
@@ -1446,11 +1489,49 @@ func (m *Machine) DeferToTxn(n NodeID, msg *Msg) bool {
 	return true
 }
 
-// ReadMem schedules fn after the home memory access latency. b names
-// the block being read, which locates the memory module — and with it
-// the lane fn runs on under the sharded engine.
-func (m *Machine) ReadMem(b BlockID, fn func()) {
-	m.ScheduleAt(m.Home(b), m.Cfg.MemLatency, fn)
+// Serve says what a memory reply marks as it leaves the home: whether
+// it flags the requester's outstanding read of the block Served (see
+// Txn). ServeNone marks nothing and ServeAny marks the read whatever
+// its serial; any other value, made with ServeTxn, marks it only while
+// it is still the transaction with that serial.
+type Serve uint64
+
+const (
+	ServeNone Serve = 0
+	ServeAny  Serve = math.MaxUint64
+)
+
+// ServeTxn returns the Serve that marks only the requester's read with
+// issue serial s (Txn.Serial).
+func ServeTxn(s uint64) Serve { return Serve(s) }
+
+// ReplyFromMemory is how a home answers a request from its memory
+// module, once the engine has served it (the gate is held). After the
+// memory access latency it sets reply.Data to the block's current
+// contents, marks the requester's read as serve says, sends reply from
+// the home, and then releases the block's gate, unless reply.RelHome
+// leaves that to the reply's delivery. The reply travels in one message
+// record, taken from the home lane's free list now and sent as it is
+// then, so the hop allocates nothing. Call it from a handler running
+// at the home of reply.Block.
+//
+//dirccvet:hotpath
+func (m *Machine) ReplyFromMemory(reply Msg, serve Serve) {
+	home := m.Home(reply.Block)
+	r := m.newMsg(home, &reply)
+	r.serve = serve
+	m.scheduleAt(home, m.Cfg.MemLatency, (*memReply)(r))
+}
+
+// markServed flags node n's outstanding read of block b Served, as
+// serve selects (see Serve). A memory reply does it on the home's lane
+// as the reply leaves.
+func (m *Machine) markServed(n NodeID, b BlockID, serve Serve) {
+	txn := m.Txn(n, b)
+	if txn == nil || txn.Write || (serve != ServeAny && txn.Serial != uint64(serve)) {
+		return
+	}
+	txn.Served = true
 }
 
 // SerializeWrite commits a write request's value at its serialization

@@ -1,6 +1,7 @@
 package coherent
 
 import (
+	"fmt"
 	"strconv"
 
 	"dircc/internal/cache"
@@ -115,7 +116,7 @@ type Msg struct {
 	// purge successor, ...). Negative means "none".
 	Aux NodeID
 	// Ptrs carries piggybacked pointers (Dir_iTree_k child handoff).
-	Ptrs []NodeID
+	Ptrs Ptrs
 	// HasData marks the message as carrying the 8-byte block payload.
 	HasData bool
 	// Data is the simulated block value (used by the monitor).
@@ -155,6 +156,10 @@ type Msg struct {
 	// lane affinity under the sharded kernel.
 	RelHome bool
 
+	// serve is what a memory reply marks as it leaves the home (see
+	// ReplyFromMemory); zero on every other record. Bookkeeping: Canon
+	// leaves it out.
+	serve Serve
 	// probeID links this message's send and deliver events in the
 	// observability trace; zero when probes are off.
 	probeID int64
@@ -176,6 +181,43 @@ func (m *Msg) Bytes(cfg Config) int {
 	if m.HasData {
 		n += cfg.BlockBytes
 	}
-	n += cfg.PtrBytes * len(m.Ptrs)
+	n += cfg.PtrBytes * m.Ptrs.Len()
 	return n
 }
+
+// Ptrs is a message's piggybacked node pointers, held inline: a reply
+// hands off at most two tree roots (Dir_iTree_k's case 3 adopts two,
+// STP's re-rooting one), so a message carries them without a slice of
+// its own, and copying a message copies them.
+type Ptrs struct {
+	nodes [2]NodeID
+	n     uint8
+}
+
+// PtrsOf returns nodes, at most two, as a message's pointers.
+func PtrsOf(nodes ...NodeID) Ptrs {
+	var p Ptrs
+	for _, n := range nodes {
+		p.Add(n)
+	}
+	return p
+}
+
+// Add appends node n. A message carries at most two pointers; a third
+// panics.
+func (p *Ptrs) Add(n NodeID) {
+	if int(p.n) == len(p.nodes) {
+		panic("coherent: a message carries at most two pointers")
+	}
+	p.nodes[p.n] = n
+	p.n++
+}
+
+// Len returns the number of pointers.
+func (p Ptrs) Len() int { return int(p.n) }
+
+// Nodes returns the pointers in order, as a view of p's own storage.
+func (p *Ptrs) Nodes() []NodeID { return p.nodes[:p.n] }
+
+// String renders the pointers as fmt renders a slice of them: "[1 3]".
+func (p Ptrs) String() string { return fmt.Sprint(p.nodes[:p.n]) }

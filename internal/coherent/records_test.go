@@ -7,8 +7,9 @@ import (
 
 // The machine owns every message record: Send copies the caller's value
 // into a record from a free list, and the record goes back to a list
-// after its last dispatch. These tests pin the life cycle: a round trip
-// allocates nothing but its transaction once the list is warm, and a
+// after its last dispatch, as a transaction record goes back to its
+// node's list after completion. These tests pin the life cycle: a round
+// trip allocates nothing once the lists are warm, and a
 // record that outlives its first dispatch — queued at a held gate,
 // deferred onto a transaction — or a RelHome reply's gate release reads
 // what was sent, not a recycled record.
@@ -54,9 +55,9 @@ func newRecorder(t *testing.T, procs int) (*Machine, *recorder) {
 }
 
 // TestWriteMissRoundTripAllocs: a write miss on the fake engine is a
-// WriteReq to the home and a WriteReply back. Once the free list holds
-// two records, the round trip allocates one object, the transaction.
-// Two nodes take turns, so every write is a miss. With one-line caches
+// WriteReq to the home and a WriteReply back. Once the free lists hold
+// two message records and each node a transaction record, the round
+// trip allocates nothing. Two nodes take turns, so every write is a miss. With one-line caches
 // every miss reuses the frame; with the default 2048-line cache every
 // miss takes a fresh frame, because the invalidated one has left the
 // index, and frames come in chunks, so those misses allocate no Line
@@ -90,8 +91,8 @@ func TestWriteMissRoundTripAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs != 1 {
-				t.Fatalf("a write-miss round trip allocates %.1f objects, want 1 (the Txn)", allocs)
+			if allocs != 0 {
+				t.Fatalf("a write-miss round trip allocates %.1f objects, want 0", allocs)
 			}
 			if m.Ctr.WriteMisses != 201 || m.Net.Sent() != 402 {
 				t.Fatalf("%d write misses, %d messages; want 201 and 402", m.Ctr.WriteMisses, m.Net.Sent())
@@ -144,7 +145,7 @@ func TestDeferredMsgIntact(t *testing.T) {
 	b := m.BlockOf(addr)
 	m.Access(2, addr, false, 0, func(uint64) {})
 	inv := Msg{Type: MsgInv, Src: 3, Dst: 2, Block: b, Requester: 3, Aux: 1,
-		Ptrs: []NodeID{0, 3}, AckTo: 3, SibAck: true, Seq: 77}
+		Ptrs: PtrsOf(0, 3), AckTo: 3, SibAck: true, Seq: 77}
 	m.Send(inv)
 	if err := m.Quiesce(); err != nil {
 		t.Fatal(err)

@@ -95,11 +95,23 @@ type pending struct {
 	stage    stage
 	wbFrom   coherent.NodeID
 	acksLeft int
+	next     *pending // free-list link
 }
 
 // treeMeta is the per-line protocol metadata: forward child pointers.
+// A line adopts at most two roots, so the pointers live in buf. Records
+// come in chunks and live on per-node free lists while no line holds
+// them (see forest.newMeta).
 type treeMeta struct {
 	children []coherent.NodeID
+	buf      [2]coherent.NodeID
+	next     *treeMeta
+}
+
+// setChildren makes children, at most two, the line's child pointers,
+// kept in meta's own storage.
+func (meta *treeMeta) setChildren(children []coherent.NodeID) {
+	meta.children = append(meta.buf[:0], children...)
 }
 
 // Engine implements Dir_iTree_k for one machine. Its cache-side state
@@ -160,6 +172,34 @@ func (e *Engine) Name() string {
 // UpdatesCopies implements coherent.UpdateProtocol.
 func (e *Engine) UpdatesCopies() bool { return e.opts.Update }
 
+// newPending takes a pending record for request msg from home's free
+// list (forest.spare): a transaction that must wait for a writeback or
+// acknowledgments holds one until it leaves the directory.
+//
+//dirccvet:hotpath
+//go:noinline
+func (e *Engine) newPending(home coherent.NodeID, msg *coherent.Msg, st stage, wbFrom coherent.NodeID) *pending {
+	sp := &e.spare[home]
+	p := sp.pends
+	if p == nil {
+		//dirccvet:allow allocguard a home allocates a pending record only while more of its transactions wait than ever before
+		p = new(pending)
+	} else {
+		sp.pends = p.next
+	}
+	*p = pending{req: *msg, stage: st, wbFrom: wbFrom}
+	return p
+}
+
+// freePending returns p, which no directory entry names any more, to
+// home's free list.
+//
+//dirccvet:hotpath
+func (e *Engine) freePending(home coherent.NodeID, p *pending) {
+	sp := &e.spare[home]
+	p.next, sp.pends = sp.pends, p
+}
+
 // Pointers returns i.
 func (e *Engine) Pointers() int { return e.ptrs }
 
@@ -185,6 +225,8 @@ func (en *entry) slotOf(n coherent.NodeID) int {
 }
 
 // StartMiss implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	typ := coherent.MsgReadReq
 	upgrade := false
@@ -205,12 +247,14 @@ func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 }
 
 // HomeRequest implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	en := e.entry(msg.Block)
 	switch msg.Type {
 	case coherent.MsgReadReq:
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			en.pend = e.newPending(msg.Dst, msg, stageWb, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -221,21 +265,24 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	case coherent.MsgWriteReq:
 		m.SerializeWrite(msg)
 		if en.state == dirty && en.owner != msg.Requester {
-			en.pend = &pending{req: *msg, stage: stageWb, wbFrom: en.owner}
+			en.pend = e.newPending(msg.Dst, msg, stageWb, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Write: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 			})
 			return
 		}
-		e.startInvalidation(m, en, msg)
+		e.startInvalidation(m, msg.Dst, en, msg)
 	default:
 		panic("core: unexpected gated request " + msg.Type.String())
 	}
 }
 
 // admitRead runs the paper's Figure 6 read-miss directory algorithm and
-// serves the data, piggybacking any adopted roots as Ptrs.
+// serves the data, piggybacking any adopted roots as Ptrs. The reply
+// marks the read served as it leaves the home.
+//
+//dirccvet:hotpath
 func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	req := msg.Requester
 	handoff := e.record(m.CtrAt(m.Home(msg.Block)), en, req)
@@ -244,26 +291,24 @@ func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	}
 	b := msg.Block
 	if m.Tracing() {
+		//dirccvet:allow allocguard trace-only label formatting
 		m.TraceDir(b, fmt.Sprintf("reader %d adopts %v, %d roots", req, handoff, len(en.slots)))
 	}
-	m.ReadMem(b, func() {
-		markServed(m, req, b)
-		m.Send(coherent.Msg{
-			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			Ptrs: handoff, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
-		m.ReleaseHome(b)
-	})
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+		Requester: req, HasData: true, Ptrs: handoff, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+	}, coherent.ServeAny)
 }
 
 // record applies the paper's Figure 6 pointer algorithm for a new
 // sharer and returns the roots the sharer must adopt as children. ctr
 // is the caller's lane-local counter sink (m.CtrAt at the home); a nil
 // sink is allowed (analytical use in tests) — only counters depend on
-// it.
-func (e *Engine) record(ctr *stats.Counters, en *entry, req coherent.NodeID) []coherent.NodeID {
-	var handoff []coherent.NodeID
+// it. It changes en.slots in place: the entry keeps its one slice.
+//
+//dirccvet:hotpath
+func (e *Engine) record(ctr *stats.Counters, en *entry, req coherent.NodeID) coherent.Ptrs {
+	var handoff coherent.Ptrs
 	switch {
 	case en.slotOf(req) >= 0:
 		// Case 1: already recorded (typically a re-read after a silent
@@ -279,17 +324,18 @@ func (e *Engine) record(ctr *stats.Counters, en *entry, req coherent.NodeID) []c
 			if ctr != nil {
 				ctr.TreeMerges++
 			}
+			// The survivors move down in place, so the new slot fits
+			// where an adopted root was.
 			lvl := en.slots[li].level
-			kept := make([]slot, 0, len(en.slots))
+			kept := en.slots[:0]
 			for _, s := range en.slots {
-				if s.level == lvl && len(handoff) < e.arity && len(handoff) < 2 {
-					handoff = append(handoff, s.node)
+				if s.level == lvl && handoff.Len() < e.arity && handoff.Len() < 2 {
+					handoff.Add(s.node)
 					continue
 				}
 				kept = append(kept, s)
 			}
-			kept = append(kept, slot{node: req, level: lvl + 1})
-			en.slots = kept
+			en.slots = append(kept, slot{node: req, level: lvl + 1})
 		} else {
 			// Case 4: adopt the single lowest tree.
 			if ctr != nil {
@@ -301,7 +347,7 @@ func (e *Engine) record(ctr *stats.Counters, en *entry, req coherent.NodeID) []c
 					low = i
 				}
 			}
-			handoff = append(handoff, en.slots[low].node)
+			handoff.Add(en.slots[low].node)
 			en.slots[low] = slot{node: req, level: en.slots[low].level + 1}
 		}
 	}
@@ -326,13 +372,15 @@ func (e *Engine) equalPair(en *entry) int {
 	return best
 }
 
-// startInvalidation launches the paper's Figure 7 write-miss flow: one
-// Inv per root, odd roots acknowledging to their even siblings. The
-// update variant sends Update messages carrying the value instead.
-func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
+// startInvalidation launches the paper's Figure 7 write-miss flow from
+// home, the block's home node: one Inv per root, odd roots
+// acknowledging to their even siblings (see SibAck). The update variant
+// sends Update messages carrying the value instead.
+//
+//dirccvet:hotpath
+func (e *Engine) startInvalidation(m *coherent.Machine, home coherent.NodeID, en *entry, msg *coherent.Msg) {
 	b := msg.Block
-	home := m.Home(b)
-	pend := &pending{req: *msg, stage: stageInv, wbFrom: coherent.NoNode}
+	pend := e.newPending(home, msg, stageInv, coherent.NoNode)
 	en.pend = pend
 	waveType := coherent.MsgInv
 	if e.opts.Update {
@@ -343,18 +391,24 @@ func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent
 	// names the requester itself the round trip can be skipped — the
 	// writer's own copy is superseded by the grant. Requester slots at
 	// higher levels stay in the wave: their subtrees need invalidating.
-	roots := make([]slot, 0, len(en.slots))
+	writer := msg.Requester
+	skip := func(s slot) bool { return s.node == writer && s.level == 1 }
+	roots := len(en.slots)
 	for _, s := range en.slots {
-		if s.node == msg.Requester && s.level == 1 {
-			continue
+		if skip(s) {
+			roots--
 		}
-		roots = append(roots, s)
 	}
 	if m.Tracing() {
-		m.TraceDir(b, fmt.Sprintf("writer %d: inv wave over %d roots", msg.Requester, len(roots)))
+		//dirccvet:allow allocguard trace-only label formatting
+		m.TraceDir(b, fmt.Sprintf("writer %d: inv wave over %d roots", msg.Requester, roots))
 	}
-	_, ackTo := AckPlan(len(roots))
-	for idx, s := range roots {
+	idx := 0
+	even := coherent.NoNode // the last even-indexed root: its odd sibling acks to it
+	for _, s := range en.slots {
+		if skip(s) {
+			continue
+		}
 		inv := coherent.Msg{
 			Type: waveType, Src: home, Dst: s.node, Block: b,
 			Requester: msg.Requester, HasData: e.opts.Update, Data: msg.Data,
@@ -366,65 +420,74 @@ func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent
 			inv.AckTo = home
 			inv.AckDir = true
 			pend.acksLeft++
-		case ackTo[idx] < 0:
+		case idx%2 == 0:
 			// Even root: acks home, and absorbs its odd sibling's ack
 			// if one exists.
 			inv.AckTo = home
 			inv.AckDir = true
-			inv.SibAck = SibAck(idx, len(roots))
+			inv.SibAck = SibAck(idx, roots)
 			pend.acksLeft++
+			even = s.node
 		default:
 			// Odd root: acks its even sibling.
-			inv.AckTo = roots[ackTo[idx]].node
+			inv.AckTo = even
 			inv.AckDir = false
 		}
 		m.CtrAt(home).Invalidations++
 		m.Send(inv)
+		idx++
 	}
 	if pend.acksLeft == 0 {
-		e.grantWrite(m, en, msg)
+		e.grantWrite(m, home, en, msg)
 	}
 }
 
-func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
+// grantWrite finishes a write transaction at home. msg may be the
+// request a pending record keeps: grantWrite reads it before it returns
+// the record to the free list.
+//
+//dirccvet:hotpath
+func (e *Engine) grantWrite(m *coherent.Machine, home coherent.NodeID, en *entry, msg *coherent.Msg) {
+	b, req, upgrade := msg.Block, msg.Requester, msg.Write
+	e.freePending(home, en.pend)
 	en.pend = nil
-	var handoff []coherent.NodeID
+	var handoff coherent.Ptrs
 	if e.opts.Update {
 		// The sharing trees survive and the writer keeps a shared copy.
 		// An upgrading writer already has a forest position (leaf or
 		// root) and keeps it untouched; only a forest-absent writer is
 		// recorded like a new reader.
 		en.state = shared
-		if !msg.Write {
-			handoff = e.record(m.CtrAt(m.Home(b)), en, msg.Requester)
+		if !upgrade {
+			handoff = e.record(m.CtrAt(home), en, req)
 		}
 	} else {
 		en.state = dirty
-		en.owner = msg.Requester
-		en.slots = []slot{{node: msg.Requester, level: 1}}
+		en.owner = req
+		en.slots = append(en.slots[:0], slot{node: req, level: 1})
 	}
 	if m.Tracing() {
 		if e.opts.Update {
-			m.TraceDir(b, fmt.Sprintf("update committed, writer %d, %d roots", msg.Requester, len(en.slots)))
+			//dirccvet:allow allocguard trace-only label formatting
+			m.TraceDir(b, fmt.Sprintf("update committed, writer %d, %d roots", req, len(en.slots)))
 		} else {
+			//dirccvet:allow allocguard trace-only label formatting
 			m.TraceDir(b, fmt.Sprintf("dirty owner %d", en.owner))
 		}
 	}
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		// RelHome: the write commit and home-gate release ride a
-		// companion event at the delivery instant on the home's own
-		// lane, in place of the receiver's handler doing them inline.
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			Ptrs: handoff, Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true,
-		})
-	})
+	// RelHome: the write commit and home-gate release ride a companion
+	// event at the delivery instant on the home's own lane, in place of
+	// the receiver's handler doing them inline.
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: home, Dst: req, Block: b,
+		Requester: req, HasData: true, Ptrs: handoff, Aux: coherent.NoNode,
+		AckTo: coherent.NoNode, RelHome: true,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 	en := e.entry(msg.Block)
 	switch msg.Type {
@@ -436,7 +499,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		p.acksLeft--
 		if p.acksLeft == 0 {
-			e.grantWrite(m, en, &p.req)
+			e.grantWrite(m, msg.Dst, en, &p.req)
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
@@ -449,17 +512,17 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			}
 		}
 		if p := en.pend; p != nil && p.stage == stageWb && p.wbFrom == msg.Src {
-			req := &p.req
 			en.pend = nil
 			// On an RM_WW recall the demoted owner keeps a shared copy
 			// and stays recorded in its slot; on WM_WW it was
 			// invalidated but the stale slot is harmlessly swept by the
 			// upcoming invalidation round.
-			if req.Type == coherent.MsgReadReq {
-				e.admitRead(m, en, req)
+			if p.req.Type == coherent.MsgReadReq {
+				e.admitRead(m, en, &p.req)
 			} else {
-				e.startInvalidation(m, en, req)
+				e.startInvalidation(m, msg.Dst, en, &p.req)
 			}
+			e.freePending(msg.Dst, p)
 		}
 	default:
 		panic("core: unexpected home message " + msg.Type.String())
@@ -467,6 +530,8 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 // CacheMsg implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 	n := msg.Dst
 	node := m.Nodes[n]
@@ -476,10 +541,8 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if txn == nil || txn.Write {
 			panic("core: DataReply without matching read txn")
 		}
-		meta := &treeMeta{}
-		if len(msg.Ptrs) > 0 {
-			meta.children = append(meta.children, msg.Ptrs...)
-		}
+		meta := e.newMeta(n)
+		meta.setChildren(msg.Ptrs.Nodes())
 		m.CompleteTxn(txn, cache.Valid, msg.Data, meta)
 	case coherent.MsgWriteReply:
 		txn := m.Txn(n, msg.Block)
@@ -492,19 +555,26 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			// see leaf edges, so dropping them would orphan live
 			// sharers from future update waves). A forest-absent writer
 			// adopts whatever roots the home handed it.
-			meta := &treeMeta{}
-			if len(msg.Ptrs) > 0 {
-				meta.children = append(meta.children, msg.Ptrs...)
+			meta := e.newMeta(n)
+			if msg.Ptrs.Len() > 0 {
+				meta.setChildren(msg.Ptrs.Nodes())
 			} else {
+				meta.setChildren(nil)
 				for _, c := range childrenOf(txn.Line) {
 					if c != n {
 						meta.children = append(meta.children, c)
 					}
 				}
 			}
+			e.freeMeta(n, txn.Line.Meta)
 			m.CompleteTxn(txn, cache.Valid, txn.Value, meta)
 		} else {
-			m.CompleteTxn(txn, cache.Exclusive, txn.Value, &treeMeta{})
+			// An upgrading writer's old metadata, if its copy survived
+			// the wave, is replaced.
+			e.freeMeta(n, txn.Line.Meta)
+			meta := e.newMeta(n)
+			meta.setChildren(nil)
+			m.CompleteTxn(txn, cache.Exclusive, txn.Value, meta)
 		}
 		// The home gate is released by the RelHome companion event on
 		// the home's own lane (see grantWrite).
@@ -521,7 +591,9 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		data := ln.Val
 		if msg.Write {
+			meta := ln.Meta
 			m.Invalidate(n, msg.Block)
+			e.freeMeta(n, meta)
 		} else {
 			ln.State = cache.Valid
 			m.TraceState(n, msg.Block, cache.Exclusive, cache.Valid)
@@ -533,15 +605,6 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		})
 	default:
 		panic("core: unexpected cache message " + msg.Type.String())
-	}
-}
-
-// markServed flags requester n's read transaction once the home has
-// sent its data: the reply (possibly carrying children to adopt) is in
-// flight, so invalidations that race it must be deferred (forest.onInv).
-func markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
-	if txn := m.Txn(n, b); txn != nil && !txn.Write {
-		txn.Served = true
 	}
 }
 

@@ -563,3 +563,107 @@ func TestDirectoryBits(t *testing.T) {
 func BenchmarkDir4Tree2Mix(b *testing.B) {
 	ptest.BenchmarkMix(b, func() coherent.Engine { return New(4, 2) })
 }
+
+// TestMissRoundTripAllocs: once its free lists are warm, Dir4Tree2
+// serves miss round trips without allocating. One round on P=32 has 26
+// readers read a block the writer then writes. Starting from the
+// writer's slot, the reads fill the four pointers and then hand off
+// roots: case 3 adopts two equal-height roots, and the last read finds
+// four distinct heights, so case 4 adopts the lowest. The write's wave
+// covers every root but the writer's own, at least three, with odd
+// roots acknowledging their even siblings.
+func TestMissRoundTripAllocs(t *testing.T) {
+	e := New(4, 2)
+	m, err := coherent.NewMachine(coherent.DefaultConfig(32), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := ptest.NewRefs(t, m)
+	readers, writer := ptest.Nodes(0, 26), coherent.NodeID(31)
+	cycle := refs.Cycle(readers, writer)
+	for range 3 {
+		cycle() // warm the free lists
+	}
+
+	ctr := m.Ctr
+	merges, adoptions, misses := ctr.TreeMerges, ctr.TreeAdoptions, ctr.ReadMisses+ctr.WriteMisses
+	for _, n := range readers {
+		refs.Read(n)
+	}
+	if ctr.TreeMerges == merges || ctr.TreeAdoptions == adoptions {
+		t.Fatalf("the reads made %d case-3 and %d case-4 handoffs; want both",
+			ctr.TreeMerges-merges, ctr.TreeAdoptions-adoptions)
+	}
+	var roots int
+	for _, s := range e.entry(refs.Block()).slots {
+		if s.node != writer || s.level > 1 {
+			roots++
+		}
+	}
+	if roots < 3 || e.opts.NoSiblingAck {
+		t.Fatalf("the write's wave covers %d roots; want at least 3, paired", roots)
+	}
+	refs.Write(writer)
+	if got := ctr.ReadMisses + ctr.WriteMisses - misses; got != uint64(len(readers)+1) {
+		t.Fatalf("a round made %d misses, want %d: every reference must miss", got, len(readers)+1)
+	}
+
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a round of %d misses allocates %.1f objects, want 0", len(readers)+1, allocs)
+	}
+}
+
+// TestFigure7AckRouting checks the Figure 7 routing of the home's wave
+// over m = 1..7 roots, as Dir8Tree2 sends it: even-indexed roots ack
+// the home, odd-indexed roots ack their even left sibling, which
+// expects that extra ack, so the home waits for ceil(m/2) acks.
+func TestFigure7AckRouting(t *testing.T) {
+	for roots := 1; roots <= 7; roots++ {
+		e := New(8, 2)
+		m, err := coherent.NewMachine(coherent.DefaultConfig(16), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newHandDelivery(t, m)
+		addr := m.Alloc(8)
+		b, done := m.BlockOf(addr), func(uint64) {}
+		home := m.Home(b)
+		for n := range roots {
+			m.Access(coherent.NodeID(n), addr, false, 0, done)
+			h.run()
+			h.drain()
+		}
+		m.Access(15, addr, true, 1, done)
+		h.run()
+		h.deliver(coherent.MsgWriteReq, home)
+		var wave []*coherent.Msg
+		for _, msg := range h.q {
+			if msg.Type == coherent.MsgInv && msg.Src == home {
+				wave = append(wave, msg)
+			}
+		}
+		if len(wave) != roots {
+			t.Fatalf("%d roots: the home sent %d Invs", roots, len(wave))
+		}
+		for i, inv := range wave {
+			if inv.Dst != e.entry(b).slots[i].node {
+				t.Fatalf("%d roots: Inv %d goes to node %d, not root %d", roots, i, inv.Dst, i)
+			}
+			want := coherent.Msg{AckTo: home, AckDir: true, SibAck: i+1 < roots}
+			if i%2 == 1 {
+				want = coherent.Msg{AckTo: wave[i-1].Dst}
+			}
+			if inv.AckTo != want.AckTo || inv.AckDir != want.AckDir || inv.SibAck != want.SibAck {
+				t.Errorf("%d roots: root %d acks to %d (dir %v, sibling ack %v), want %d (dir %v, sibling ack %v)",
+					roots, i, inv.AckTo, inv.AckDir, inv.SibAck, want.AckTo, want.AckDir, want.SibAck)
+			}
+		}
+		if got, want := e.entry(b).pend.acksLeft, (roots+1)/2; got != want {
+			t.Errorf("%d roots: the home waits for %d acks, want %d", roots, got, want)
+		}
+		h.drain()
+		if err := m.Quiesce(); err != nil {
+			t.Fatalf("%d roots: %v", roots, err)
+		}
+	}
+}

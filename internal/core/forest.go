@@ -33,6 +33,9 @@ type agg struct {
 	// destination waits here until the whole aggregation drains (see
 	// onInv).
 	extra []ackDest
+	// next links the record into its node's free list while no wave
+	// uses it (see forest.newAgg).
+	next *agg
 }
 
 // ackDest is one folded acknowledgment obligation: where the aggregated
@@ -73,6 +76,20 @@ type forest struct {
 	// engines' CheckShape reads the union over nodes at quiesce). It
 	// never influences protocol behavior.
 	torn []map[coherent.BlockID]bool
+	// spare[n] holds node n's free lists of aggregation records,
+	// Dir_iTree_k line metadata and, as a home, Dir_iTree_k pending
+	// records, and its reusable buffer for an invalidation's fan-out, so
+	// a transaction allocates nothing once they are warm. Only node n's
+	// lane touches spare[n].
+	spare []nodeSpare
+}
+
+// nodeSpare is one node's entry in forest.spare.
+type nodeSpare struct {
+	aggs  *agg
+	metas *treeMeta
+	pends *pending
+	fan   []coherent.NodeID
 }
 
 // Prepare implements coherent.Preparer: directory entries live in the
@@ -80,27 +97,96 @@ type forest struct {
 // indexed by node, which is what makes the engine's state lane-local
 // under the sharded kernel. A node's maps are allocated on its first
 // write; reads and deletes on a nil map are safe, and most nodes of a
-// model-checker replay never write.
+// model-checker replay never write. The free-list heads are allocated
+// here, one per node, so no lane ever allocates a shared one.
 func (f *forest) Prepare(m *coherent.Machine) {
 	f.m = m
 	f.aggs = make([]map[coherent.BlockID]*agg, m.Cfg.Procs)
 	f.tombs = make([]map[coherent.BlockID][]coherent.NodeID, m.Cfg.Procs)
 	f.torn = make([]map[coherent.BlockID]bool, m.Cfg.Procs)
+	f.spare = make([]nodeSpare, m.Cfg.Procs)
 }
 
-// newAgg starts node n's aggregation record for block b.
+// newAgg starts node n's aggregation record for block b, taking it from
+// n's free list. It stays out of line so that allocguard attributes its
+// allocations, on an empty list or a node's first wave, here rather than
+// to its callers.
+//
+//dirccvet:hotpath
+//go:noinline
 func (f *forest) newAgg(n coherent.NodeID, b coherent.BlockID) *agg {
 	if f.aggs[n] == nil {
+		//dirccvet:allow allocguard a node builds its aggregation map once, on its first wave
 		f.aggs[n] = make(map[coherent.BlockID]*agg)
 	}
-	a := &agg{}
+	sp := &f.spare[n]
+	a := sp.aggs
+	if a == nil {
+		//dirccvet:allow allocguard a node allocates an aggregation only while more of its waves are open than ever before
+		a = new(agg)
+	} else {
+		sp.aggs = a.next
+		*a = agg{extra: a.extra[:0]}
+	}
 	f.aggs[n][b] = a
 	return a
 }
 
-// markTorn records that node n has had a replacement teardown of b.
+// metaChunk is how many line metadata records a node allocates at once
+// when its free list runs dry.
+const metaChunk = 64
+
+// newMeta takes Dir_iTree_k line metadata from node n's free list, for
+// a line a reply is about to install; the caller sets its children.
+//
+//dirccvet:hotpath
+func (f *forest) newMeta(n coherent.NodeID) *treeMeta {
+	sp := &f.spare[n]
+	if sp.metas == nil {
+		f.growMetas(n)
+	}
+	meta := sp.metas
+	sp.metas, meta.next = meta.next, nil
+	return meta
+}
+
+// growMetas puts a fresh chunk of line metadata records on node n's
+// free list. It stays out of line so that allocguard attributes the
+// allocation here rather than to newMeta.
+//
+//dirccvet:hotpath
+//go:noinline
+func (f *forest) growMetas(n coherent.NodeID) {
+	//dirccvet:allow allocguard one chunk per 64 records, allocated only while more of a node's lines hold metadata than ever before
+	chunk := make([]treeMeta, metaChunk)
+	sp := &f.spare[n]
+	for i := range chunk {
+		chunk[i].next, sp.metas = sp.metas, &chunk[i]
+	}
+}
+
+// freeMeta returns meta, the metadata node n's line held until it was
+// invalidated, evicted or reinstalled, to n's free list when it is
+// Dir_iTree_k's. The line's child pointers go with it: callers are done
+// with them.
+//
+//dirccvet:hotpath
+func (f *forest) freeMeta(n coherent.NodeID, meta any) {
+	if tm, ok := meta.(*treeMeta); ok && tm != nil {
+		sp := &f.spare[n]
+		tm.next, sp.metas = sp.metas, tm
+	}
+}
+
+// markTorn records that node n has had a replacement teardown of b. It
+// stays out of line so that allocguard attributes the map it builds
+// here rather than to its callers.
+//
+//dirccvet:hotpath
+//go:noinline
 func (f *forest) markTorn(n coherent.NodeID, b coherent.BlockID) {
 	if f.torn[n] == nil {
+		//dirccvet:allow allocguard a node builds its map once, on its first teardown
 		f.torn[n] = make(map[coherent.BlockID]bool)
 	}
 	f.torn[n][b] = true
@@ -128,6 +214,8 @@ func childrenOf(ln *cache.Line) []coherent.NodeID {
 // onInv handles one invalidation (or update) at a cache: invalidate the
 // local copy if present, fan out to children and victim-buffer
 // tombstones, and aggregate acknowledgments toward msg.AckTo.
+//
+//dirccvet:hotpath
 func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.Msg) {
 	n := node.ID
 	if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served {
@@ -170,13 +258,15 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		a.left++
 	}
 	update := msg.Type == coherent.MsgUpdate
-	var fanout []coherent.NodeID
+	fanout := f.spare[n].fan[:0]
 	if ln := node.Cache.Lookup(msg.Block); ln != nil && ln.State != cache.Invalid {
 		fanout = append(fanout, childrenOf(ln)...)
 		if update {
 			ln.Val = msg.Data
 		} else {
+			meta := ln.Meta
 			m.Invalidate(n, msg.Block)
+			f.freeMeta(n, meta)
 		}
 	}
 	if t, ok := f.tombs[n][b]; ok {
@@ -212,12 +302,15 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 			AckTo: n, Aux: coherent.NoNode,
 		})
 	}
+	f.spare[n].fan = fanout
 	f.maybeFinishAgg(m, aggKey{n: n, b: b}, a)
 }
 
 // onCacheAck handles a child's or sibling's acknowledgment arriving at
 // an aggregating cache. It may precede the node's own Inv (sibling acks
 // travel a different path), in which case it is banked.
+//
+//dirccvet:hotpath
 func (f *forest) onCacheAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 	m.CtrAt(n).InvAcks++
 	a := f.aggs[n][msg.Block]
@@ -228,6 +321,11 @@ func (f *forest) onCacheAck(m *coherent.Machine, n coherent.NodeID, msg *coheren
 	f.maybeFinishAgg(m, aggKey{n: n, b: msg.Block}, a)
 }
 
+// maybeFinishAgg sends a's aggregated acknowledgments once its own Inv
+// has armed it and every ack it waits for has arrived, and returns the
+// record to its node's free list.
+//
+//dirccvet:hotpath
 func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 	if !a.armed || a.left != 0 {
 		return
@@ -243,9 +341,13 @@ func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 			Requester: d.req, ToDir: d.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 	}
+	sp := &f.spare[key.n]
+	a.next, sp.aggs = sp.aggs, a
 }
 
 // sendAck acknowledges msg immediately (dangling-edge case).
+//
+//dirccvet:hotpath
 func (f *forest) sendAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 	m.Send(coherent.Msg{
 		Type: coherent.MsgInvAck, Src: n, Dst: msg.AckTo, Block: msg.Block,
@@ -256,6 +358,8 @@ func (f *forest) sendAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.M
 // onReplaceInv continues a teardown at a cache: a live copy is
 // invalidated and the Replace_INV passed on to its children, which stay
 // in the victim buffer; a copy already gone means a dangling edge.
+//
+//dirccvet:hotpath
 func (f *forest) onReplaceInv(m *coherent.Machine, node *coherent.Node, msg *coherent.Msg) {
 	n := node.ID
 	f.markTorn(n, msg.Block)
@@ -263,16 +367,19 @@ func (f *forest) onReplaceInv(m *coherent.Machine, node *coherent.Node, msg *coh
 	if ln == nil || ln.State == cache.Invalid {
 		return // dangling edge; subtree already gone
 	}
-	children := childrenOf(ln)
+	meta, children := ln.Meta, childrenOf(ln)
 	m.Invalidate(n, msg.Block)
 	f.mergeTombs(n, msg.Block, children)
 	f.sendReplaceInv(m, n, msg.Block, children)
+	f.freeMeta(n, meta)
 }
 
 // OnEvict implements coherent.Engine: a valid line's subtree is torn
 // down with Replace_INV (no acks, no home notification); an exclusive
 // line writes back. The child pointers stay in the victim buffer until
 // the next install or invalidation sweep (see forest.tombs).
+//
+//dirccvet:hotpath
 func (f *forest) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 	switch ln.State {
 	case cache.Valid:
@@ -286,11 +393,17 @@ func (f *forest) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 			HasData: true, Data: ln.Val, ToDir: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 	}
+	// The machine clears the line when OnEvict returns.
+	f.freeMeta(n, ln.Meta)
 }
 
 // mergeTombs unions children into node n's victim buffer for block b;
 // pointers from different cache tenures may both have teardowns in
-// flight.
+// flight. It stays out of line so that allocguard attributes the map it
+// builds here rather than to its callers.
+//
+//dirccvet:hotpath
+//go:noinline
 func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []coherent.NodeID) {
 	if len(children) == 0 {
 		return
@@ -309,11 +422,13 @@ func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []co
 		}
 	}
 	if f.tombs[n] == nil {
+		//dirccvet:allow allocguard a node builds its map once, on its first teardown
 		f.tombs[n] = make(map[coherent.BlockID][]coherent.NodeID)
 	}
 	f.tombs[n][b] = cur
 }
 
+//dirccvet:hotpath
 func (f *forest) sendReplaceInv(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, children []coherent.NodeID) {
 	for _, c := range children {
 		m.CtrAt(n).ReplaceInvs++

@@ -8,32 +8,14 @@ import (
 
 // This file holds the pure tree-shape predicates the model checker
 // (internal/check) asserts on every reachable state, and the paper's
-// Figure 7 acknowledgment-routing plan, shared by startInvalidation and
-// the checker's cross-validation of pending ack counts.
-
-// AckPlan computes the Figure 7 acknowledgment routing for an
-// invalidation wave over m roots: even-indexed roots acknowledge the
-// home directly, odd-indexed roots acknowledge their even-indexed left
-// sibling (which absorbs the extra ack before forwarding its own), so
-// the home collects homeFanIn = ceil(m/2) acknowledgments instead of
-// m. ackTo[i] is the sibling index root i acknowledges to, or -1 for
-// the home.
-func AckPlan(m int) (homeFanIn int, ackTo []int) {
-	ackTo = make([]int, m)
-	for i := range ackTo {
-		if i%2 == 0 {
-			ackTo[i] = -1
-			homeFanIn++
-		} else {
-			ackTo[i] = i - 1
-		}
-	}
-	return homeFanIn, ackTo
-}
+// Figure 7 acknowledgment pairing that startInvalidation applies.
 
 // SibAck reports whether root idx of m absorbs a sibling
 // acknowledgment under the Figure 7 pairing: it is even-indexed and an
-// odd right sibling exists.
+// odd right sibling exists. Even-indexed roots acknowledge the home
+// directly and odd-indexed roots their even-indexed left sibling, which
+// absorbs the extra ack before forwarding its own, so the home collects
+// ceil(m/2) acknowledgments instead of m.
 func SibAck(idx, m int) bool { return idx%2 == 0 && idx+1 < m }
 
 // CheckForestShape validates the structural well-formedness of a

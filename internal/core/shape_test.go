@@ -7,29 +7,6 @@ import (
 	"dircc/internal/coherent"
 )
 
-// TestAckPlan checks the Figure 7 routing: even-indexed roots ack the
-// home, odd-indexed roots ack their even left sibling, and the home
-// fan-in is ceil(m/2).
-func TestAckPlan(t *testing.T) {
-	for m := 0; m <= 7; m++ {
-		fanIn, ackTo := AckPlan(m)
-		if want := (m + 1) / 2; fanIn != want {
-			t.Errorf("AckPlan(%d): homeFanIn = %d, want %d", m, fanIn, want)
-		}
-		if len(ackTo) != m {
-			t.Fatalf("AckPlan(%d): len(ackTo) = %d", m, len(ackTo))
-		}
-		for i, to := range ackTo {
-			if i%2 == 0 && to != -1 {
-				t.Errorf("AckPlan(%d): even root %d acks %d, want home (-1)", m, i, to)
-			}
-			if i%2 == 1 && to != i-1 {
-				t.Errorf("AckPlan(%d): odd root %d acks %d, want sibling %d", m, i, to, i-1)
-			}
-		}
-	}
-}
-
 func TestSibAck(t *testing.T) {
 	cases := []struct {
 		idx, m int

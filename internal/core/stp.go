@@ -41,13 +41,16 @@ type stpEntry struct {
 // the handler returns.
 type stpPending struct {
 	req coherent.Msg
-	// txn is the requester's outstanding transaction at serialization
-	// time (reads only). Served-marking on Done/bounce must verify the
-	// requester is still in THIS transaction: after a silent
-	// replacement the requester may already be in a newer one, and
-	// marking that served would defer a later write's invalidation onto
-	// a read queued behind that very write — a deadlock.
-	txn      *coherent.Txn
+	// serial is the issue serial of the requester's outstanding
+	// transaction at serialization time (reads only). Served-marking on
+	// Done/bounce must verify the requester is still in THIS
+	// transaction: after a silent replacement the requester may already
+	// be in a newer one, and marking that served would defer a later
+	// write's invalidation onto a read queued behind that very write — a
+	// deadlock. The machine recycles transaction records, so the newer
+	// transaction may sit in the very same record: only the serial tells
+	// them apart.
+	serial   uint64
 	acksLeft int
 }
 
@@ -114,7 +117,11 @@ func (e *STP) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		// Descend from the root; the gate stays held until the adopter
 		// confirms with Done (or the descent bounces).
-		en.pend = &stpPending{req: *msg, txn: m.Txn(msg.Requester, b)}
+		p := &stpPending{req: *msg}
+		if txn := m.Txn(msg.Requester, b); txn != nil {
+			p.serial = txn.Serial
+		}
+		en.pend = p
 		m.Send(coherent.Msg{
 			Type: coherent.MsgFwd, Src: home, Dst: en.root, Block: b,
 			Requester: msg.Requester, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -140,16 +147,10 @@ func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) 
 	b := msg.Block
 	en.state = shared
 	en.root = msg.Requester
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		markServed(m, req, b)
-		m.Send(coherent.Msg{
-			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
-		m.ReleaseHome(b)
-	})
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+	}, coherent.ServeAny)
 }
 
 // markServedPending marks a pend-tracked read served only if the
@@ -159,7 +160,7 @@ func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) 
 // read before the Done reaches home — that fresh read has not been
 // serialized and must not be marked.
 func (e *STP) markServedPending(m *coherent.Machine, p *stpPending, b coherent.BlockID) {
-	if txn := m.Txn(p.req.Requester, b); txn != nil && txn == p.txn && !txn.Write {
+	if txn := m.Txn(p.req.Requester, b); txn != nil && txn.Serial == p.serial && !txn.Write {
 		txn.Served = true
 	}
 }
@@ -170,17 +171,14 @@ func (e *STP) grantWrite(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) {
 	en.state = dirty
 	en.owner = msg.Requester
 	en.root = msg.Requester
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		// RelHome: the write commit and home-gate release ride a
-		// companion event at the delivery instant on the home's own
-		// lane, in place of the receiver's handler doing them inline.
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true,
-		})
-	})
+	// RelHome: the write commit and home-gate release ride a companion
+	// event at the delivery instant on the home's own lane, in place of
+	// the receiver's handler doing them inline.
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+		RelHome: true,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine.
@@ -209,19 +207,16 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		b := msg.Block
 		en.root = req
 		en.state = shared
-		var ptrs []coherent.NodeID
+		var ptrs coherent.Ptrs
 		if oldRoot != coherent.NoNode && oldRoot != req {
-			ptrs = []coherent.NodeID{oldRoot}
+			ptrs.Add(oldRoot)
 		}
-		m.ReadMem(b, func() {
-			e.markServedPending(m, p, b)
-			m.Send(coherent.Msg{
-				Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
-				Requester: req, HasData: true, Data: m.Store.Value(b),
-				Ptrs: ptrs, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-			})
-			m.ReleaseHome(b)
-		})
+		// The reply marks the read served only if it is still the
+		// transaction this pend serialized (see stpPending.serial).
+		m.ReplyFromMemory(coherent.Msg{
+			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+			Requester: req, HasData: true, Ptrs: ptrs, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+		}, coherent.ServeTxn(p.serial))
 	case coherent.MsgInvAck:
 		m.CtrAt(msg.Dst).InvAcks++
 		p := en.pend
@@ -262,7 +257,7 @@ func (e *STP) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			panic("stp: DataReply without matching read txn")
 		}
 		meta := newSTPMeta()
-		for i, p := range msg.Ptrs {
+		for i, p := range msg.Ptrs.Nodes() {
 			if i >= 2 {
 				break
 			}

@@ -157,3 +157,112 @@ func TestSTPDirectoryBits(t *testing.T) {
 func BenchmarkSTPMix(b *testing.B) {
 	ptest.BenchmarkMix(b, func() coherent.Engine { return NewSTP() })
 }
+
+// handDelivery intercepts a machine's transport so a test delivers each
+// message when it chooses, as the model checker does.
+type handDelivery struct {
+	t *testing.T
+	m *coherent.Machine
+	q []*coherent.Msg
+}
+
+func newHandDelivery(t *testing.T, m *coherent.Machine) *handDelivery {
+	h := &handDelivery{t: t, m: m}
+	m.SetSendHook(func(msg *coherent.Msg) { h.q = append(h.q, msg) })
+	return h
+}
+
+// run drains the kernel's own events (issue, completion, gate restarts).
+func (h *handDelivery) run() {
+	h.t.Helper()
+	if err := h.m.RunKernel(); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// deliver delivers the oldest queued message of type typ to dst.
+func (h *handDelivery) deliver(typ coherent.MsgType, dst coherent.NodeID) {
+	h.t.Helper()
+	for i, msg := range h.q {
+		if msg.Type == typ && msg.Dst == dst {
+			h.q = append(h.q[:i], h.q[i+1:]...)
+			h.m.Deliver(msg)
+			h.run()
+			return
+		}
+	}
+	h.t.Fatalf("no %s to node %d in flight", typ, dst)
+}
+
+// drain delivers everything in flight, oldest first, until nothing is.
+func (h *handDelivery) drain() {
+	h.t.Helper()
+	for len(h.q) > 0 {
+		msg := h.q[0]
+		h.q = h.q[1:]
+		h.m.Deliver(msg)
+		h.run()
+	}
+}
+
+// TestSTPStaleDoneSparesNewerRead builds the race stpPending.serial
+// exists for. Node 2 is adopted under root 1, and the ChainData reaches
+// it before the adopter's Done reaches the home: node 2's read completes,
+// node 2 silently replaces the line, a write from node 3 queues at the
+// still-held gate, and node 2's re-read queues behind it, in the very
+// transaction record its first read used. When the stale Done arrives,
+// the home must not mark that newer read served: the write's Inv would
+// then be deferred onto a read that waits for the write, a deadlock.
+func TestSTPStaleDoneSparesNewerRead(t *testing.T) {
+	cfg := coherent.DefaultConfig(4)
+	cfg.Check = true
+	m, err := coherent.NewMachine(cfg, NewSTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHandDelivery(t, m)
+	addr := m.Alloc(8)
+	b := m.BlockOf(addr)
+	home := m.Home(b)
+	done := func(uint64) {}
+
+	m.Access(1, addr, false, 0, done) // node 1 becomes the root
+	h.run()
+	h.drain()
+	m.Access(2, addr, false, 0, done)
+	h.run()
+	first := m.Txn(2, b)
+	serial := first.Serial
+	h.deliver(coherent.MsgReadReq, home)
+	h.deliver(coherent.MsgFwd, 1) // root 1 adopts node 2: ChainData and Done leave
+	h.deliver(coherent.MsgChainData, 2)
+	if m.Txn(2, b) != nil {
+		t.Fatal("node 2's read did not complete on the ChainData")
+	}
+	if !m.ReplaceBlock(2, b) {
+		t.Fatal("node 2 holds no copy to replace")
+	}
+	m.Access(3, addr, true, 7, done)
+	h.run()
+	h.deliver(coherent.MsgWriteReq, home) // queues at the gate the Done will release
+	var got uint64
+	m.Access(2, addr, false, 0, func(v uint64) { got = v })
+	h.run()
+	second := m.Txn(2, b)
+	if second != first || second.Serial == serial {
+		t.Fatalf("the re-read must reuse the first read's record with a new serial: serials %d and %d, same record %v",
+			serial, second.Serial, second == first)
+	}
+	h.deliver(coherent.MsgReadReq, home) // queues behind the write
+	h.deliver(coherent.MsgDone, home)
+	if second.Served {
+		t.Fatal("the stale Done marked node 2's newer read served")
+	}
+	h.drain()
+	if err := m.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 7 {
+		t.Fatalf("node 2's re-read returned %d, want the write's 7", got)
+	}
+}

@@ -20,8 +20,8 @@ func applyRecord(e *Engine, en *entry, arrivals []coherent.NodeID) map[coherent.
 	children := make(map[coherent.NodeID][]coherent.NodeID)
 	for _, req := range arrivals {
 		handoff := e.record(nil, en, req)
-		if len(handoff) > 0 {
-			children[req] = append(children[req], handoff...)
+		if handoff.Len() > 0 {
+			children[req] = append(children[req], handoff.Nodes()...)
 		}
 	}
 	return children

@@ -3,8 +3,9 @@ package lint
 // allocguard turns the hot-path zero-allocation invariant into a static
 // gate. Functions on the simulator's per-event hot path (the kernel
 // event loop, the sharded intra-wave drain, network Send, the coherence
-// machine's message, transaction and hit events) are annotated
-// with a `//dirccvet:hotpath` directive in their doc comment; allocguard
+// machine's message, transaction and hit events, the tree and full-map
+// engines' handler paths) are annotated with a `//dirccvet:hotpath`
+// directive in their doc comment; allocguard
 // runs the compiler's escape analysis (`go build -gcflags=-m=2`) over
 // the packages containing annotated functions and reports every
 // "escapes to heap" / "moved to heap" diagnostic that lands inside an
@@ -12,10 +13,11 @@ package lint
 // catch a regression when the right benchmark runs), this names the
 // offending line at compile time.
 //
-// A known, deliberate allocation (e.g. the transaction record
-// Machine.Access allocates per miss) is suppressed the usual way:
+// A known, deliberate allocation (e.g. a free list growing a record
+// only while more of them are live than ever before) is suppressed the
+// usual way:
 //
-//	//dirccvet:allow allocguard one Txn per miss
+//	//dirccvet:allow allocguard a node allocates a transaction only while more of its misses are in flight than ever before
 //
 // The returned diagnostics flow through RunAnalyzers' suppression and
 // stale-allow accounting like any other analyzer's.

@@ -105,7 +105,10 @@ var safeMachineMethods = map[string]bool{
 	// scheduling façade: argument closures are re-based to the target
 	// lane (handled in checkCall).
 	"ScheduleAt": true, "ScheduleGlobal": true, "GlobalOpAt": true,
-	"ReadMem": true, "DeferAt": true,
+	"DeferAt": true,
+	// a memory reply fires, sends and releases the gate on the lane of
+	// its block's home.
+	"ReplyFromMemory": true,
 }
 
 type laneFinding struct {
@@ -1460,19 +1463,6 @@ func (fa *funcAnalysis) checkCall(call *ast.CallExpr, e env) {
 				}
 				fa.checkScheduledClosure(call.Args[1], call.Args[2], e)
 			}
-		case "ReadMem":
-			if len(call.Args) == 2 {
-				if fn, ok := call.Args[1].(*ast.FuncLit); ok {
-					bv := fa.canonOf(call.Args[0], e)
-					R, HB := map[string]bool{}, map[string]bool{}
-					if bv.kind == vCanon {
-						R["home("+bv.path+")"] = true
-						HB[bv.path] = true
-					}
-					sub := fa.cloneFor(R, HB, true, false)
-					sub.analyzeBody(fn.Body, e.clone())
-				}
-			}
 		case "ScheduleGlobal", "GlobalOpAt":
 			for _, a := range call.Args {
 				if fn, ok := a.(*ast.FuncLit); ok {
@@ -1551,7 +1541,7 @@ func (fa *funcAnalysis) argsToWalk(call *ast.CallExpr, e env) []ast.Expr {
 	consumedFuncLits := false
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isMachine(fa.la.typeOf(sel.X)) {
 		switch sel.Sel.Name {
-		case "ScheduleAt", "ReadMem", "ScheduleGlobal", "GlobalOpAt", "DeferAt":
+		case "ScheduleAt", "ScheduleGlobal", "GlobalOpAt", "DeferAt":
 			consumedFuncLits = true
 		}
 	}

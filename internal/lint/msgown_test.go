@@ -31,8 +31,8 @@ func TestMsgOwnCatchesMutants(t *testing.T) {
 			edits: [][2]string{
 				{"req      coherent.Msg", "req      *coherent.Msg"},
 				{"{req: *msg,", "{req: msg,"},
-				{"e.grantWrite(m, en, &en.pend.req)", "e.grantWrite(m, en, en.pend.req)"},
-				{"req := &p.req", "req := p.req"},
+				{"e.grantWrite(m, msg.Dst, en, &en.pend.req)", "e.grantWrite(m, msg.Dst, en, en.pend.req)"},
+				{"&p.req", "p.req"},
 			},
 		},
 		{

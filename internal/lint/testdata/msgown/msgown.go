@@ -48,7 +48,7 @@ func (e *engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	e.q = append(e.q, *msg)
 	req, b := msg.Requester, msg.Block
 	c := *msg
-	m.ReadMem(b, func() {
+	m.ScheduleAt(m.Home(b), m.Cfg.MemLatency, func() {
 		m.Send(coherent.Msg{Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b, Aux: coherent.NoNode})
 		m.Send(coherent.Msg{Type: coherent.MsgDataReply, Src: m.Home(b), Dst: c.Requester, Block: b, Aux: coherent.NoNode})
 		m.ReleaseHome(b)

@@ -80,12 +80,18 @@ type pending struct {
 	req      coherent.Msg
 	wantWb   coherent.NodeID // owner a writeback is expected from, or NoNode
 	acksLeft int
+	next     *pending // free-list link
 }
 
 // Engine is the full-map protocol engine. One instance serves one
 // Machine (bound at Prepare).
 type Engine struct {
 	m *coherent.Machine
+	// spare is each home's free list of pending records: a transaction
+	// that must wait for a writeback or acknowledgments takes one, and
+	// the home returns it when the transaction leaves the directory.
+	// Only the home's lane touches its list.
+	spare []*pending
 }
 
 // New returns a fresh full-map engine.
@@ -95,9 +101,39 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Name() string { return "fm" }
 
 // Prepare implements coherent.Preparer: directory records live in the
-// machine's per-home-node dir storage, so each record is only ever
-// touched by its home's lane under the sharded kernel.
-func (e *Engine) Prepare(m *coherent.Machine) { e.m = m }
+// machine's per-home-node dir storage, and pending records on per-home
+// free lists, so each record is only ever touched by its home's lane
+// under the sharded kernel.
+func (e *Engine) Prepare(m *coherent.Machine) {
+	e.m = m
+	e.spare = make([]*pending, m.Cfg.Procs)
+}
+
+// newPending takes a pending record for request msg from home's free
+// list.
+//
+//dirccvet:hotpath
+//go:noinline
+func (e *Engine) newPending(home coherent.NodeID, msg *coherent.Msg, wantWb coherent.NodeID) *pending {
+	p := e.spare[home]
+	if p == nil {
+		//dirccvet:allow allocguard a home allocates a pending record only while more of its transactions wait than ever before
+		p = new(pending)
+	} else {
+		e.spare[home] = p.next
+	}
+	*p = pending{req: *msg, wantWb: wantWb}
+	return p
+}
+
+// freePending returns p, which no directory entry names any more, to
+// home's free list.
+//
+//dirccvet:hotpath
+func (e *Engine) freePending(home coherent.NodeID, p *pending) {
+	p.next = e.spare[home]
+	e.spare[home] = p
+}
 
 func (e *Engine) entry(b coherent.BlockID) *entry {
 	en, _ := e.m.Dir(b).(*entry)
@@ -109,6 +145,8 @@ func (e *Engine) entry(b coherent.BlockID) *entry {
 }
 
 // StartMiss implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 	typ := coherent.MsgReadReq
 	if txn.Write {
@@ -122,13 +160,15 @@ func (e *Engine) StartMiss(m *coherent.Machine, txn *coherent.Txn) {
 }
 
 // HomeRequest implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	en := e.entry(msg.Block)
 	switch msg.Type {
 	case coherent.MsgReadReq:
 		if en.state == dirty && en.owner != msg.Requester {
 			// RM_WW: recall the dirty copy, demoting the owner.
-			en.pend = &pending{req: *msg, wantWb: en.owner}
+			en.pend = e.newPending(msg.Dst, msg, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Aux: coherent.NoNode,
@@ -140,20 +180,22 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		m.SerializeWrite(msg)
 		if en.state == dirty && en.owner != msg.Requester {
 			// WM_WW: recall and invalidate the dirty copy.
-			en.pend = &pending{req: *msg, wantWb: en.owner}
+			en.pend = e.newPending(msg.Dst, msg, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
 				Block: msg.Block, Requester: msg.Requester, Write: true, Aux: coherent.NoNode,
 			})
 			return
 		}
-		e.startInvalidation(m, en, msg)
+		e.startInvalidation(m, msg.Dst, en, msg)
 	default:
 		panic("fullmap: unexpected gated request " + msg.Type.String())
 	}
 }
 
 // serveRead sends the data reply and records the requester as a sharer.
+//
+//dirccvet:hotpath
 func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
@@ -162,6 +204,7 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		en.state = shared
 	}
 	if m.Tracing() {
+		//dirccvet:allow allocguard trace-only label formatting
 		m.TraceDir(b, fmt.Sprintf("%s +sharer %d (%d sharers)", en.state, msg.Requester, en.sharers.count()))
 	}
 	if en.state == dirty && en.owner == msg.Requester {
@@ -171,22 +214,19 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		// means the writeback logic broke.
 		panic("fullmap: dirty owner re-requested its own block")
 	}
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		m.Send(coherent.Msg{
-			Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
-		})
-		m.ReleaseHome(b)
-	})
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, Aux: coherent.NoNode,
+	}, coherent.ServeNone)
 }
 
 // startInvalidation launches WM_LIP: one Inv per sharer except the
-// requester, acks collected at the home.
-func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
+// requester, acks collected at home, the block's home node.
+//
+//dirccvet:hotpath
+func (e *Engine) startInvalidation(m *coherent.Machine, home coherent.NodeID, en *entry, msg *coherent.Msg) {
 	b := msg.Block
-	home := m.Home(b)
-	pend := &pending{req: *msg, wantWb: coherent.NoNode}
+	pend := e.newPending(home, msg, coherent.NoNode)
 	en.pend = pend
 	// Walk the presence bits in node order, which fixes the injection
 	// order and with it the cycle counts.
@@ -205,35 +245,40 @@ func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent
 		}
 	}
 	if pend.acksLeft == 0 {
-		e.grantWrite(m, en, msg)
+		e.grantWrite(m, home, en, msg)
 	}
 }
 
-// grantWrite finishes a write transaction at the home.
-func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
+// grantWrite finishes a write transaction at home. msg may be the
+// request a pending record keeps: grantWrite reads it before it returns
+// the record to the free list.
+//
+//dirccvet:hotpath
+func (e *Engine) grantWrite(m *coherent.Machine, home coherent.NodeID, en *entry, msg *coherent.Msg) {
+	b, req := msg.Block, msg.Requester
+	e.freePending(home, en.pend)
 	en.pend = nil
 	en.state = dirty
-	en.owner = msg.Requester
+	en.owner = req
 	clear(en.sharers)
-	en.sharers.add(msg.Requester)
+	en.sharers.add(req)
 	if m.Tracing() {
+		//dirccvet:allow allocguard trace-only label formatting
 		m.TraceDir(b, fmt.Sprintf("dirty owner %d", en.owner))
 	}
 	// The gate stays held until the writer confirms installation
-	// (WM_LIP ends when the write performs); the writer-side handler
-	// releases it. This keeps write serialization windows disjoint.
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
-			RelHome: true,
-		})
-	})
+	// (WM_LIP ends when the write performs): the reply's delivery
+	// releases it (RelHome). This keeps write serialization windows
+	// disjoint.
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: home, Dst: req, Block: b,
+		Requester: req, HasData: true, Aux: coherent.NoNode, RelHome: true,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine (acks and writebacks).
+//
+//dirccvet:hotpath
 func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 	en := e.entry(msg.Block)
 	switch msg.Type {
@@ -244,7 +289,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		en.pend.acksLeft--
 		if en.pend.acksLeft == 0 {
-			e.grantWrite(m, en, &en.pend.req)
+			e.grantWrite(m, msg.Dst, en, &en.pend.req)
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
@@ -259,19 +304,18 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		if p := en.pend; p != nil && p.wantWb == msg.Src {
 			// The recall (or a racing eviction) satisfied RM_WW/WM_WW.
-			p.wantWb = coherent.NoNode
-			req := &p.req
 			en.pend = nil
-			if req.Type == coherent.MsgReadReq {
+			if p.req.Type == coherent.MsgReadReq {
 				if msg.Write {
 					// The owner kept a demoted shared copy.
 					en.sharers.add(msg.Src)
 					en.state = shared
 				}
-				e.serveRead(m, en, req)
+				e.serveRead(m, en, &p.req)
 			} else {
-				e.startInvalidation(m, en, req)
+				e.startInvalidation(m, msg.Dst, en, &p.req)
 			}
+			e.freePending(msg.Dst, p)
 		}
 	default:
 		panic("fullmap: unexpected home message " + msg.Type.String())
@@ -279,6 +323,8 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 // CacheMsg implements coherent.Engine.
+//
+//dirccvet:hotpath
 func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 	n := msg.Dst
 	node := m.Nodes[n]
@@ -332,6 +378,8 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 
 // OnEvict implements coherent.Engine: shared lines drop silently,
 // exclusive lines write back.
+//
+//dirccvet:hotpath
 func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 	if ln.State != cache.Exclusive {
 		return

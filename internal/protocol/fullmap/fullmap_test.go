@@ -167,3 +167,33 @@ func TestPresenceSpansTwoWords(t *testing.T) {
 		t.Errorf("%d cycles, %d messages; want 4906 and 770", m.Ctr.Cycles, m.Ctr.Messages)
 	}
 }
+
+// TestMissRoundTripAllocs: once its free lists are warm, full-map serves
+// miss round trips without allocating. One round on P=8 has six readers
+// read a block the writer then writes: the first read recalls the dirty
+// copy (a pending record waits for the writeback), and the write
+// invalidates the six sharers (a pending record counts their acks).
+func TestMissRoundTripAllocs(t *testing.T) {
+	m, err := coherent.NewMachine(coherent.DefaultConfig(8), New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := ptest.NewRefs(t, m)
+	readers := ptest.Nodes(0, 6)
+	cycle := refs.Cycle(readers, 7)
+	for range 3 {
+		cycle() // warm the free lists
+	}
+	misses, invs, wbs := m.Ctr.ReadMisses+m.Ctr.WriteMisses, m.Ctr.Invalidations, m.Ctr.Writebacks
+	cycle()
+	if got := m.Ctr.ReadMisses + m.Ctr.WriteMisses - misses; got != uint64(len(readers)+1) {
+		t.Fatalf("a round made %d misses, want %d: every reference must miss", got, len(readers)+1)
+	}
+	if m.Ctr.Invalidations-invs != uint64(len(readers)) || m.Ctr.Writebacks-wbs != 1 {
+		t.Fatalf("a round made %d invalidations and %d writebacks, want %d and 1",
+			m.Ctr.Invalidations-invs, m.Ctr.Writebacks-wbs, len(readers))
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a round of %d misses allocates %.1f objects, want 0", len(readers)+1, allocs)
+	}
+}

@@ -274,13 +274,10 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg, tr
 
 // sendData reads block b from memory and replies to requester req.
 func sendData(m *coherent.Machine, b coherent.BlockID, req coherent.NodeID) {
-	m.ReadMem(b, func() {
-		m.Send(coherent.Msg{
-			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
-		})
-		m.ReleaseHome(b)
-	})
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgDataReply, Src: m.Home(b), Dst: req, Block: b,
+		Requester: req, HasData: true, Aux: coherent.NoNode,
+	}, coherent.ServeNone)
 }
 
 // startInvalidation launches the write-miss invalidation round. Dir_iNB
@@ -346,14 +343,10 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	en.ptrs = []coherent.NodeID{msg.Requester}
 	en.broadcast = false
 	en.spill = nil
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b), Aux: coherent.NoNode,
-			RelHome: true,
-		})
-	})
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, Aux: coherent.NoNode, RelHome: true,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine.

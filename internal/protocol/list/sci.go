@@ -166,16 +166,10 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// home supplies the data directly.
 			en.state = shared
 			en.head = msg.Requester
-			req := msg.Requester
-			m.ReadMem(b, func() {
-				markServed(m, req, b)
-				m.Send(coherent.Msg{
-					Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
-					Requester: req, HasData: true, Data: m.Store.Value(b),
-					Aux: coherent.NoNode, AckTo: coherent.NoNode,
-				})
-				m.ReleaseHome(b)
-			})
+			m.ReplyFromMemory(coherent.Msg{
+				Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
+				Requester: msg.Requester, HasData: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+			}, coherent.ServeAny)
 			return
 		}
 		oldHead := en.head
@@ -213,17 +207,13 @@ func (e *SCI) grantWrite(m *coherent.Machine, en *sciEntry, msg *coherent.Msg) {
 	en.state = dirty
 	en.owner = msg.Requester
 	en.head = msg.Requester
-	req := msg.Requester
-	m.ReadMem(b, func() {
-		// RelHome: the write commit and home-gate release ride a
-		// companion event at the delivery instant on the home's own
-		// lane, in place of the receiver's handler doing them inline.
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			RelHome: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
-		})
-	})
+	// RelHome: the write commit and home-gate release ride a companion
+	// event at the delivery instant on the home's own lane, in place of
+	// the receiver's handler doing them inline.
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true, RelHome: true, Aux: coherent.NoNode, AckTo: coherent.NoNode,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine.

@@ -162,16 +162,11 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// home supplies the data directly.
 			en.state = shared
 			en.head = msg.Requester
-			seq, req := en.seq, msg.Requester
-			m.ReadMem(b, func() {
-				markServed(m, req, b)
-				m.Send(coherent.Msg{
-					Type: coherent.MsgDataReply, Src: home, Dst: req, Block: b,
-					Requester: req, HasData: true, Data: m.Store.Value(b),
-					Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: seq,
-				})
-				m.ReleaseHome(b)
-			})
+			m.ReplyFromMemory(coherent.Msg{
+				Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
+				Requester: msg.Requester, HasData: true,
+				Aux: coherent.NoNode, AckTo: coherent.NoNode, Seq: en.seq,
+			}, coherent.ServeAny)
 			return
 		}
 		oldHead := en.head
@@ -221,18 +216,15 @@ func (e *SLL) grantWrite(m *coherent.Machine, en *sllEntry, msg *coherent.Msg) {
 	en.owner = msg.Requester
 	en.head = msg.Requester
 	// The gate is held from the write's serialization until the grant,
-	// so en.seq is still the write's own stamp here.
-	seq, req := en.seq, msg.Requester
-	m.ReadMem(b, func() {
-		// RelHome: the write commit and home-gate release ride a
-		// companion event at the delivery instant on the home's own
-		// lane, in place of the receiver's handler doing them inline.
-		m.Send(coherent.Msg{
-			Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: req, Block: b,
-			Requester: req, HasData: true, Data: m.Store.Value(b),
-			Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true, Seq: seq,
-		})
-	})
+	// so en.seq is still the write's own stamp here. RelHome: the write
+	// commit and home-gate release ride a companion event at the
+	// delivery instant on the home's own lane, in place of the
+	// receiver's handler doing them inline.
+	m.ReplyFromMemory(coherent.Msg{
+		Type: coherent.MsgWriteReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
+		Requester: msg.Requester, HasData: true,
+		Aux: coherent.NoNode, AckTo: coherent.NoNode, RelHome: true, Seq: en.seq,
+	}, coherent.ServeNone)
 }
 
 // HomeMsg implements coherent.Engine.

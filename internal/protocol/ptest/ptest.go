@@ -419,3 +419,61 @@ func Describe(m *coherent.Machine) string {
 	return fmt.Sprintf("%s: %d cycles, %d msgs, %d inv",
 		m.Protocol().Name(), m.Ctr.Cycles, m.Ctr.Messages, m.Ctr.Invalidations)
 }
+
+// Refs issues references to one block of a machine, one at a time, each
+// drained to completion: miss round trips in a fixed order, for
+// allocation tests and benchmarks. It drives Machine.Access directly,
+// with no processor model.
+type Refs struct {
+	tb    testing.TB
+	m     *coherent.Machine
+	addr  uint64
+	value uint64
+	done  func(uint64)
+}
+
+// NewRefs allocates a fresh block on m for the references to use.
+func NewRefs(tb testing.TB, m *coherent.Machine) *Refs {
+	return &Refs{tb: tb, m: m, addr: m.Alloc(8), done: func(uint64) {}}
+}
+
+// Block returns the block the references name.
+func (r *Refs) Block() coherent.BlockID { return r.m.BlockOf(r.addr) }
+
+// Read has node n read the block.
+func (r *Refs) Read(n coherent.NodeID) { r.access(n, false) }
+
+// Write has node n write a new value to the block.
+func (r *Refs) Write(n coherent.NodeID) {
+	r.value++
+	r.access(n, true)
+}
+
+func (r *Refs) access(n coherent.NodeID, write bool) {
+	r.m.Access(n, r.addr, write, r.value, r.done)
+	if err := r.m.RunKernel(); err != nil {
+		r.tb.Fatal(err)
+	}
+}
+
+// Cycle returns one round of references: readers read the block in
+// turn, then writer writes it. From the second round on every
+// reference misses: the write invalidates every reader's copy, and the
+// first read recalls the writer's.
+func (r *Refs) Cycle(readers []coherent.NodeID, writer coherent.NodeID) func() {
+	return func() {
+		for _, n := range readers {
+			r.Read(n)
+		}
+		r.Write(writer)
+	}
+}
+
+// Nodes returns the node IDs lo, lo+1, ..., hi-1.
+func Nodes(lo, hi int) []coherent.NodeID {
+	out := make([]coherent.NodeID, 0, hi-lo)
+	for n := lo; n < hi; n++ {
+		out = append(out, coherent.NodeID(n))
+	}
+	return out
+}
