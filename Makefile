@@ -82,8 +82,8 @@ race:
 
 # bench runs the hot-path micro-benchmarks. Save the output before and
 # after a change and compare with cmd/benchdiff (or benchstat).
-BENCH_RE = EngineScheduleRun|EngineTinyDrain|NetworkSend|ShardedScheduleRun|CacheLookup|EnvRoundTrip|MissRoundTrip
-BENCH_PKGS = sim network cache proc protocol
+BENCH_RE = EngineScheduleRun|EngineTinyDrain|NetworkSend|ShardedScheduleRun|CacheLookup|EnvRoundTrip|MissRoundTrip|CheckRun
+BENCH_PKGS = sim network cache proc protocol check
 bench:
 	$(GO) test -bench '$(BENCH_RE)' -benchmem -run '^$$' $(addprefix ./internal/,$(BENCH_PKGS))
 

@@ -83,3 +83,47 @@ func TestCanonWalks(t *testing.T) {
 		t.Errorf("%d states hash to %s, want %s: the canonical text changed", states, got, canonWalksDigest)
 	}
 }
+
+// TestCanonAllocs takes four seeded random walks through every Grid()
+// entry and, at every state, requires rendering the canonical state and
+// checking the invariants to allocate nothing once the replayer's
+// buffers are warm: the checker does both on every explored transition,
+// so an engine that renders through fmt, or a check that builds a map,
+// shows up here.
+func TestCanonAllocs(t *testing.T) {
+	const walks = 4
+	for e, entry := range Grid() {
+		cfg := entry.Config
+		if err := cfg.setDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < walks; w++ {
+			r, err := newReplayer(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(uint64(e), uint64(w)))
+			for step := 0; ; step++ {
+				var verr error
+				allocs := testing.AllocsPerRun(3, func() {
+					r.canon()
+					verr = r.checkInvariants()
+				})
+				if verr != nil {
+					t.Fatalf("%s walk %d step %d: %v", cfg.Name, w, step, verr)
+				}
+				if allocs != 0 {
+					t.Fatalf("%s walk %d step %d: rendering and checking a state allocate %.0f objects, want 0:\n%s",
+						cfg.Name, w, step, allocs, r.canon())
+				}
+				cs := r.choices()
+				if len(cs) == 0 {
+					break
+				}
+				if err := r.applyChecked(cs[rng.IntN(len(cs))]); err != nil {
+					t.Fatalf("%s walk %d step %d: %v", cfg.Name, w, step, err)
+				}
+			}
+		}
+	}
+}

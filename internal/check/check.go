@@ -14,18 +14,18 @@
 // is a prefix-equivalent reordering of some drained interleaving (see
 // DESIGN.md, "Verification").
 //
-// States are deduplicated by the SHA-256 of a canonical text that
-// excludes simulated time (coherent.Machine.CanonState plus the program
-// counters and in-flight channels). Exploration is breadth-first over
-// replayed paths, so the first violation found comes with a minimal
-// message-interleaving witness. A run owns one machine: before every
-// transition it is reset with a fresh engine (coherent.Machine.Reset)
-// and the path is replayed from the initial state, so no live machine
-// state is ever copied or carried from one path to another.
+// States are deduplicated by 128 bits of the SHA-256 of a canonical
+// text that excludes simulated time (coherent.Machine.CanonState plus
+// the program counters and in-flight channels). Exploration is
+// breadth-first over replayed paths, so the first violation found comes
+// with a minimal message-interleaving witness. A run owns one machine:
+// before every transition it is reset with a fresh engine
+// (coherent.Machine.Reset) and the path is replayed from the initial
+// state, so no live machine state is ever copied or carried from one
+// path to another.
 package check
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 
@@ -141,10 +141,11 @@ func (c *Config) setDefaults() error {
 
 // choice is one nondeterministic step: either node issue >= 0 issues
 // its next program operation, or the pool message at index deliver is
-// delivered.
+// delivered. Every frontier entry holds its path of choices, so the
+// fields are kept to 32 bits: that halves the queue's memory.
 type choice struct {
-	issue   int
-	deliver int
+	issue   int32
+	deliver int32
 }
 
 // Stats summarizes one exhaustive run.
@@ -217,7 +218,7 @@ func Run(cfg Config) (Stats, *Violation, error) {
 	if verr := r.checkInvariants(); verr != nil {
 		return st, makeWitness(&cfg, nil, verr), nil
 	}
-	visited := map[[sha256.Size]byte]bool{r.hash(): true}
+	visited := map[stateKey]struct{}{r.hash(): {}}
 	st.States = 1
 
 	queue := []queued{r.entry(nil)}
@@ -244,25 +245,28 @@ func Run(cfg Config) (Stats, *Violation, error) {
 			if verr == nil {
 				verr = r.checkInvariants()
 			}
-			// The three-index slice makes append copy: paths share no
-			// backing array.
-			path := append(cur.path[:len(cur.path):len(cur.path)], c)
 			if verr != nil {
-				return st, makeWitness(&cfg, path, verr), nil
+				return st, makeWitness(&cfg, extend(cur.path, c), verr), nil
 			}
 			h := r.hash()
-			if visited[h] {
+			if _, seen := visited[h]; seen {
 				continue
 			}
 			if len(visited) >= cfg.MaxStates {
 				return st, nil, fmt.Errorf("check: %s: state space exceeds the %d-state cap", cfg.Name, cfg.MaxStates)
 			}
-			visited[h] = true
+			visited[h] = struct{}{}
 			st.States++
-			queue = append(queue, r.entry(path))
+			queue = append(queue, r.entry(extend(cur.path, c)))
 		}
 	}
 	return st, nil, nil
+}
+
+// extend returns path followed by c. The three-index slice makes append
+// copy: paths share no backing array.
+func extend(path []choice, c choice) []choice {
+	return append(path[:len(path):len(path)], c)
 }
 
 // makeWitness replays path one final time, on a machine of its own

@@ -6,7 +6,7 @@ import "fmt"
 // in machine.go) with the checker-owned message pool as the in-flight
 // set.
 func (r *replayer) checkInvariants() error {
-	return Invariants(r.m, r.cfg.Blocks, r.pool)
+	return r.inv.check(r.m, r.cfg.Blocks, r.pool)
 }
 
 // checkTerminal asserts quiescent-state convergence on a state with no

@@ -35,6 +35,8 @@ type replayer struct {
 	chans  []int
 	flight []byte
 	spans  [][2]int
+	// inv is the invariant checks' scratch, kept across states.
+	inv invariants
 }
 
 func newReplayer(cfg *Config) (*replayer, error) {
@@ -62,11 +64,16 @@ func newReplayer(cfg *Config) (*replayer, error) {
 
 // replay returns the machine to the initial state, bound to a fresh
 // engine, and replays path on it. Paths are only enqueued after their
-// states passed all checks, so a replay never faults.
+// states passed all checks, so a replay never faults. The records of
+// the messages the previous path left undelivered go back to the
+// machine, which reuses them.
 func (r *replayer) replay(path []choice) error {
-	r.m.Reset(r.cfg.NewEngine())
+	for _, msg := range r.pool {
+		r.m.Discard(msg)
+	}
 	clear(r.pool)
 	r.pool = r.pool[:0]
+	r.m.Reset(r.cfg.NewEngine())
 	clear(r.cursors)
 	for _, c := range path {
 		if verr := r.applyChecked(c); verr != nil {
@@ -108,7 +115,7 @@ func (r *replayer) choices() []choice {
 	var out []choice
 	for n := range r.cfg.Program {
 		if r.cursors[n] < len(r.cfg.Program[n]) && r.m.Outstanding(coherent.NodeID(n)) == 0 {
-			out = append(out, choice{issue: n, deliver: -1})
+			out = append(out, choice{issue: int32(n), deliver: -1})
 		}
 	}
 	clear(r.chans)
@@ -118,7 +125,7 @@ func (r *replayer) choices() []choice {
 			continue
 		}
 		r.chans[ch]++
-		out = append(out, choice{issue: -1, deliver: i})
+		out = append(out, choice{issue: -1, deliver: int32(i)})
 	}
 	return out
 }
@@ -201,9 +208,17 @@ func (r *replayer) laneSnapshot() []string {
 	return out
 }
 
+// stateKey identifies a state in the visited set: the first 128 bits
+// of the SHA-256 of its canonical text. Half the digest halves the
+// visited set, a run's largest structure; even among 8,000,000 states,
+// the largest MaxStates in Grid(), the chance that two share a key is
+// below 10^-25.
+type stateKey [16]byte
+
 // hash digests the canonical state for the visited set.
-func (r *replayer) hash() [sha256.Size]byte {
-	return sha256.Sum256(r.canon())
+func (r *replayer) hash() stateKey {
+	sum := sha256.Sum256(r.canon())
+	return stateKey(sum[:16])
 }
 
 // canon renders everything that can influence future behavior and
@@ -214,6 +229,8 @@ func (r *replayer) hash() [sha256.Size]byte {
 // channels is not (any interleaving is explored), so channel lines are
 // sorted and their contents are not. The same text serves the visited
 // set and the tests that compare states.
+//
+//dirccvet:hotpath
 func (r *replayer) canon() []byte {
 	r.buf.Reset()
 	b := append(r.buf.AvailableBuffer(), "pc["...)
@@ -232,6 +249,8 @@ func (r *replayer) canon() []byte {
 // appendInFlight appends one "in-flight ch<src>><dst>#<nnn> <msg>"
 // line per undelivered message, nnn numbering the message within its
 // channel, with the lines sorted.
+//
+//dirccvet:hotpath
 func (r *replayer) appendInFlight(b []byte) []byte {
 	clear(r.chans)
 	f := r.flight[:0]

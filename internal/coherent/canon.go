@@ -2,8 +2,10 @@ package coherent
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"dircc/internal/cache"
@@ -23,9 +25,84 @@ import (
 // dump of all engine-private state (directory entries, aggregation
 // counters, victim/tombstone buffers). The rendering must be
 // deterministic: map iteration must be sorted, and nothing derived
-// from simulated time or statistics may appear.
+// from simulated time or statistics may appear. The model checker
+// renders one state per explored transition and passes a
+// *bytes.Buffer, so an engine appends its text into the buffer's spare
+// capacity (CanonBuffer) rather than formatting through fmt.
 type ProtocolState interface {
 	CanonState(w io.Writer)
+}
+
+// CanonAppender is implemented by the engine-owned values the machine
+// renders in its canonical state: line metadata (cache.Line.Meta) and
+// transaction scratch (Txn.Scratch). AppendCanon appends the value's
+// text to b. A nil pointer renders as "<nil>", as fmt printed it.
+type CanonAppender interface {
+	AppendCanon(b []byte) []byte
+}
+
+// CanonBuffer returns the bytes an engine's CanonState appends to: the
+// spare capacity of w when it is a *bytes.Buffer, which the engine
+// hands back with w.Write, else nil.
+func CanonBuffer(w io.Writer) []byte {
+	if buf, ok := w.(*bytes.Buffer); ok {
+		return buf.AvailableBuffer()
+	}
+	return nil
+}
+
+// NodeBlock names one node's per-block record in an engine's per-node
+// maps (tombstones, victim buffers, aggregations).
+type NodeBlock struct {
+	N NodeID
+	B BlockID
+}
+
+// AppendSortedKeys appends the keys of perNode, node n's map at index
+// n, to dst in block then node order: the order canonical dumps list
+// per-node records in. Reusing dst keeps a warm caller from allocating.
+func AppendSortedKeys[V any](dst []NodeBlock, perNode []map[BlockID]V) []NodeBlock {
+	start := len(dst)
+	for n, mm := range perNode {
+		for b := range mm {
+			dst = append(dst, NodeBlock{N: NodeID(n), B: b})
+		}
+	}
+	slices.SortFunc(dst[start:], func(x, y NodeBlock) int {
+		return cmp.Or(cmp.Compare(x.B, y.B), cmp.Compare(x.N, y.N))
+	})
+	return dst
+}
+
+// AppendDir appends "dir b<block> <state>", the start of an engine's
+// canonical line for one directory entry.
+func AppendDir(b []byte, blk BlockID, state string) []byte {
+	b = append(b, "dir b"...)
+	b = strconv.AppendUint(b, uint64(blk), 10)
+	b = append(b, ' ')
+	return append(b, state...)
+}
+
+// AppendRecord appends "<label> n<node> b<block>", the start of the
+// canonical line of one node's record for one block.
+func AppendRecord(b []byte, label string, k NodeBlock) []byte {
+	b = append(b, label...)
+	b = append(b, " n"...)
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	b = append(b, " b"...)
+	return strconv.AppendUint(b, uint64(k.B), 10)
+}
+
+// AppendNodes appends nodes as fmt's %v renders a []NodeID: "[1 2]".
+func AppendNodes(b []byte, nodes []NodeID) []byte {
+	b = append(b, '[')
+	for i, n := range nodes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return append(b, ']')
 }
 
 // CoverageEnumerator is implemented by engines whose directory must
@@ -35,7 +112,10 @@ type ProtocolState interface {
 // node n's recorded state for b references (tree children, list next
 // pointers, victim/tombstone buffers) — the checker takes the closure
 // of roots under edges and requires every stable copy to be inside it
-// or be the target of an in-flight teardown message.
+// or be the target of an in-flight teardown message. Both may return
+// storage the engine reuses on its next call of the same method, so
+// that checking a state allocates nothing: read the slice before asking
+// again, and do not modify it.
 type CoverageEnumerator interface {
 	CoverageRoots(m *Machine, b BlockID) []NodeID
 	CoverageEdges(m *Machine, b BlockID, n NodeID) []NodeID
@@ -54,8 +134,9 @@ type ShapeChecker interface {
 func (msg *Msg) Canon() string { return string(msg.AppendCanon(nil)) }
 
 // AppendCanon appends Canon's text to b. The model checker renders
-// every in-flight, deferred and gate-queued message of every explored
-// state through it, so it formats with strconv rather than fmt.
+// every in-flight, deferred, gate-queued and pending message of every
+// explored state through it, so it formats with strconv rather than
+// fmt.
 //
 //dirccvet:hotpath
 func (msg *Msg) AppendCanon(b []byte) []byte {
@@ -70,14 +151,9 @@ func (msg *Msg) AppendCanon(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(msg.Requester), 10)
 	b = append(b, " a"...)
 	b = strconv.AppendInt(b, int64(msg.Aux), 10)
-	b = append(b, " p["...)
-	for i, p := range msg.Ptrs.Nodes() {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(p), 10)
-	}
-	b = append(b, "] hd"...)
+	b = append(b, " p"...)
+	b = AppendNodes(b, msg.Ptrs.Nodes())
+	b = append(b, " hd"...)
 	b = strconv.AppendBool(b, msg.HasData)
 	b = append(b, " d"...)
 	b = strconv.AppendUint(b, msg.Data, 10)
@@ -108,7 +184,7 @@ func (msg *Msg) AppendCanon(b []byte) []byte {
 // directory state. Two machines with equal renderings are behaviorally
 // indistinguishable to the model checker, which renders one per
 // explored transition: the machine's own part is appended to buf
-// without fmt, and the engine writes its part through buf.
+// without fmt, and the engine appends its part to buf the same way.
 func (m *Machine) CanonState(buf *bytes.Buffer) {
 	buf.Write(m.appendCanon(buf.AvailableBuffer()))
 	if ps, ok := m.proto.(ProtocolState); ok {
@@ -207,13 +283,19 @@ func (m *Machine) appendCanon(b []byte) []byte {
 	return b
 }
 
-// appendValue appends v as fmt's %v verb renders it. Line metadata and
-// transaction scratch are engine-owned types, which only fmt knows how
-// to print; the nil the full-map and limited engines leave costs no
-// formatting.
+// appendValue appends line metadata or transaction scratch v: "<nil>"
+// for the nil the full-map and limited engines leave, else the text of
+// v's AppendCanon.
+//
+//dirccvet:hotpath
 func appendValue(b []byte, v any) []byte {
 	if v == nil {
 		return append(b, "<nil>"...)
 	}
-	return fmt.Append(b, v)
+	ca, ok := v.(CanonAppender)
+	if !ok {
+		//dirccvet:allow allocguard panic formatting is off the steady-state path
+		panic(fmt.Sprintf("coherent: %T in line metadata or transaction scratch does not implement CanonAppender", v))
+	}
+	return ca.AppendCanon(b)
 }

@@ -243,6 +243,10 @@ type Machine struct {
 	// allAudit marks that a global event (GlobalOpAt, ScheduleGlobal)
 	// ran since the last reset; global events may touch any lane's state.
 	allAudit bool
+
+	// dirBlocks is the slice DirBlocks returns, reused from call to
+	// call so that rendering canonical state allocates nothing.
+	dirBlocks []BlockID
 }
 
 // nodeSpare is one node's entry in Machine.spare.
@@ -410,8 +414,10 @@ func newMachine(cfg Config, proto Engine, topo topology.Topology, shards int) (*
 // monitor with no findings, and binds proto, preparing it on this
 // machine. newMachine runs it on a machine with no nodes yet,
 // allocating their storage; Reset runs it on a used machine, clearing
-// that storage in place. Per-run state set up here starts the same way
-// in both.
+// that storage in place and returning the records it still holds —
+// outstanding transactions, the messages deferred on them and the
+// requests queued at gates — to the free lists. Per-run state set up
+// here starts the same way in both.
 func (m *Machine) setUp(proto Engine) {
 	for i := range m.Cfg.Procs {
 		if i == len(m.Nodes) {
@@ -424,9 +430,16 @@ func (m *Machine) setUp(proto Engine) {
 		}
 		m.Nodes[i].Cache.Reset()
 		for j := range m.txns[i] {
-			m.txns[i][j].Store(nil)
+			if t := m.txns[i][j].Swap(nil); t != nil {
+				m.dropTxn(t)
+			}
 		}
 		m.spare[i].serial = 0
+		for k := range m.homes[i] {
+			for _, q := range m.homes[i][k].queue {
+				m.freeMsg(q)
+			}
+		}
 		clear(m.homes[i])
 	}
 	if m.Cfg.Check {
@@ -902,21 +915,23 @@ func (m *Machine) SetDir(b BlockID, v any) {
 }
 
 // DirBlocks returns every block holding directory state, sorted —
-// deterministic iteration for canonical dumps. Call from quiesced
+// deterministic iteration for canonical dumps. The slice is the
+// machine's: the next call overwrites it. Call from quiesced
 // (single-threaded) contexts.
 func (m *Machine) DirBlocks() []BlockID {
-	return m.slotBlocks(func(s *homeSlot) bool { return s.dir != nil })
+	m.dirBlocks = m.appendSlotBlocks(m.dirBlocks[:0], func(s *homeSlot) bool { return s.dir != nil })
+	return m.dirBlocks
 }
 
 // heldGates returns every block whose gate is held, sorted. Call from
 // quiesced (single-threaded) contexts.
 func (m *Machine) heldGates() []BlockID {
-	return m.slotBlocks(func(s *homeSlot) bool { return s.busy })
+	return m.appendSlotBlocks(nil, func(s *homeSlot) bool { return s.busy })
 }
 
-// slotBlocks returns every block whose home slot satisfies keep, sorted.
-func (m *Machine) slotBlocks(keep func(*homeSlot) bool) []BlockID {
-	var out []BlockID
+// appendSlotBlocks appends every block whose home slot satisfies keep
+// to out, sorted.
+func (m *Machine) appendSlotBlocks(out []BlockID, keep func(*homeSlot) bool) []BlockID {
 	for home, slots := range m.homes {
 		for i := range slots {
 			if keep(&slots[i]) {
@@ -1129,6 +1144,20 @@ func (m *Machine) newTxn(n NodeID, b BlockID, write bool, done func(uint64)) *Tx
 	return t
 }
 
+// dropTxn returns t, a transaction still outstanding when the machine
+// is reset, to its node's free list, and the records of the messages
+// deferred on it to theirs. Like txnDone, it leaves the parked record
+// no reference but its Deferred storage.
+func (m *Machine) dropTxn(t *Txn) {
+	for _, d := range t.Deferred {
+		m.freeMsg(d)
+	}
+	clear(t.Deferred)
+	sp := &m.spare[t.Node]
+	*t = Txn{Deferred: t.Deferred[:0], next: sp.txns}
+	sp.txns = t
+}
+
 // completeHit schedules a hit's completion one cache access from now:
 // done(v), fired by a record from n's free list.
 //
@@ -1336,6 +1365,12 @@ func (m *Machine) freeMsg(r *Msg) {
 	l.msgs = r
 }
 
+// Discard returns msg, a record the send hook received, to the free
+// lists without delivering it: a hook that abandons its undelivered
+// records, as the model checker does before every Reset, hands them
+// back here. The caller must not touch msg afterwards.
+func (m *Machine) Discard(msg *Msg) { m.freeMsg(msg) }
+
 // SetSendHook installs (or clears, with nil) the transport interceptor
 // used by the model checker. With a hook installed, messages bypass the
 // network model entirely: the hook receives each sent message's record
@@ -1448,12 +1483,16 @@ func (m *Machine) ReleaseHome(b BlockID) {
 	}
 	if len(g.queue) == 0 {
 		g.busy = false
-		g.queue = nil
 		return
 	}
+	// Pop the head and shift the rest down in place, so the queue keeps
+	// its backing array and a burst behind a held gate allocates nothing
+	// once the array has grown to the burst's size; the vacated last
+	// slot is cleared so the queue holds no record past its hand-off.
 	next := g.queue[0]
-	g.queue[0] = nil
-	g.queue = g.queue[1:]
+	k := copy(g.queue, g.queue[1:])
+	g.queue[k] = nil
+	g.queue = g.queue[:k]
 	// Process the queued request as a fresh arrival (zero-delay event
 	// so the current handler unwinds first).
 	m.scheduleAt(m.Home(b), 0, (*gateRestart)(next))

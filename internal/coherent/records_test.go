@@ -1,6 +1,7 @@
 package coherent
 
 import (
+	"maps"
 	"slices"
 	"testing"
 )
@@ -190,4 +191,160 @@ func TestRelHomeCompanionOwnsBlock(t *testing.T) {
 	if len(r.home) != 2 {
 		t.Fatalf("home served %d writes, want 2", len(r.home))
 	}
+}
+
+// arrivals is the fake engine noting the requester of every request
+// that reaches HomeRequest, in order, into storage it reuses.
+type arrivals struct {
+	*fakeEngine
+	served []NodeID
+}
+
+func (a *arrivals) HomeRequest(m *Machine, msg *Msg) {
+	a.served = append(a.served, msg.Requester)
+	a.fakeEngine.HomeRequest(m, msg)
+}
+
+// TestGateQueueBursts: three writers' requests for one block reach its
+// home while the first holds the gate, so two wait in the gate's queue;
+// a fourth write then takes every copy away, so the next burst misses
+// again. The checker-style send hook owns transport, so the test picks
+// the arrival order, node 3 then 1 then 2, and the home must serve the
+// requests in that order. The queue keeps its backing array when it
+// empties, so once warm a burst allocates nothing.
+func TestGateQueueBursts(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.CacheBytes = cfg.BlockBytes
+	cfg.CacheSets = 1
+	eng := &arrivals{fakeEngine: newFake()}
+	m, err := NewMachine(cfg, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []*Msg
+	m.SetSendHook(func(msg *Msg) { pool = append(pool, msg) })
+	addr := m.Alloc(8)
+	done := func(uint64) {}
+	// deliverAll delivers every record the hook holds, and every record
+	// the deliveries send, in send order.
+	deliverAll := func() {
+		for i := 0; i < len(pool); i++ {
+			m.Deliver(pool[i])
+			if err := m.RunKernel(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clear(pool)
+		pool = pool[:0]
+	}
+	want := []NodeID{3, 1, 2, 0}
+	value := uint64(0)
+	burst := func() {
+		eng.served = eng.served[:0]
+		for n := NodeID(1); n < 4; n++ {
+			value++
+			m.Access(n, addr, true, value, done)
+		}
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+		if len(pool) != 3 {
+			t.Fatalf("%d requests sent, want 3", len(pool))
+		}
+		// Arrival order: node 3's request, then node 1's, then node 2's.
+		pool[0], pool[1], pool[2] = pool[2], pool[0], pool[1]
+		deliverAll()
+		value++
+		m.Access(0, addr, true, value, done)
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+		deliverAll()
+		if !slices.Equal(eng.served, want) {
+			t.Fatalf("home served requests from %v, want %v", eng.served, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, burst)
+	if allocs != 0 {
+		t.Fatalf("a burst of queued requests allocates %.1f objects, want 0", allocs)
+	}
+	if m.Ctr.DirectoryBusy != 2*51 {
+		t.Fatalf("%d requests waited at the gate, want %d", m.Ctr.DirectoryBusy, 2*51)
+	}
+}
+
+// TestResetRecyclesRecords: Reset returns the records a machine still
+// holds — outstanding transactions and the requests queued at a held
+// gate — to the free lists, and a send hook hands back the records it
+// will not deliver with Discard, so the next run takes the same records
+// again instead of allocating: the model checker resets its machine
+// before every replay. Three writers race for one block on hooked
+// transport; the first request holds the gate, the other two queue
+// behind it, and its reply stays undelivered.
+func TestResetRecyclesRecords(t *testing.T) {
+	m, err := NewMachine(DefaultConfig(4), newFake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []*Msg
+	m.SetSendHook(func(msg *Msg) { pool = append(pool, msg) })
+	addr := m.Alloc(8)
+	b := m.BlockOf(addr)
+	run := func() (msgs map[*Msg]bool, txns map[*Txn]bool) {
+		t.Helper()
+		msgs, txns = map[*Msg]bool{}, map[*Txn]bool{}
+		for n := NodeID(1); n < 4; n++ {
+			m.Access(n, addr, true, uint64(n), func(uint64) {})
+		}
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+		reqs := pool
+		pool = nil
+		for _, req := range reqs {
+			msgs[req] = true
+			m.Deliver(req)
+		}
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+		if len(reqs) != 3 || len(pool) != 1 || m.Ctr.DirectoryBusy != 2 {
+			t.Fatalf("%d requests sent, %d replies undelivered, %d queued at the gate; want 3, 1, 2",
+				len(reqs), len(pool), m.Ctr.DirectoryBusy)
+		}
+		for n := NodeID(1); n < 4; n++ {
+			if txn := m.Txn(n, b); txn != nil {
+				txns[txn] = true
+			}
+		}
+		for _, msg := range pool {
+			msgs[msg] = true
+			m.Discard(msg)
+		}
+		pool = nil
+		return msgs, txns
+	}
+	msgs, txns := run()
+	if len(txns) != 3 {
+		t.Fatalf("%d transactions outstanding, want 3", len(txns))
+	}
+	for range 3 {
+		m.Reset(newFake())
+		again, againTxns := run()
+		if !maps.Equal(again, msgs) || !maps.Equal(againTxns, txns) {
+			t.Fatalf("after Reset the run took %d of its %d message records and %d of its %d transaction records afresh",
+				len(again)-overlap(again, msgs), len(again), len(againTxns)-overlap(againTxns, txns), len(againTxns))
+		}
+	}
+}
+
+// overlap counts the keys of a that are also keys of b.
+func overlap[K comparable](a, b map[K]bool) int {
+	c := 0
+	for k := range a {
+		if b[k] {
+			c++
+		}
+	}
+	return c
 }

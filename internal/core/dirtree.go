@@ -39,6 +39,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -71,7 +72,14 @@ type slot struct {
 	level int
 }
 
-func (s slot) String() string { return fmt.Sprintf("%d@l%d", s.node, s.level) }
+func (s slot) String() string { return string(s.appendCanon(nil)) }
+
+// appendCanon appends the slot's String text, "<node>@l<level>".
+func (s slot) appendCanon(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(s.node), 10)
+	b = append(b, "@l"...)
+	return strconv.AppendInt(b, int64(s.level), 10)
+}
 
 type entry struct {
 	state dirState

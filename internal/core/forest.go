@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"strconv"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -82,6 +80,12 @@ type forest struct {
 	// a transaction allocates nothing once they are warm. Only node n's
 	// lane touches spare[n].
 	spare []nodeSpare
+	// keys, roots and walk are the model-checker hooks' scratch, reused
+	// from state to state: the sorted per-node keys of appendCanonWaves, the
+	// slice CoverageRoots returns, and CheckShape's depth-first walk.
+	keys  []coherent.NodeBlock
+	roots []coherent.NodeID
+	walk  shapeWalk
 }
 
 // nodeSpare is one node's entry in forest.spare.
@@ -90,6 +94,9 @@ type nodeSpare struct {
 	metas *treeMeta
 	pends *pending
 	fan   []coherent.NodeID
+	// edges is the slice CoverageEdges returns for the node, reused by
+	// its next call for the same node.
+	edges []coherent.NodeID
 }
 
 // Prepare implements coherent.Preparer: directory entries live in the
@@ -198,17 +205,23 @@ func childrenOf(ln *cache.Line) []coherent.NodeID {
 	if meta, ok := ln.Meta.(*treeMeta); ok && meta != nil {
 		return meta.children
 	}
-	meta := stpMetaOf(ln)
-	if meta == nil {
-		return nil
+	return appendChildren(nil, ln)
+}
+
+// appendChildren appends a line's child pointers to dst, as childrenOf
+// returns them.
+func appendChildren(dst []coherent.NodeID, ln *cache.Line) []coherent.NodeID {
+	if meta, ok := ln.Meta.(*treeMeta); ok && meta != nil {
+		return append(dst, meta.children...)
 	}
-	var out []coherent.NodeID
-	for _, c := range meta.children {
-		if c != coherent.NoNode {
-			out = append(out, c)
+	if meta := stpMetaOf(ln); meta != nil {
+		for _, c := range meta.children {
+			if c != coherent.NoNode {
+				dst = append(dst, c)
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // onInv handles one invalidation (or update) at a cache: invalidate the
@@ -441,34 +454,56 @@ func (f *forest) sendReplaceInv(m *coherent.Machine, n coherent.NodeID, b cohere
 
 // Verification hooks for the model checker (internal/check).
 
-// canonWaves writes the in-progress ack aggregations and victim-buffer
-// tombstones, the cache-side half of an engine's CanonState. The torn
-// ghost flag is deliberately excluded: it only relaxes a check, and any
-// state reachable with a cycle has torn set on every path that reaches
-// it.
-func (f *forest) canonWaves(w io.Writer) {
-	for _, k := range sortedKeys(f.aggs) {
-		a := f.aggs[k.n][k.b]
-		fmt.Fprintf(w, "agg n%d b%d armed%v left%d to%d dir%v", k.n, k.b, a.armed, a.left, a.to, a.toDir)
+// appendCanonWaves appends the in-progress ack aggregations and
+// victim-buffer tombstones, the cache-side half of an engine's
+// CanonState. The torn ghost flag is deliberately excluded: it only
+// relaxes a check, and any state reachable with a cycle has torn set on
+// every path that reaches it.
+//
+//dirccvet:hotpath
+func (f *forest) appendCanonWaves(b []byte) []byte {
+	f.keys = coherent.AppendSortedKeys(f.keys[:0], f.aggs)
+	for _, k := range f.keys {
+		a := f.aggs[k.N][k.B]
+		b = coherent.AppendRecord(b, "agg", k)
+		b = append(b, " armed"...)
+		b = strconv.AppendBool(b, a.armed)
+		b = append(b, " left"...)
+		b = strconv.AppendInt(b, int64(a.left), 10)
+		b = append(b, " to"...)
+		b = strconv.AppendInt(b, int64(a.to), 10)
+		b = append(b, " dir"...)
+		b = strconv.AppendBool(b, a.toDir)
 		for _, d := range a.extra {
-			fmt.Fprintf(w, " +to%d dir%v", d.to, d.toDir)
+			b = append(b, " +to"...)
+			b = strconv.AppendInt(b, int64(d.to), 10)
+			b = append(b, " dir"...)
+			b = strconv.AppendBool(b, d.toDir)
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
-	for _, k := range sortedKeys(f.tombs) {
-		fmt.Fprintf(w, "tomb n%d b%d -> %v\n", k.n, k.b, f.tombs[k.n][k.b])
+	f.keys = coherent.AppendSortedKeys(f.keys[:0], f.tombs)
+	for _, k := range f.keys {
+		b = coherent.AppendRecord(b, "tomb", k)
+		b = append(b, " -> "...)
+		b = coherent.AppendNodes(b, f.tombs[k.N][k.B])
+		b = append(b, '\n')
 	}
+	return b
 }
 
 // CoverageEdges implements coherent.CoverageEnumerator: a live copy's
 // child pointers plus the victim-buffer tombstones left below node n
-// by replaced copies.
+// by replaced copies. The slice is node n's and stays valid until the
+// next call for n.
 func (f *forest) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.NodeID) []coherent.NodeID {
-	var out []coherent.NodeID
+	sp := &f.spare[n]
+	out := sp.edges[:0]
 	if ln := m.Nodes[n].Cache.Lookup(b); ln != nil && ln.State != cache.Invalid {
-		out = append(out, childrenOf(ln)...)
+		out = appendChildren(out, ln)
 	}
 	out = append(out, f.tombs[n][b]...)
+	sp.edges = out
 	return out
 }
 
@@ -484,29 +519,13 @@ func (f *forest) checkShape(m *coherent.Machine, b coherent.BlockID, roots []coh
 			break
 		}
 	}
-	return CheckForestShape(roots, maxRoots, arity, !torn, func(n coherent.NodeID) []coherent.NodeID {
+	return f.walk.check(roots, maxRoots, arity, !torn, func(n coherent.NodeID) []coherent.NodeID {
 		ln := m.Nodes[n].Cache.Lookup(b)
 		if ln == nil || ln.State == cache.Invalid {
 			return nil
 		}
-		return childrenOf(ln)
+		sp := &f.spare[n]
+		sp.edges = appendChildren(sp.edges[:0], ln)
+		return sp.edges
 	})
-}
-
-// sortedKeys lists the (node, block) keys of per-node state in block
-// then node order.
-func sortedKeys[V any](perNode []map[coherent.BlockID]V) []aggKey {
-	var out []aggKey
-	for n, mm := range perNode {
-		for b := range mm {
-			out = append(out, aggKey{n: coherent.NodeID(n), b: b})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].b != out[j].b {
-			return out[i].b < out[j].b
-		}
-		return out[i].n < out[j].n
-	})
-	return out
 }

@@ -30,58 +30,93 @@ func SibAck(idx, m int) bool { return idx%2 == 0 && idx+1 < m }
 // acknowledging duplicate invalidations), so acyclicity is only an
 // invariant for blocks that have never had a teardown.
 func CheckForestShape(roots []coherent.NodeID, maxRoots, arity int, strict bool, edges func(coherent.NodeID) []coherent.NodeID) error {
+	var w shapeWalk
+	return w.check(roots, maxRoots, arity, strict, edges)
+}
+
+// shapeWalk is the scratch of CheckForestShape's depth-first walk, kept
+// by an engine so that checking a state allocates nothing once warm:
+// each node's color, indexed by node, and the stack of open frames.
+type shapeWalk struct {
+	color []uint8
+	stack []shapeFrame
+}
+
+// shapeFrame is one node on the walk's current path and the index of
+// the next out-edge to follow.
+type shapeFrame struct {
+	n    coherent.NodeID
+	next int
+}
+
+// Tri-color marking: gray = on the current path.
+const (
+	white uint8 = iota
+	gray
+	black
+)
+
+// check is CheckForestShape on w's scratch.
+func (w *shapeWalk) check(roots []coherent.NodeID, maxRoots, arity int, strict bool, edges func(coherent.NodeID) []coherent.NodeID) error {
 	if len(roots) > maxRoots {
 		return fmt.Errorf("shape: %d roots exceed the %d-pointer directory", len(roots), maxRoots)
 	}
-	seenRoot := make(map[coherent.NodeID]bool, len(roots))
-	for _, r := range roots {
-		if seenRoot[r] {
-			return fmt.Errorf("shape: node %d recorded in two root slots", r)
+	for i, r := range roots {
+		for _, q := range roots[:i] {
+			if q == r {
+				return fmt.Errorf("shape: node %d recorded in two root slots", r)
+			}
 		}
-		seenRoot[r] = true
 	}
-	// Iterative DFS with tri-color marking: gray = on the current path.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[coherent.NodeID]int)
-	type frame struct {
-		n    coherent.NodeID
-		next int
-	}
+	clear(w.color)
 	for _, r := range roots {
-		if color[r] != white {
+		if w.colorOf(r) != white {
 			continue
 		}
-		stack := []frame{{n: r}}
-		color[r] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
+		w.stack = append(w.stack[:0], shapeFrame{n: r})
+		w.paint(r, gray)
+		for len(w.stack) > 0 {
+			f := &w.stack[len(w.stack)-1]
 			out := edges(f.n)
 			if len(out) > arity {
 				return fmt.Errorf("shape: node %d has %d children, arity is %d", f.n, len(out), arity)
 			}
 			if f.next >= len(out) {
-				color[f.n] = black
-				stack = stack[:len(stack)-1]
+				w.paint(f.n, black)
+				w.stack = w.stack[:len(w.stack)-1]
 				continue
 			}
 			c := out[f.next]
 			f.next++
-			switch color[c] {
+			switch w.colorOf(c) {
 			case gray:
 				if strict {
 					return fmt.Errorf("shape: cycle through node %d", c)
 				}
 			case white:
-				color[c] = gray
-				stack = append(stack, frame{n: c})
+				w.paint(c, gray)
+				w.stack = append(w.stack, shapeFrame{n: c})
 			}
 		}
 	}
 	return nil
+}
+
+// colorOf returns node n's color; a node the walk has not grown its
+// colors to is white.
+func (w *shapeWalk) colorOf(n coherent.NodeID) uint8 {
+	if int(n) < len(w.color) {
+		return w.color[n]
+	}
+	return white
+}
+
+// paint sets node n's color, growing the colors to cover n.
+func (w *shapeWalk) paint(n coherent.NodeID, c uint8) {
+	if int(n) >= len(w.color) {
+		w.color = append(w.color, make([]uint8, int(n)+1-len(w.color))...)
+	}
+	w.color[n] = c
 }
 
 // CheckShape implements coherent.ShapeChecker for Dir_iTree_k: at most
@@ -93,12 +128,13 @@ func (e *Engine) CheckShape(m *coherent.Machine, b coherent.BlockID) error {
 	if en == nil {
 		return nil
 	}
-	roots := make([]coherent.NodeID, 0, len(en.slots))
+	roots := e.roots[:0]
 	for _, s := range en.slots {
 		if s.level < 1 {
 			return fmt.Errorf("shape: slot %v has level < 1", s)
 		}
 		roots = append(roots, s.node)
 	}
+	e.roots = roots
 	return e.checkShape(m, b, roots, e.ptrs, e.arity)
 }

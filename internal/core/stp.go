@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -376,28 +377,60 @@ func (e *STP) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 
 // Verification hooks for the model checker (internal/check).
 
-func (meta *stpMeta) String() string {
-	return fmt.Sprintf("ch%v cnt%v", meta.children, meta.counts)
+func (meta *stpMeta) String() string { return string(meta.AppendCanon(nil)) }
+
+// AppendCanon implements coherent.CanonAppender: "ch[<children>]
+// cnt[<counts>]", NoNode slots included.
+//
+//dirccvet:hotpath
+func (meta *stpMeta) AppendCanon(b []byte) []byte {
+	if meta == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, "ch"...)
+	b = coherent.AppendNodes(b, meta.children[:])
+	b = append(b, " cnt["...)
+	for i, c := range meta.counts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
+	}
+	return append(b, ']')
 }
 
 // CanonState implements coherent.ProtocolState: directory entries, then
 // the forest's aggregations and tombstones.
 func (e *STP) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*stpEntry)
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *STP) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*stpEntry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.root == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s root%d owner%d", b, en.state, en.root, en.owner)
+		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
+		b = coherent.AppendDir(b, blk, en.state.String())
+		b = append(b, " root"...)
+		b = strconv.AppendInt(b, int64(en.root), 10)
+		b = append(b, " owner"...)
+		b = strconv.AppendInt(b, int64(en.owner), 10)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s acks%d}", p.req.Canon(), p.acksLeft)
+			b = append(b, " pend{"...)
+			b = p.req.AppendCanon(b)
+			b = append(b, " acks"...)
+			b = strconv.AppendInt(b, int64(p.acksLeft), 10)
+			b = append(b, '}')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
-	e.canonWaves(w)
+	return e.appendCanonWaves(b)
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
@@ -406,13 +439,14 @@ func (e *STP) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []coherent.
 	if en == nil {
 		return nil
 	}
-	var roots []coherent.NodeID
+	roots := e.roots[:0]
 	if en.root != coherent.NoNode {
 		roots = append(roots, en.root)
 	}
 	if en.owner != coherent.NoNode && en.owner != en.root {
 		roots = append(roots, en.owner)
 	}
+	e.roots = roots
 	return roots
 }
 
@@ -425,9 +459,10 @@ func (e *STP) CheckShape(m *coherent.Machine, b coherent.BlockID) error {
 	if en == nil {
 		return nil
 	}
-	var roots []coherent.NodeID
+	roots := e.roots[:0]
 	if en.root != coherent.NoNode {
 		roots = append(roots, en.root)
 	}
+	e.roots = roots
 	return e.checkShape(m, b, roots, 1, 2)
 }

@@ -1,34 +1,71 @@
 package core
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"dircc/internal/coherent"
 )
 
-// Verification hooks for the model checker (internal/check).
+// Verification hooks for the model checker (internal/check). Canonical
+// text is appended with strconv, byte for byte what fmt printed, so the
+// checker renders one state per transition without allocating.
 
-func (meta *treeMeta) String() string { return fmt.Sprintf("ch%v", meta.children) }
+func (meta *treeMeta) String() string { return string(meta.AppendCanon(nil)) }
+
+// AppendCanon implements coherent.CanonAppender: "ch[<children>]".
+//
+//dirccvet:hotpath
+func (meta *treeMeta) AppendCanon(b []byte) []byte {
+	if meta == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, "ch"...)
+	return coherent.AppendNodes(b, meta.children)
+}
 
 // CanonState implements coherent.ProtocolState: directory entries with
 // their root slots, then the forest's aggregations and tombstones.
 func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*entry)
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*entry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && len(en.slots) == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d slots%v", b, en.state, en.owner, en.slots)
-		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s stage%d wb%d acks%d}", p.req.Canon(), p.stage, p.wbFrom, p.acksLeft)
+		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
+		b = coherent.AppendDir(b, blk, en.state.String())
+		b = append(b, " owner"...)
+		b = strconv.AppendInt(b, int64(en.owner), 10)
+		b = append(b, " slots["...)
+		for i, s := range en.slots {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = s.appendCanon(b)
 		}
-		fmt.Fprintln(w)
+		b = append(b, ']')
+		if p := en.pend; p != nil {
+			b = append(b, " pend{"...)
+			b = p.req.AppendCanon(b)
+			b = append(b, " stage"...)
+			b = strconv.AppendUint(b, uint64(p.stage), 10)
+			b = append(b, " wb"...)
+			b = strconv.AppendInt(b, int64(p.wbFrom), 10)
+			b = append(b, " acks"...)
+			b = strconv.AppendInt(b, int64(p.acksLeft), 10)
+			b = append(b, '}')
+		}
+		b = append(b, '\n')
 	}
-	e.canonWaves(w)
+	return e.appendCanonWaves(b)
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator: the directory
@@ -38,7 +75,7 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 	if en == nil {
 		return nil
 	}
-	var roots []coherent.NodeID
+	roots := e.roots[:0]
 	for _, s := range en.slots {
 		roots = append(roots, s.node)
 	}
@@ -54,5 +91,6 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 			roots = append(roots, en.owner)
 		}
 	}
+	e.roots = roots
 	return roots
 }

@@ -422,8 +422,14 @@ func (g *Group) lockRelease(p *proc) {
 		panic(fmt.Sprintf("proc: processor %d unlocked lock %d which is not held", p.id, p.lockID))
 	}
 	if len(ls.queue) > 0 {
+		// Pop the head and shift the waiters down in place: the queue
+		// keeps its backing array, so a contended lock stops allocating
+		// once the array has grown to the most waiters it has had, and
+		// the vacated last slot is cleared.
 		next := ls.queue[0]
-		ls.queue = ls.queue[1:]
+		k := copy(ls.queue, ls.queue[1:])
+		ls.queue[k] = nil
+		ls.queue = ls.queue[:k]
 		m.Ctr.LockAcquires++
 		m.ScheduleAt(coherent.NodeID(next.id), m.Cfg.LockOverhead, next.onEvent)
 	} else {

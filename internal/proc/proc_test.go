@@ -195,6 +195,34 @@ func TestLockUnlockAllocs(t *testing.T) {
 	}
 }
 
+// TestContendedLockAllocs: four processors take turns on one lock, so
+// every release hands it to a queued waiter. The queue keeps its backing
+// array across handoffs, so 1,000 more rounds per processor allocate
+// fewer than 10 more objects; a queue that drops its front slot on every
+// pop regrows every few handoffs.
+func TestContendedLockAllocs(t *testing.T) {
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			m := newMachine(t, 4)
+			if _, err := Run(m, func(e Env) {
+				for range rounds {
+					e.Lock(0)
+					e.Compute(5)
+					e.Unlock(0)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if m.Ctr.LockAcquires != uint64(4*rounds) {
+				t.Fatalf("LockAcquires = %d, want %d", m.Ctr.LockAcquires, 4*rounds)
+			}
+		})
+	}
+	if d := run(2000) - run(1000); d >= 10 {
+		t.Fatalf("1,000 more contended rounds allocate %.0f more objects, want fewer than 10", d)
+	}
+}
+
 func TestDistinctLocksIndependent(t *testing.T) {
 	m := newMachine(t, 2)
 	if _, err := Run(m, func(e Env) {

@@ -92,6 +92,9 @@ type Engine struct {
 	// the home returns it when the transaction leaves the directory.
 	// Only the home's lane touches its list.
 	spare []*pending
+	// roots is the model-checker hooks' scratch: the slice
+	// CoverageRoots returns, and a sharer list being rendered.
+	roots []coherent.NodeID
 }
 
 // New returns a fresh full-map engine.

@@ -1,31 +1,51 @@
 package fullmap
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"dircc/internal/coherent"
 )
 
-// Verification hooks for the model checker (internal/check).
+// Verification hooks for the model checker (internal/check). Canonical
+// text is appended with strconv, byte for byte what fmt printed, so the
+// checker renders one state per transition without allocating.
 
 // CanonState implements coherent.ProtocolState: a deterministic dump of
 // every directory entry that differs from the uncached zero state.
 func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, ok := e.m.Dir(b).(*entry)
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, ok := e.m.Dir(blk).(*entry)
 		if !ok {
 			continue
 		}
 		if en.state == uncached && en.sharers.count() == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d sharers%v", b, en.state, en.owner, sortedNodes(en.sharers))
+		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
+		b = coherent.AppendDir(b, blk, en.state.String())
+		b = append(b, " owner"...)
+		b = strconv.AppendInt(b, int64(en.owner), 10)
+		b = append(b, " sharers"...)
+		e.roots = en.sharers.appendNodes(e.roots[:0])
+		b = coherent.AppendNodes(b, e.roots)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s wantWb%d acks%d}", p.req.Canon(), p.wantWb, p.acksLeft)
+			b = append(b, " pend{"...)
+			b = p.req.AppendCanon(b)
+			b = append(b, " wantWb"...)
+			b = strconv.AppendInt(b, int64(p.wantWb), 10)
+			b = append(b, " acks"...)
+			b = strconv.AppendInt(b, int64(p.acksLeft), 10)
+			b = append(b, '}')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator: the presence
@@ -35,10 +55,11 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 	if en == nil {
 		return nil
 	}
-	roots := sortedNodes(en.sharers)
+	roots := en.sharers.appendNodes(e.roots[:0])
 	if en.owner != coherent.NoNode {
 		roots = append(roots, en.owner)
 	}
+	e.roots = roots
 	return roots
 }
 

@@ -99,6 +99,9 @@ type Engine struct {
 	overflow overflow
 	trap     sim.Time // LimitLESS software-handler cost per trap
 	m        *coherent.Machine
+	// roots is the slice CoverageRoots returns, reused by its next
+	// call.
+	roots []coherent.NodeID
 }
 
 // NewNB returns a Dir_iNB engine with the given pointer count.

@@ -1,20 +1,26 @@
 package limited
 
 import (
-	"fmt"
 	"io"
-	"slices"
+	"strconv"
 
 	"dircc/internal/coherent"
 )
 
-// Verification hooks for the model checker (internal/check).
+// Verification hooks for the model checker (internal/check). Canonical
+// text is appended with strconv, byte for byte what fmt printed, so the
+// checker renders one state per transition without allocating.
 
 // CanonState implements coherent.ProtocolState. The round-robin cursor
 // is included: it selects future overflow victims.
 func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, ok := e.m.Dir(b).(*entry)
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, ok := e.m.Dir(blk).(*entry)
 		if !ok {
 			continue
 		}
@@ -22,12 +28,32 @@ func (e *Engine) CanonState(w io.Writer) {
 			!en.broadcast && en.rr == 0 && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d ptrs%v sw%v bc%v rr%d", b, en.state, en.owner, en.ptrs, en.spill, en.broadcast, en.rr)
+		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
+		b = coherent.AppendDir(b, blk, en.state.String())
+		b = append(b, " owner"...)
+		b = strconv.AppendInt(b, int64(en.owner), 10)
+		b = append(b, " ptrs"...)
+		b = coherent.AppendNodes(b, en.ptrs)
+		b = append(b, " sw"...)
+		b = coherent.AppendNodes(b, en.spill)
+		b = append(b, " bc"...)
+		b = strconv.AppendBool(b, en.broadcast)
+		b = append(b, " rr"...)
+		b = strconv.AppendInt(b, int64(en.rr), 10)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s stage%d wb%d acks%d}", p.req.Canon(), p.stage, p.wbFrom, p.acksLeft)
+			b = append(b, " pend{"...)
+			b = p.req.AppendCanon(b)
+			b = append(b, " stage"...)
+			b = strconv.AppendUint(b, uint64(p.stage), 10)
+			b = append(b, " wb"...)
+			b = strconv.AppendInt(b, int64(p.wbFrom), 10)
+			b = append(b, " acks"...)
+			b = strconv.AppendInt(b, int64(p.acksLeft), 10)
+			b = append(b, '}')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator. With the
@@ -39,17 +65,18 @@ func (e *Engine) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []cohere
 	if en == nil {
 		return nil
 	}
+	roots := e.roots[:0]
 	if en.broadcast {
-		all := make([]coherent.NodeID, m.Cfg.Procs)
-		for i := range all {
-			all[i] = coherent.NodeID(i)
+		for i := range m.Cfg.Procs {
+			roots = append(roots, coherent.NodeID(i))
 		}
-		return all
+	} else {
+		roots = append(append(roots, en.ptrs...), en.spill...)
+		if en.owner != coherent.NoNode {
+			roots = append(roots, en.owner)
+		}
 	}
-	roots := slices.Concat(en.ptrs, en.spill)
-	if en.owner != coherent.NoNode {
-		roots = append(roots, en.owner)
-	}
+	e.roots = roots
 	return roots
 }
 

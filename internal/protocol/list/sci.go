@@ -2,6 +2,7 @@ package list
 
 import (
 	"fmt"
+	"slices"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -15,27 +16,72 @@ type sciEntry struct {
 	head  coherent.NodeID
 	owner coherent.NodeID
 	pend  *sciPending
-	// attach tracks every in-flight read attach on this block: key is
-	// the requester, value the old head it was told to fetch from. An
-	// eviction marks attaches aimed at the dying copy stale (NoNode) so
-	// the Fwd can be answered immediately instead of deferred —
-	// deferring an attach aimed at a dead incarnation onto that node's
-	// NEW transaction invents a dependency that can close a cycle of
+	// attach tracks every in-flight read attach on this block: per
+	// requester, the old head it was told to fetch from. An eviction
+	// marks attaches aimed at the dying copy stale (NoNode) so the Fwd
+	// can be answered immediately instead of deferred — deferring an
+	// attach aimed at a dead incarnation onto that node's NEW
+	// transaction invents a dependency that can close a cycle of
 	// deferred attaches and deadlock.
-	attach map[coherent.NodeID]coherent.NodeID
+	attach nodeTable[coherent.NodeID]
 	// links is the authoritative copy of each live line's chain
 	// pointers. The per-line sciMeta is a lane-local cache: eviction
 	// splices capture and patch neighbors here, inline on the home's
 	// lane in global op order, so two same-instant evictions of
 	// adjacent copies always see each other's patches — the per-line
 	// copies are patched best-effort and self-heal through tombstones.
-	links map[coherent.NodeID]sciLink
+	links nodeTable[sciLink]
 }
 
 // sciLink is the home-resident authoritative image of one line's chain
 // pointers (see sciEntry.links).
 type sciLink struct {
 	prev, next coherent.NodeID
+}
+
+// nodeTable is a home table holding one value per node, kept in node
+// order: plain data that staleMarkAttaches and the canonical dump walk
+// in order without sorting, and that holds one record per node with a
+// value rather than one per node of the machine.
+type nodeTable[V any] []nodeRecord[V]
+
+type nodeRecord[V any] struct {
+	node coherent.NodeID
+	val  V
+}
+
+// find returns node n's value, or nil. The pointer is valid until the
+// next set or del.
+func (t nodeTable[V]) find(n coherent.NodeID) *V {
+	for i := range t {
+		if t[i].node == n {
+			return &t[i].val
+		}
+	}
+	return nil
+}
+
+// set makes v node n's value.
+func (t *nodeTable[V]) set(n coherent.NodeID, v V) {
+	i := 0
+	for i < len(*t) && (*t)[i].node < n {
+		i++
+	}
+	if i < len(*t) && (*t)[i].node == n {
+		(*t)[i].val = v
+		return
+	}
+	*t = slices.Insert(*t, i, nodeRecord[V]{node: n, val: v})
+}
+
+// del removes node n's value, if it has one.
+func (t *nodeTable[V]) del(n coherent.NodeID) {
+	for i := range *t {
+		if (*t)[i].node == n {
+			*t = slices.Delete(*t, i, i+1)
+			return
+		}
+	}
 }
 
 // sciPending is a write in progress at the home (the gate is held). It
@@ -54,11 +100,6 @@ type sciMeta struct {
 // purgeState is the writer-side cursor of the serial purge.
 type purgeState struct {
 	cur coherent.NodeID
-}
-
-type tombKey struct {
-	n coherent.NodeID
-	b coherent.BlockID
 }
 
 // SCI is the IEEE 1596 Scalable Coherent Interface doubly-linked-list
@@ -92,6 +133,8 @@ type SCI struct {
 	// walks that still name the dead copy. Only node n's lane writes
 	// tombs[n]; cross-lane readers hop (see successorHop).
 	tombs []map[coherent.BlockID]coherent.NodeID
+	// vs is the verification hooks' scratch.
+	vs verifyScratch
 }
 
 // NewSCI returns an SCI engine.
@@ -122,12 +165,7 @@ func (e *SCI) setTomb(n coherent.NodeID, b coherent.BlockID, next coherent.NodeI
 func (e *SCI) entry(b coherent.BlockID) *sciEntry {
 	en, _ := e.m.Dir(b).(*sciEntry)
 	if en == nil {
-		en = &sciEntry{
-			head:   coherent.NoNode,
-			owner:  coherent.NoNode,
-			attach: make(map[coherent.NodeID]coherent.NodeID),
-			links:  make(map[coherent.NodeID]sciLink),
-		}
+		en = &sciEntry{head: coherent.NoNode, owner: coherent.NoNode}
 		e.m.SetDir(b, en)
 	}
 	return en
@@ -178,7 +216,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.state = shared
 			en.owner = coherent.NoNode
 		}
-		en.attach[msg.Requester] = oldHead
+		en.attach.set(msg.Requester, oldHead)
 		markServed(m, msg.Requester, b)
 		m.Send(coherent.Msg{
 			Type: coherent.MsgHeadReply, Src: home, Dst: msg.Requester, Block: b,
@@ -259,7 +297,7 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		delete(e.tombs[n], msg.Block)
 		e.clearAttach(m, n, msg.Block)
-		e.mirrorLink(m, n, msg.Block, sciLink{prev: coherent.NoNode, next: coherent.NoNode})
+		e.mirrorLink(m, n, msg.Block, coherent.NoNode, coherent.NoNode)
 		m.CompleteTxn(txn, cache.Valid, msg.Data, &sciMeta{prev: coherent.NoNode, next: coherent.NoNode})
 	case coherent.MsgWriteReply:
 		txn := m.Txn(n, msg.Block)
@@ -268,7 +306,7 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		delete(e.tombs[n], msg.Block)
 		e.clearAttach(m, n, msg.Block)
-		e.mirrorLink(m, n, msg.Block, sciLink{prev: coherent.NoNode, next: coherent.NoNode})
+		e.mirrorLink(m, n, msg.Block, coherent.NoNode, coherent.NoNode)
 		m.CompleteTxn(txn, cache.Exclusive, txn.Value, &sciMeta{prev: coherent.NoNode, next: coherent.NoNode})
 		// The home gate is released by the RelHome companion event on
 		// the home's own lane (see grantWrite).
@@ -314,7 +352,7 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			m.Invalidate(n, msg.Block)
 			pb := msg.Block
 			m.DeferAt(n, m.Home(pb), func() {
-				delete(e.entry(pb).links, n)
+				e.entry(pb).links.del(n)
 			})
 		} else if t, ok := e.tombs[n][msg.Block]; ok {
 			next = t
@@ -342,15 +380,15 @@ func (e *SCI) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 // once its transaction completes.
 func (e *SCI) clearAttach(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
 	m.DeferAt(n, m.Home(b), func() {
-		delete(e.entry(b).attach, n)
+		e.entry(b).attach.del(n)
 	})
 }
 
 // mirrorLink records node n's authoritative chain pointers at the home
 // (see sciEntry.links).
-func (e *SCI) mirrorLink(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, lk sciLink) {
+func (e *SCI) mirrorLink(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, prev, next coherent.NodeID) {
 	m.DeferAt(n, m.Home(b), func() {
-		e.entry(b).links[n] = lk
+		e.entry(b).links.set(n, sciLink{prev: prev, next: next})
 	})
 }
 
@@ -372,7 +410,7 @@ func fwdMsg(b coherent.BlockID, head, req coherent.NodeID) coherent.Msg {
 func (e *SCI) fwdViaHome(m *coherent.Machine, b coherent.BlockID, n, req coherent.NodeID, rechecked bool) {
 	home := m.Home(b)
 	en := e.entry(b)
-	if t, ok := en.attach[req]; ok && t == coherent.NoNode {
+	if t := en.attach.find(req); t != nil && *t == coherent.NoNode {
 		// The attacher is chasing a copy we already evicted (its
 		// attach was stale-marked by OnEvict). Answer at once — never
 		// defer: deferring onto the old head's re-read transaction
@@ -446,10 +484,8 @@ func (e *SCI) serveFwd(m *coherent.Machine, b coherent.BlockID, n, req coherent.
 		meta.prev = req
 	}
 	m.DeferAt(n, m.Home(b), func() {
-		en := e.entry(b)
-		if lk, ok := en.links[n]; ok {
+		if lk := e.entry(b).links.find(n); lk != nil {
 			lk.prev = req
-			en.links[n] = lk
 		}
 	})
 	if ln.State == cache.Exclusive {
@@ -483,7 +519,7 @@ func (e *SCI) successorHop(m *coherent.Machine, txn *coherent.Txn, data uint64, 
 	b := txn.Block
 	install := func(next coherent.NodeID) {
 		m.DeferAt(cur, n, func() {
-			e.mirrorLink(m, n, b, sciLink{prev: coherent.NoNode, next: next})
+			e.mirrorLink(m, n, b, coherent.NoNode, next)
 			m.CompleteTxn(txn, cache.Valid, data, &sciMeta{prev: coherent.NoNode, next: next})
 		})
 	}
@@ -603,7 +639,7 @@ func (e *SCI) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 func (e *SCI) evictDirtyAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, val uint64) {
 	en := e.entry(b)
 	e.staleMarkAttaches(en, n)
-	delete(en.links, n)
+	en.links.del(n)
 	m.Store.WritebackValue(b, val)
 	if en.owner == n {
 		en.owner = coherent.NoNode
@@ -626,14 +662,19 @@ func (e *SCI) evictDirtyAtHome(m *coherent.Machine, n coherent.NodeID, b coheren
 func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID, provPrev, provNext coherent.NodeID, spliced bool) {
 	en := e.entry(b)
 	pendingPrev := e.staleMarkAttaches(en, n)
-	lk, auth := en.links[n]
-	delete(en.links, n)
+	lk := en.links.find(n)
+	auth := lk != nil
+	var cur sciLink
+	if auth {
+		cur = *lk
+	}
+	en.links.del(n)
 	if !spliced {
 		return
 	}
 	prev, next := provPrev, provNext
 	if auth {
-		prev, next = lk.prev, lk.next
+		prev, next = cur.prev, cur.next
 	}
 	if pendingPrev != coherent.NoNode {
 		// A pending attacher outranks whatever the links said: it is
@@ -665,9 +706,8 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 		})
 	} else {
 		p := prev
-		if pl, ok := en.links[p]; ok && pl.next == n {
+		if pl := en.links.find(p); pl != nil && pl.next == n {
 			pl.next = next
-			en.links[p] = pl
 		}
 		m.DeferAt(home, p, func() {
 			if pl := m.Nodes[p].Cache.Lookup(b); pl != nil {
@@ -686,9 +726,8 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 	if next != coherent.NoNode {
 		nn := next
 		fp := prev
-		if nl, ok := en.links[nn]; ok && nl.prev == n {
+		if nl := en.links.find(nn); nl != nil && nl.prev == n {
 			nl.prev = fp
-			en.links[nn] = nl
 		}
 		m.DeferAt(home, nn, func() {
 			if nl := m.Nodes[nn].Cache.Lookup(b); nl != nil {
@@ -711,14 +750,14 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 // (see fwdViaHome), returning the attacher — the true in-flight
 // predecessor, superseding meta.prev, which cannot have been updated
 // yet (the Fwd carrying that update is the very message in flight).
-// Runs on the home's lane; iteration is in sorted order so replay is
-// deterministic.
+// Runs on the home's lane; attachers are visited in node order, so the
+// last one marked wins.
 func (e *SCI) staleMarkAttaches(en *sciEntry, n coherent.NodeID) coherent.NodeID {
 	pendingPrev := coherent.NoNode
-	for _, r := range sortedAttachers(en.attach) {
-		if en.attach[r] == n {
-			en.attach[r] = coherent.NoNode
-			pendingPrev = r
+	for i := range en.attach {
+		if a := &en.attach[i]; a.val == n {
+			a.val = coherent.NoNode
+			pendingPrev = a.node
 		}
 	}
 	return pendingPrev

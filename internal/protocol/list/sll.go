@@ -99,6 +99,8 @@ type SLL struct {
 	// victim buffer only when the stamp says the forward was aimed at
 	// the buffered incarnation. Only node n's lane touches seqs[n].
 	seqs []map[coherent.BlockID]uint64
+	// vs is the verification hooks' scratch.
+	vs verifyScratch
 }
 
 // NewSLL returns a singly linked list engine.

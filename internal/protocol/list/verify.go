@@ -1,21 +1,67 @@
 package list
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
 )
 
-// Verification hooks for the model checker (internal/check).
+// Verification hooks for the model checker (internal/check). Canonical
+// text is appended with strconv, byte for byte what fmt printed, so the
+// checker renders one state per transition without allocating.
 
-func (meta *sllMeta) String() string { return fmt.Sprintf("next%d", meta.next) }
+func (meta *sllMeta) String() string { return string(meta.AppendCanon(nil)) }
 
-func (meta *sciMeta) String() string { return fmt.Sprintf("prev%d,next%d", meta.prev, meta.next) }
+func (meta *sciMeta) String() string { return string(meta.AppendCanon(nil)) }
 
-func (ps *purgeState) String() string { return fmt.Sprintf("purge@%d", ps.cur) }
+func (ps *purgeState) String() string { return string(ps.AppendCanon(nil)) }
+
+// AppendCanon implements coherent.CanonAppender.
+//
+//dirccvet:hotpath
+func (meta *sllMeta) AppendCanon(b []byte) []byte {
+	if meta == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, "next"...)
+	return strconv.AppendInt(b, int64(meta.next), 10)
+}
+
+// AppendCanon implements coherent.CanonAppender.
+//
+//dirccvet:hotpath
+func (meta *sciMeta) AppendCanon(b []byte) []byte {
+	if meta == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, "prev"...)
+	b = strconv.AppendInt(b, int64(meta.prev), 10)
+	b = append(b, ",next"...)
+	return strconv.AppendInt(b, int64(meta.next), 10)
+}
+
+// AppendCanon implements coherent.CanonAppender.
+//
+//dirccvet:hotpath
+func (ps *purgeState) AppendCanon(b []byte) []byte {
+	if ps == nil {
+		return append(b, "<nil>"...)
+	}
+	b = append(b, "purge@"...)
+	return strconv.AppendInt(b, int64(ps.cur), 10)
+}
+
+// appendDirHead appends the fields both list engines' directory lines
+// start with: "dir b<block> <state> head<n> owner<n>".
+func appendDirHead(b []byte, blk coherent.BlockID, state dirState, head, owner coherent.NodeID) []byte {
+	b = coherent.AppendDir(b, blk, state.String())
+	b = append(b, " head"...)
+	b = strconv.AppendInt(b, int64(head), 10)
+	b = append(b, " owner"...)
+	return strconv.AppendInt(b, int64(owner), 10)
+}
 
 // CanonState implements coherent.ProtocolState for the singly linked
 // list engine. The victim buffers and attach stamps are part of the
@@ -26,45 +72,66 @@ func (ps *purgeState) String() string { return fmt.Sprintf("purge@%d", ps.cur) }
 // completed, not of their interleaving — so including them does not
 // stop converging interleavings from deduplicating.
 func (e *SLL) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*sllEntry)
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *SLL) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*sllEntry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil && en.seq == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s head%d owner%d seq%d", b, en.state, en.head, en.owner, en.seq)
+		b = appendDirHead(b, blk, en.state, en.head, en.owner)
+		b = append(b, " seq"...)
+		b = strconv.AppendUint(b, en.seq, 10)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s}", p.req.Canon())
+			b = append(b, " pend{"...)
+			b = append(p.req.AppendCanon(b), '}')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
-	type goneKey struct {
-		n coherent.NodeID
-		b coherent.BlockID
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.gone)
+	for _, k := range e.vs.keys {
+		b = coherent.AppendRecord(b, "gone", k)
+		b = append(b, " = "...)
+		b = strconv.AppendUint(b, e.gone[k.N][k.B], 10)
+		b = append(b, '\n')
 	}
-	collect := func(maps []map[coherent.BlockID]uint64) []goneKey {
-		var out []goneKey
-		for n, mm := range maps {
-			for b := range mm {
-				out = append(out, goneKey{n: coherent.NodeID(n), b: b})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].b != out[j].b {
-				return out[i].b < out[j].b
-			}
-			return out[i].n < out[j].n
-		})
-		return out
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.seqs)
+	for _, k := range e.vs.keys {
+		b = coherent.AppendRecord(b, "seq", k)
+		b = append(b, " = "...)
+		b = strconv.AppendUint(b, e.seqs[k.N][k.B], 10)
+		b = append(b, '\n')
 	}
-	for _, k := range collect(e.gone) {
-		fmt.Fprintf(w, "gone n%d b%d = %d\n", k.n, k.b, e.gone[k.n][k.b])
+	return b
+}
+
+// verifyScratch is the storage a list engine's verification hooks
+// reuse from call to call, so the model checker renders and checks a
+// state without allocating: the sorted per-node keys of a canonical
+// dump, and the slices CoverageRoots and CoverageEdges return, each
+// overwritten by the engine's next call of the same method.
+type verifyScratch struct {
+	keys         []coherent.NodeBlock
+	roots, edges [2]coherent.NodeID
+}
+
+// headOwnerRoots returns the list head and a distinct exclusive owner,
+// the nodes a list directory records.
+func (vs *verifyScratch) headOwnerRoots(head, owner coherent.NodeID) []coherent.NodeID {
+	roots := vs.roots[:0]
+	if head != coherent.NoNode {
+		roots = append(roots, head)
 	}
-	for _, k := range collect(e.seqs) {
-		fmt.Fprintf(w, "seq n%d b%d = %d\n", k.n, k.b, e.seqs[k.n][k.b])
+	if owner != coherent.NoNode && owner != head {
+		roots = append(roots, owner)
 	}
+	return roots
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
@@ -73,7 +140,7 @@ func (e *SLL) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []coherent.
 	if en == nil {
 		return nil
 	}
-	return headOwnerRoots(en.head, en.owner)
+	return e.vs.headOwnerRoots(en.head, en.owner)
 }
 
 // CoverageEdges implements coherent.CoverageEnumerator: each live copy
@@ -84,7 +151,7 @@ func (e *SLL) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.
 		return nil
 	}
 	if meta, ok := ln.Meta.(*sllMeta); ok && meta.next != coherent.NoNode {
-		return []coherent.NodeID{meta.next}
+		return append(e.vs.edges[:0], meta.next)
 	}
 	return nil
 }
@@ -92,60 +159,66 @@ func (e *SLL) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.
 // CanonState implements coherent.ProtocolState for the SCI engine.
 // Tombstones are part of the canonical state: they steer in-flight
 // purges around replaced nodes. Tombstones come from the per-node
-// maps and attaches from the home-resident entries; this quiesced
-// reader renders both in (block, node) order.
+// maps, attaches and links from the home-resident entries; this
+// quiesced reader renders each in (block, node) order.
 func (e *SCI) CanonState(w io.Writer) {
+	w.Write(e.appendCanon(coherent.CanonBuffer(w)))
+}
+
+//dirccvet:hotpath
+func (e *SCI) appendCanon(b []byte) []byte {
 	blocks := e.m.DirBlocks()
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s head%d owner%d", b, en.state, en.head, en.owner)
+		b = appendDirHead(b, blk, en.state, en.head, en.owner)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s}", p.req.Canon())
+			b = append(b, " pend{"...)
+			b = append(p.req.AppendCanon(b), '}')
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
-	var tombs []tombKey
-	for n, mm := range e.tombs {
-		for b := range mm {
-			tombs = append(tombs, tombKey{n: coherent.NodeID(n), b: b})
-		}
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.tombs)
+	for _, k := range e.vs.keys {
+		b = coherent.AppendRecord(b, "tomb", k)
+		b = append(b, " -> "...)
+		b = strconv.AppendInt(b, int64(e.tombs[k.N][k.B]), 10)
+		b = append(b, '\n')
 	}
-	sort.Slice(tombs, func(i, j int) bool {
-		if tombs[i].b != tombs[j].b {
-			return tombs[i].b < tombs[j].b
-		}
-		return tombs[i].n < tombs[j].n
-	})
-	for _, k := range tombs {
-		fmt.Fprintf(w, "tomb n%d b%d -> %d\n", k.n, k.b, e.tombs[k.n][k.b])
-	}
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
-		for _, r := range sortedAttachers(en.attach) {
-			fmt.Fprintf(w, "attach n%d b%d -> %d\n", r, b, en.attach[r])
+		for _, a := range en.attach {
+			b = coherent.AppendRecord(b, "attach", coherent.NodeBlock{N: a.node, B: blk})
+			b = append(b, " -> "...)
+			b = strconv.AppendInt(b, int64(a.val), 10)
+			b = append(b, '\n')
 		}
 	}
 	// The home-resident links are authoritative for eviction splices,
 	// so two states differing only in links can behave differently.
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
-		for _, r := range sortedLinkNodes(en.links) {
-			lk := en.links[r]
-			fmt.Fprintf(w, "link n%d b%d prev%d next%d\n", r, b, lk.prev, lk.next)
+		for _, lk := range en.links {
+			b = coherent.AppendRecord(b, "link", coherent.NodeBlock{N: lk.node, B: blk})
+			b = append(b, " prev"...)
+			b = strconv.AppendInt(b, int64(lk.val.prev), 10)
+			b = append(b, " next"...)
+			b = strconv.AppendInt(b, int64(lk.val.next), 10)
+			b = append(b, '\n')
 		}
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
@@ -154,14 +227,14 @@ func (e *SCI) CoverageRoots(m *coherent.Machine, b coherent.BlockID) []coherent.
 	if en == nil {
 		return nil
 	}
-	return headOwnerRoots(en.head, en.owner)
+	return e.vs.headOwnerRoots(en.head, en.owner)
 }
 
 // CoverageEdges implements coherent.CoverageEnumerator: a live copy
 // points at its successor; a replaced node's tombstone keeps its old
 // successor reachable until an in-flight purge consumes it.
 func (e *SCI) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.NodeID) []coherent.NodeID {
-	var out []coherent.NodeID
+	out := e.vs.edges[:0]
 	if ln := m.Nodes[n].Cache.Lookup(b); ln != nil && ln.State != cache.Invalid {
 		if meta := sciMetaOf(ln); meta != nil && meta.next != coherent.NoNode {
 			out = append(out, meta.next)
@@ -170,34 +243,5 @@ func (e *SCI) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.
 	if t, ok := e.tombs[n][b]; ok && t != coherent.NoNode {
 		out = append(out, t)
 	}
-	return out
-}
-
-func headOwnerRoots(head, owner coherent.NodeID) []coherent.NodeID {
-	var roots []coherent.NodeID
-	if head != coherent.NoNode {
-		roots = append(roots, head)
-	}
-	if owner != coherent.NoNode && owner != head {
-		roots = append(roots, owner)
-	}
-	return roots
-}
-
-func sortedLinkNodes(links map[coherent.NodeID]sciLink) []coherent.NodeID {
-	out := make([]coherent.NodeID, 0, len(links))
-	for r := range links {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedAttachers(attach map[coherent.NodeID]coherent.NodeID) []coherent.NodeID {
-	out := make([]coherent.NodeID, 0, len(attach))
-	for r := range attach {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
