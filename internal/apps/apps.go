@@ -84,13 +84,6 @@ func chunk(total, nprocs, id int) (lo, hi int) {
 	return
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // approxEqual compares floats with a tolerance proportionate to scale.
 func approxEqual(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {

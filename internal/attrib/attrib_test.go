@@ -159,6 +159,71 @@ func TestWaveAccounting(t *testing.T) {
 	}
 }
 
+// TestWaveDepth checks that wave depth follows the Inv forwarding
+// chain: an Inv a node sends after an earlier Inv of the same wave was
+// delivered to it sits one level below that one. Writer 9 misses on
+// block 5 at home 0.
+func TestWaveDepth(t *testing.T) {
+	open := []obs.Event{
+		{At: 0, Kind: obs.KindTxnStart, Src: 9, Block: 5, Write: true},
+		{At: 1, Kind: obs.KindSend, Type: "WriteReq", Src: 9, Dst: 0, Block: 5, Req: 9, ID: 1, Dir: true},
+		{At: 9, Kind: obs.KindDeliver, Type: "WriteReq", Src: 9, Dst: 0, Block: 5, Req: 9, ID: 1, Dir: true},
+		{At: 10, Kind: obs.KindHomeStart, Type: "WriteReq", Src: 0, Block: 5, Req: 9},
+	}
+	inv := func(at uint64, src, dst int, id int64) obs.Event {
+		return obs.Event{At: at, Kind: obs.KindSend, Type: "Inv", Src: src, Dst: dst, Block: 5, Req: 9, ID: id, Wave: 1}
+	}
+	arrive := func(at uint64, src, dst int, id int64) obs.Event {
+		return obs.Event{At: at, Kind: obs.KindDeliver, Type: "Inv", Src: src, Dst: dst, Block: 5, Req: 9, ID: id, Wave: 1}
+	}
+	cases := []struct {
+		name               string
+		wave               []obs.Event
+		msgs, roots, depth int
+	}{
+		{
+			// The home fans out to roots 1 and 2; root 1 forwards to 3
+			// and 4 once its Inv arrives, and node 3 forwards to 6.
+			name: "forwarding chain",
+			wave: []obs.Event{
+				inv(11, 0, 1, 2), inv(11, 0, 2, 3),
+				arrive(20, 0, 1, 2), inv(20, 1, 3, 4), inv(20, 1, 4, 5),
+				arrive(22, 0, 2, 3),
+				arrive(30, 1, 3, 4), inv(30, 3, 6, 6),
+				arrive(32, 1, 4, 5), arrive(40, 3, 6, 6),
+			},
+			msgs: 5, roots: 2, depth: 3,
+		},
+		{
+			// Full-map style: the home sends every Inv before any
+			// arrives.
+			name: "flat fan-out",
+			wave: []obs.Event{
+				inv(11, 0, 1, 2), inv(11, 0, 2, 3), inv(11, 0, 3, 4), inv(11, 0, 4, 5),
+				arrive(21, 0, 1, 2), arrive(22, 0, 2, 3), arrive(23, 0, 3, 4), arrive(24, 0, 4, 5),
+			},
+			msgs: 4, roots: 4, depth: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			evs := append(append([]obs.Event{}, open...), c.wave...)
+			evs = append(evs,
+				obs.Event{At: 45, Kind: obs.KindSend, Type: "WriteReply", Src: 0, Dst: 9, Block: 5, Req: 9, ID: 7},
+				obs.Event{At: 50, Kind: obs.KindDeliver, Type: "WriteReply", Src: 0, Dst: 9, Block: 5, Req: 9, ID: 7},
+				obs.Event{At: 51, Kind: obs.KindTxnEnd, Src: 9, Block: 5, Write: true},
+			)
+			w := feed(evs).Report().Wave
+			if w.Waves != 1 || w.Msgs != uint64(c.msgs) || w.Roots != uint64(c.roots) {
+				t.Errorf("waves=%d msgs=%d roots=%d, want 1/%d/%d", w.Waves, w.Msgs, w.Roots, c.msgs, c.roots)
+			}
+			if w.MaxDepth() != c.depth || w.DepthHist[c.depth] != 1 || len(w.DepthHist) != 1 {
+				t.Errorf("depth hist = %v, want {%d:1}", w.DepthHist, c.depth)
+			}
+		})
+	}
+}
+
 // TestUnattributed checks that missing or non-monotone checkpoints
 // count the transaction but not its phases.
 func TestUnattributed(t *testing.T) {

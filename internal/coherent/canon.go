@@ -58,13 +58,14 @@ type NodeBlock struct {
 	B BlockID
 }
 
-// AppendSortedKeys appends the keys of perNode, node n's map at index
-// n, to dst in block then node order: the order canonical dumps list
-// per-node records in. Reusing dst keeps a warm caller from allocating.
-func AppendSortedKeys[V any](dst []NodeBlock, perNode []map[BlockID]V) []NodeBlock {
+// AppendSortedKeys appends the keys of the per-node maps, node n's map
+// being mapOf(n) for n below nodes, to dst in block then node order: the
+// order canonical dumps list per-node records in. Reusing dst keeps a
+// warm caller from allocating.
+func AppendSortedKeys[V any](dst []NodeBlock, nodes int, mapOf func(n int) map[BlockID]V) []NodeBlock {
 	start := len(dst)
-	for n, mm := range perNode {
-		for b := range mm {
+	for n := range nodes {
+		for b := range mapOf(n) {
 			dst = append(dst, NodeBlock{N: NodeID(n), B: b})
 		}
 	}

@@ -2,6 +2,7 @@ package coherent
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -390,38 +391,68 @@ func TestStoreCommitWithoutApplyPanics(t *testing.T) {
 	s.CommitWrite(3)
 }
 
-func TestStoreOwnerWriteOrdering(t *testing.T) {
+// TestStoreOwnerWriteOrdering and TestStoreWritebackOrdering check the
+// two uses of Store.OwnerValue: an owner's write hit, and its dirty
+// data arriving home.
+func TestStoreOwnerWriteOrdering(t *testing.T) { checkOwnerValueOrdering(t, 2, 11, 12) }
+
+func TestStoreWritebackOrdering(t *testing.T) { checkOwnerValueOrdering(t, 3, 5, 6) }
+
+// checkOwnerValueOrdering checks that an owner's value with no write in
+// flight becomes the committed value, and that one racing a serialized
+// write is ordered before it, refreshing only the pre-write image.
+func checkOwnerValueOrdering(t *testing.T, b BlockID, before, racer uint64) {
+	t.Helper()
 	s := NewStore()
-	// Owner hit with no write in flight: updates the committed value.
-	s.OwnerWrite(2, 11)
-	if s.Value(2) != 11 {
-		t.Fatal("OwnerWrite lost")
+	s.OwnerValue(b, before)
+	if s.Value(b) != before {
+		t.Fatalf("value = %d, want %d", s.Value(b), before)
 	}
-	// With a serialized write in flight, the owner's hit is ordered
-	// before it: the pre-write image updates, the committed value stays.
-	s.ApplyWrite(2, 22)
-	s.OwnerWrite(2, 12)
-	if s.Value(2) != 22 {
-		t.Fatal("OwnerWrite overwrote a serialized write")
+	s.ApplyWrite(b, 22)
+	s.OwnerValue(b, racer)
+	if s.Value(b) != 22 {
+		t.Fatalf("overwrote a serialized write: value = %d, want 22", s.Value(b))
 	}
-	if old, _ := s.WriteInFlight(2); old != 12 {
-		t.Fatalf("pre-write image = %d, want 12", old)
+	if old, _ := s.WriteInFlight(b); old != racer {
+		t.Fatalf("pre-write image = %d, want %d", old, racer)
 	}
-	s.CommitWrite(2)
+	s.CommitWrite(b)
 }
 
-func TestStoreWritebackOrdering(t *testing.T) {
-	s := NewStore()
-	s.WritebackValue(3, 5)
-	if s.Value(3) != 5 {
-		t.Fatal("writeback lost")
+// TestMarkServed pins what each Serve marks: ServeTxn(s) only the read
+// with serial s, ServeAny a read whatever its serial, ServeNone nothing,
+// and none of them a write.
+func TestMarkServed(t *testing.T) {
+	m, _ := newTestMachine(t, 4, false)
+	addr := m.Alloc(8)
+	b := m.BlockOf(addr)
+	done := func(uint64) {}
+	m.Access(1, addr, false, 0, done)
+	m.Access(2, addr, false, 0, done)
+	m.Access(3, addr, true, 7, done)
+	read1, read2, write := m.Txn(1, b), m.Txn(2, b), m.Txn(3, b)
+
+	m.MarkServed(2, b, ServeNone)
+	m.MarkServed(2, b, ServeTxn(read2.Serial+1))
+	if read2.Served {
+		t.Fatal("ServeNone or another serial marked the read")
 	}
-	s.ApplyWrite(3, 9)
-	s.WritebackValue(3, 6) // stale data racing the serialized write
-	if s.Value(3) != 9 {
-		t.Fatal("stale writeback overwrote a serialized write")
+	m.MarkServed(2, b, ServeTxn(read2.Serial))
+	if !read2.Served {
+		t.Fatal("ServeTxn of the read's own serial did not mark it")
 	}
-	s.CommitWrite(3)
+	m.MarkServed(1, b, ServeAny)
+	if !read1.Served {
+		t.Fatal("ServeAny did not mark the read")
+	}
+	m.MarkServed(3, b, ServeTxn(write.Serial))
+	m.MarkServed(3, b, ServeAny)
+	if write.Served {
+		t.Fatal("a write was marked served")
+	}
+	if err := m.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDeferToTxn(t *testing.T) {
@@ -688,6 +719,38 @@ func TestSendZeroAllocs(t *testing.T) {
 	}
 	if m.Net.Sent() != 101 || m.Net.InFlight() != 0 {
 		t.Fatalf("sent %d, %d in flight; want 101 and 0", m.Net.Sent(), m.Net.InFlight())
+	}
+}
+
+// TestWatchdogCountsInvalidations checks which messages feed the
+// watchdog's hottest-blocks table: Inv, Update and ReplaceInv do, a data
+// reply does not.
+func TestWatchdogCountsInvalidations(t *testing.T) {
+	m, _ := newTestMachine(t, 4, false)
+	var buf bytes.Buffer
+	wd := obs.NewWatchdog(0, &buf)
+	wd.JSON = true
+	m.AttachProbe(&obs.Probe{Watchdog: wd})
+	for _, s := range []struct {
+		typ   MsgType
+		block BlockID
+		n     int
+	}{{MsgInv, 9, 3}, {MsgReplaceInv, 4, 2}, {MsgUpdate, 4, 1}, {MsgDataReply, 100, 5}} {
+		for i := 0; i < s.n; i++ {
+			m.Send(Msg{Type: s.typ, Src: 0, Dst: 1, Block: s.block, HasData: s.typ == MsgDataReply, Aux: NoNode, AckTo: NoNode})
+		}
+	}
+	if err := m.RunKernel(); err != nil {
+		t.Fatal(err)
+	}
+	wd.FireDrain(uint64(m.Now()), "test")
+	var rep obs.Report
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
+	}
+	want := []obs.BlockCount{{Block: 4, Count: 3}, {Block: 9, Count: 3}}
+	if fmt.Sprint(rep.HotBlocks) != fmt.Sprint(want) {
+		t.Fatalf("hot blocks = %v, want %v", rep.HotBlocks, want)
 	}
 }
 

@@ -131,7 +131,7 @@ func (r *memReply) Fire() {
 	m, b, rel := msg.mach, msg.Block, msg.RelHome
 	msg.Data = m.Store.Value(b)
 	if msg.serve != ServeNone {
-		m.markServed(msg.Requester, b, msg.serve)
+		m.MarkServed(msg.Requester, b, msg.serve)
 	}
 	m.post(msg)
 	if !rel {

@@ -90,11 +90,11 @@ type Txn struct {
 	Line *cache.Line
 	// Issued is when the processor issued the reference.
 	Issued sim.Time
-	// Served is set by the engine when the home has sent this
-	// transaction's reply. Tree protocols use it to decide whether an
-	// incoming Inv must be deferred (reply in flight, possibly carrying
-	// adopted children) or acknowledged immediately (request still
-	// queued at the gate — deferring would deadlock the wave).
+	// Served is set, only through Machine.MarkServed, when the home has
+	// sent this transaction's reply. Tree protocols use it to decide
+	// whether an incoming Inv must be deferred (reply in flight, possibly
+	// carrying adopted children) or acknowledged immediately (request
+	// still queued at the gate — deferring would deadlock the wave).
 	Served bool
 	// Deferred collects messages (typically Inv) that arrived for this
 	// block while the data reply was still in flight; the machine
@@ -777,9 +777,6 @@ func (m *Machine) AttachKProf(p *kprof.Profile) {
 	}
 }
 
-// KProf returns the attached kernel profile, or nil.
-func (m *Machine) KProf() *kprof.Profile { return m.kprof }
-
 // Executed returns the number of simulated events fired so far, on
 // whichever kernel is live.
 func (m *Machine) Executed() uint64 { return m.sched.Executed() }
@@ -1106,7 +1103,7 @@ func (m *Machine) Access(n NodeID, addr uint64, write bool, value uint64, done f
 		ln.Val = value
 		// The exclusive owner is the serialization point for its own
 		// writes; the authoritative image follows it.
-		m.Store.OwnerWrite(b, value)
+		m.Store.OwnerValue(b, value)
 		m.noteProgress()
 		m.completeHit(n, done, old)
 		return
@@ -1562,10 +1559,14 @@ func (m *Machine) ReplyFromMemory(reply Msg, serve Serve) {
 	m.scheduleAt(home, m.Cfg.MemLatency, (*memReply)(r))
 }
 
-// markServed flags node n's outstanding read of block b Served, as
-// serve selects (see Serve). A memory reply does it on the home's lane
-// as the reply leaves.
-func (m *Machine) markServed(n NodeID, b BlockID, serve Serve) {
+// MarkServed flags node n's outstanding read of block b Served, as
+// serve selects (see Serve): ServeAny marks it whatever its serial,
+// ServeTxn(s) only while it is the transaction with serial s, and
+// ServeNone marks nothing. A write is never marked. It is the one place
+// Txn.Served is set: a home handler calls it when it sends the read's
+// data by a path that can race an invalidation, and a memory reply
+// (ReplyFromMemory) calls it on the home's lane as the reply leaves.
+func (m *Machine) MarkServed(n NodeID, b BlockID, serve Serve) {
 	txn := m.Txn(n, b)
 	if txn == nil || txn.Write || (serve != ServeAny && txn.Serial != uint64(serve)) {
 		return

@@ -132,24 +132,12 @@ func (s *Store) WriteInFlight(b BlockID) (old uint64, inFlight bool) {
 	return s.prev[b], true
 }
 
-// OwnerWrite records a write hit by the exclusive owner. If a later
-// write to the same block is already serialized (its invalidation is
-// racing toward the owner), the hit is ordered before it, so it updates
-// the pre-write image rather than the committed value.
-func (s *Store) OwnerWrite(b BlockID, v uint64) {
-	s.ensure(b)
-	s.touched[b] = true
-	if s.busy[b] {
-		s.prev[b] = v
-		return
-	}
-	s.cur[b] = v
-}
-
-// WritebackValue records dirty data arriving home. During an in-flight
-// write transaction the value is stale relative to the serialized
-// write, so it only refreshes the pre-write image.
-func (s *Store) WritebackValue(b BlockID, v uint64) {
+// OwnerValue records the exclusive owner's value of b: a write hit by
+// the owner, or its dirty data arriving home in a writeback. If a later
+// write to b is already serialized (its invalidation is racing toward
+// the owner), the owner's value is ordered before it: it refreshes the
+// pre-write image, and the serialized write's value stays committed.
+func (s *Store) OwnerValue(b BlockID, v uint64) {
 	s.ensure(b)
 	s.touched[b] = true
 	if s.busy[b] {

@@ -181,19 +181,19 @@ func (e *Engine) Name() string {
 func (e *Engine) UpdatesCopies() bool { return e.opts.Update }
 
 // newPending takes a pending record for request msg from home's free
-// list (forest.spare): a transaction that must wait for a writeback or
+// list (forestNode.pends): a transaction that must wait for a writeback or
 // acknowledgments holds one until it leaves the directory.
 //
 //dirccvet:hotpath
 //go:noinline
 func (e *Engine) newPending(home coherent.NodeID, msg *coherent.Msg, st stage, wbFrom coherent.NodeID) *pending {
-	sp := &e.spare[home]
-	p := sp.pends
+	nd := &e.nodes[home]
+	p := nd.pends
 	if p == nil {
 		//dirccvet:allow allocguard a home allocates a pending record only while more of its transactions wait than ever before
 		p = new(pending)
 	} else {
-		sp.pends = p.next
+		nd.pends = p.next
 	}
 	*p = pending{req: *msg, stage: st, wbFrom: wbFrom}
 	return p
@@ -204,8 +204,8 @@ func (e *Engine) newPending(home coherent.NodeID, msg *coherent.Msg, st stage, w
 //
 //dirccvet:hotpath
 func (e *Engine) freePending(home coherent.NodeID, p *pending) {
-	sp := &e.spare[home]
-	p.next, sp.pends = sp.pends, p
+	nd := &e.nodes[home]
+	p.next, nd.pends = nd.pends, p
 }
 
 // Pointers returns i.
@@ -511,7 +511,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
-		m.Store.WritebackValue(msg.Block, msg.Data)
+		m.Store.OwnerValue(msg.Block, msg.Data)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			en.state = shared

@@ -49,37 +49,15 @@ type ackDest struct {
 // up, and replacement teardown with unacknowledged Replace_INVs. All
 // mutable state is lane-partitioned for the sharded kernel: directory
 // entries live in the machine's per-home dir storage (bound at
-// Prepare), and the per-cache aggregation/victim-buffer records are
-// slices indexed by the owning node, so every handler touches only its
-// own slot.
+// Prepare), and the per-cache state sits in one record per node,
+// indexed by the owning node, so every handler touches only its own.
 type forest struct {
 	// m is the bound machine (coherent.Preparer); directory entries
 	// are reached through m.Dir/m.SetDir so they are home-resident.
 	m *coherent.Machine
-	// aggs[n] tracks node n's bottom-up ack aggregations, keyed by
-	// block. Only node n's lane reads or writes aggs[n].
-	aggs []map[coherent.BlockID]*agg
-	// tombs[n] retains the child pointers of node n's lines that died
-	// without acknowledged coverage (replacement, Replace_INV) — a
-	// small victim buffer. An ack-bearing Inv reaching such a dead node
-	// routes down the tombstone so a write wave racing an in-flight
-	// teardown still covers (and waits for) every copy below; per-pair
-	// FIFO delivery guarantees the teardown precedes the wave on each
-	// edge. This closes a sequential-consistency hole the paper's
-	// silent replacement scheme leaves open (see DESIGN.md §4.2).
-	tombs []map[coherent.BlockID][]coherent.NodeID
-	// torn is verification-only ghost state: blocks that have ever had
-	// a replacement teardown at node n, where dangling child pointers
-	// make strict acyclicity inapplicable (see CheckForestShape; the
-	// engines' CheckShape reads the union over nodes at quiesce). It
-	// never influences protocol behavior.
-	torn []map[coherent.BlockID]bool
-	// spare[n] holds node n's free lists of aggregation records,
-	// Dir_iTree_k line metadata and, as a home, Dir_iTree_k pending
-	// records, and its reusable buffer for an invalidation's fan-out, so
-	// a transaction allocates nothing once they are warm. Only node n's
-	// lane touches spare[n].
-	spare []nodeSpare
+	// nodes[n] is node n's cache-side state. Only node n's lane touches
+	// it.
+	nodes []forestNode
 	// keys, roots and walk are the model-checker hooks' scratch, reused
 	// from state to state: the sorted per-node keys of appendCanonWaves, the
 	// slice CoverageRoots returns, and CheckShape's depth-first walk.
@@ -88,30 +66,48 @@ type forest struct {
 	walk  shapeWalk
 }
 
-// nodeSpare is one node's entry in forest.spare.
-type nodeSpare struct {
-	aggs  *agg
-	metas *treeMeta
-	pends *pending
-	fan   []coherent.NodeID
+// forestNode is one node's entry in forest.nodes. Its maps are
+// allocated on the node's first write: reads and deletes on a nil map
+// are safe, and most nodes of a model-checker replay never write.
+type forestNode struct {
+	// aggs tracks the node's bottom-up ack aggregations, keyed by block.
+	aggs map[coherent.BlockID]*agg
+	// tombs retains the child pointers of the node's lines that died
+	// without acknowledged coverage (replacement, Replace_INV) — a
+	// small victim buffer. An ack-bearing Inv reaching such a dead node
+	// routes down the tombstone so a write wave racing an in-flight
+	// teardown still covers (and waits for) every copy below; per-pair
+	// FIFO delivery guarantees the teardown precedes the wave on each
+	// edge. This closes a sequential-consistency hole the paper's
+	// silent replacement scheme leaves open (see DESIGN.md §4.2).
+	tombs map[coherent.BlockID][]coherent.NodeID
+	// torn is verification-only ghost state: blocks that have ever had
+	// a replacement teardown at the node, where dangling child pointers
+	// make strict acyclicity inapplicable (see CheckForestShape; the
+	// engines' CheckShape reads the union over nodes at quiesce). It
+	// never influences protocol behavior.
+	torn map[coherent.BlockID]bool
+	// freeAggs, metas and pends are the node's free lists of aggregation
+	// records, Dir_iTree_k line metadata and, as a home, Dir_iTree_k
+	// pending records, and fan its reusable buffer for an invalidation's
+	// fan-out, so a transaction allocates nothing once they are warm.
+	freeAggs *agg
+	metas    *treeMeta
+	pends    *pending
+	fan      []coherent.NodeID
 	// edges is the slice CoverageEdges returns for the node, reused by
 	// its next call for the same node.
 	edges []coherent.NodeID
 }
 
 // Prepare implements coherent.Preparer: directory entries live in the
-// machine's per-home dir storage and the per-cache records in slices
-// indexed by node, which is what makes the engine's state lane-local
-// under the sharded kernel. A node's maps are allocated on its first
-// write; reads and deletes on a nil map are safe, and most nodes of a
-// model-checker replay never write. The free-list heads are allocated
-// here, one per node, so no lane ever allocates a shared one.
+// machine's per-home dir storage and the per-cache state in one record
+// per node, which is what makes the engine's state lane-local under the
+// sharded kernel. The records are allocated here, all at once, so no
+// lane ever allocates a shared one.
 func (f *forest) Prepare(m *coherent.Machine) {
 	f.m = m
-	f.aggs = make([]map[coherent.BlockID]*agg, m.Cfg.Procs)
-	f.tombs = make([]map[coherent.BlockID][]coherent.NodeID, m.Cfg.Procs)
-	f.torn = make([]map[coherent.BlockID]bool, m.Cfg.Procs)
-	f.spare = make([]nodeSpare, m.Cfg.Procs)
+	f.nodes = make([]forestNode, m.Cfg.Procs)
 }
 
 // newAgg starts node n's aggregation record for block b, taking it from
@@ -122,20 +118,20 @@ func (f *forest) Prepare(m *coherent.Machine) {
 //dirccvet:hotpath
 //go:noinline
 func (f *forest) newAgg(n coherent.NodeID, b coherent.BlockID) *agg {
-	if f.aggs[n] == nil {
+	nd := &f.nodes[n]
+	if nd.aggs == nil {
 		//dirccvet:allow allocguard a node builds its aggregation map once, on its first wave
-		f.aggs[n] = make(map[coherent.BlockID]*agg)
+		nd.aggs = make(map[coherent.BlockID]*agg)
 	}
-	sp := &f.spare[n]
-	a := sp.aggs
+	a := nd.freeAggs
 	if a == nil {
 		//dirccvet:allow allocguard a node allocates an aggregation only while more of its waves are open than ever before
 		a = new(agg)
 	} else {
-		sp.aggs = a.next
+		nd.freeAggs = a.next
 		*a = agg{extra: a.extra[:0]}
 	}
-	f.aggs[n][b] = a
+	nd.aggs[b] = a
 	return a
 }
 
@@ -148,12 +144,12 @@ const metaChunk = 64
 //
 //dirccvet:hotpath
 func (f *forest) newMeta(n coherent.NodeID) *treeMeta {
-	sp := &f.spare[n]
-	if sp.metas == nil {
+	nd := &f.nodes[n]
+	if nd.metas == nil {
 		f.growMetas(n)
 	}
-	meta := sp.metas
-	sp.metas, meta.next = meta.next, nil
+	meta := nd.metas
+	nd.metas, meta.next = meta.next, nil
 	return meta
 }
 
@@ -166,9 +162,9 @@ func (f *forest) newMeta(n coherent.NodeID) *treeMeta {
 func (f *forest) growMetas(n coherent.NodeID) {
 	//dirccvet:allow allocguard one chunk per 64 records, allocated only while more of a node's lines hold metadata than ever before
 	chunk := make([]treeMeta, metaChunk)
-	sp := &f.spare[n]
+	nd := &f.nodes[n]
 	for i := range chunk {
-		chunk[i].next, sp.metas = sp.metas, &chunk[i]
+		chunk[i].next, nd.metas = nd.metas, &chunk[i]
 	}
 }
 
@@ -180,8 +176,8 @@ func (f *forest) growMetas(n coherent.NodeID) {
 //dirccvet:hotpath
 func (f *forest) freeMeta(n coherent.NodeID, meta any) {
 	if tm, ok := meta.(*treeMeta); ok && tm != nil {
-		sp := &f.spare[n]
-		tm.next, sp.metas = sp.metas, tm
+		nd := &f.nodes[n]
+		tm.next, nd.metas = nd.metas, tm
 	}
 }
 
@@ -192,11 +188,12 @@ func (f *forest) freeMeta(n coherent.NodeID, meta any) {
 //dirccvet:hotpath
 //go:noinline
 func (f *forest) markTorn(n coherent.NodeID, b coherent.BlockID) {
-	if f.torn[n] == nil {
+	nd := &f.nodes[n]
+	if nd.torn == nil {
 		//dirccvet:allow allocguard a node builds its map once, on its first teardown
-		f.torn[n] = make(map[coherent.BlockID]bool)
+		nd.torn = make(map[coherent.BlockID]bool)
 	}
-	f.torn[n][b] = true
+	nd.torn[b] = true
 }
 
 // childrenOf returns a line's child pointers in either engine's format:
@@ -240,7 +237,8 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		return
 	}
 	b := msg.Block
-	a := f.aggs[n][b]
+	nd := &f.nodes[n]
+	a := nd.aggs[b]
 	if a != nil && a.armed {
 		if msg.SibAck {
 			// The home's root Inv landed on an aggregation another
@@ -271,7 +269,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 		a.left++
 	}
 	update := msg.Type == coherent.MsgUpdate
-	fanout := f.spare[n].fan[:0]
+	fanout := nd.fan[:0]
 	if ln := node.Cache.Lookup(msg.Block); ln != nil && ln.State != cache.Invalid {
 		fanout = append(fanout, childrenOf(ln)...)
 		if update {
@@ -282,7 +280,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 			f.freeMeta(n, meta)
 		}
 	}
-	if t, ok := f.tombs[n][b]; ok {
+	if t, ok := nd.tombs[b]; ok {
 		// A teardown from this node's previous tenure may still be in
 		// flight below: route the wave down the victim-buffer pointers
 		// too, so it covers (and waits for) every copy the Replace_INV
@@ -303,7 +301,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 			// Update waves must keep routing through the victim buffer
 			// on every write: torn-down positions stay reachable from
 			// the persistent sharing trees.
-			delete(f.tombs[n], b)
+			delete(nd.tombs, b)
 		}
 	}
 	for _, c := range fanout {
@@ -315,7 +313,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 			AckTo: n, Aux: coherent.NoNode,
 		})
 	}
-	f.spare[n].fan = fanout
+	nd.fan = fanout
 	f.maybeFinishAgg(m, aggKey{n: n, b: b}, a)
 }
 
@@ -326,7 +324,7 @@ func (f *forest) onInv(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 //dirccvet:hotpath
 func (f *forest) onCacheAck(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 	m.CtrAt(n).InvAcks++
-	a := f.aggs[n][msg.Block]
+	a := f.nodes[n].aggs[msg.Block]
 	if a == nil {
 		a = f.newAgg(n, msg.Block)
 	}
@@ -343,7 +341,8 @@ func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 	if !a.armed || a.left != 0 {
 		return
 	}
-	delete(f.aggs[key.n], key.b)
+	nd := &f.nodes[key.n]
+	delete(nd.aggs, key.b)
 	m.Send(coherent.Msg{
 		Type: coherent.MsgInvAck, Src: key.n, Dst: a.to, Block: key.b,
 		Requester: a.req, ToDir: a.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
@@ -354,8 +353,7 @@ func (f *forest) maybeFinishAgg(m *coherent.Machine, key aggKey, a *agg) {
 			Requester: d.req, ToDir: d.toDir, Aux: coherent.NoNode, AckTo: coherent.NoNode,
 		})
 	}
-	sp := &f.spare[key.n]
-	a.next, sp.aggs = sp.aggs, a
+	a.next, nd.freeAggs = nd.freeAggs, a
 }
 
 // sendAck acknowledges msg immediately (dangling-edge case).
@@ -390,7 +388,7 @@ func (f *forest) onReplaceInv(m *coherent.Machine, node *coherent.Node, msg *coh
 // OnEvict implements coherent.Engine: a valid line's subtree is torn
 // down with Replace_INV (no acks, no home notification); an exclusive
 // line writes back. The child pointers stay in the victim buffer until
-// the next install or invalidation sweep (see forest.tombs).
+// the next install or invalidation sweep (see forestNode.tombs).
 //
 //dirccvet:hotpath
 func (f *forest) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
@@ -421,7 +419,8 @@ func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []co
 	if len(children) == 0 {
 		return
 	}
-	cur := f.tombs[n][b]
+	nd := &f.nodes[n]
+	cur := nd.tombs[b]
 	for _, c := range children {
 		dup := false
 		for _, t := range cur {
@@ -434,11 +433,11 @@ func (f *forest) mergeTombs(n coherent.NodeID, b coherent.BlockID, children []co
 			cur = append(cur, c)
 		}
 	}
-	if f.tombs[n] == nil {
+	if nd.tombs == nil {
 		//dirccvet:allow allocguard a node builds its map once, on its first teardown
-		f.tombs[n] = make(map[coherent.BlockID][]coherent.NodeID)
+		nd.tombs = make(map[coherent.BlockID][]coherent.NodeID)
 	}
-	f.tombs[n][b] = cur
+	nd.tombs[b] = cur
 }
 
 //dirccvet:hotpath
@@ -462,9 +461,9 @@ func (f *forest) sendReplaceInv(m *coherent.Machine, n coherent.NodeID, b cohere
 //
 //dirccvet:hotpath
 func (f *forest) appendCanonWaves(b []byte) []byte {
-	f.keys = coherent.AppendSortedKeys(f.keys[:0], f.aggs)
+	f.keys = coherent.AppendSortedKeys(f.keys[:0], len(f.nodes), func(n int) map[coherent.BlockID]*agg { return f.nodes[n].aggs })
 	for _, k := range f.keys {
-		a := f.aggs[k.N][k.B]
+		a := f.nodes[k.N].aggs[k.B]
 		b = coherent.AppendRecord(b, "agg", k)
 		b = append(b, " armed"...)
 		b = strconv.AppendBool(b, a.armed)
@@ -482,11 +481,11 @@ func (f *forest) appendCanonWaves(b []byte) []byte {
 		}
 		b = append(b, '\n')
 	}
-	f.keys = coherent.AppendSortedKeys(f.keys[:0], f.tombs)
+	f.keys = coherent.AppendSortedKeys(f.keys[:0], len(f.nodes), func(n int) map[coherent.BlockID][]coherent.NodeID { return f.nodes[n].tombs })
 	for _, k := range f.keys {
 		b = coherent.AppendRecord(b, "tomb", k)
 		b = append(b, " -> "...)
-		b = coherent.AppendNodes(b, f.tombs[k.N][k.B])
+		b = coherent.AppendNodes(b, f.nodes[k.N].tombs[k.B])
 		b = append(b, '\n')
 	}
 	return b
@@ -497,13 +496,13 @@ func (f *forest) appendCanonWaves(b []byte) []byte {
 // by replaced copies. The slice is node n's and stays valid until the
 // next call for n.
 func (f *forest) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.NodeID) []coherent.NodeID {
-	sp := &f.spare[n]
-	out := sp.edges[:0]
+	nd := &f.nodes[n]
+	out := nd.edges[:0]
 	if ln := m.Nodes[n].Cache.Lookup(b); ln != nil && ln.State != cache.Invalid {
 		out = appendChildren(out, ln)
 	}
-	out = append(out, f.tombs[n][b]...)
-	sp.edges = out
+	out = append(out, nd.tombs[b]...)
+	nd.edges = out
 	return out
 }
 
@@ -513,8 +512,8 @@ func (f *forest) checkShape(m *coherent.Machine, b coherent.BlockID, roots []coh
 	// torn is per-node ghost state written on the tearing node's lane;
 	// this quiesced check reads the union.
 	torn := false
-	for _, tm := range f.torn {
-		if tm[b] {
+	for i := range f.nodes {
+		if f.nodes[i].torn[b] {
 			torn = true
 			break
 		}
@@ -524,8 +523,8 @@ func (f *forest) checkShape(m *coherent.Machine, b coherent.BlockID, roots []coh
 		if ln == nil || ln.State == cache.Invalid {
 			return nil
 		}
-		sp := &f.spare[n]
-		sp.edges = appendChildren(sp.edges[:0], ln)
-		return sp.edges
+		nd := &f.nodes[n]
+		nd.edges = appendChildren(nd.edges[:0], ln)
+		return nd.edges
 	})
 }

@@ -154,18 +154,6 @@ func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) 
 	}, coherent.ServeAny)
 }
 
-// markServedPending marks a pend-tracked read served only if the
-// requester's outstanding transaction is still the one serialized when
-// the pend was created. ChainData and Done travel independently, so the
-// requester may have completed, silently replaced, and issued a fresh
-// read before the Done reaches home — that fresh read has not been
-// serialized and must not be marked.
-func (e *STP) markServedPending(m *coherent.Machine, p *stpPending, b coherent.BlockID) {
-	if txn := m.Txn(p.req.Requester, b); txn != nil && txn.Serial == p.serial && !txn.Write {
-		txn.Served = true
-	}
-}
-
 func (e *STP) grantWrite(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) {
 	b := msg.Block
 	en.pend = nil
@@ -192,7 +180,12 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.pend == nil {
 			panic("stp: Done without a pending read")
 		}
-		e.markServedPending(m, en.pend, msg.Block)
+		// Mark the read served only if the requester's outstanding
+		// transaction is still the one this pend serialized: ChainData
+		// and Done travel independently, so the requester may have
+		// completed, silently replaced and issued a fresh read before
+		// the Done reaches home, and that read must not be marked.
+		m.MarkServed(en.pend.req.Requester, msg.Block, coherent.ServeTxn(en.pend.serial))
 		en.pend = nil
 		m.ReleaseHome(msg.Block)
 	case coherent.MsgFwd:
@@ -230,7 +223,7 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
-		m.Store.WritebackValue(msg.Block, msg.Data)
+		m.Store.OwnerValue(msg.Block, msg.Data)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {

@@ -2,36 +2,6 @@ package kprof
 
 import "testing"
 
-func TestHist(t *testing.T) {
-	var h Hist
-	if h.Count != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty hist not zero")
-	}
-	for _, v := range []uint64{0, 1, 2, 3, 1000, 1 << 20} {
-		h.Observe(v)
-	}
-	if h.Count != 6 || h.MaxV != 1<<20 {
-		t.Fatalf("count=%d max=%d", h.Count, h.MaxV)
-	}
-	if got := h.Quantile(1.0); got != 1<<20 {
-		t.Fatalf("p100=%d", got)
-	}
-	if got := h.Quantile(0.0); got != 0 {
-		t.Fatalf("p0=%d", got)
-	}
-	// p50 lands in the bucket holding the 3rd observation (v=2,3 →
-	// bit-length 2 → edge 3).
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("p50=%d", got)
-	}
-	var m Hist
-	m.Merge(&h)
-	m.Merge(&h)
-	if m.Count != 12 || m.Sum != 2*h.Sum || m.MaxV != h.MaxV {
-		t.Fatalf("merge: %+v", m)
-	}
-}
-
 // driveWave pushes one synthetic wave through the coordinator-side
 // hook sequence the kernel uses.
 func driveWave(p *Profile, at uint64, fired []uint64) {

@@ -51,19 +51,6 @@ type hotpathFunc struct {
 	start, end int    // line range of the declaration
 }
 
-// HotpathFuncs returns the annotated functions in pkgs, sorted by
-// position. Exported for cmd/dirccvet's verbose listing.
-func HotpathFuncs(pkgs []*Package) []string {
-	var out []string
-	for _, pkg := range pkgs {
-		for _, hf := range hotpathFuncs(pkg) {
-			out = append(out, fmt.Sprintf("%s:%d: %s", hf.file, hf.start, hf.name))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func hotpathFuncs(pkg *Package) []hotpathFunc {
 	var out []hotpathFunc
 	for _, f := range pkg.Files {

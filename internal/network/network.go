@@ -202,20 +202,6 @@ func (n *Network) Delivered(dst topology.NodeID) { n.deliveredBy[dst]++ }
 // Sent returns the total number of messages accepted for transport.
 func (n *Network) Sent() uint64 { return n.sent }
 
-// Lookahead returns the minimum cycles between injecting a message and
-// its delivery at any node: the conservative-PDES bound below which no
-// send made now can affect another node. With Table 5 parameters
-// (HopDelay=1, LocalDelay=1, 1-byte phits) this is 2 cycles, which is
-// why a sharded simulation never sees a delivery land in the round
-// that produced it.
-func (n *Network) Lookahead() sim.Time {
-	la := n.cfg.HopDelay
-	if n.cfg.LocalDelay < la {
-		la = n.cfg.LocalDelay
-	}
-	return la + 1 // + minimum one-phit service time
-}
-
 // serviceBytes returns the cycles a resource is busy streaming a
 // message of the given size.
 func (n *Network) serviceBytes(bytes int) sim.Time {

@@ -83,45 +83,6 @@ func TestWaveTagging(t *testing.T) {
 	}
 }
 
-func TestInvWavesDepth(t *testing.T) {
-	tr := NewTrace()
-	p := &Probe{Trace: tr}
-	p.Finalize(Event{At: 0, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 5, Req: 9}, nil)
-	// Home 0 fans out to two roots; root 1 forwards to 3 and 4 after
-	// receiving its Inv; node 3 forwards to 6. Expected depth 3.
-	sendDeliver(p, 1, 10, "Inv", 0, 1, 5, 9)
-	sendDeliver(p, 1, 12, "Inv", 0, 2, 5, 9)
-	sendDeliver(p, 10, 20, "Inv", 1, 3, 5, 9)
-	sendDeliver(p, 10, 22, "Inv", 1, 4, 5, 9)
-	sendDeliver(p, 20, 30, "Inv", 3, 6, 5, 9)
-
-	waves := InvWaves(tr.Events())
-	if len(waves) != 1 {
-		t.Fatalf("got %d waves, want 1", len(waves))
-	}
-	w := waves[0]
-	if w.Block != 5 || w.Wave != 1 || w.Msgs != 5 {
-		t.Fatalf("wave = %+v, want block 5 wave 1 msgs 5", w)
-	}
-	if w.Depth != 3 {
-		t.Fatalf("depth = %d, want 3", w.Depth)
-	}
-}
-
-func TestInvWavesFlatFanout(t *testing.T) {
-	tr := NewTrace()
-	p := &Probe{Trace: tr}
-	p.Finalize(Event{At: 0, Kind: KindHomeStart, Type: "WriteReq", Src: 0, Dst: 0, Block: 5, Req: 9}, nil)
-	// Full-map style: home sends all Invs before any is delivered.
-	for i := 1; i <= 4; i++ {
-		sendDeliver(p, 1, uint64(10+i), "Inv", 0, i, 5, 9)
-	}
-	waves := InvWaves(tr.Events())
-	if len(waves) != 1 || waves[0].Depth != 1 || waves[0].Msgs != 4 {
-		t.Fatalf("waves = %+v, want one wave of 4 msgs at depth 1", waves)
-	}
-}
-
 func TestFanoutBound(t *testing.T) {
 	cases := []struct{ k, p, want int }{
 		{2, 1, 1}, {2, 2, 2}, {2, 4, 3}, {2, 8, 4}, {2, 7, 4},
@@ -291,18 +252,30 @@ func TestWatchdogDrain(t *testing.T) {
 	}
 }
 
+// TestHotBlocks checks the watchdog's hottest-blocks table: blocks rank
+// by the invalidations noted on them, most first, ties by block number,
+// and TopK cuts the table. Which messages count is the machine's choice
+// (coherent's TestWatchdogCountsInvalidations).
 func TestHotBlocks(t *testing.T) {
-	tr := NewTrace()
-	p := &Probe{Trace: tr}
-	for i := 0; i < 5; i++ {
-		p.Finalize(Event{At: uint64(i), Kind: KindSend, Type: "Inv", Src: 0, Dst: 1, Block: 9, Req: 2}, nil)
+	var buf bytes.Buffer
+	w := NewWatchdog(0, &buf)
+	w.JSON = true
+	w.TopK = 3
+	for _, c := range []struct {
+		block uint64
+		n     int
+	}{{4, 3}, {100, 1}, {9, 5}, {2, 3}} {
+		for i := 0; i < c.n; i++ {
+			w.NoteInv(c.block)
+		}
 	}
-	for i := 0; i < 3; i++ {
-		p.Finalize(Event{At: uint64(i), Kind: KindSend, Type: "ReplaceInv", Src: 0, Dst: 1, Block: 4, Req: 2}, nil)
+	w.FireDrain(10, "test")
+	var rep Report
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
 	}
-	p.Finalize(Event{At: 9, Kind: KindSend, Type: "DataReply", Src: 0, Dst: 1, Block: 100, Req: 2}, nil) // not an invalidation
-	hot := HotBlocks(tr.Events(), 10)
-	if len(hot) != 2 || hot[0].Block != 9 || hot[0].Count != 5 || hot[1].Block != 4 || hot[1].Count != 3 {
-		t.Fatalf("hot blocks = %+v", hot)
+	want := []BlockCount{{9, 5}, {2, 3}, {4, 3}}
+	if fmt.Sprint(rep.HotBlocks) != fmt.Sprint(want) {
+		t.Fatalf("hot blocks = %v, want %v", rep.HotBlocks, want)
 	}
 }

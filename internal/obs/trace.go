@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Kind classifies a trace event.
@@ -94,11 +93,6 @@ func (t *Trace) Events() []Event { return t.events }
 func (t *Trace) Len() int { return len(t.events) }
 
 func (t *Trace) add(e Event) { t.events = append(t.events, e) }
-
-// Event appends e, satisfying the Sink interface; a Trace can be used
-// either as the Probe's dedicated Trace field or as one sink among
-// several.
-func (t *Trace) Event(e Event) { t.add(e) }
 
 // WriteJSONL writes one JSON object per event, newline-delimited.
 func (t *Trace) WriteJSONL(w io.Writer) error {
@@ -225,85 +219,6 @@ func txnName(e Event) string {
 	return fmt.Sprintf("read miss b%d", e.Block)
 }
 
-// ---------------------------------------------------------------------
-// Invalidation fan-out analysis
-// ---------------------------------------------------------------------
-
-// Wave summarizes one invalidation wave: all Inv/Update messages
-// belonging to one serialized write on one block.
-type Wave struct {
-	Block uint64
-	Wave  int
-	// Msgs is the number of invalidation messages in the wave — one
-	// per invalidated sharer (dangling-pointer targets included).
-	Msgs int
-	// Depth is the longest send chain: an Inv sent by a node after an
-	// earlier Inv of the same wave was delivered to it sits one level
-	// below that parent. Depth 1 is a flat home fan-out; the tree
-	// protocols trade width for depth ~ log_k(sharers).
-	Depth int
-}
-
-// InvWaves groups the trace's invalidation messages into waves and
-// computes each wave's fan-out depth. Events must be in capture order
-// (as recorded).
-func InvWaves(events []Event) []Wave {
-	type key struct {
-		block uint64
-		wave  int
-	}
-	type invMsg struct {
-		id      int64
-		src     int
-		sentAt  uint64
-		arrived uint64 // delivery instant (0 if never delivered)
-		dst     int
-		depth   int
-	}
-	deliverAt := make(map[int64]uint64)
-	for _, e := range events {
-		if e.Kind == KindDeliver {
-			deliverAt[e.ID] = e.At
-		}
-	}
-	groups := make(map[key][]*invMsg)
-	var order []key
-	for _, e := range events {
-		if e.Kind != KindSend || e.Wave == 0 {
-			continue
-		}
-		k := key{e.Block, e.Wave}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], &invMsg{
-			id: e.ID, src: e.Src, sentAt: e.At, arrived: deliverAt[e.ID], dst: e.Dst,
-		})
-	}
-	var out []Wave
-	for _, k := range order {
-		msgs := groups[k]
-		// Depth by parent-chaining: a message's depth is one more than
-		// the deepest wave message delivered to its sender before it
-		// was sent. Messages are in send order, so parents precede
-		// children in the slice.
-		maxDepth := 0
-		for i, m := range msgs {
-			m.depth = 1
-			for _, p := range msgs[:i] {
-				if p.dst == m.src && p.arrived != 0 && p.arrived <= m.sentAt && p.depth+1 > m.depth {
-					m.depth = p.depth + 1
-				}
-			}
-			if m.depth > maxDepth {
-				maxDepth = m.depth
-			}
-		}
-		out = append(out, Wave{Block: k.block, Wave: k.wave, Msgs: len(msgs), Depth: maxDepth})
-	}
-	return out
-}
-
 // FanoutBound returns the paper's depth bound for invalidating p
 // sharers with k-ary trees: ceil(log_k p) + 1 (minimum 1).
 func FanoutBound(k, p int) int {
@@ -318,39 +233,4 @@ func FanoutBound(k, p int) int {
 		b = 1
 	}
 	return b
-}
-
-// HotBlocks returns the n blocks with the most invalidation-type sends
-// in the trace, most-invalidated first.
-func HotBlocks(events []Event, n int) []BlockCount {
-	counts := make(map[uint64]uint64)
-	for _, e := range events {
-		if e.Kind == KindSend && (e.Type == "Inv" || e.Type == "Update" || e.Type == "ReplaceInv") {
-			counts[e.Block]++
-		}
-	}
-	return topBlocks(counts, n)
-}
-
-// BlockCount pairs a block with an event count.
-type BlockCount struct {
-	Block uint64 `json:"block"`
-	Count uint64 `json:"count"`
-}
-
-func topBlocks(counts map[uint64]uint64, n int) []BlockCount {
-	out := make([]BlockCount, 0, len(counts))
-	for b, c := range counts {
-		out = append(out, BlockCount{b, c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Block < out[j].Block
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

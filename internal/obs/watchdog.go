@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -146,4 +147,27 @@ func (w *Watchdog) report(kind string, now uint64, headline string) {
 		w.Dump(out)
 	}
 	fmt.Fprintf(out, "=== end watchdog report ===\n")
+}
+
+// BlockCount pairs a block with an event count.
+type BlockCount struct {
+	Block uint64 `json:"block"`
+	Count uint64 `json:"count"`
+}
+
+func topBlocks(counts map[uint64]uint64, n int) []BlockCount {
+	out := make([]BlockCount, 0, len(counts))
+	for b, c := range counts {
+		out = append(out, BlockCount{b, c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Block < out[j].Block
+	})
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
 }

@@ -1,11 +1,13 @@
 package protocol_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dircc/internal/coherent"
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
+	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/ptest"
 )
 
@@ -47,5 +49,35 @@ func BenchmarkMissRoundTrip(b *testing.B) {
 			misses := float64(b.N * (c.readers + 1))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/misses, "ns/miss")
 		})
+	}
+}
+
+// BenchmarkPrepare times binding an engine to a machine, which the model
+// checker does once per replay (Machine.Reset): the per-node state the
+// tree and list engines allocate up front, at the checker's P=4 and at
+// P=64.
+func BenchmarkPrepare(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		eng  func() coherent.Engine
+	}{
+		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},
+		{"stp", func() coherent.Engine { return core.NewSTP() }},
+		{"sll", func() coherent.Engine { return list.NewSLL() }},
+	} {
+		for _, procs := range []int{4, 64} {
+			b.Run(fmt.Sprintf("%s/P=%d", c.name, procs), func(b *testing.B) {
+				e := c.eng()
+				m, err := coherent.NewMachine(coherent.DefaultConfig(procs), e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := e.(coherent.Preparer)
+				b.ReportAllocs()
+				for range b.N {
+					p.Prepare(m)
+				}
+			})
+		}
 	}
 }

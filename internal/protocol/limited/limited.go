@@ -380,7 +380,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
-		m.Store.WritebackValue(msg.Block, msg.Data)
+		m.Store.OwnerValue(msg.Block, msg.Data)
 		en.drop(msg.Src)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode

@@ -217,7 +217,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.owner = coherent.NoNode
 		}
 		en.attach.set(msg.Requester, oldHead)
-		markServed(m, msg.Requester, b)
+		m.MarkServed(msg.Requester, b, coherent.ServeAny)
 		m.Send(coherent.Msg{
 			Type: coherent.MsgHeadReply, Src: home, Dst: msg.Requester, Block: b,
 			Requester: msg.Requester, Aux: oldHead, AckTo: coherent.NoNode,
@@ -266,7 +266,7 @@ func (e *SCI) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		e.grantWrite(m, en, &en.pend.req)
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
-		m.Store.WritebackValue(msg.Block, msg.Data)
+		m.Store.OwnerValue(msg.Block, msg.Data)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {
@@ -640,7 +640,7 @@ func (e *SCI) evictDirtyAtHome(m *coherent.Machine, n coherent.NodeID, b coheren
 	en := e.entry(b)
 	e.staleMarkAttaches(en, n)
 	en.links.del(n)
-	m.Store.WritebackValue(b, val)
+	m.Store.OwnerValue(b, val)
 	if en.owner == n {
 		en.owner = coherent.NoNode
 	}

@@ -82,23 +82,9 @@ type SLL struct {
 	// which is what makes the engine's state lane-local under the
 	// sharded kernel.
 	m *coherent.Machine
-	// gone[n] is node n's victim buffer: the coherent value each
-	// silently-replaced line held at eviction, cleared when a fresh
-	// copy installs. A forward that reaches a replaced head is served
-	// from here — the home snapshot riding the forward may predate a
-	// demoting owner's in-flight writeback, and deferring behind the
-	// node's own re-read would deadlock (the re-read's supplier can be
-	// the very requester the forward carries). Only node n's lane
-	// touches gone[n].
-	gone []map[coherent.BlockID]uint64
-	// seqs[n] records the directory stamp (sllEntry.seq) of the request
-	// that installed node n's current — or, after a replacement, most
-	// recent — copy of each block. Stamps order list attachment: a
-	// replacement teardown only invalidates copies whose stamp is below
-	// the evictor's, and a replaced head serves a forward from its
-	// victim buffer only when the stamp says the forward was aimed at
-	// the buffered incarnation. Only node n's lane touches seqs[n].
-	seqs []map[coherent.BlockID]uint64
+	// nodes[n] is node n's victim buffer and install stamps. Only node
+	// n's lane touches it.
+	nodes []sllNode
 	// vs is the verification hooks' scratch.
 	vs verifyScratch
 }
@@ -106,23 +92,43 @@ type SLL struct {
 // NewSLL returns a singly linked list engine.
 func NewSLL() *SLL { return &SLL{} }
 
+// sllNode is one node's entry in SLL.nodes. Its maps are allocated on
+// the node's first write.
+type sllNode struct {
+	// gone is the node's victim buffer: the coherent value each
+	// silently-replaced line held at eviction, cleared when a fresh
+	// copy installs. A forward that reaches a replaced head is served
+	// from here — the home snapshot riding the forward may predate a
+	// demoting owner's in-flight writeback, and deferring behind the
+	// node's own re-read would deadlock (the re-read's supplier can be
+	// the very requester the forward carries).
+	gone map[coherent.BlockID]uint64
+	// seqs records the directory stamp (sllEntry.seq) of the request
+	// that installed the node's current — or, after a replacement, most
+	// recent — copy of each block. Stamps order list attachment: a
+	// replacement teardown only invalidates copies whose stamp is below
+	// the evictor's, and a replaced head serves a forward from its
+	// victim buffer only when the stamp says the forward was aimed at
+	// the buffered incarnation.
+	seqs map[coherent.BlockID]uint64
+}
+
 // Prepare implements coherent.Preparer: bind the machine and allocate
-// the per-node victim buffer slots so each lane mutates only its own.
-// A node's maps are allocated on its first write.
+// one record per node, so each lane mutates only its own.
 func (e *SLL) Prepare(m *coherent.Machine) {
 	e.m = m
-	e.gone = make([]map[coherent.BlockID]uint64, len(m.Nodes))
-	e.seqs = make([]map[coherent.BlockID]uint64, len(m.Nodes))
+	e.nodes = make([]sllNode, len(m.Nodes))
 }
 
 // installed empties node n's victim buffer for b and records the stamp
 // of the request that installed n's new copy.
 func (e *SLL) installed(n coherent.NodeID, b coherent.BlockID, seq uint64) {
-	delete(e.gone[n], b)
-	if e.seqs[n] == nil {
-		e.seqs[n] = make(map[coherent.BlockID]uint64)
+	nd := &e.nodes[n]
+	delete(nd.gone, b)
+	if nd.seqs == nil {
+		nd.seqs = make(map[coherent.BlockID]uint64)
 	}
-	e.seqs[n][b] = seq
+	nd.seqs[b] = seq
 }
 
 // Name implements coherent.Engine.
@@ -179,7 +185,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			en.state = shared
 			en.owner = coherent.NoNode
 		}
-		markServed(m, msg.Requester, b)
+		m.MarkServed(msg.Requester, b, coherent.ServeAny)
 		m.Send(coherent.Msg{
 			Type: coherent.MsgFwd, Src: home, Dst: oldHead, Block: b,
 			Requester: msg.Requester, Data: m.Store.Value(b),
@@ -200,14 +206,6 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		})
 	default:
 		panic("list/sll: unexpected gated request " + msg.Type.String())
-	}
-}
-
-// markServed flags the requester's transaction so racing invalidations
-// defer until the in-flight data arrives. SLL and SCI share it.
-func markServed(m *coherent.Machine, n coherent.NodeID, b coherent.BlockID) {
-	if txn := m.Txn(n, b); txn != nil && !txn.Write {
-		txn.Served = true
 	}
 }
 
@@ -241,7 +239,7 @@ func (e *SLL) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		e.grantWrite(m, en, &en.pend.req)
 	case coherent.MsgWbData:
 		m.CtrAt(msg.Dst).Writebacks++
-		m.Store.WritebackValue(msg.Block, msg.Data)
+		m.Store.OwnerValue(msg.Block, msg.Data)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {
@@ -309,7 +307,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 		// larger stamp means the home has already recorded our in-flight
 		// re-read and aimed the forward at it.
 		if txn := m.Txn(n, msg.Block); txn != nil && !txn.Write && txn.Served &&
-			msg.Seq > e.seqs[n][msg.Block]+1 {
+			msg.Seq > e.nodes[n].seqs[msg.Block]+1 {
 			// Aimed at our in-flight copy; supply the requester after it
 			// installs (the home snapshot in msg.Data may be stale if a
 			// dirty owner upstream keeps writing), so the requester's
@@ -317,7 +315,7 @@ func (e *SLL) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 			m.DeferToTxn(n, msg)
 			return
 		}
-		if v, ok := e.gone[n][msg.Block]; ok {
+		if v, ok := e.nodes[n].gone[msg.Block]; ok {
 			// Aimed at the incarnation we silently replaced; its suffix
 			// came down with it. Serve from the victim value: it is the
 			// chain value at the forward's serialization point (the home
@@ -402,7 +400,7 @@ func (e *SLL) ack(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 //
 // Simulation liberty (DESIGN.md §6): the teardown takes effect within
 // the eviction instant, with the Replace_INV messages sent for traffic
-// accounting only. The victim buffer (SLL.gone) models the mechanism a
+// accounting only. The victim buffer (sllNode.gone) models the mechanism a
 // real implementation needs to keep a racing forward sequentially
 // consistent: the evicted value is retained until a fresh copy
 // installs, so a forward that still names this node as head can be
@@ -410,10 +408,11 @@ func (e *SLL) ack(m *coherent.Machine, n coherent.NodeID, msg *coherent.Msg) {
 // deferred op at a time (see teardown), so each successor's line is
 // read and invalidated on that successor's own lane.
 func (e *SLL) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
-	if e.gone[n] == nil {
-		e.gone[n] = make(map[coherent.BlockID]uint64)
+	nd := &e.nodes[n]
+	if nd.gone == nil {
+		nd.gone = make(map[coherent.BlockID]uint64)
 	}
-	e.gone[n][ln.Block] = ln.Val
+	nd.gone[ln.Block] = ln.Val
 	if ln.State == cache.Exclusive {
 		m.Send(coherent.Msg{
 			Type: coherent.MsgWbData, Src: n, Dst: m.Home(ln.Block), Block: ln.Block,
@@ -426,7 +425,7 @@ func (e *SLL) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
 		next = meta.next
 	}
 	if next != coherent.NoNode {
-		e.teardown(m, n, next, ln.Block, e.seqs[n][ln.Block])
+		e.teardown(m, n, next, ln.Block, nd.seqs[ln.Block])
 	}
 }
 
@@ -470,7 +469,7 @@ func (e *SLL) teardownAt(m *coherent.Machine, n coherent.NodeID, b coherent.Bloc
 		}
 		return
 	}
-	if e.seqs[n][b] >= evictSeq {
+	if e.nodes[n].seqs[b] >= evictSeq {
 		return // a later attach reused this position; not ours to tear down
 	}
 	nn := coherent.NoNode

@@ -94,18 +94,18 @@ func (e *SLL) appendCanon(b []byte) []byte {
 		}
 		b = append(b, '\n')
 	}
-	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.gone)
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], len(e.nodes), func(n int) map[coherent.BlockID]uint64 { return e.nodes[n].gone })
 	for _, k := range e.vs.keys {
 		b = coherent.AppendRecord(b, "gone", k)
 		b = append(b, " = "...)
-		b = strconv.AppendUint(b, e.gone[k.N][k.B], 10)
+		b = strconv.AppendUint(b, e.nodes[k.N].gone[k.B], 10)
 		b = append(b, '\n')
 	}
-	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.seqs)
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], len(e.nodes), func(n int) map[coherent.BlockID]uint64 { return e.nodes[n].seqs })
 	for _, k := range e.vs.keys {
 		b = coherent.AppendRecord(b, "seq", k)
 		b = append(b, " = "...)
-		b = strconv.AppendUint(b, e.seqs[k.N][k.B], 10)
+		b = strconv.AppendUint(b, e.nodes[k.N].seqs[k.B], 10)
 		b = append(b, '\n')
 	}
 	return b
@@ -183,7 +183,7 @@ func (e *SCI) appendCanon(b []byte) []byte {
 		}
 		b = append(b, '\n')
 	}
-	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], e.tombs)
+	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], len(e.tombs), func(n int) map[coherent.BlockID]coherent.NodeID { return e.tombs[n] })
 	for _, k := range e.vs.keys {
 		b = coherent.AppendRecord(b, "tomb", k)
 		b = append(b, " -> "...)

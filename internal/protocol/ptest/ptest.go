@@ -6,7 +6,6 @@
 package ptest
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -412,12 +411,6 @@ func BenchmarkMix(b *testing.B, factory Factory) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Describe formats a one-line summary used by verbose conformance runs.
-func Describe(m *coherent.Machine) string {
-	return fmt.Sprintf("%s: %d cycles, %d msgs, %d inv",
-		m.Protocol().Name(), m.Ctr.Cycles, m.Ctr.Messages, m.Ctr.Invalidations)
 }
 
 // Refs issues references to one block of a machine, one at a time, each

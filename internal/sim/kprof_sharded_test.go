@@ -104,19 +104,3 @@ func TestShardedProfiledHotPathAllocs(t *testing.T) {
 		t.Fatalf("profiled sharded hot path allocates %.4f per event (%.0f total), want ~0", perEvent, allocs)
 	}
 }
-
-// TestShardedLanePending: lane pending counts sum to Pending minus the
-// global queue.
-func TestShardedLanePending(t *testing.T) {
-	sh := NewSharded(6, 3)
-	for n := 0; n < 6; n++ {
-		sh.ScheduleNode(n, Time(n+1), Func(func() {}))
-	}
-	sum := 0
-	for i := 0; i < sh.Shards(); i++ {
-		sum += sh.LanePending(i)
-	}
-	if sum != 6 || sh.Pending() != 6 {
-		t.Fatalf("lane pending sum %d, Pending %d, want 6", sum, sh.Pending())
-	}
-}

@@ -269,14 +269,6 @@ func (s *Sharded) SetReplayer(r SendReplayer) { s.replayer = r }
 // simulated state, so results are byte-identical with it on or off.
 func (s *Sharded) SetProf(p *kprof.Profile) { s.prof = p }
 
-// LanePending returns the number of events waiting on lane i (queue
-// plus provisional FIFO). Coordinator/idle contexts only — the stall
-// watchdog uses it to annotate dumps.
-func (s *Sharded) LanePending(i int) int {
-	l := s.lanes[i]
-	return l.q.len() + len(l.eq)
-}
-
 // InPhase reports whether the engine is inside Phase P, i.e. whether
 // callers must defer cross-lane side effects. The coherence machine
 // keys its send path off this.

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // tkernel is the scheduling surface the synthetic workload drives.
@@ -376,16 +378,18 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 		{"both lanes", func() { panic("lane 0") }, "lane 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if n := waitWorkersExit(); n != 0 {
+				t.Fatalf("%d lane workers alive before Run", n)
+			}
 			sh := NewSharded(4, 2)
-			ran := false
+			ran, during := false, 0
 			sh.ScheduleNode(0, 5, Func(func() {
-				ran = true
+				ran, during = true, liveWorkers()
 				if tc.lane0 != nil {
 					tc.lane0()
 				}
 			}))
 			sh.ScheduleNode(3, 5, Func(func() { panic("lane 1") }))
-			before := runtime.NumGoroutine()
 			got := func() (v any) {
 				defer func() { v = recover() }()
 				_ = sh.Run()
@@ -397,9 +401,41 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 			if !ran {
 				t.Error("lane 0's event at the same instant never fired")
 			}
-			if n := runtime.NumGoroutine(); n != before {
-				t.Errorf("%d goroutines after Run, %d before", n, before)
+			if during != 2 {
+				t.Errorf("%d lane workers alive during Run, want 2", during)
+			}
+			if n := waitWorkersExit(); n != 0 {
+				t.Errorf("%d lane workers still alive after Run", n)
 			}
 		})
 	}
+}
+
+// waitWorkersExit returns the number of lane workers still alive,
+// waiting up to five seconds for it to reach zero. Run's wg.Wait
+// returns once every worker has run its deferred Done, which is a
+// moment before the runtime retires the goroutine, so a count taken as
+// Run returns can still include a worker on its way out; one that never
+// exits is a leak.
+func waitWorkersExit() int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		live := liveWorkers()
+		if live == 0 || time.Now().After(deadline) {
+			return live
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// liveWorkers counts the goroutines that Sharded.Run started and that
+// have not exited, from the stacks of all goroutines.
+func liveWorkers() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return bytes.Count(buf[:n], []byte("created by dircc/internal/sim.(*Sharded).Run in goroutine"))
 }

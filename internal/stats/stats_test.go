@@ -114,6 +114,30 @@ func TestHistogramMeanMax(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge checks that Merge adds buckets, counts and sums and
+// keeps the larger maximum.
+func TestHistogramMerge(t *testing.T) {
+	var h, m Histogram
+	for _, v := range []uint64{0, 1, 2, 3, 1000, 1 << 20} {
+		h.Observe(v)
+	}
+	m.Observe(5)
+	m.Merge(&h)
+	m.Merge(&h)
+	if m.Count != 13 || m.Sum != 2*h.Sum+5 || m.MaxV != 1<<20 {
+		t.Fatalf("merged count=%d sum=%d max=%d, want 13, %d, %d", m.Count, m.Sum, m.MaxV, 2*h.Sum+5, 1<<20)
+	}
+	for i, n := range m.Buckets {
+		want := 2 * h.Buckets[i]
+		if i == bucketOf(5) {
+			want++
+		}
+		if n != want {
+			t.Fatalf("bucket %d holds %d, want %d", i, n, want)
+		}
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 {

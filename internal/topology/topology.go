@@ -102,7 +102,6 @@ func HypercubeForNodes(n int) (*Hypercube, error) {
 func (h *Hypercube) Name() string  { return fmt.Sprintf("hypercube-%d", 1<<h.dim) }
 func (h *Hypercube) Nodes() int    { return 1 << h.dim }
 func (h *Hypercube) Links() []Link { return h.links }
-func (h *Hypercube) Dim() int      { return h.dim }
 
 func (h *Hypercube) Route(src, dst NodeID) []LinkID {
 	h.check(src)
