@@ -2,7 +2,9 @@
 // protocol engines. It drives a real coherent.Machine — the same code
 // the simulator runs — through every interleaving of a small concurrent
 // program's operations and of the protocol messages they generate, and
-// asserts the coherence invariants on every reachable state.
+// asserts the machine's coherence invariants on every reachable state
+// (coherent.Machine.CheckDrained) and its quiescence contract on every
+// terminal one (coherent.Machine.CheckQuiescent).
 //
 // Nondeterminism is confined to two sources: which processor issues its
 // next program operation, and which in-flight message is delivered

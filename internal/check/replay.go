@@ -35,8 +35,6 @@ type replayer struct {
 	chans  []int
 	flight []byte
 	spans  [][2]int
-	// inv is the invariant checks' scratch, kept across states.
-	inv invariants
 }
 
 func newReplayer(cfg *Config) (*replayer, error) {
@@ -92,6 +90,27 @@ func (r *replayer) entry(path []choice) queued {
 		q.terminal = r.checkTerminal()
 	}
 	return q
+}
+
+// checkInvariants asserts the drained-state invariants
+// (coherent.Machine.CheckDrained) with the undelivered messages as the
+// in-flight set.
+func (r *replayer) checkInvariants() error {
+	return r.m.CheckDrained(r.cfg.Blocks, r.pool)
+}
+
+// checkTerminal asserts the quiescence contract on a state with no
+// enabled choices: every node finished its program (an unfinished node
+// with no deliverable message is deadlocked), and the machine is
+// quiescent (coherent.Machine.CheckQuiescent).
+func (r *replayer) checkTerminal() error {
+	for n := range r.cfg.Program {
+		if r.cursors[n] < len(r.cfg.Program[n]) {
+			return fmt.Errorf("deadlock: node %d stuck before %q with nothing in flight",
+				n, r.cfg.Program[n][r.cursors[n]])
+		}
+	}
+	return r.m.CheckQuiescent(r.cfg.Blocks)
 }
 
 // channel indexes msg's (src, dst) channel in chans.

@@ -76,21 +76,6 @@ func (s *Store) Freeze(nblocks int) {
 	s.frozen = true
 }
 
-// InFlightWrites returns the number of writes between serialization and
-// completion. It scans the busy flags rather than maintaining a shared
-// counter — distinct blocks serialize on distinct home lanes under the
-// sharded kernel, and a single counter would be a data race. Call from
-// quiesced contexts only.
-func (s *Store) InFlightWrites() int {
-	n := 0
-	for _, b := range s.busy {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Value returns the current (last serialized) value of block b.
 //
 //dirccvet:hotpath
@@ -161,8 +146,8 @@ type Monitor struct {
 func NewMonitor(m *Machine) *Monitor { return &Monitor{m: m, maxErr: 20} }
 
 // Errors returns the violations found so far. A nil monitor (an
-// unchecked machine) reports none, so invariant passes that sample it
-// work on unchecked runs too.
+// unchecked machine) reports none, so the invariant checks that sample
+// it (CheckDrained, CheckQuiescent) work on unchecked machines too.
 func (mon *Monitor) Errors() []string {
 	if mon == nil {
 		return nil
@@ -235,43 +220,6 @@ func (mon *Monitor) OnWriteComplete(writer NodeID, b BlockID) {
 		if ln := node.Cache.Lookup(b); ln != nil && ln.State != cache.Invalid {
 			mon.fail("write by node %d to block %d completed while node %d still holds it in state %v",
 				writer, b, node.ID, ln.State)
-		}
-	}
-}
-
-// OnQuiesce checks end-of-run invariants: no in-flight writes, no
-// pinned lines, and every Exclusive line agrees with memory. Like
-// Errors, it is a no-op on a nil monitor.
-func (mon *Monitor) OnQuiesce() {
-	if mon == nil {
-		return
-	}
-	if n := mon.m.Store.InFlightWrites(); n != 0 {
-		mon.fail("run ended with %d writes never performed", n)
-	}
-	for _, node := range mon.m.Nodes {
-		node.Cache.ForEach(func(ln *cache.Line) {
-			if ln.Pinned {
-				mon.fail("node %d ended with pinned line for block %d", node.ID, ln.Block)
-			}
-			if ln.State == cache.Exclusive && ln.Val != mon.m.Store.Value(ln.Block) {
-				mon.fail("node %d exclusive block %d holds %d; memory %d",
-					node.ID, ln.Block, ln.Val, mon.m.Store.Value(ln.Block))
-			}
-		})
-	}
-	// Exactly one exclusive copy system-wide per block.
-	owners := make(map[BlockID]int)
-	for _, node := range mon.m.Nodes {
-		node.Cache.ForEach(func(ln *cache.Line) {
-			if ln.State == cache.Exclusive {
-				owners[ln.Block]++
-			}
-		})
-	}
-	for b, n := range owners {
-		if n > 1 {
-			mon.fail("block %d has %d exclusive owners", b, n)
 		}
 	}
 }

@@ -46,26 +46,6 @@ import (
 	"dircc/internal/stats"
 )
 
-type dirState uint8
-
-const (
-	uncached dirState = iota
-	shared
-	dirty
-)
-
-func (s dirState) String() string {
-	switch s {
-	case uncached:
-		return "uncached"
-	case shared:
-		return "shared"
-	case dirty:
-		return "dirty"
-	}
-	return fmt.Sprintf("dirState(%d)", uint8(s))
-}
-
 // slot is one directory pointer: a tree root and that tree's height.
 type slot struct {
 	node  coherent.NodeID
@@ -82,7 +62,7 @@ func (s slot) appendCanon(b []byte) []byte {
 }
 
 type entry struct {
-	state dirState
+	state coherent.DirState
 	slots []slot
 	owner coherent.NodeID
 	pend  *pending
@@ -261,7 +241,7 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 	en := e.entry(msg.Block)
 	switch msg.Type {
 	case coherent.MsgReadReq:
-		if en.state == dirty && en.owner != msg.Requester {
+		if en.state == coherent.DirDirty && en.owner != msg.Requester {
 			en.pend = e.newPending(msg.Dst, msg, stageWb, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
@@ -272,7 +252,7 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		e.admitRead(m, en, msg)
 	case coherent.MsgWriteReq:
 		m.SerializeWrite(msg)
-		if en.state == dirty && en.owner != msg.Requester {
+		if en.state == coherent.DirDirty && en.owner != msg.Requester {
 			en.pend = e.newPending(msg.Dst, msg, stageWb, en.owner)
 			m.Send(coherent.Msg{
 				Type: coherent.MsgWbReq, Src: m.Home(msg.Block), Dst: en.owner,
@@ -294,8 +274,8 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	req := msg.Requester
 	handoff := e.record(m.CtrAt(m.Home(msg.Block)), en, req)
-	if en.state == uncached {
-		en.state = shared
+	if en.state == coherent.DirUncached {
+		en.state = coherent.DirShared
 	}
 	b := msg.Block
 	if m.Tracing() {
@@ -465,12 +445,12 @@ func (e *Engine) grantWrite(m *coherent.Machine, home coherent.NodeID, en *entry
 		// An upgrading writer already has a forest position (leaf or
 		// root) and keeps it untouched; only a forest-absent writer is
 		// recorded like a new reader.
-		en.state = shared
+		en.state = coherent.DirShared
 		if !upgrade {
 			handoff = e.record(m.CtrAt(home), en, req)
 		}
 	} else {
-		en.state = dirty
+		en.state = coherent.DirDirty
 		en.owner = req
 		en.slots = append(en.slots[:0], slot{node: req, level: 1})
 	}
@@ -514,9 +494,9 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		m.Store.OwnerValue(msg.Block, msg.Data)
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
-			en.state = shared
+			en.state = coherent.DirShared
 			if len(en.slots) == 0 {
-				en.state = uncached
+				en.state = coherent.DirUncached
 			}
 		}
 		if p := en.pend; p != nil && p.stage == stageWb && p.wbFrom == msg.Src {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"dircc/internal/cache"
@@ -382,7 +383,7 @@ func TestFigure7InvalidationWave(t *testing.T) {
 		}
 	}
 	en := e.entry(b)
-	if len(en.slots) != 1 || en.slots[0].node != 15 || en.state != dirty {
+	if len(en.slots) != 1 || en.slots[0].node != 15 || en.state != coherent.DirDirty {
 		t.Fatalf("directory after write: %+v", en)
 	}
 }
@@ -483,6 +484,46 @@ func TestReplacementTeardown(t *testing.T) {
 	en := e.entry(b)
 	if en.slotOf(2) < 0 {
 		t.Fatalf("home slots %v should still (stale) point at node 2", en.slots)
+	}
+}
+
+// skipTeardown is Dir_iTree_k with the silent-replacement bug the
+// model checker's mutation test seeds: replacing a Valid copy drops the
+// line without tearing its subtree down, so the children keep copies no
+// path from the directory reaches.
+type skipTeardown struct{ *Engine }
+
+func (e skipTeardown) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line) {
+	if ln.State != cache.Valid {
+		e.Engine.OnEvict(m, n, ln)
+	}
+}
+
+// TestQuiesceCatchesLostSubtree: on a checked machine, a replaced root
+// whose subtree was not torn down leaves its children's copies outside
+// the directory's reach, and Quiesce reports the lost copy, although no
+// access has read a stale value yet.
+func TestQuiesceCatchesLostSubtree(t *testing.T) {
+	cfg := coherent.DefaultConfig(8)
+	cfg.Check = true
+	m, err := coherent.NewMachine(cfg, skipTeardown{New(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := m.Alloc(8)
+	// Nodes 0, 1, 2 read in turn; node 2 merges 0 and 1 as children.
+	for n := range coherent.NodeID(3) {
+		m.Access(n, addr, false, 0, func(uint64) {})
+		if err := m.RunKernel(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !m.ReplaceBlock(2, m.BlockOf(addr)) {
+		t.Fatal("node 2 holds no copy to replace")
+	}
+	err = m.Quiesce()
+	if err == nil || !strings.HasPrefix(err.Error(), "coverage:") {
+		t.Fatalf("Quiesce = %v, want a coverage violation", err)
 	}
 }
 

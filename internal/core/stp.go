@@ -31,7 +31,7 @@ type STP struct {
 }
 
 type stpEntry struct {
-	state dirState
+	state coherent.DirState
 	root  coherent.NodeID
 	owner coherent.NodeID
 	pend  *stpPending
@@ -146,7 +146,7 @@ func (e *STP) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 
 func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) {
 	b := msg.Block
-	en.state = shared
+	en.state = coherent.DirShared
 	en.root = msg.Requester
 	m.ReplyFromMemory(coherent.Msg{
 		Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
@@ -157,7 +157,7 @@ func (e *STP) directReply(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) 
 func (e *STP) grantWrite(m *coherent.Machine, en *stpEntry, msg *coherent.Msg) {
 	b := msg.Block
 	en.pend = nil
-	en.state = dirty
+	en.state = coherent.DirDirty
 	en.owner = msg.Requester
 	en.root = msg.Requester
 	// RelHome: the write commit and home-gate release ride a companion
@@ -200,7 +200,7 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		oldRoot := en.root
 		b := msg.Block
 		en.root = req
-		en.state = shared
+		en.state = coherent.DirShared
 		var ptrs coherent.Ptrs
 		if oldRoot != coherent.NoNode && oldRoot != req {
 			ptrs.Add(oldRoot)
@@ -227,12 +227,12 @@ func (e *STP) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {
-				en.state = shared
+				en.state = coherent.DirShared
 			} else if en.root == msg.Src {
 				en.root = coherent.NoNode
-				en.state = uncached
+				en.state = coherent.DirUncached
 			} else {
-				en.state = shared
+				en.state = coherent.DirShared
 			}
 		}
 	default:
@@ -405,11 +405,10 @@ func (e *STP) appendCanon(b []byte) []byte {
 		if en == nil {
 			continue
 		}
-		if en.state == uncached && en.root == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
+		if en.state == coherent.DirUncached && en.root == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
-		b = coherent.AppendDir(b, blk, en.state.String())
+		b = coherent.AppendDir(b, blk, en.state)
 		b = append(b, " root"...)
 		b = strconv.AppendInt(b, int64(en.root), 10)
 		b = append(b, " owner"...)

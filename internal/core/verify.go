@@ -37,11 +37,10 @@ func (e *Engine) appendCanon(b []byte) []byte {
 		if en == nil {
 			continue
 		}
-		if en.state == uncached && len(en.slots) == 0 && en.owner == coherent.NoNode && en.pend == nil {
+		if en.state == coherent.DirUncached && len(en.slots) == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
-		b = coherent.AppendDir(b, blk, en.state.String())
+		b = coherent.AppendDir(b, blk, en.state)
 		b = append(b, " owner"...)
 		b = strconv.AppendInt(b, int64(en.owner), 10)
 		b = append(b, " slots["...)

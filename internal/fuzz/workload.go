@@ -8,9 +8,10 @@
 // A Workload is a phase-structured concurrent program: within a phase
 // the per-node operation chains race freely through the timed
 // simulator; phases are separated by global quiescence points, where
-// the harness drains the machine and samples the model checker's
-// invariants (check.Quiescent: SWMR, value agreement, directory
-// coverage closure, tree shape, deadlock).
+// the harness drains the machine and asserts its quiescence contract
+// (coherent.Machine.CheckQuiescent: SWMR, value agreement, directory
+// coverage closure, tree shape, staleness, deadlock), the one the
+// model checker asserts on its terminal states.
 //
 // Phase structure is what makes the differential oracle sound. Read
 // values and message timings legitimately differ across protocols, so

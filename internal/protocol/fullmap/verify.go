@@ -24,11 +24,10 @@ func (e *Engine) appendCanon(b []byte) []byte {
 		if !ok {
 			continue
 		}
-		if en.state == uncached && en.sharers.count() == 0 && en.owner == coherent.NoNode && en.pend == nil {
+		if en.state == coherent.DirUncached && en.sharers.count() == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
-		b = coherent.AppendDir(b, blk, en.state.String())
+		b = coherent.AppendDir(b, blk, en.state)
 		b = append(b, " owner"...)
 		b = strconv.AppendInt(b, int64(en.owner), 10)
 		b = append(b, " sharers"...)

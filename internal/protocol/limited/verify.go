@@ -24,12 +24,11 @@ func (e *Engine) appendCanon(b []byte) []byte {
 		if !ok {
 			continue
 		}
-		if en.state == uncached && len(en.ptrs) == 0 && len(en.spill) == 0 && en.owner == coherent.NoNode &&
+		if en.state == coherent.DirUncached && len(en.ptrs) == 0 && len(en.spill) == 0 && en.owner == coherent.NoNode &&
 			!en.broadcast && en.rr == 0 && en.pend == nil {
 			continue
 		}
-		//dirccvet:allow allocguard String formats only an out-of-range state through fmt
-		b = coherent.AppendDir(b, blk, en.state.String())
+		b = coherent.AppendDir(b, blk, en.state)
 		b = append(b, " owner"...)
 		b = strconv.AppendInt(b, int64(en.owner), 10)
 		b = append(b, " ptrs"...)

@@ -12,7 +12,7 @@ import (
 // table for in-flight read attaches. Both live at the home node, so
 // every mutation of them happens on the home's lane.
 type sciEntry struct {
-	state dirState
+	state coherent.DirState
 	head  coherent.NodeID
 	owner coherent.NodeID
 	pend  *sciPending
@@ -202,7 +202,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// Empty list, or the recorded head re-reading after its
 			// copy was replaced (attaching to itself would deadlock):
 			// home supplies the data directly.
-			en.state = shared
+			en.state = coherent.DirShared
 			en.head = msg.Requester
 			m.ReplyFromMemory(coherent.Msg{
 				Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
@@ -212,8 +212,8 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		oldHead := en.head
 		en.head = msg.Requester
-		if en.state == dirty {
-			en.state = shared
+		if en.state == coherent.DirDirty {
+			en.state = coherent.DirShared
 			en.owner = coherent.NoNode
 		}
 		en.attach.set(msg.Requester, oldHead)
@@ -242,7 +242,7 @@ func (e *SCI) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 func (e *SCI) grantWrite(m *coherent.Machine, en *sciEntry, msg *coherent.Msg) {
 	b := msg.Block
 	en.pend = nil
-	en.state = dirty
+	en.state = coherent.DirDirty
 	en.owner = msg.Requester
 	en.head = msg.Requester
 	// RelHome: the write commit and home-gate release ride a companion
@@ -270,12 +270,12 @@ func (e *SCI) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {
-				en.state = shared
+				en.state = coherent.DirShared
 			} else if en.head == msg.Src {
 				en.head = coherent.NoNode
-				en.state = uncached
+				en.state = coherent.DirUncached
 			} else {
-				en.state = shared
+				en.state = coherent.DirShared
 			}
 		}
 	case coherent.MsgUnlink:
@@ -646,9 +646,9 @@ func (e *SCI) evictDirtyAtHome(m *coherent.Machine, n coherent.NodeID, b coheren
 	}
 	if en.head == n {
 		en.head = coherent.NoNode
-		en.state = uncached
-	} else if en.state == dirty {
-		en.state = shared
+		en.state = coherent.DirUncached
+	} else if en.state == coherent.DirDirty {
+		en.state = coherent.DirShared
 	}
 }
 
@@ -694,8 +694,8 @@ func (e *SCI) spliceAtHome(m *coherent.Machine, n coherent.NodeID, b coherent.Bl
 	if prev == coherent.NoNode {
 		if en.head == n {
 			en.head = next
-			if next == coherent.NoNode && en.state == shared {
-				en.state = uncached
+			if next == coherent.NoNode && en.state == coherent.DirShared {
+				en.state = coherent.DirUncached
 			}
 		}
 		m.DeferAt(home, n, func() {

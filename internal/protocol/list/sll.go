@@ -11,30 +11,10 @@ import (
 	"dircc/internal/coherent"
 )
 
-type dirState uint8
-
-const (
-	uncached dirState = iota
-	shared
-	dirty
-)
-
-func (s dirState) String() string {
-	switch s {
-	case uncached:
-		return "uncached"
-	case shared:
-		return "shared"
-	case dirty:
-		return "dirty"
-	}
-	return fmt.Sprintf("dirState(%d)", uint8(s))
-}
-
 // sllEntry is the singly-linked home state: the head pointer plus the
 // per-block request stamp.
 type sllEntry struct {
-	state dirState
+	state coherent.DirState
 	head  coherent.NodeID
 	owner coherent.NodeID
 	pend  *sllPending
@@ -168,7 +148,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 			// Empty list — or the recorded head re-reading after a
 			// silent replacement (forwarding to itself would deadlock):
 			// home supplies the data directly.
-			en.state = shared
+			en.state = coherent.DirShared
 			en.head = msg.Requester
 			m.ReplyFromMemory(coherent.Msg{
 				Type: coherent.MsgDataReply, Src: home, Dst: msg.Requester, Block: b,
@@ -179,10 +159,10 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		oldHead := en.head
 		en.head = msg.Requester
-		if en.state == dirty {
+		if en.state == coherent.DirDirty {
 			// The dirty head will demote itself and write back when it
 			// supplies the data.
-			en.state = shared
+			en.state = coherent.DirShared
 			en.owner = coherent.NoNode
 		}
 		m.MarkServed(msg.Requester, b, coherent.ServeAny)
@@ -212,7 +192,7 @@ func (e *SLL) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 func (e *SLL) grantWrite(m *coherent.Machine, en *sllEntry, msg *coherent.Msg) {
 	b := msg.Block
 	en.pend = nil
-	en.state = dirty
+	en.state = coherent.DirDirty
 	en.owner = msg.Requester
 	en.head = msg.Requester
 	// The gate is held from the write's serialization until the grant,
@@ -243,13 +223,13 @@ func (e *SLL) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			if msg.Write {
-				en.state = shared // demoted head keeps a shared copy
+				en.state = coherent.DirShared // demoted head keeps a shared copy
 			} else if en.head == msg.Src {
 				// The sole dirty copy was evicted; the list is empty.
 				en.head = coherent.NoNode
-				en.state = uncached
+				en.state = coherent.DirUncached
 			} else {
-				en.state = shared
+				en.state = coherent.DirShared
 			}
 		}
 	default:

@@ -55,8 +55,8 @@ func (ps *purgeState) AppendCanon(b []byte) []byte {
 
 // appendDirHead appends the fields both list engines' directory lines
 // start with: "dir b<block> <state> head<n> owner<n>".
-func appendDirHead(b []byte, blk coherent.BlockID, state dirState, head, owner coherent.NodeID) []byte {
-	b = coherent.AppendDir(b, blk, state.String())
+func appendDirHead(b []byte, blk coherent.BlockID, state coherent.DirState, head, owner coherent.NodeID) []byte {
+	b = coherent.AppendDir(b, blk, state)
 	b = append(b, " head"...)
 	b = strconv.AppendInt(b, int64(head), 10)
 	b = append(b, " owner"...)
@@ -82,7 +82,7 @@ func (e *SLL) appendCanon(b []byte) []byte {
 		if en == nil {
 			continue
 		}
-		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil && en.seq == 0 {
+		if en.state == coherent.DirUncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil && en.seq == 0 {
 			continue
 		}
 		b = appendDirHead(b, blk, en.state, en.head, en.owner)
@@ -173,7 +173,7 @@ func (e *SCI) appendCanon(b []byte) []byte {
 		if en == nil {
 			continue
 		}
-		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
+		if en.state == coherent.DirUncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
 		b = appendDirHead(b, blk, en.state, en.head, en.owner)

@@ -157,7 +157,8 @@ func (c *Counters) Add(other *Counters) {
 }
 
 // Histogram is a power-of-two bucketed latency histogram: bucket i
-// counts samples v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0).
+// counts samples v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0),
+// and the top bucket every v >= 2^62.
 type Histogram struct {
 	Buckets [64]uint64
 	Count   uint64
@@ -176,10 +177,7 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 func bucketOf(v uint64) int {
-	if v == 0 {
-		return 0
-	}
-	return bits.Len64(v)
+	return min(bits.Len64(v), len(Histogram{}.Buckets)-1)
 }
 
 // Mean returns the average of observed samples, or 0 if none.
@@ -206,7 +204,8 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) using
-// bucket upper edges; returns 0 when empty.
+// bucket upper edges, MaxV being the top bucket's; returns 0 when
+// empty.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.Count == 0 || q <= 0 {
 		return 0
@@ -219,8 +218,8 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for i, n := range h.Buckets {
 		cum += n
 		if cum >= target {
-			if i == 0 {
-				return 0
+			if i == len(h.Buckets)-1 {
+				return h.MaxV
 			}
 			return (uint64(1) << uint(i)) - 1
 		}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,34 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if h.Quantile(1.0) < h.Quantile(0.5) {
 		t.Fatal("quantiles must be monotone")
+	}
+}
+
+// TestHistogramTopBucket observes samples at and above 2^62, where a
+// power-of-two bucket index would run past the 64 buckets: the top
+// bucket takes them all, and a quantile that lands there reports the
+// largest sample.
+func TestHistogramTopBucket(t *testing.T) {
+	var h Histogram
+	for _, v := range []uint64{1 << 62, 1 << 63, math.MaxUint64} {
+		h.Observe(v)
+	}
+	top := len(h.Buckets) - 1
+	if h.Buckets[top] != 3 || h.Count != 3 {
+		t.Fatalf("top bucket holds %d of %d samples, want all 3", h.Buckets[top], h.Count)
+	}
+	if got := h.Quantile(0.1); got != math.MaxUint64 {
+		t.Fatalf("Quantile(0.1) = %d, want MaxV %d", got, uint64(math.MaxUint64))
+	}
+	h = Histogram{}
+	h.Observe(1<<62 - 1)
+	h.Observe(1 << 62)
+	if h.Buckets[top-1] != 1 || h.Buckets[top] != 1 {
+		t.Fatalf("2^62-1 and 2^62 land in buckets %d and %d, want %d and %d",
+			bucketOf(1<<62-1), bucketOf(1<<62), top-1, top)
+	}
+	if got := h.Quantile(1); got != 1<<62 {
+		t.Fatalf("Quantile(1) = %d, want MaxV %d", got, uint64(1<<62))
 	}
 }
 
