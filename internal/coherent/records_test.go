@@ -182,7 +182,7 @@ func TestRelHomeCompanionOwnsBlock(t *testing.T) {
 	if err := m.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if m.HomeGateBusy(b) {
+	if slices.Contains(m.heldGates(), b) {
 		t.Fatal("the gate is still held")
 	}
 	if _, busy := m.Store.WriteInFlight(b); busy {

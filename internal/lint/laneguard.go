@@ -101,7 +101,7 @@ var safeMachineMethods = map[string]bool{
 	"CtrAt": true, "Home": true, "Now": true, "BlockOf": true,
 	"Alloc": true, "Tracing": true, "TraceDir": true, "TraceState": true,
 	"RunKernel": true, "Quiesce": true, "Outstanding": true,
-	"HomeGateBusy": true, "Protocol": true, "Shards": true,
+	"Protocol": true, "Shards": true,
 	// scheduling façade: argument closures are re-based to the target
 	// lane (handled in checkCall).
 	"ScheduleAt": true, "ScheduleGlobal": true, "GlobalOpAt": true,
