@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"dircc/internal/attrib"
-	"dircc/internal/obs"
-	"dircc/internal/proc"
 )
 
 // runMicroAttrib runs the Table-1 sharing microbenchmark (one warm
@@ -19,22 +17,11 @@ func runMicroAttrib(t *testing.T, protocol string, procs, sharers int) *attrib.R
 	if sharers >= procs {
 		t.Fatalf("need sharers (%d) < procs (%d)", sharers, procs)
 	}
-	eng, err := NewEngine(protocol)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig(procs)
 	cfg.Check = true
 	cfg.MaxEvents = 20_000_000
-	m, err := NewMachine(cfg, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := attrib.NewCollector()
-	m.AttachProbe(&obs.Probe{Sinks: []obs.Sink{col}})
-	a := m.Alloc(8)
-	b := m.Alloc(8)
-	if _, err := proc.Run(m, func(e proc.Env) {
+	rep := micro(t, cfg, mustEngine(protocol), func(e Env, a uint64) {
+		b := a + 8
 		if e.ID() == 1 {
 			e.Read(a)
 		}
@@ -53,10 +40,7 @@ func runMicroAttrib(t *testing.T, protocol string, procs, sharers int) *attrib.R
 			e.Write(b, 42)
 		}
 		e.Barrier()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep := col.Report()
+	}).Attrib.Report()
 	if rep.OpenTxns != 0 {
 		t.Fatalf("%s: %d transactions never completed", protocol, rep.OpenTxns)
 	}

@@ -32,7 +32,7 @@
 // (Env.FetchAdd), memory-based ticket locks (Config.MemLocks), a
 // TSO-style store buffer (Config.WriteBuffer), alternative interconnects
 // (Experiment.Topology) and home mappings (Config.HomePageBlocks) — all
-// ablated in the bench suite.
+// ablated in the claims ledger (go test -run TestClaims -v .).
 //
 // # Quick start
 //

@@ -34,8 +34,6 @@ type Experiment struct {
 	// Check enables the coherence monitor (slower; on by default in
 	// tests, off in benchmark sweeps).
 	Check bool
-	// MaxEvents bounds the run; 0 applies a generous default.
-	MaxEvents uint64
 	// Topology selects the interconnect: "" or "hypercube" (the
 	// paper's binary n-cube), "torus" (k-ary 2-cube), or "bus".
 	Topology string
@@ -153,17 +151,18 @@ func RunExperiment(exp Experiment) (*Result, error) {
 	return &Result{Experiment: exp, Cycles: uint64(cycles), Counters: m.Ctr, Probe: probe, Attrib: col}, nil
 }
 
+// maxEvents bounds every experiment's and replay's kernel events: far
+// above any paper-scale run, it stops only a livelocked protocol.
+const maxEvents = 4_000_000_000
+
 // config returns the machine configuration the experiment runs on.
 func (exp Experiment) config() Config {
 	cfg := DefaultConfig(exp.Procs)
 	cfg.Check = exp.Check
-	cfg.MaxEvents = exp.MaxEvents
+	cfg.MaxEvents = maxEvents
 	cfg.MemLocks = exp.MemLocks
 	cfg.WriteBuffer = exp.WriteBuffer
 	cfg.HomePageBlocks = exp.HomePageBlocks
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 4_000_000_000
-	}
 	return cfg
 }
 
@@ -231,7 +230,7 @@ func ReplayTrace(tr *Trace, protocol string) (*Result, error) {
 		return nil, err
 	}
 	cfg := DefaultConfig(tr.Procs)
-	cfg.MaxEvents = 4_000_000_000
+	cfg.MaxEvents = maxEvents
 	m, err := NewMachine(cfg, eng)
 	if err != nil {
 		return nil, err
@@ -281,13 +280,11 @@ func NormalizedTimes(app string, procs int, schemes []string, full bool) (map[st
 // message counts of a cold read miss and of a write miss invalidating
 // `sharers` caches under the named protocol.
 func MeasureMisses(protocol string, procs, sharers int) (apps.MissCounts, error) {
-	return apps.MeasureMisses(func() coherent.Engine {
-		eng, err := NewEngine(protocol)
-		if err != nil {
-			panic(err)
-		}
-		return eng
-	}, procs, sharers)
+	eng, err := NewEngine(protocol)
+	if err != nil {
+		return apps.MissCounts{}, err
+	}
+	return apps.MeasureMisses(func() coherent.Engine { return eng }, procs, sharers)
 }
 
 // Table4Row returns one row of the paper's Table 4: the maximum number

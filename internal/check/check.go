@@ -93,9 +93,6 @@ type Config struct {
 	// MaxStates aborts the run when the visited set exceeds it
 	// (0 = 500000). Hitting the cap is an error, not a violation.
 	MaxStates int
-	// DrainBudget bounds the kernel events of one replayed path
-	// (0 = 1 << 20). Exhausting it is reported as a livelock violation.
-	DrainBudget uint64
 	// LaneAudit turns on the lane-partition abstraction: around every
 	// explored step the replayer additionally asserts that a node's
 	// cache-resident state changed only if that node's lane executed a
@@ -124,9 +121,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxStates == 0 {
 		c.MaxStates = 500000
-	}
-	if c.DrainBudget == 0 {
-		c.DrainBudget = 1 << 20
 	}
 	if len(c.Program) > c.Procs {
 		return fmt.Errorf("check: %s: program has %d node sequences for %d procs", c.Name, len(c.Program), c.Procs)

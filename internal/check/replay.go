@@ -37,12 +37,16 @@ type replayer struct {
 	spans  [][2]int
 }
 
+// drainBudget bounds the kernel events of one replayed path; exhausting
+// it is reported as a livelock violation.
+const drainBudget = 1 << 20
+
 func newReplayer(cfg *Config) (*replayer, error) {
 	mc := coherent.DefaultConfig(cfg.Procs)
 	mc.CacheBytes = mc.BlockBytes * cfg.CacheLines
 	mc.CacheSets = 1
 	mc.Check = true
-	mc.MaxEvents = cfg.DrainBudget
+	mc.MaxEvents = drainBudget
 	m, err := coherent.NewMachine(mc, cfg.NewEngine())
 	if err != nil {
 		return nil, fmt.Errorf("check: %s: %w", cfg.Name, err)
@@ -190,7 +194,7 @@ func (r *replayer) applyChecked(c choice) (verr error) {
 	}
 	if err := r.m.RunKernel(); err != nil {
 		if errors.Is(err, sim.ErrEventBudget) {
-			return fmt.Errorf("livelock: %d kernel events without quiescing", r.cfg.DrainBudget)
+			return fmt.Errorf("livelock: %d kernel events without quiescing", drainBudget)
 		}
 		return err
 	}
