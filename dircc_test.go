@@ -129,6 +129,44 @@ func TestRunExperimentBadInputs(t *testing.T) {
 	}
 }
 
+func TestNormalizedTimesSubset(t *testing.T) {
+	norm, err := NormalizedTimes("floyd", 8, []string{"fm", "T4", "L1"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm["fm"] != 1.0 {
+		t.Fatalf("fm must normalize to 1.0, got %v", norm["fm"])
+	}
+	if norm["T4"] <= 0 || norm["L1"] <= 0 {
+		t.Fatalf("normalized times must be positive: %v", norm)
+	}
+	// Floyd has a high degree of sharing: a single-pointer limited
+	// directory must be clearly worse than the tree scheme.
+	if norm["L1"] <= norm["T4"] {
+		t.Errorf("expected L1 (%v) slower than T4 (%v) on floyd", norm["L1"], norm["T4"])
+	}
+}
+
+func TestMeasureMissesFacade(t *testing.T) {
+	res, err := MeasureMisses("fm", 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReadMiss != 2 || res.WriteMiss != 8 {
+		t.Fatalf("fm misses = %d/%d, want 2/8", res.ReadMiss, res.WriteMiss)
+	}
+}
+
+func TestTable4RowFacade(t *testing.T) {
+	d2, d4, d4p, bin := Table4Row(4)
+	if d2 != 14 || d4 != 43 || bin != 15 {
+		t.Fatalf("Table4Row(4) = %d,%d,%d", d2, d4, bin)
+	}
+	if d4p <= 0 {
+		t.Fatal("paper-column reconstruction empty")
+	}
+}
+
 func TestDirectoryOverheadBits(t *testing.T) {
 	cfg := DefaultConfig(32)
 	bits, err := DirectoryOverheadBits(cfg, 1024, []string{"fm", "L4", "T4"})
@@ -228,6 +266,20 @@ func TestTopologySelection(t *testing.T) {
 	}
 	if _, err := RunExperiment(Experiment{App: "fft", Protocol: "T4", Procs: 8, Topology: "ring-of-fire"}); err == nil {
 		t.Fatal("unknown topology accepted")
+	}
+}
+
+func TestBusSlowerThanHypercube(t *testing.T) {
+	cube, err := RunExperiment(Experiment{App: "floyd", Protocol: "T4", Procs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus, err := RunExperiment(Experiment{App: "floyd", Protocol: "T4", Procs: 16, Topology: "bus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bus.Cycles <= cube.Cycles {
+		t.Fatalf("bus (%d cycles) not slower than hypercube (%d) at 16 processors", bus.Cycles, cube.Cycles)
 	}
 }
 
