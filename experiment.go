@@ -284,7 +284,7 @@ func MeasureMisses(protocol string, procs, sharers int) (apps.MissCounts, error)
 	if err != nil {
 		return apps.MissCounts{}, err
 	}
-	return apps.MeasureMisses(func() coherent.Engine { return eng }, procs, sharers)
+	return apps.MeasureMisses(eng, procs, sharers)
 }
 
 // Table4Row returns one row of the paper's Table 4: the maximum number

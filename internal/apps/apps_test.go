@@ -182,7 +182,7 @@ func TestReverseBits(t *testing.T) {
 }
 
 func TestMeasureMissesFullMap(t *testing.T) {
-	res, err := MeasureMisses(func() coherent.Engine { return fullmap.New() }, 8, 4)
+	res, err := MeasureMisses(fullmap.New(), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMeasureMissesFullMap(t *testing.T) {
 }
 
 func TestMeasureMissesDirTree(t *testing.T) {
-	res, err := MeasureMisses(func() coherent.Engine { return core.New(4, 2) }, 8, 6)
+	res, err := MeasureMisses(core.New(4, 2), 8, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMeasureMissesDirTree(t *testing.T) {
 }
 
 func TestMeasureMissesRejectsBadSharers(t *testing.T) {
-	if _, err := MeasureMisses(func() coherent.Engine { return fullmap.New() }, 4, 4); err == nil {
+	if _, err := MeasureMisses(fullmap.New(), 4, 4); err == nil {
 		t.Error("sharers == procs accepted")
 	}
 }

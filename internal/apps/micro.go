@@ -30,14 +30,13 @@ type MissCounts struct {
 // Table 1 on a machine with the given engine: one processor takes a
 // cold read miss; then `sharers` processors share a second block and a
 // non-sharer writes it. Requires sharers < procs.
-func MeasureMisses(factory func() coherent.Engine, procs, sharers int) (MissCounts, error) {
+func MeasureMisses(eng coherent.Engine, procs, sharers int) (MissCounts, error) {
 	if sharers >= procs {
 		return MissCounts{}, fmt.Errorf("apps: need sharers (%d) < procs (%d) so the writer is a non-sharer", sharers, procs)
 	}
 	cfg := coherent.DefaultConfig(procs)
 	cfg.Check = true
 	cfg.MaxEvents = 20_000_000
-	eng := factory()
 	m, err := coherent.NewMachine(cfg, eng)
 	if err != nil {
 		return MissCounts{}, err

@@ -15,7 +15,6 @@
 package attrib
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -446,12 +445,6 @@ func (c *Collector) finish(t *txn, endAt uint64) {
 // ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
-
-// MarshalJSON emits the report.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	type alias Report
-	return json.Marshal((*alias)(r))
-}
 
 // CSVHeader is the column list WriteCSVRow emits, prefixed by the
 // caller's identifying columns.

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"testing"
+
+	"dircc/internal/coherent"
 )
 
 // canonWalksDigest is the SHA-256 of every canonical state
@@ -23,7 +27,9 @@ const canonWalksDigest = "46c16043f8ea8a88a2187f6cd5eed20a619fb551a27671a464d9cd
 // is reset and replayed to the same prefix, as Run does before every
 // transition; both must render the same canonical bytes. A Reset that
 // leaves anything of an earlier walk behind (a directory entry, a
-// cache frame, a held gate) shows up as a difference here. The
+// cache frame, a held gate) shows up as a difference here. Each
+// directory line's entry text must be what the engine's DescribeBlock,
+// which the stall watchdog prints, returns for that block. The
 // rendered bytes, in walk order, must hash to canonWalksDigest.
 func TestCanonWalks(t *testing.T) {
 	const walks = 64
@@ -50,6 +56,9 @@ func TestCanonWalks(t *testing.T) {
 					t.Fatalf("%s walk %d step %d: %v", cfg.Name, w, len(path), err)
 				}
 				want := fresh.canon()
+				if err := describeMismatch(fresh.m, want); err != nil {
+					t.Fatalf("%s walk %d step %d: %v", cfg.Name, w, len(path), err)
+				}
 				if err := reused.replay(path); err != nil {
 					t.Fatal(err)
 				}
@@ -83,6 +92,28 @@ func TestCanonWalks(t *testing.T) {
 	if got := hex.EncodeToString(sum.Sum(nil)); got != canonWalksDigest {
 		t.Errorf("%d states hash to %s, want %s: the canonical text changed", states, got, canonWalksDigest)
 	}
+}
+
+// describeMismatch reports the first "dir b<block> <entry>" line of the
+// canonical text whose entry text is not what the machine's engine
+// returns from DescribeBlock for that block.
+func describeMismatch(m *coherent.Machine, text []byte) error {
+	bd := m.Protocol().(coherent.BlockDumper)
+	for _, line := range bytes.Split(text, []byte{'\n'}) {
+		rest, ok := bytes.CutPrefix(line, []byte("dir b"))
+		if !ok {
+			continue
+		}
+		num, entry, _ := bytes.Cut(rest, []byte{' '})
+		blk, err := strconv.ParseUint(string(num), 10, 64)
+		if err != nil {
+			return fmt.Errorf("directory line %q: %v", line, err)
+		}
+		if got := bd.DescribeBlock(coherent.BlockID(blk)); got != string(entry) {
+			return fmt.Errorf("block %d: DescribeBlock returns %q, the canonical text reads %q", blk, got, entry)
+		}
+	}
+	return nil
 }
 
 // TestCanonAllocs takes four seeded random walks through every Grid()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
@@ -217,16 +216,29 @@ func (r *replayer) applyChecked(c choice) (verr error) {
 // the owner's processor-side entry points).
 func (r *replayer) laneSnapshot() []string {
 	out := make([]string, len(r.m.Nodes))
+	var b []byte
 	for n := range r.m.Nodes {
-		var sb strings.Builder
-		for b := 0; b < r.cfg.Blocks; b++ {
-			ln := r.m.Nodes[n].Cache.Lookup(coherent.BlockID(b))
+		b = b[:0]
+		for blk := 0; blk < r.cfg.Blocks; blk++ {
+			ln := r.m.Nodes[n].Cache.Lookup(coherent.BlockID(blk))
 			if ln == nil || ln.State == cache.Invalid {
 				continue
 			}
-			fmt.Fprintf(&sb, "b%d %v %d %v;", b, ln.State, ln.Val, ln.Meta)
+			b = append(b, 'b')
+			b = strconv.AppendInt(b, int64(blk), 10)
+			b = append(b, ' ')
+			b = append(b, ln.State.String()...)
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, ln.Val, 10)
+			b = append(b, ' ')
+			if ln.Meta == nil {
+				b = append(b, "<nil>"...)
+			} else {
+				b = ln.Meta.(coherent.CanonAppender).AppendCanon(b)
+			}
+			b = append(b, ';')
 		}
-		out[n] = sb.String()
+		out[n] = string(b)
 	}
 	return out
 }

@@ -98,13 +98,13 @@ func (s DirState) String() string {
 	return "DirState(" + strconv.Itoa(int(s)) + ")"
 }
 
-// AppendDir appends "dir b<block> <state>", the start of an engine's
-// canonical line for one directory entry.
-func AppendDir(b []byte, blk BlockID, state DirState) []byte {
+// AppendDir appends "dir b<block> ", the start of an engine's
+// canonical line for one directory entry. The rest of the line is the
+// entry's own text, which the engine's DescribeBlock also returns.
+func AppendDir(b []byte, blk BlockID) []byte {
 	b = append(b, "dir b"...)
 	b = strconv.AppendUint(b, uint64(blk), 10)
-	b = append(b, ' ')
-	return append(b, state.String()...)
+	return append(b, ' ')
 }
 
 // AppendRecord appends "<label> n<node> b<block>", the start of the

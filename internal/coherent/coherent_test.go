@@ -11,6 +11,7 @@ import (
 
 	"dircc/internal/cache"
 	"dircc/internal/obs"
+	"dircc/internal/sim"
 	"dircc/internal/topology"
 )
 
@@ -687,12 +688,14 @@ func TestResetMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	resetWorkload(used, 3)
-	if _, err := used.eng.RunUntil(60); err != nil {
-		t.Fatal(err)
+	used.eng.MaxEvents = 40
+	if err := used.eng.Run(); err != sim.ErrEventBudget {
+		t.Fatalf("Run = %v, want the event budget to stop it", err)
 	}
 	if used.eng.Pending() == 0 || used.Net.InFlight() == 0 {
 		t.Fatal("the interrupted run left nothing behind to reset")
 	}
+	used.eng.MaxEvents = cfg.MaxEvents
 	used.Reset(newFake())
 	if got := run(used); got != want {
 		t.Fatalf("after Reset:\n%s\nfresh machine:\n%s", got, want)

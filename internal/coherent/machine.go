@@ -864,9 +864,11 @@ func (m *Machine) DumpState(w io.Writer) {
 }
 
 // BlockDumper is implemented by protocol engines that can describe
-// their per-block directory state for stall diagnostics. All engines
-// in this repository implement it; the machine degrades gracefully if
-// a third-party engine does not.
+// their per-block directory state for stall diagnostics. DescribeBlock
+// returns the entry's canonical text, the rest of the line CanonState
+// prints after "dir b<block> ", or "uncached (no entry)" for a block
+// with no entry. All engines in this repository implement it; the
+// machine degrades gracefully if a third-party engine does not.
 type BlockDumper interface {
 	DescribeBlock(b BlockID) string
 }

@@ -52,9 +52,7 @@ type slot struct {
 	level int
 }
 
-func (s slot) String() string { return string(s.appendCanon(nil)) }
-
-// appendCanon appends the slot's String text, "<node>@l<level>".
+// appendCanon appends the slot's text, "<node>@l<level>".
 func (s slot) appendCanon(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(s.node), 10)
 	b = append(b, "@l"...)
@@ -594,25 +592,6 @@ func (e *Engine) CacheMsg(m *coherent.Machine, msg *coherent.Msg) {
 	default:
 		panic("core: unexpected cache message " + msg.Type.String())
 	}
-}
-
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics:
-// directory state, tree roots with heights, and any pending home
-// transaction with its remaining ack count.
-func (e *Engine) DescribeBlock(b coherent.BlockID) string {
-	var en *entry
-	if e.m != nil {
-		en, _ = e.m.Dir(b).(*entry)
-	}
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	s := fmt.Sprintf("%s owner=%d roots=%v", en.state, en.owner, en.slots)
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d, stage=%d, wbFrom=%d, acksLeft=%d}",
-			p.req.Type, p.req.Requester, p.stage, p.wbFrom, p.acksLeft)
-	}
-	return s
 }
 
 // DirectoryBits implements coherent.Engine using the paper's formula

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 
@@ -344,22 +343,6 @@ func (e *STP) onInsert(m *coherent.Machine, node *coherent.Node, msg *coherent.M
 	})
 }
 
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics.
-func (e *STP) DescribeBlock(b coherent.BlockID) string {
-	var en *stpEntry
-	if e.m != nil {
-		en, _ = e.m.Dir(b).(*stpEntry)
-	}
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	s := fmt.Sprintf("%s root=%d owner=%d", en.state, en.root, en.owner)
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d, acksLeft=%d}", p.req.Type, p.req.Requester, p.acksLeft)
-	}
-	return s
-}
-
 // DirectoryBits implements coherent.Engine: two home pointers (root and
 // owner) per block plus two child pointers and counts per cache line.
 func (e *STP) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
@@ -369,8 +352,6 @@ func (e *STP) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 }
 
 // Verification hooks for the model checker (internal/check).
-
-func (meta *stpMeta) String() string { return string(meta.AppendCanon(nil)) }
 
 // AppendCanon implements coherent.CanonAppender: "ch[<children>]
 // cnt[<counts>]", NoNode slots included.
@@ -408,21 +389,40 @@ func (e *STP) appendCanon(b []byte) []byte {
 		if en.state == coherent.DirUncached && en.root == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		b = coherent.AppendDir(b, blk, en.state)
-		b = append(b, " root"...)
-		b = strconv.AppendInt(b, int64(en.root), 10)
-		b = append(b, " owner"...)
-		b = strconv.AppendInt(b, int64(en.owner), 10)
-		if p := en.pend; p != nil {
-			b = append(b, " pend{"...)
-			b = p.req.AppendCanon(b)
-			b = append(b, " acks"...)
-			b = strconv.AppendInt(b, int64(p.acksLeft), 10)
-			b = append(b, '}')
-		}
+		b = en.appendCanon(coherent.AppendDir(b, blk))
 		b = append(b, '\n')
 	}
 	return e.appendCanonWaves(b)
+}
+
+// appendCanon appends the entry's text: "<state> root<n> owner<n>",
+// then the pending home transaction if there is one.
+//
+//dirccvet:hotpath
+func (en *stpEntry) appendCanon(b []byte) []byte {
+	b = append(b, en.state.String()...)
+	b = append(b, " root"...)
+	b = strconv.AppendInt(b, int64(en.root), 10)
+	b = append(b, " owner"...)
+	b = strconv.AppendInt(b, int64(en.owner), 10)
+	if p := en.pend; p != nil {
+		b = append(b, " pend{"...)
+		b = p.req.AppendCanon(b)
+		b = append(b, " acks"...)
+		b = strconv.AppendInt(b, int64(p.acksLeft), 10)
+		b = append(b, '}')
+	}
+	return b
+}
+
+// DescribeBlock implements coherent.BlockDumper: the entry's canonical
+// text.
+func (e *STP) DescribeBlock(b coherent.BlockID) string {
+	en, _ := e.m.Dir(b).(*stpEntry)
+	if en == nil {
+		return "uncached (no entry)"
+	}
+	return string(en.appendCanon(nil))
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.

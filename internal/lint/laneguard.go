@@ -1392,18 +1392,6 @@ func (fa *funcAnalysis) checkCompositeLit(cl *ast.CompositeLit, e env) {
 	}
 }
 
-func derefStruct(t types.Type) (*types.Struct, bool) {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	return st, ok
-}
-
 // checkCall handles Machine façade calls (R2, R5, scheduling closures)
 // and package-local helper calls (summary requirements).
 func (fa *funcAnalysis) checkCall(call *ast.CallExpr, e env) {

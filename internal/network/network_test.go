@@ -371,9 +371,14 @@ func TestReset(t *testing.T) {
 	eng, n, _ := newNet(t, 3)
 	n.Send("Inv", 0, 1, 8, arrival(n, 1, func() {}))
 	n.Send("Inv", 0, 7, 8, arrival(n, 7, func() {}))
-	if _, err := eng.RunUntil(9); err != nil {
-		t.Fatal(err)
+	eng.MaxEvents = 1
+	if err := eng.Run(); err != sim.ErrEventBudget {
+		t.Fatalf("Run = %v, want the event budget to stop it", err)
 	}
+	if n.InFlight() == 0 {
+		t.Fatal("the interrupted run left nothing in flight")
+	}
+	eng.MaxEvents = 0
 	eng.Reset()
 	n.Reset()
 	if n.Sent() != 0 || n.InFlight() != 0 {

@@ -373,20 +373,6 @@ func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 	})
 }
 
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics.
-func (e *Engine) DescribeBlock(b coherent.BlockID) string {
-	en, _ := e.m.Dir(b).(*entry)
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	s := fmt.Sprintf("%s owner=%d sharers=%v", en.state, en.owner, sortedNodes(en.sharers))
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d, wantWb=%d, acksLeft=%d}",
-			p.req.Type, p.req.Requester, p.wantWb, p.acksLeft)
-	}
-	return s
-}
-
 // DirectoryBits implements coherent.Engine: B·n bits per node's blocks
 // times n nodes (presence bits) plus a dirty bit per block.
 func (e *Engine) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {

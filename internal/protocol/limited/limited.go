@@ -446,25 +446,6 @@ func (e *Engine) OnEvict(m *coherent.Machine, n coherent.NodeID, ln *cache.Line)
 	})
 }
 
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics.
-func (e *Engine) DescribeBlock(b coherent.BlockID) string {
-	en, _ := e.m.Dir(b).(*entry)
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	var s string
-	if e.overflow == overflowSpill {
-		s = fmt.Sprintf("%s owner=%d hw=%v sw=%v", en.state, en.owner, en.ptrs, en.spill)
-	} else {
-		s = fmt.Sprintf("%s owner=%d ptrs=%v broadcast=%v", en.state, en.owner, en.ptrs, en.broadcast)
-	}
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d, stage=%d, wbFrom=%d, acksLeft=%d}",
-			p.req.Type, p.req.Requester, p.stage, p.wbFrom, p.acksLeft)
-	}
-	return s
-}
-
 // DirectoryBits implements coherent.Engine using the paper's
 // B·i·n·log n: i pointers per block at each of the n homes. No state
 // bits are counted, nor the LimitLESS software table, which lives in

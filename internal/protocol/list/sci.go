@@ -1,7 +1,6 @@
 package list
 
 import (
-	"fmt"
 	"slices"
 
 	"dircc/internal/cache"
@@ -265,19 +264,13 @@ func (e *SCI) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		}
 		e.grantWrite(m, en, &en.pend.req)
 	case coherent.MsgWbData:
+		// The one writeback SCI sends is a demoting head's answer to a
+		// forwarded read (serveFwd). The home cleared the owner when it
+		// forwarded that read, and per-pair FIFO delivery brings the
+		// writeback before anything the head sends later, so only the
+		// value is left to record.
 		m.CtrAt(msg.Dst).Writebacks++
 		m.Store.OwnerValue(msg.Block, msg.Data)
-		if en.owner == msg.Src {
-			en.owner = coherent.NoNode
-			if msg.Write {
-				en.state = coherent.DirShared
-			} else if en.head == msg.Src {
-				en.head = coherent.NoNode
-				en.state = coherent.DirUncached
-			} else {
-				en.state = coherent.DirShared
-			}
-		}
 	case coherent.MsgUnlink:
 		// A replaced head already spliced itself out in simulator
 		// state; the message accounts for the traffic.
@@ -761,22 +754,6 @@ func (e *SCI) staleMarkAttaches(en *sciEntry, n coherent.NodeID) coherent.NodeID
 		}
 	}
 	return pendingPrev
-}
-
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics.
-func (e *SCI) DescribeBlock(b coherent.BlockID) string {
-	if e.m == nil {
-		return "uncached (no entry)"
-	}
-	en, _ := e.m.Dir(b).(*sciEntry)
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	s := fmt.Sprintf("%s head=%d owner=%d", en.state, en.head, en.owner)
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d}", p.req.Type, p.req.Requester)
-	}
-	return s
 }
 
 // DirectoryBits implements coherent.Engine: head pointer per memory

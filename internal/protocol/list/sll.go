@@ -5,8 +5,6 @@
 package list
 
 import (
-	"fmt"
-
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
 )
@@ -460,22 +458,6 @@ func (e *SLL) teardownAt(m *coherent.Machine, n coherent.NodeID, b coherent.Bloc
 	if nn != coherent.NoNode {
 		e.teardown(m, n, nn, b, evictSeq)
 	}
-}
-
-// DescribeBlock implements coherent.BlockDumper for stall diagnostics.
-func (e *SLL) DescribeBlock(b coherent.BlockID) string {
-	var en *sllEntry
-	if e.m != nil {
-		en, _ = e.m.Dir(b).(*sllEntry)
-	}
-	if en == nil {
-		return "uncached (no entry)"
-	}
-	s := fmt.Sprintf("%s head=%d owner=%d", en.state, en.head, en.owner)
-	if p := en.pend; p != nil {
-		s += fmt.Sprintf(" pending{%s from %d}", p.req.Type, p.req.Requester)
-	}
-	return s
 }
 
 // DirectoryBits implements coherent.Engine: the paper's (C+B)·n·log n —

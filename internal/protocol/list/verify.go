@@ -10,13 +10,8 @@ import (
 
 // Verification hooks for the model checker (internal/check). Canonical
 // text is appended with strconv, byte for byte what fmt printed, so the
-// checker renders one state per transition without allocating.
-
-func (meta *sllMeta) String() string { return string(meta.AppendCanon(nil)) }
-
-func (meta *sciMeta) String() string { return string(meta.AppendCanon(nil)) }
-
-func (ps *purgeState) String() string { return string(ps.AppendCanon(nil)) }
+// checker renders one state per transition without allocating. The
+// stall watchdog's DescribeBlock returns the same text for one entry.
 
 // AppendCanon implements coherent.CanonAppender.
 //
@@ -53,10 +48,10 @@ func (ps *purgeState) AppendCanon(b []byte) []byte {
 	return strconv.AppendInt(b, int64(ps.cur), 10)
 }
 
-// appendDirHead appends the fields both list engines' directory lines
-// start with: "dir b<block> <state> head<n> owner<n>".
-func appendDirHead(b []byte, blk coherent.BlockID, state coherent.DirState, head, owner coherent.NodeID) []byte {
-	b = coherent.AppendDir(b, blk, state)
+// appendHead appends the fields both list engines' directory entries
+// start with: "<state> head<n> owner<n>".
+func appendHead(b []byte, state coherent.DirState, head, owner coherent.NodeID) []byte {
+	b = append(b, state.String()...)
 	b = append(b, " head"...)
 	b = strconv.AppendInt(b, int64(head), 10)
 	b = append(b, " owner"...)
@@ -85,13 +80,7 @@ func (e *SLL) appendCanon(b []byte) []byte {
 		if en.state == coherent.DirUncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil && en.seq == 0 {
 			continue
 		}
-		b = appendDirHead(b, blk, en.state, en.head, en.owner)
-		b = append(b, " seq"...)
-		b = strconv.AppendUint(b, en.seq, 10)
-		if p := en.pend; p != nil {
-			b = append(b, " pend{"...)
-			b = append(p.req.AppendCanon(b), '}')
-		}
+		b = en.appendCanon(coherent.AppendDir(b, blk))
 		b = append(b, '\n')
 	}
 	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], len(e.nodes), func(n int) map[coherent.BlockID]uint64 { return e.nodes[n].gone })
@@ -109,6 +98,31 @@ func (e *SLL) appendCanon(b []byte) []byte {
 		b = append(b, '\n')
 	}
 	return b
+}
+
+// appendCanon appends the entry's text: "<state> head<n> owner<n>
+// seq<n>", then the pending request if there is one.
+//
+//dirccvet:hotpath
+func (en *sllEntry) appendCanon(b []byte) []byte {
+	b = appendHead(b, en.state, en.head, en.owner)
+	b = append(b, " seq"...)
+	b = strconv.AppendUint(b, en.seq, 10)
+	if p := en.pend; p != nil {
+		b = append(b, " pend{"...)
+		b = append(p.req.AppendCanon(b), '}')
+	}
+	return b
+}
+
+// DescribeBlock implements coherent.BlockDumper: the entry's canonical
+// text.
+func (e *SLL) DescribeBlock(b coherent.BlockID) string {
+	en, _ := e.m.Dir(b).(*sllEntry)
+	if en == nil {
+		return "uncached (no entry)"
+	}
+	return string(en.appendCanon(nil))
 }
 
 // verifyScratch is the storage a list engine's verification hooks
@@ -176,11 +190,7 @@ func (e *SCI) appendCanon(b []byte) []byte {
 		if en.state == coherent.DirUncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		b = appendDirHead(b, blk, en.state, en.head, en.owner)
-		if p := en.pend; p != nil {
-			b = append(b, " pend{"...)
-			b = append(p.req.AppendCanon(b), '}')
-		}
+		b = en.appendCanon(coherent.AppendDir(b, blk))
 		b = append(b, '\n')
 	}
 	e.vs.keys = coherent.AppendSortedKeys(e.vs.keys[:0], len(e.tombs), func(n int) map[coherent.BlockID]coherent.NodeID { return e.tombs[n] })
@@ -219,6 +229,29 @@ func (e *SCI) appendCanon(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// appendCanon appends the entry's text: "<state> head<n> owner<n>",
+// then the pending write if there is one.
+//
+//dirccvet:hotpath
+func (en *sciEntry) appendCanon(b []byte) []byte {
+	b = appendHead(b, en.state, en.head, en.owner)
+	if p := en.pend; p != nil {
+		b = append(b, " pend{"...)
+		b = append(p.req.AppendCanon(b), '}')
+	}
+	return b
+}
+
+// DescribeBlock implements coherent.BlockDumper: the entry's canonical
+// text.
+func (e *SCI) DescribeBlock(b coherent.BlockID) string {
+	en, _ := e.m.Dir(b).(*sciEntry)
+	if en == nil {
+		return "uncached (no entry)"
+	}
+	return string(en.appendCanon(nil))
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.

@@ -42,8 +42,9 @@ type calNode struct {
 //     heap events that enter the horizon into their buckets at once, so
 //     they precede every same-instant event scheduled later;
 //   - next and peek never move the base, so an event scheduled after
-//     a peek (RunUntil stopping short, then Schedule) still lands at or
-//     after the base;
+//     a peek (the sharded kernel scans its queues for the next instant
+//     before its events schedule more) still lands at or after the
+//     base;
 //   - top, when not 0, is 1 + the first occupied bucket and topAt its
 //     instant, so peeks and same-instant pops skip the bitmap scan.
 type calendar struct {

@@ -43,10 +43,9 @@ func (f Func) Fire() { f() }
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   calendar
-	stopped bool
+	now   Time
+	seq   uint64
+	queue calendar
 
 	// Executed counts events that have fired; useful for budget limits
 	// and for detecting livelock in tests.
@@ -103,24 +102,20 @@ func (e *Engine) At(t Time, h Handler) {
 // are reset one by one: a struct assignment would clear the calendar's
 // bucket arrays, which an empty calendar does not need.
 func (e *Engine) Reset() {
-	e.now, e.seq, e.executed, e.stopped = 0, 0, 0, false
+	e.now, e.seq, e.executed = 0, 0, 0
 	e.queue.reset()
 }
-
-// Stop makes Run return after the currently firing event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // SetTick installs (or, with nil, removes) the per-event observer,
 // which runs before every event with the instant it fires at.
 func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 
-// Run fires events in timestamp order until the queue drains, Stop is
-// called, or the event budget is exhausted.
+// Run fires events in timestamp order until the queue drains or the
+// event budget is exhausted.
 //
 //dirccvet:hotpath
 func (e *Engine) Run() error {
-	e.stopped = false
-	for e.queue.len() > 0 && !e.stopped {
+	for e.queue.len() > 0 {
 		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -136,35 +131,4 @@ func (e *Engine) Run() error {
 		ev.h.Fire()
 	}
 	return nil
-}
-
-// RunUntil fires events with timestamp <= deadline and then stops,
-// leaving later events queued. It returns the number of events fired.
-//
-//dirccvet:hotpath
-func (e *Engine) RunUntil(deadline Time) (fired uint64, err error) {
-	e.stopped = false
-	for e.queue.len() > 0 && !e.stopped {
-		if e.queue.next() > deadline {
-			break
-		}
-		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.executed++
-		fired++
-		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
-			return fired, ErrEventBudget
-		}
-		if e.tick != nil {
-			e.tick(e.now)
-		}
-		ev.h.Fire()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return fired, nil
 }

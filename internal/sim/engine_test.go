@@ -113,60 +113,6 @@ func TestZeroDelayRunsAfterCurrentInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, Func(func() { fired++; e.Stop() }))
-	e.Schedule(2, Func(func() { fired++ }))
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the loop)", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{1, 5, 10, 15} {
-		e.Schedule(d, Func(func() { fired = append(fired, e.Now()) }))
-	}
-	n, err := e.RunUntil(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fired %d events, want 3", n)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	// Resume to drain.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("Now() = %d, want 15", e.Now())
-	}
-}
-
-func TestRunUntilAdvancesClockWithNoEvents(t *testing.T) {
-	e := NewEngine()
-	if _, err := e.RunUntil(42); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 42 {
-		t.Fatalf("Now() = %d, want 42", e.Now())
-	}
-}
-
 func TestEventBudget(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 10
@@ -267,15 +213,18 @@ func TestQuickDeterminism(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	e := NewEngine()
-	e.MaxEvents = 100
-	for _, d := range []Time{1, 5, 10} {
+	e.MaxEvents = 3
+	for _, d := range []Time{1, 5, 10, 15, 20} {
 		e.Schedule(d, Func(func() {}))
 	}
-	if _, err := e.RunUntil(5); err != nil {
-		t.Fatal(err)
+	if err := e.Run(); err != ErrEventBudget {
+		t.Fatalf("Run = %v, want the event budget to stop it", err)
+	}
+	if e.Pending() == 0 {
+		t.Fatal("the interrupted run left nothing behind to reset")
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.MaxEvents != 100 {
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.MaxEvents != 3 {
 		t.Fatalf("after Reset: now %d, pending %d, executed %d, budget %d",
 			e.Now(), e.Pending(), e.Executed(), e.MaxEvents)
 	}

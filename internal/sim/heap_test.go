@@ -99,7 +99,8 @@ func calDelay(rng *rand.Rand) Time {
 // Besides single pushes the script makes batches of same-instant events
 // whose sequence numbers arrive out of order, as the sharded kernel's
 // rebind pushes them, and peeks followed by a push of delay 0 or 1, as
-// RunUntil stopping short followed by a Schedule does.
+// the sharded kernel's scan for its next instant followed by a Schedule
+// does.
 func TestCalendarMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -193,9 +194,10 @@ func (ev *traceEv) Fire() {
 // refEngine is Engine's contract driven through container/heap: the
 // oracle for TestEngineMatchesReference.
 type refEngine struct {
-	now Time
-	seq uint64
-	q   refHeap
+	now      Time
+	seq      uint64
+	executed uint64
+	q        refHeap
 }
 
 func (r *refEngine) schedule(d Time, h Handler) {
@@ -203,21 +205,27 @@ func (r *refEngine) schedule(d Time, h Handler) {
 	heap.Push(&r.q, event{at: r.now + d, seq: r.seq, h: h})
 }
 
-func (r *refEngine) runUntil(deadline Time) {
-	for r.q.Len() > 0 && r.q[0].at <= deadline {
+// run fires events until the queue drains or the events counted since
+// the last reset pass budget (0: no limit), and reports whether the
+// budget stopped it. The event that passes the budget is popped and
+// counted but not fired, as Engine.Run does.
+func (r *refEngine) run(budget uint64) bool {
+	for r.q.Len() > 0 {
 		ev := heap.Pop(&r.q).(event)
 		r.now = ev.at
+		r.executed++
+		if budget != 0 && r.executed > budget {
+			return true
+		}
 		ev.h.Fire()
 	}
-	if r.now < deadline {
-		r.now = deadline
-	}
+	return false
 }
 
-// TestEngineMatchesReference runs one random script of Schedule,
-// RunUntil (mostly stopping short of the next event), Run and Reset
-// with events pending on Engine and on a container/heap reference, and
-// requires identical firing logs: ids and instants, event for event.
+// TestEngineMatchesReference runs one random script of Schedule, Run
+// (mostly stopped by a small event budget), and Reset with events
+// pending on Engine and on a container/heap reference, and requires
+// identical firing logs: ids and instants, event for event.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,25 +241,27 @@ func TestEngineMatchesReference(t *testing.T) {
 				d := calDelay(rng)
 				e.Schedule(d, &traceEv{id: id, log: &got, now: e.Now, sched: e.Schedule})
 				r.schedule(d, &traceEv{id: id, log: &want, now: func() Time { return r.now }, sched: r.schedule})
-			case op < 18:
-				deadline := e.Now() + Time(rng.Intn(40))
-				if _, err := e.RunUntil(deadline); err != nil {
-					t.Fatal(err)
-				}
-				r.runUntil(deadline)
 			case op < 19:
-				if err := e.Run(); err != nil {
-					t.Fatal(err)
+				e.MaxEvents = 0
+				if op < 18 {
+					e.MaxEvents = e.Executed() + 1 + uint64(rng.Intn(8))
 				}
-				r.runUntil(^Time(0) >> 1)
-				r.now = e.Now()
+				err := e.Run()
+				var wantErr error
+				if r.run(e.MaxEvents) {
+					wantErr = ErrEventBudget
+				}
+				if err != wantErr {
+					t.Fatalf("seed %d step %d: Run with budget %d returned %v, want %v",
+						seed, step, e.MaxEvents, err, wantErr)
+				}
 			default:
 				e.Reset()
 				r = refEngine{}
 			}
-			if e.Now() != r.now || e.Pending() != r.q.Len() || !slices.Equal(got[checked:], want[checked:]) {
-				t.Fatalf("seed %d step %d: engine at %d with %d pending, reference at %d with %d; logs equal %v",
-					seed, step, e.Now(), e.Pending(), r.now, r.q.Len(), slices.Equal(got, want))
+			if e.Now() != r.now || e.Executed() != r.executed || e.Pending() != r.q.Len() || !slices.Equal(got[checked:], want[checked:]) {
+				t.Fatalf("seed %d step %d: engine at %d after %d events with %d pending, reference at %d after %d with %d; logs equal %v",
+					seed, step, e.Now(), e.Executed(), e.Pending(), r.now, r.executed, r.q.Len(), slices.Equal(got, want))
 			}
 			checked = len(got)
 		}
@@ -271,20 +281,6 @@ func TestRunBackwardsTimePanics(t *testing.T) {
 		}
 	}()
 	_ = e.Run()
-}
-
-// TestRunUntilBackwardsTimePanics is the same guard for RunUntil, which
-// the seed implementation was missing.
-func TestRunUntilBackwardsTimePanics(t *testing.T) {
-	e := NewEngine()
-	e.now = 10
-	e.queue.push(5, 1, Func(func() {}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil did not panic on a backwards-time event")
-		}
-	}()
-	_, _ = e.RunUntil(20)
 }
 
 // TestPopReleasesClosure checks that a popped event's slot no longer

@@ -251,15 +251,6 @@ func (s *Sharded) Now() Time { return s.now }
 // at sub-round boundaries, not per event.
 func (s *Sharded) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events waiting across all lanes.
-func (s *Sharded) Pending() int {
-	n := s.gq.len()
-	for _, l := range s.lanes {
-		n += l.q.len() + len(l.eq)
-	}
-	return n
-}
-
 // SetReplayer installs the mailbox side-effect replayer. Required
 // before Run if any Phase-P event defers a send.
 func (s *Sharded) SetReplayer(r SendReplayer) { s.replayer = r }

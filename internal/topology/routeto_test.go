@@ -1,16 +1,19 @@
 package topology
 
 import (
-	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
-// TestRouteToMatchesRoute exhaustively checks, for every (src, dst)
-// pair of every topology family at every size up to 32 nodes, that the
-// allocation-free RouteTo produces exactly the route the independent
-// Route implementation does — including when appending after existing
-// elements in the caller's buffer — and that its length agrees with
-// Distance.
+// TestRouteToMatchesRoute checks, for every (src, dst) pair of every
+// topology family at every size up to 32 nodes, that RouteTo appends
+// the route the topology's routing promises: a walk along Links() from
+// src to dst of Distance hops that crosses dimensions in increasing
+// order, each the shorter way around (ties up), as e-cube and
+// dimension-ordered routing do. Appending after existing elements of
+// the caller's buffer, or into a reused one, must give the same route
+// as RouteTo(src, dst, nil).
 func TestRouteToMatchesRoute(t *testing.T) {
 	var topos []Topology
 	for dim := 0; dim <= 5; dim++ { // 1..32 nodes
@@ -28,29 +31,38 @@ func TestRouteToMatchesRoute(t *testing.T) {
 	}
 
 	for _, topo := range topos {
-		topo := topo
 		t.Run(topo.Name(), func(t *testing.T) {
 			n := topo.Nodes()
+			links := topo.Links()
 			scratch := make([]LinkID, 0, topo.Diameter())
 			for src := 0; src < n; src++ {
 				for dst := 0; dst < n; dst++ {
 					s, d := NodeID(src), NodeID(dst)
-					want := topo.Route(s, d)
-					got := topo.RouteTo(s, d, scratch[:0])
-					if err := sameRoute(want, got); err != nil {
-						t.Fatalf("RouteTo(%d,%d): %v", src, dst, err)
-					}
-					if len(got) != topo.Distance(s, d) {
+					want := topo.RouteTo(s, d, nil)
+					if len(want) != topo.Distance(s, d) {
 						t.Fatalf("RouteTo(%d,%d) has %d hops, Distance says %d",
-							src, dst, len(got), topo.Distance(s, d))
+							src, dst, len(want), topo.Distance(s, d))
+					}
+					cur, lastDim := s, 0
+					for _, id := range want {
+						next, dim, ok := step(topo, cur, links[id], d)
+						if !ok || dim < lastDim {
+							t.Fatalf("RouteTo(%d,%d) = %v: link %d is not the next hop from %d (dimension %d after %d)",
+								src, dst, want, id, cur, dim, lastDim)
+						}
+						cur, lastDim = next, dim
+					}
+					if cur != d {
+						t.Fatalf("RouteTo(%d,%d) = %v ends at %d", src, dst, want, cur)
+					}
+					got := topo.RouteTo(s, d, scratch[:0])
+					if !slices.Equal(got, want) {
+						t.Fatalf("RouteTo(%d,%d) into a reused buffer = %v, want %v", src, dst, got, want)
 					}
 					// Appending after a sentinel must leave it intact.
 					pre := topo.RouteTo(s, d, []LinkID{-1})
-					if len(pre) != len(want)+1 || pre[0] != -1 {
-						t.Fatalf("RouteTo(%d,%d) mishandled a non-empty buffer: %v", src, dst, pre)
-					}
-					if err := sameRoute(want, pre[1:]); err != nil {
-						t.Fatalf("RouteTo(%d,%d) with prefix: %v", src, dst, err)
+					if pre[0] != -1 || !slices.Equal(pre[1:], want) {
+						t.Fatalf("RouteTo(%d,%d) after a sentinel = %v, want [-1] then %v", src, dst, pre, want)
 					}
 					// Grow the scratch the way the network's reusable
 					// buffer does.
@@ -63,14 +75,28 @@ func TestRouteToMatchesRoute(t *testing.T) {
 	}
 }
 
-func sameRoute(want, got []LinkID) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("route %v, want %v", got, want)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("route %v, want %v", got, want)
+// step follows link l from cur on a route to dst. It returns the node
+// reached and the dimension crossed, and reports whether l is a hop
+// dimension-ordered routing may take: it leaves cur and, on a torus,
+// goes up the ring (to the next coordinate, wrapping) exactly when that
+// is no longer than going down. The bus's one link is notional and
+// joins every pair.
+func step(topo Topology, cur NodeID, l Link, dst NodeID) (next NodeID, dim int, ok bool) {
+	switch tp := topo.(type) {
+	case *Hypercube:
+		dim = bits.TrailingZeros(uint(l.Src ^ l.Dst))
+		return l.Dst, dim, l.Src == cur
+	case *KaryNCube:
+		stride := 1
+		for dim = 0; dim < tp.n; dim++ {
+			if int(l.Src)/stride%tp.k != int(l.Dst)/stride%tp.k {
+				break
+			}
+			stride *= tp.k
 		}
+		fwd := (int(dst)/stride%tp.k - int(cur)/stride%tp.k + tp.k) % tp.k
+		up := l.ID == tp.linkAt[cur][dim][0]
+		return l.Dst, dim, l.Src == cur && up == (fwd <= tp.k-fwd)
 	}
-	return nil
+	return dst, 0, l.ID == 0
 }

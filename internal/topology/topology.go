@@ -33,13 +33,11 @@ type Topology interface {
 	Nodes() int
 	// Links returns all directed links, indexed by LinkID.
 	Links() []Link
-	// Route returns the ordered LinkIDs a message from src to dst
-	// traverses. An empty route means src == dst (local delivery).
-	Route(src, dst NodeID) []LinkID
-	// RouteTo appends the same route to buf and returns the extended
-	// slice. It is Route with caller-controlled allocation: a caller
-	// that reuses buf across messages (as the network's send path
-	// does) computes routes without allocating.
+	// RouteTo appends the ordered LinkIDs a message from src to dst
+	// traverses to buf and returns the extended slice. It appends
+	// nothing when src == dst (local delivery). A caller that reuses
+	// buf across messages (as the network's send path does) computes
+	// routes without allocating.
 	RouteTo(src, dst NodeID, buf []LinkID) []LinkID
 	// Distance returns the hop count from src to dst.
 	Distance(src, dst NodeID) int
@@ -103,23 +101,8 @@ func (h *Hypercube) Name() string  { return fmt.Sprintf("hypercube-%d", 1<<h.dim
 func (h *Hypercube) Nodes() int    { return 1 << h.dim }
 func (h *Hypercube) Links() []Link { return h.links }
 
-func (h *Hypercube) Route(src, dst NodeID) []LinkID {
-	h.check(src)
-	h.check(dst)
-	var route []LinkID
-	cur := src
-	diff := int(src) ^ int(dst)
-	for d := 0; d < h.dim; d++ {
-		if diff&(1<<d) != 0 {
-			route = append(route, h.linkAt[cur][d])
-			cur = NodeID(int(cur) ^ (1 << d))
-		}
-	}
-	return route
-}
-
-// RouteTo is the allocation-free form of Route: e-cube link IDs are
-// appended to buf in place.
+// RouteTo appends the e-cube route: one link per differing address
+// bit, least significant first.
 func (h *Hypercube) RouteTo(src, dst NodeID, buf []LinkID) []LinkID {
 	h.check(src)
 	h.check(dst)
@@ -241,34 +224,9 @@ func (t *KaryNCube) ringSteps(a, b int) int {
 	return -bwd
 }
 
-func (t *KaryNCube) Route(src, dst NodeID) []LinkID {
-	t.check(src)
-	t.check(dst)
-	var route []LinkID
-	cur := t.coords(src)
-	want := t.coords(dst)
-	for d := 0; d < t.n; d++ {
-		steps := t.ringSteps(cur[d], want[d])
-		for steps != 0 {
-			v := t.node(cur)
-			if steps > 0 {
-				route = append(route, t.linkAt[v][d][0])
-				cur[d] = (cur[d] + 1) % t.k
-				steps--
-			} else {
-				route = append(route, t.linkAt[v][d][1])
-				cur[d] = (cur[d] - 1 + t.k) % t.k
-				steps++
-			}
-		}
-	}
-	return route
-}
-
-// RouteTo is the allocation-free form of Route: instead of
-// materializing coordinate vectors it extracts each dimension's digit
-// on the fly (stride = k^d) and walks the node index directly, so the
-// only append target is the caller's buf.
+// RouteTo appends the dimension-ordered route. It extracts each
+// dimension's digit on the fly (stride = k^d) and walks the node index
+// directly, so the only append target is the caller's buf.
 func (t *KaryNCube) RouteTo(src, dst NodeID, buf []LinkID) []LinkID {
 	t.check(src)
 	t.check(dst)
@@ -354,16 +312,7 @@ func (b *Bus) Links() []Link {
 	return []Link{{ID: 0, Src: 0, Dst: 0}}
 }
 
-func (b *Bus) Route(src, dst NodeID) []LinkID {
-	b.check(src)
-	b.check(dst)
-	if src == dst {
-		return nil
-	}
-	return []LinkID{0}
-}
-
-// RouteTo is the allocation-free form of Route.
+// RouteTo appends the bus's one link unless src == dst.
 func (b *Bus) RouteTo(src, dst NodeID, buf []LinkID) []LinkID {
 	b.check(src)
 	b.check(dst)

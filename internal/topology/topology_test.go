@@ -56,7 +56,7 @@ func TestHypercubeRouteProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := NodeID(int(a) % h.Nodes())
 		dst := NodeID(int(b) % h.Nodes())
-		route := h.Route(src, dst)
+		route := h.RouteTo(src, dst, nil)
 		want := bits.OnesCount(uint(int(src) ^ int(dst)))
 		if len(route) != want || h.Distance(src, dst) != want {
 			return false
@@ -78,8 +78,8 @@ func TestHypercubeRouteProperty(t *testing.T) {
 
 func TestHypercubeRouteSelf(t *testing.T) {
 	h := MustHypercube(3)
-	if route := h.Route(5, 5); len(route) != 0 {
-		t.Errorf("Route(5,5) = %v, want empty", route)
+	if route := h.RouteTo(5, 5, nil); len(route) != 0 {
+		t.Errorf("RouteTo(5,5) = %v, want empty", route)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestHypercubeRouteSelf(t *testing.T) {
 // so the route is unique and deterministic.
 func TestHypercubeECubeOrder(t *testing.T) {
 	h := MustHypercube(3)
-	route := h.Route(0, 7) // must fix dim0 then dim1 then dim2
+	route := h.RouteTo(0, 7, nil) // must fix dim0 then dim1 then dim2
 	links := h.Links()
 	wantPath := []NodeID{1, 3, 7}
 	cur := NodeID(0)
@@ -131,7 +131,7 @@ func TestKaryNCubeRouteProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := NodeID(int(a) % tt.Nodes())
 		dst := NodeID(int(b) % tt.Nodes())
-		route := tt.Route(src, dst)
+		route := tt.RouteTo(src, dst, nil)
 		if len(route) != tt.Distance(src, dst) {
 			return false
 		}
@@ -181,12 +181,12 @@ func TestBus(t *testing.T) {
 	if b.Nodes() != 8 || b.Diameter() != 1 {
 		t.Fatalf("bus shape wrong: nodes=%d diameter=%d", b.Nodes(), b.Diameter())
 	}
-	if len(b.Route(0, 0)) != 0 {
+	if len(b.RouteTo(0, 0, nil)) != 0 {
 		t.Error("self route should be empty")
 	}
-	r := b.Route(2, 5)
+	r := b.RouteTo(2, 5, nil)
 	if len(r) != 1 || r[0] != 0 {
-		t.Errorf("Route(2,5) = %v, want [0]", r)
+		t.Errorf("RouteTo(2,5) = %v, want [0]", r)
 	}
 	if _, err := NewBus(0); err == nil {
 		t.Error("NewBus(0) did not error")
@@ -213,7 +213,7 @@ func TestNames(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	h := MustHypercube(2)
 	for _, fn := range []func(){
-		func() { h.Route(0, 9) },
+		func() { h.RouteTo(0, 9, nil) },
 		func() { h.Distance(9, 0) },
 	} {
 		func() {
